@@ -109,9 +109,6 @@ class CofinAtomSet:
         exc = self.excluded | {a for a in removed if a.index < 0}
         return CofinAtomSet.cofin(exc, self.included - removed)
 
-    def members_among(self, atoms: Iterable[Atom]) -> frozenset:
-        return frozenset(a for a in atoms if a in self)
-
     def as_finite(self) -> frozenset:
         if self.cofinite:
             raise ValueError("co-infinite atom set has no finite enumeration")

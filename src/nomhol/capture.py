@@ -33,29 +33,15 @@ def canonical_context(atoms: Iterable[Atom]) -> CaptureContext:
     return tuple(sorted(set(atoms)))
 
 
-def capture_check(ctx: CaptureContext, x, abstracted: frozenset = frozenset()) -> bool:
-    have = set(ctx)
-    match x:
-        case AtomT(_) | Bot():
-            return True
-        case Tup(items):
-            return all(capture_check(ctx, r, abstracted) for r in items)
-        case Former(_, arg) | Pred(_, arg):
-            return capture_check(ctx, arg, abstracted)
-        case AbsT(a, body):
-            return capture_check(ctx, body, abstracted | {a})
-        case Sus(pi, unk):
-            needed = {a for a in (pi.nontriv | abstracted) if a in unk.pmss}
-            return needed <= have
-        case Imp(p, q):
-            return capture_check(ctx, p, abstracted) and capture_check(ctx, q, abstracted)
-        case All(_, body):
-            return capture_check(ctx, body, abstracted)
-    raise TypeError(f"not PNL syntax: {x!r}")
+def capture_check(ctx: CaptureContext, x) -> bool:
+    """Whether ctx passes every atom a translation of x must capture."""
+    return capture_infer(x) <= set(ctx)
 
 
 def capture_infer(x, abstracted: frozenset = frozenset()) -> frozenset:
-    """The least atom set whose supersets (as contexts) pass capture_check."""
+    """The least atom set a capture context must contain: the atoms each
+    suspension's unknown permits among those its permutation moves or an
+    enclosing abstraction binds."""
     match x:
         case AtomT(_) | Bot():
             return frozenset()

@@ -224,8 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "derivation")
     common(p)
     p.add_argument("--context", help='capture context, e.g. "[nu@0,nu@1]"')
-    p.add_argument("--infer-d", action="store_true",
-                   help="infer the least capture context (the default)")
     p.add_argument("--derivation", action="store_true",
                    help="treat the file as a derivation")
     p.add_argument("file")

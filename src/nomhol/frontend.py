@@ -44,7 +44,7 @@ from . import kernel as K
 from . import pnl as P
 from .atoms import Atom, Perm, PermissionSet, Renaming
 from .semantics import HerbrandModel, PredSpec, RenElem, Valuation
-from .sexpr import SexprError, SList, SNode, Sym, parse_one, render
+from .sexpr import SexprError, SList, SNode, Sym, parse_one
 
 
 class ParseError(SexprError):
@@ -488,13 +488,6 @@ def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode) -> H.HolTe
     _err(node, f"unrecognized term form {head!r}")
 
 
-def _forall_parts(t: H.HolTerm):
-    match t:
-        case H.App(H.Const("forall", _), H.Lam(v, body)):
-            return v, body
-    return None
-
-
 def render_hol(t: H.HolTerm) -> str:
     match t:
         case H.Var(v):
@@ -503,8 +496,8 @@ def render_hol(t: H.HolTerm) -> str:
             return f"(lam {render_hol_var(v)} {render_hol(body)})"
         case H.App(H.App(H.Const("imp", _), p), q):
             return f"(imp {render_hol(p)} {render_hol(q)})"
-        case H.App(_, _) if _forall_parts(t):
-            v, body = _forall_parts(t)
+        case H.App(_, _) if (parts := H.forall_parts(t)):
+            v, body = parts
             return f"(all {render_hol_var(v)} {render_hol(body)})"
         case H.App(fn, arg):
             return f"(app {render_hol(fn)} {render_hol(arg)})"

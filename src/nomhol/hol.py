@@ -181,6 +181,14 @@ def forall(v: HolVar, body: HolTerm) -> HolTerm:
     return App(forall_const(var_type(v)), Lam(v, body))
 
 
+def forall_parts(t: HolTerm) -> Optional[tuple]:
+    """(v, body) when t is the quantifier applied to a lambda over v."""
+    match t:
+        case App(Const("forall", _), Lam(v, body)):
+            return v, body
+    return None
+
+
 def imp(p: HolTerm, q: HolTerm) -> HolTerm:
     return App(App(IMP, p), q)
 

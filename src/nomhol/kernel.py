@@ -1,10 +1,16 @@
-"""Trusted derivation checkers: two nominal sequent calculi differing only in
-their axiom rule, and a higher-order sequent calculus.
+"""Trusted derivation checkers for a nominal sequent calculus, in two modes
+differing only in their axiom rule, and a higher-order sequent calculus.
+
+Both calculi run one rule table (`_rule`) for the six rules ax, botl, impl,
+impr, alll and allr.  `check_pnl` and `check_hol` each build a small record
+(`_Logic`) of what differs: formula equality (alpha-equivalence on the
+nominal side, alpha-beta on the higher-order side), well-formedness, the
+axiom test, viewing a formula as false, an implication or a quantifier,
+checking and instantiating a witness, and eigenvariable occurrence.
 
 Proof objects carry every rule parameter (principal indices, permutations,
 quantifier witnesses), so checking is search-free.  Sequent sides are
-deduplicated lists compared as sets under the calculus's equality:
-alpha-equivalence on the nominal side, alpha-beta on the higher-order side.
+deduplicated lists compared as sets under the calculus's equality.
 """
 
 from __future__ import annotations
@@ -82,266 +88,191 @@ class Verdict:
         return self.ok
 
 
-def _fail(path, message) -> Verdict:
-    return Verdict(False, path, message)
-
 OK = Verdict(True)
 
 _ARITY = {"ax": 0, "botl": 0, "impl": 2, "impr": 1, "alll": 1, "allr": 1}
 
 
-def _basic_shape(node: Node, path) -> Optional[Verdict]:
+class _Reject(Exception):
+    """The rule at the node being checked is misapplied: args are the
+    message, then the index of the premise at fault, if any."""
+
+
+@dataclass(frozen=True)
+class _Logic:
+    """What one calculus supplies to the shared rule table."""
+    eq: Callable             # formula equality
+    check_formula: Callable  # formula -> None; raises _Reject if ill-formed
+    axiom: Callable          # (perm, left, right) -> None; raises _Reject
+    is_bot: Callable         # formula -> bool
+    as_imp: Callable         # formula -> (antecedent, consequent) or None
+    as_all: Callable         # formula -> (bound variable, body) or None
+    instance: Callable       # (variable, body, witness) -> formula; raises _Reject
+    occurs: Callable         # (variable, formula) -> bool
+
+
+def _pick(seq: Sequent, side: str, i):
+    props = getattr(seq, side)
+    if i is None or not (0 <= i < len(props)):
+        raise _Reject(f"bad {side} index {i}")
+    return props[i]
+
+
+def _fits(premise: Node, lefts, rights, eq) -> bool:
+    """Each side of the premise is one of its candidate sides."""
+    got = premise.concl
+    return any(_aset_eq(got.left, s, eq) for s in lefts) and \
+        any(_aset_eq(got.right, s, eq) for s in rights)
+
+
+def _principal(props, i, new, eq) -> list:
+    """The candidate premise sides for the side holding principal formula
+    props[i]: new, added to props without or keeping props[i]."""
+    return [_added(new, _without(props, i), eq), _added(new, props, eq)]
+
+
+def _check(L: _Logic, node: Node, path) -> Verdict:
+    try:
+        _rule(L, node)
+    except _Reject as e:
+        message, *below = e.args
+        return Verdict(False, path + tuple(below), message)
+    for i, child in enumerate(node.children):
+        v = _check(L, child, path + (i,))
+        if not v:
+            return v
+    return OK
+
+
+def _parts(parts, rule, what):
+    if parts is None:
+        raise _Reject(f"{rule} principal formula is not {what}")
+    return parts
+
+
+def _rule(L: _Logic, node: Node) -> None:
+    """Shape, well-formedness of the conclusion, principal formula, rule."""
     want = _ARITY.get(node.rule)
     if want is None:
-        return _fail(path, f"unknown rule {node.rule}")
+        raise _Reject(f"unknown rule {node.rule}")
     if len(node.children) != want:
-        return _fail(path, f"{node.rule} expects {want} premises, got {len(node.children)}")
-    return None
-
-
-def _pick(props, i, path, side):
-    if i is None or not (0 <= i < len(props)):
-        return None, _fail(path, f"bad {side} index {i}")
-    return props[i], None
-
-
-def _one_of(got, candidates, eq) -> bool:
-    return any(_aset_eq(got, want, eq) for want in candidates)
+        raise _Reject(f"{node.rule} expects {want} premises, got {len(node.children)}")
+    C, eq = node.concl, L.eq
+    for phi in C.left + C.right:
+        L.check_formula(phi)
+    side, i = ("right", node.ri) if node.rule in ("impr", "allr") else ("left", node.li)
+    phi = _pick(C, side, i)
+    match node.rule:
+        case "ax":
+            L.axiom(node.perm, phi, _pick(C, "right", node.ri))
+        case "botl":
+            if not L.is_bot(phi):
+                raise _Reject("botl principal formula is not the false constant")
+        case "impl":
+            p, q = _parts(L.as_imp(phi), "impl", "an implication")
+            c1, c2 = node.children
+            if not _fits(c1, [_without(C.left, i), C.left],
+                         [_added(p, C.right, eq)], eq):
+                raise _Reject("first premise does not match impl", 0)
+            if not _fits(c2, _principal(C.left, i, q, eq), [C.right], eq):
+                raise _Reject("second premise does not match impl", 1)
+        case "impr":
+            p, q = _parts(L.as_imp(phi), "impr", "an implication")
+            if not _fits(node.children[0], [_added(p, C.left, eq)],
+                         _principal(C.right, i, q, eq), eq):
+                raise _Reject("premise does not match impr", 0)
+        case "alll":
+            x, body = _parts(L.as_all(phi), "alll", "a quantifier")
+            if node.witness is None:
+                raise _Reject("alll needs a witness term")
+            inst = L.instance(x, body, node.witness)
+            if not _fits(node.children[0], _principal(C.left, i, inst, eq),
+                         [C.right], eq):
+                raise _Reject("premise does not match alll instance", 0)
+        case "allr":
+            x, body = _parts(L.as_all(phi), "allr", "a quantifier")
+            if any(L.occurs(x, p) for p in C.left + _without(C.right, i)):
+                raise _Reject("allr eigenvariable occurs free in the sequent")
+            if not _fits(node.children[0], [C.left],
+                         _principal(C.right, i, body, eq), eq):
+                raise _Reject("premise does not match allr", 0)
 
 
 # ---------------------------------------------------------------------------
-# nominal kernel
+# the two calculi
 
 def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
-    return _check_pnl(sig, node, mode, ())
+    eq = P.alpha_eq
 
-
-def _check_pnl(sig, node: Node, mode: str, path) -> Verdict:
-    bad = _basic_shape(node, path)
-    if bad:
-        return bad
-    C = node.concl
-    for phi in C.left + C.right:
+    def check_formula(phi):
         try:
             P.check_prop(sig, phi)
         except P.SortError as e:
-            return _fail(path, f"ill-sorted formula: {e}")
-    eq = P.alpha_eq
-    match node.rule:
-        case "ax":
-            phi, err = _pick(C.left, node.li, path, "left")
-            if err:
-                return err
-            psi, err = _pick(C.right, node.ri, path, "right")
-            if err:
-                return err
-            if mode == RESTRICTED:
-                if not node.perm.is_identity:
-                    return _fail(path, "axiom permutation must be identity in restricted mode")
-                if not eq(phi, psi):
-                    return _fail(path, "axiom formulas not alpha-equal")
-            else:
-                if not eq(P.perm_act(node.perm, phi), psi):
-                    return _fail(path, "permuted axiom formula does not match")
-            return OK
-        case "botl":
-            phi, err = _pick(C.left, node.li, path, "left")
-            if err:
-                return err
-            if not isinstance(phi, P.Bot):
-                return _fail(path, "botl principal formula is not the false constant")
-            return OK
-        case "impl":
-            phi, err = _pick(C.left, node.li, path, "left")
-            if err:
-                return err
-            if not isinstance(phi, P.Imp):
-                return _fail(path, "impl principal formula is not an implication")
-            base = _without(C.left, node.li)
-            c1, c2 = node.children
-            if not (_one_of(c1.concl.left, [base, C.left], eq)
-                    and _aset_eq(c1.concl.right, _added(phi.left, C.right, eq), eq)):
-                return _fail(path + (0,), "first premise does not match impl")
-            if not (_one_of(c2.concl.left,
-                            [_added(phi.right, base, eq), _added(phi.right, C.left, eq)], eq)
-                    and _aset_eq(c2.concl.right, C.right, eq)):
-                return _fail(path + (1,), "second premise does not match impl")
-        case "impr":
-            phi, err = _pick(C.right, node.ri, path, "right")
-            if err:
-                return err
-            if not isinstance(phi, P.Imp):
-                return _fail(path, "impr principal formula is not an implication")
-            base = _without(C.right, node.ri)
-            c = node.children[0]
-            if not (_aset_eq(c.concl.left, _added(phi.left, C.left, eq), eq)
-                    and _one_of(c.concl.right,
-                                [_added(phi.right, base, eq),
-                                 _added(phi.right, C.right, eq)], eq)):
-                return _fail(path + (0,), "premise does not match impr")
-        case "alll":
-            phi, err = _pick(C.left, node.li, path, "left")
-            if err:
-                return err
-            if not isinstance(phi, P.All):
-                return _fail(path, "alll principal formula is not a quantifier")
-            r = node.witness
-            if r is None:
-                return _fail(path, "alll needs a witness term")
-            try:
-                if P.sort_of(sig, r) != phi.unknown.sort:
-                    return _fail(path, "witness has the wrong sort")
-            except P.SortError as e:
-                return _fail(path, f"ill-sorted witness: {e}")
-            if not set_subset(P.free_atoms(r), phi.unknown.pmss.as_cofin()):
-                return _fail(path, "witness free atoms escape the permission set")
-            inst = P.subst_one(phi.body, phi.unknown, r)
-            base = _without(C.left, node.li)
-            c = node.children[0]
-            if not (_one_of(c.concl.left,
-                            [_added(inst, base, eq), _added(inst, C.left, eq)], eq)
-                    and _aset_eq(c.concl.right, C.right, eq)):
-                return _fail(path + (0,), "premise does not match alll instance")
-        case "allr":
-            phi, err = _pick(C.right, node.ri, path, "right")
-            if err:
-                return err
-            if not isinstance(phi, P.All):
-                return _fail(path, "allr principal formula is not a quantifier")
-            others = C.left + _without(C.right, node.ri)
-            if any(phi.unknown in P.free_unknowns(p) for p in others):
-                return _fail(path, "allr eigenvariable occurs free in the sequent")
-            base = _without(C.right, node.ri)
-            c = node.children[0]
-            if not (_aset_eq(c.concl.left, C.left, eq)
-                    and _one_of(c.concl.right,
-                                [_added(phi.body, base, eq),
-                                 _added(phi.body, C.right, eq)], eq)):
-                return _fail(path + (0,), "premise does not match allr")
-    for i, child in enumerate(node.children):
-        v = _check_pnl(sig, child, mode, path + (i,))
-        if not v:
-            return v
-    return OK
+            raise _Reject(f"ill-sorted formula: {e}")
 
+    def axiom(perm, phi, psi):
+        if mode == RESTRICTED:
+            if not perm.is_identity:
+                raise _Reject("axiom permutation must be identity in restricted mode")
+            if not eq(phi, psi):
+                raise _Reject("axiom formulas not alpha-equal")
+        elif not eq(P.perm_act(perm, phi), psi):
+            raise _Reject("permuted axiom formula does not match")
 
-# ---------------------------------------------------------------------------
-# higher-order kernel
+    def instance(x, body, r):
+        try:
+            if P.sort_of(sig, r) != x.sort:
+                raise _Reject("witness has the wrong sort")
+        except P.SortError as e:
+            raise _Reject(f"ill-sorted witness: {e}")
+        if not set_subset(P.free_atoms(r), x.pmss.as_cofin()):
+            raise _Reject("witness free atoms escape the permission set")
+        return P.subst_one(body, x, r)
 
-def _forall_parts(phi):
-    match phi:
-        case H.App(H.Const("forall", _), H.Lam(v, body)):
-            return v, body
-    return None
+    return _check(_Logic(
+        eq, check_formula, axiom,
+        is_bot=lambda phi: isinstance(phi, P.Bot),
+        as_imp=lambda phi: (phi.left, phi.right) if isinstance(phi, P.Imp) else None,
+        as_all=lambda phi: (phi.unknown, phi.body) if isinstance(phi, P.All) else None,
+        instance=instance,
+        occurs=lambda x, phi: x in P.free_unknowns(phi)), node, ())
 
 
 def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
-    return _check_hol(node, sig, ())
+    eq = H.alphabeta_eq
 
-
-def _check_hol(node: Node, sig, path) -> Verdict:
-    bad = _basic_shape(node, path)
-    if bad:
-        return bad
-    C = node.concl
-    for phi in C.left + C.right:
+    def check_formula(phi):
         try:
             if H.hol_type_of(phi, sig) != H.O:
-                return _fail(path, f"formula is not a proposition: {phi!r}")
+                raise _Reject(f"formula is not a proposition: {phi!r}")
         except H.HolTypeError as e:
-            return _fail(path, f"untypable formula: {e}")
-    eq = H.alphabeta_eq
-    match node.rule:
-        case "ax":
-            phi, err = _pick(C.left, node.li, path, "left")
-            if err:
-                return err
-            psi, err = _pick(C.right, node.ri, path, "right")
-            if err:
-                return err
-            if not eq(phi, psi):
-                return _fail(path, "axiom formulas not alpha-beta-equal")
-            return OK
-        case "botl":
-            phi, err = _pick(C.left, node.li, path, "left")
-            if err:
-                return err
-            if not eq(phi, H.BOT):
-                return _fail(path, "botl principal formula is not the false constant")
-            return OK
-        case "impl" | "impr":
-            props = C.left if node.rule == "impl" else C.right
-            idx = node.li if node.rule == "impl" else node.ri
-            phi, err = _pick(props, idx, path, "left" if node.rule == "impl" else "right")
-            if err:
-                return err
-            match H.beta_normalize(phi):
-                case H.App(H.App(H.Const("imp", _), p), q):
-                    pass
-                case _:
-                    return _fail(path, "principal formula is not an implication")
-            if node.rule == "impl":
-                base = _without(C.left, node.li)
-                c1, c2 = node.children
-                if not (_one_of(c1.concl.left, [base, C.left], eq)
-                        and _aset_eq(c1.concl.right, _added(p, C.right, eq), eq)):
-                    return _fail(path + (0,), "first premise does not match impl")
-                if not (_one_of(c2.concl.left,
-                                [_added(q, base, eq), _added(q, C.left, eq)], eq)
-                        and _aset_eq(c2.concl.right, C.right, eq)):
-                    return _fail(path + (1,), "second premise does not match impl")
-            else:
-                base = _without(C.right, node.ri)
-                c = node.children[0]
-                if not (_aset_eq(c.concl.left, _added(p, C.left, eq), eq)
-                        and _one_of(c.concl.right,
-                                    [_added(q, base, eq), _added(q, C.right, eq)], eq)):
-                    return _fail(path + (0,), "premise does not match impr")
-        case "alll":
-            phi, err = _pick(C.left, node.li, path, "left")
-            if err:
-                return err
-            parts = _forall_parts(H.beta_normalize(phi))
-            if parts is None:
-                return _fail(path, "alll principal formula is not a quantifier")
-            v, body = parts
-            t = node.witness
-            if t is None:
-                return _fail(path, "alll needs a witness term")
-            try:
-                if H.hol_type_of(t, sig) != H.var_type(v):
-                    return _fail(path, "witness has the wrong type")
-            except H.HolTypeError as e:
-                return _fail(path, f"untypable witness: {e}")
-            inst = H.App(H.Lam(v, body), t)
-            base = _without(C.left, node.li)
-            c = node.children[0]
-            if not (_one_of(c.concl.left,
-                            [_added(inst, base, eq), _added(inst, C.left, eq)], eq)
-                    and _aset_eq(c.concl.right, C.right, eq)):
-                return _fail(path + (0,), "premise does not match alll instance")
-        case "allr":
-            phi, err = _pick(C.right, node.ri, path, "right")
-            if err:
-                return err
-            parts = _forall_parts(H.beta_normalize(phi))
-            if parts is None:
-                return _fail(path, "allr principal formula is not a quantifier")
-            v, body = parts
-            others = C.left + _without(C.right, node.ri)
-            if any(v in H.fv(p) for p in others):
-                return _fail(path, "allr eigenvariable occurs free in the sequent")
-            base = _without(C.right, node.ri)
-            c = node.children[0]
-            if not (_aset_eq(c.concl.left, C.left, eq)
-                    and _one_of(c.concl.right,
-                                [_added(body, base, eq), _added(body, C.right, eq)], eq)):
-                return _fail(path + (0,), "premise does not match allr")
-    for i, child in enumerate(node.children):
-        v = _check_hol(child, sig, path + (i,))
-        if not v:
-            return v
-    return OK
+            raise _Reject(f"untypable formula: {e}")
+
+    def axiom(perm, phi, psi):
+        if not eq(phi, psi):
+            raise _Reject("axiom formulas not alpha-beta-equal")
+
+    def as_imp(phi):
+        match H.beta_normalize(phi):
+            case H.App(H.App(H.Const("imp", _), p), q):
+                return p, q
+        return None
+
+    def instance(v, body, t):
+        try:
+            if H.hol_type_of(t, sig) != H.var_type(v):
+                raise _Reject("witness has the wrong type")
+        except H.HolTypeError as e:
+            raise _Reject(f"untypable witness: {e}")
+        return H.App(H.Lam(v, body), t)
+
+    return _check(_Logic(
+        eq, check_formula, axiom,
+        is_bot=lambda phi: eq(phi, H.BOT),
+        as_imp=as_imp,
+        as_all=lambda phi: H.forall_parts(H.beta_normalize(phi)),
+        instance=instance,
+        occurs=lambda v, phi: v in H.fv(phi)), node, ())
 
 
 # ---------------------------------------------------------------------------

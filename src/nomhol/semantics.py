@@ -535,27 +535,13 @@ class HerbrandModel:
 
 def _base_ranks(sig: PnlSignature) -> dict:
     """Least former-nesting depth of a ground term for each base sort."""
-    INF = float("inf")
     rank: dict = {}
-
-    def sort_rank(s):
-        match s:
-            case NameSort(_):
-                return 0
-            case BaseSort(b):
-                return rank.get(b, INF)
-            case TupleSort(items):
-                return max((sort_rank(r) for r in items), default=0)
-            case AbsSort(_, body):
-                return sort_rank(body)
-        raise TypeError(f"not a sort: {s!r}")
-
     changed = True
     while changed:
         changed = False
         for f, (arg, res) in sig.term_formers.items():
-            r = 1 + sort_rank(arg)
-            if r < rank.get(res, INF):
+            r = 1 + _sort_rank(rank, arg)
+            if r < rank.get(res, float("inf")):
                 rank[res] = r
                 changed = True
     return rank

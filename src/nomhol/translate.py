@@ -9,9 +9,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .atoms import Perm, set_subset
-from .capture import (CaptureContext, canonical_context, capture_check,
-                      capture_cover, capture_infer, make_context,
-                      reindex_subst, restrict_context)
+from .capture import (CaptureContext, capture_cover, capture_infer,
+                      make_context, reindex_subst, restrict_context)
 from . import hol as H
 from . import kernel as K
 from . import pnl as P

@@ -7,7 +7,7 @@ from nomhol.capture import (apply_reindex, canonical_context, capture_check,
                             reindex_subst, restrict_context)
 from nomhol.hol import (AtomVar, Lam, UnkVar, Var, alphabeta_eq, apps,
                         hol_subst_parallel)
-from nomhol.pnl import AbsT, All, AtomT, Former, Pred, Sus, Tup, Unknown
+from nomhol.pnl import AbsT, All, AtomT, Bot, Former, Imp, Pred, Sus, Tup
 from nomhol.translate import translate, translate_signature
 
 from gen import (IOTA, NU, PMSS_ALL, PMSS_HALF, SIG, WINDOW, X0, X1,
@@ -44,6 +44,29 @@ def test_check_ignores_atoms_outside_pmss():
     assert capture_check((), x)
 
 
+def reference_check(ctx, x, abstracted=frozenset()):
+    """Capture checking by direct recursion, independent of capture_infer."""
+    have = set(ctx)
+    match x:
+        case AtomT(_) | Bot():
+            return True
+        case Tup(items):
+            return all(reference_check(ctx, r, abstracted) for r in items)
+        case Former(_, arg) | Pred(_, arg):
+            return reference_check(ctx, arg, abstracted)
+        case AbsT(b, body):
+            return reference_check(ctx, body, abstracted | {b})
+        case Sus(pi, unk):
+            needed = {b for b in (pi.nontriv | abstracted) if b in unk.pmss}
+            return needed <= have
+        case Imp(p, q):
+            return reference_check(ctx, p, abstracted) and \
+                reference_check(ctx, q, abstracted)
+        case All(_, body):
+            return reference_check(ctx, body, abstracted)
+    raise TypeError(f"not PNL syntax: {x!r}")
+
+
 def sublists(atoms):
     for k in range(len(atoms) + 1):
         yield from itertools.combinations(atoms, k)
@@ -51,8 +74,16 @@ def sublists(atoms):
 
 def brute_minimal(x):
     window = [a(-2), a(-1), a(0), a(1), a(2)]
-    accepted = [set(c) for c in sublists(window) if capture_check(c, x)]
+    accepted = [set(c) for c in sublists(window) if reference_check(c, x)]
     return min(accepted, key=len) if accepted else None
+
+
+def test_check_matches_reference():
+    rng = random.Random(47)
+    for _ in range(300):
+        x = rand_term(rng, 3) if rng.random() < 0.6 else rand_prop(rng, 3)
+        for ctx in sublists(WINDOW):
+            assert capture_check(ctx, x) == reference_check(ctx, x), (ctx, x)
 
 
 def test_infer_examples():

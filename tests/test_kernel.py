@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from nomhol.atoms import Atom, Perm
 from nomhol.corpus import (SIG, alpha_pair, atom, eta_axiom,
                            full_only_derivation, restricted_derivations, var)
@@ -8,7 +10,7 @@ from nomhol.hol import (App, AtomVar, BOT, Const, Lam, O, PlainVar, UnkVar,
 from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, check_hol,
                            check_pnl, hol_atomic_derivable, hol_sequent,
                            pnl_sequent)
-from nomhol.pnl import All, Bot, Imp, Pred, Sus, Unknown
+from nomhol.pnl import All, AtomT, Bot, Former, Imp, Pred, Sus
 from nomhol.translate import translate, translate_signature
 
 from gen import X0
@@ -170,3 +172,138 @@ def test_atomic_probe():
     assert hol_atomic_derivable(yes) is True
     assert hol_atomic_derivable(no) is False
     assert hol_atomic_derivable(hol_sequent([BOT], [])) is None
+
+
+# --- one rejection table for both kernels ------------------------------------
+#
+# Every row is written once in nominal syntax; the higher-order kernel sees
+# its translation at the empty context.  A message given as a dict differs by
+# logic; None means that logic accepts the derivation.
+
+LOGICS = {
+    "pnl-restricted": (lambda d: check_pnl(SIG, d, RESTRICTED), pnl_sequent,
+                       lambda x: x),
+    "pnl-full": (lambda d: check_pnl(SIG, d, FULL), pnl_sequent, lambda x: x),
+    "hol": (lambda d: check_hol(d, ENV.target), hol_sequent,
+            lambda x: translate(ENV, (), x)),
+}
+
+p, q, r = P(var(0)), P(var(1)), P(var(2))
+PX = P(Sus.of(X0))
+UNIV = All(X0, PX)
+
+
+def _ax(n, left, right):
+    return n("ax", left, right, li=0, ri=0)
+
+
+REJECTIONS = [
+    ("ax-formulas", lambda n: _ax(n, [p], [q]), (),
+     {"pnl-restricted": "axiom formulas not alpha-equal",
+      "pnl-full": "permuted axiom formula does not match",
+      "hol": "axiom formulas not alpha-beta-equal"}),
+    ("ax-permutation",
+     lambda n: n("ax", [p], [q], li=0, ri=0, perm=Perm.swap(atom(0), atom(1))), (),
+     {"pnl-restricted": "axiom permutation must be identity in restricted mode",
+      "pnl-full": None,
+      "hol": "axiom formulas not alpha-beta-equal"}),
+    ("botl-principal", lambda n: n("botl", [p], [], li=0), (),
+     "botl principal formula is not the false constant"),
+    ("impl-principal",
+     lambda n: n("impl", [p], [q], _ax(n, [p], [p]), _ax(n, [q], [q]), li=0), (),
+     "impl principal formula is not an implication"),
+    ("impl-first-premise",
+     lambda n: n("impl", [Imp(p, q), p], [q], _ax(n, [p], [r]),
+                 _ax(n, [q, p], [q]), li=0), (0,),
+     "first premise does not match impl"),
+    ("impl-second-premise",
+     lambda n: n("impl", [Imp(p, q), p], [q], _ax(n, [p], [p, q]),
+                 _ax(n, [r, p], [q]), li=0), (1,),
+     "second premise does not match impl"),
+    ("impr-principal", lambda n: n("impr", [], [p], _ax(n, [p], [p]), ri=0), (),
+     "impr principal formula is not an implication"),
+    ("impr-premise",
+     lambda n: n("impr", [], [Imp(p, q)], _ax(n, [p], [r]), ri=0), (0,),
+     "premise does not match impr"),
+    ("alll-principal",
+     lambda n: n("alll", [p], [q], _ax(n, [p], [p]), li=0, witness=var(0)), (),
+     "alll principal formula is not a quantifier"),
+    ("alll-no-witness",
+     lambda n: n("alll", [UNIV], [p], _ax(n, [p], [p]), li=0), (),
+     "alll needs a witness term"),
+    ("alll-witness-sort",
+     lambda n: n("alll", [UNIV], [p], _ax(n, [p], [p]), li=0,
+                 witness=AtomT(atom(0))), (),
+     {"pnl-restricted": "witness has the wrong sort",
+      "pnl-full": "witness has the wrong sort",
+      "hol": "witness has the wrong type"}),
+    ("alll-witness-ill-sorted",
+     lambda n: n("alll", [UNIV], [p], _ax(n, [p], [p]), li=0,
+                 witness=Former("var", var(0))), (),
+     {"pnl-restricted": "ill-sorted witness: var expects nu, got iota",
+      "pnl-full": "ill-sorted witness: var expects nu, got iota",
+      "hol": "untypable witness: application expects mu_nu, got mu_iota in "
+             "App(fn=Const(name='g_var', type=(mu_nu -> mu_iota)), "
+             "arg=App(fn=Const(name='g_var', type=(mu_nu -> mu_iota)), "
+             "arg=Var(var=nu@0)))"}),
+    # X0 permits nu@0..nu@2; the translation carries no permission sets
+    ("alll-witness-permission",
+     lambda n: n("alll", [UNIV], [P(var(3))], _ax(n, [P(var(3))], [P(var(3))]),
+                 li=0, witness=var(3)), (),
+     {"pnl-restricted": "witness free atoms escape the permission set",
+      "pnl-full": "witness free atoms escape the permission set",
+      "hol": None}),
+    ("alll-premise",
+     lambda n: n("alll", [UNIV], [p], _ax(n, [q], [p]), li=0, witness=var(0)),
+     (0,), "premise does not match alll instance"),
+    ("allr-principal", lambda n: n("allr", [], [p], _ax(n, [p], [p]), ri=0), (),
+     "allr principal formula is not a quantifier"),
+    ("allr-eigenvariable",
+     lambda n: n("allr", [PX], [UNIV], _ax(n, [PX], [PX]), ri=0), (),
+     "allr eigenvariable occurs free in the sequent"),
+    ("allr-premise", lambda n: n("allr", [], [UNIV], _ax(n, [p], [p]), ri=0),
+     (0,), "premise does not match allr"),
+    ("ill-sorted-formula", lambda n: _ax(n, [P(AtomT(atom(0)))], [p]), (),
+     {"pnl-restricted": "ill-sorted formula: P expects iota, got nu",
+      "pnl-full": "ill-sorted formula: P expects iota, got nu",
+      "hol": "untypable formula: application expects mu_iota, got mu_nu in "
+             "App(fn=Const(name='g_P', type=(mu_iota -> o)), arg=Var(var=nu@0))"}),
+    ("term-as-formula", lambda n: _ax(n, [var(0)], [p]), (),
+     {"pnl-restricted": "ill-sorted formula: not a proposition: "
+                        "Former(name='var', arg=AtomT(atom=nu@0))",
+      "pnl-full": "ill-sorted formula: not a proposition: "
+                  "Former(name='var', arg=AtomT(atom=nu@0))",
+      "hol": "formula is not a proposition: App(fn=Const(name='g_var', "
+             "type=(mu_nu -> mu_iota)), arg=Var(var=nu@0))"}),
+    ("unknown-rule", lambda n: n("cut", [p], [p]), (), "unknown rule cut"),
+    ("premise-count", lambda n: n("impr", [], [Imp(p, p)], ri=0), (),
+     "impr expects 1 premises, got 0"),
+    ("left-index", lambda n: n("ax", [p], [p], li=3, ri=0), (),
+     "bad left index 3"),
+    ("right-index", lambda n: n("ax", [p], [p], li=0), (), "bad right index None"),
+    ("rejected-child",
+     lambda n: n("impl", [Imp(p, q), p], [q], _ax(n, [p], [p, q]),
+                 n("botl", [q, p], [q], li=0), li=0), (1,),
+     "botl principal formula is not the false constant"),
+]
+
+
+@pytest.mark.parametrize("logic", LOGICS)
+@pytest.mark.parametrize("build, path, message",
+                         [row[1:] for row in REJECTIONS],
+                         ids=[row[0] for row in REJECTIONS])
+def test_rejection_table(logic, build, path, message):
+    check, seq, lift = LOGICS[logic]
+
+    def n(rule, left, right, *children, witness=None, **kw):
+        return Node(rule, seq([lift(f) for f in left], [lift(f) for f in right]),
+                    children=children,
+                    witness=None if witness is None else lift(witness), **kw)
+
+    if isinstance(message, dict):
+        message = message[logic]
+    v = check(build(n))
+    if message is None:
+        assert v.ok, v
+    else:
+        assert (v.ok, v.path, v.message) == (False, path, message)
