@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     sort: str
     index: int
@@ -25,7 +25,7 @@ class Atom:
         return self.index < 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PermissionSet:
     """(downward half ∪ plus) \\ minus, with plus upward and minus downward."""
 
@@ -57,7 +57,7 @@ def _split_signs(atoms: Iterable[Atom]):
     return frozenset(neg), frozenset(pos)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CofinAtomSet:
     """A finite set of atoms, or a co-infinite one: (downward half \\ excluded) ∪ included.
 

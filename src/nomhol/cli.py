@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 from . import corpus
 from . import frontend as F
@@ -84,10 +85,8 @@ def _load_valuation(args, sig) -> Valuation:
     return val
 
 
-def _context(args, x) -> tuple:
-    if args.context is not None:
-        return F.parse_context_text(args.context)
-    return canonical_context(capture_infer(x))
+def _given_context(args) -> Optional[tuple]:
+    return None if args.context is None else F.parse_context_text(args.context)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +114,8 @@ def _cmd_translate(args) -> int:
     env = translate_signature(sig)
     if args.derivation:
         d = F.parse_document(_read(args.file), "deriv-pnl", sig).value
-        ctx = F.parse_context_text(args.context) if args.context is not None else ()
         try:
-            out = translate_derivation(env, d, ctx)
+            out = translate_derivation(env, d, _given_context(args) or ())
         except TranslationError as e:
             payload = {"ok": False, "path": list(e.path), "message": str(e)}
             return _emit(args, payload, f"rejected: {e}")
@@ -127,8 +125,11 @@ def _cmd_translate(args) -> int:
         return _emit(args, payload,
                      f"; context {F.render_context(out.ctx_full)}\n{text}")
     x = _load_pnl(args, args.file, sig)
-    ctx = _context(args, x)
-    captured = capture_check(ctx, x)
+    ctx = _given_context(args)
+    if ctx is None:  # the least context, which capture-checks by construction
+        ctx, captured = canonical_context(capture_infer(x)), True
+    else:
+        captured = capture_check(ctx, x)
     t = translate(env, ctx, x)
     text = F.render_hol(t)
     payload = {"ok": True, "context": F.render_context(ctx),
@@ -190,8 +191,7 @@ def _cmd_square(args) -> int:
     model = _load_model(args, sig)
     val = _load_valuation(args, sig)
     x = _load_pnl(args, args.file, sig)
-    ctx = _context(args, x)
-    v = square_check(env, model, ctx, val, x, _depth(args))
+    v = square_check(env, model, _given_context(args), val, x, _depth(args))
     payload = {"ok": v.ok, "exact": v.exact, "kind": v.kind,
                "message": v.message}
     if v.ok:

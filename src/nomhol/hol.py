@@ -1,9 +1,9 @@
-"""Simply-typed higher-order logic: types, terms, typing, alpha-equivalence,
-capture-avoiding substitution, beta-normalization, and alpha-beta equality.
+"""Simply-typed higher-order logic: types, terms, typing, capture-avoiding
+substitution, beta-normalization, and alpha-beta equality.
 
 Constants carry their own types; the quantifier constant is generated on
 demand per domain type.  Equality everywhere downstream is alpha-beta (no
-eta).
+eta), decided by comparing canonical keys (`alphabeta_key`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .pnl import (AbsSort, BaseSort, NameSort, PnlSignature, PnlSort,
 # ---------------------------------------------------------------------------
 # types
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseT:
     name: str
 
@@ -27,7 +27,7 @@ class BaseT:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TupleT:
     items: tuple
 
@@ -35,7 +35,7 @@ class TupleT:
         return "<" + ",".join(map(repr, self.items)) + ">"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrowT:
     arg: "HolType"
     res: "HolType"
@@ -86,7 +86,7 @@ def type_to_sort(sig: PnlSignature, ty: HolType) -> Optional[PnlSort]:
 # ---------------------------------------------------------------------------
 # variables
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomVar:
     atom: Atom
 
@@ -94,7 +94,7 @@ class AtomVar:
         return repr(self.atom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnkVar:
     unknown: Unknown
     ctx: tuple  # the context already restricted to pmss(unknown), in order
@@ -110,7 +110,7 @@ class UnkVar:
         return f"{self.unknown!r}_[{','.join(map(repr, self.ctx))}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlainVar:
     type: HolType
     index: int
@@ -139,29 +139,29 @@ def var_type(v: HolVar) -> HolType:
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     var: HolVar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam:
     var: HolVar
     body: "HolTerm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fn: "HolTerm"
     arg: "HolTerm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HTup:
     items: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
     type: HolType
@@ -205,7 +205,7 @@ def lams(vs: Iterable[HolVar], body: HolTerm) -> HolTerm:
     return body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HolSignature:
     """Registry of the constants a document may mention."""
 
@@ -257,7 +257,7 @@ def hol_type_of(t: HolTerm, sig: Optional[HolSignature] = None) -> HolType:
 
 
 # ---------------------------------------------------------------------------
-# free variables, alpha-equivalence
+# free variables
 
 def fv(t: HolTerm) -> frozenset:
     match t:
@@ -272,36 +272,6 @@ def fv(t: HolTerm) -> frozenset:
         case Const(_, _):
             return frozenset()
     raise TypeError(f"not a term: {t!r}")
-
-
-def _alpha(t, u, env_t: dict, env_u: dict, level: int) -> bool:
-    match (t, u):
-        case (Var(v), Var(w)):
-            lt, lu = env_t.get(v), env_u.get(w)
-            if lt is None and lu is None:
-                return v == w
-            return lt == lu
-        case (Lam(v, b1), Lam(w, b2)):
-            if var_type(v) != var_type(w):
-                return False
-            et = dict(env_t)
-            eu = dict(env_u)
-            et[v] = level
-            eu[w] = level
-            return _alpha(b1, b2, et, eu, level + 1)
-        case (App(f1, a1), App(f2, a2)):
-            return _alpha(f1, f2, env_t, env_u, level) and \
-                _alpha(a1, a2, env_t, env_u, level)
-        case (HTup(xs), HTup(ys)):
-            return len(xs) == len(ys) and all(
-                _alpha(x, y, env_t, env_u, level) for x, y in zip(xs, ys))
-        case (Const(n1, ty1), Const(n2, ty2)):
-            return n1 == n2 and ty1 == ty2
-    return False
-
-
-def hol_alpha_eq(t: HolTerm, u: HolTerm) -> bool:
-    return _alpha(t, u, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +392,51 @@ def _nf(t: HolTerm) -> HolTerm:
     raise TypeError(f"not a term: {t!r}")
 
 
+# ---------------------------------------------------------------------------
+# alpha-beta keys
+
+def _debruijn(t: HolTerm, env: dict, level: int):
+    """t with every bound variable replaced by the level of its binder."""
+    match t:
+        case Var(v):
+            return env.get(v, v)
+        case Lam(v, body):
+            outer = env.get(v)
+            env[v] = level
+            k = ("lam", var_type(v), _debruijn(body, env, level + 1))
+            if outer is None:
+                del env[v]
+            else:
+                env[v] = outer
+            return k
+        case App(fn, arg):
+            return ("app", _debruijn(fn, env, level), _debruijn(arg, env, level))
+        case HTup(items):
+            out = ["tup"]
+            for r in items:
+                out.append(_debruijn(r, env, level))
+            return tuple(out)
+        case Const(_, _):
+            return t
+    raise TypeError(f"not a term: {t!r}")
+
+
+def normal_key(t: HolTerm, sig: Optional[HolSignature] = None) -> tuple:
+    """(alphabeta_key(t), beta-normal form of t), typechecking t (against
+    sig, if given) and normalising it once."""
+    ty = hol_type_of(t, sig)
+    nf = _nf(t)
+    return (ty, _debruijn(nf, {}, 0)), nf
+
+
+def alphabeta_key(t: HolTerm) -> tuple:
+    """Canonical form of t up to alpha-beta equality: its type and the
+    de Bruijn form of its beta-normal form."""
+    return normal_key(t)[0]
+
+
 def alphabeta_eq(t: HolTerm, u: HolTerm) -> bool:
-    if hol_type_of(t) != hol_type_of(u):
+    kt, ku = alphabeta_key(t), alphabeta_key(u)
+    if kt[0] != ku[0]:
         raise HolTypeError("comparing terms of different types")
-    return hol_alpha_eq(beta_normalize(t), beta_normalize(u))
+    return kt == ku

@@ -3,14 +3,14 @@ differing only in their axiom rule, and a higher-order sequent calculus.
 
 Both calculi run one rule table (`_rule`) for the six rules ax, botl, impl,
 impr, alll and allr.  `check_pnl` and `check_hol` each build a small record
-(`_Logic`) of what differs: formula equality (alpha-equivalence on the
-nominal side, alpha-beta on the higher-order side), well-formedness, the
-axiom test, viewing a formula as false, an implication or a quantifier,
-checking and instantiating a witness, and eigenvariable occurrence.
+(`_Logic`) of what differs: the canonical formula key (`pnl.alpha_key`,
+`hol.alphabeta_key`), well-formedness, the axiom test, viewing a formula as
+false, an implication or a quantifier, checking and instantiating a
+witness, and eigenvariable occurrence.
 
 Proof objects carry every rule parameter (principal indices, permutations,
 quantifier witnesses), so checking is search-free.  Sequent sides are
-deduplicated lists compared as sets under the calculus's equality.
+deduplicated lists compared as key sets; a check keys each formula once.
 """
 
 from __future__ import annotations
@@ -32,39 +32,26 @@ class Sequent:
     right: tuple
 
 
-def dedup(props, eq) -> tuple:
-    out: list = []
+def dedup(props, key) -> tuple:
+    """The first formula of each key, in order; a lone formula is not keyed."""
+    if len(props) < 2:
+        return tuple(props)
+    firsts: dict = {}
     for p in props:
-        if not any(eq(p, q) for q in out):
-            out.append(p)
-    return tuple(out)
-
-
-def make_sequent(left, right, eq) -> Sequent:
-    return Sequent(dedup(left, eq), dedup(right, eq))
+        firsts.setdefault(key(p), p)
+    return tuple(firsts.values())
 
 
 def pnl_sequent(left, right) -> Sequent:
-    return make_sequent(left, right, P.alpha_eq)
+    return Sequent(dedup(left, P.alpha_key), dedup(right, P.alpha_key))
 
 
 def hol_sequent(left, right) -> Sequent:
-    return make_sequent(left, right, H.alphabeta_eq)
-
-
-def _aset_eq(xs, ys, eq) -> bool:
-    return all(any(eq(x, y) for y in ys) for x in xs) and \
-        all(any(eq(x, y) for x in xs) for y in ys)
+    return Sequent(dedup(left, H.alphabeta_key), dedup(right, H.alphabeta_key))
 
 
 def _without(props, i) -> tuple:
     return props[:i] + props[i + 1:]
-
-
-def _added(p, props, eq) -> tuple:
-    if any(eq(p, q) for q in props):
-        return props
-    return (p,) + props
 
 
 @dataclass(frozen=True)
@@ -101,7 +88,7 @@ class _Reject(Exception):
 @dataclass(frozen=True)
 class _Logic:
     """What one calculus supplies to the shared rule table."""
-    eq: Callable             # formula equality
+    key: Callable            # formula -> canonical key; equal keys are equal formulas
     check_formula: Callable  # formula -> None; raises _Reject if ill-formed
     axiom: Callable          # (perm, left, right) -> None; raises _Reject
     is_bot: Callable         # formula -> bool
@@ -109,6 +96,10 @@ class _Logic:
     as_all: Callable         # formula -> (bound variable, body) or None
     instance: Callable       # (variable, body, witness) -> formula; raises _Reject
     occurs: Callable         # (variable, formula) -> bool
+
+    def keys(self, props, *new) -> frozenset:
+        """The key set of the formulas props and new: a sequent side as a set."""
+        return frozenset(map(self.key, props + new))
 
 
 def _pick(seq: Sequent, side: str, i):
@@ -118,17 +109,14 @@ def _pick(seq: Sequent, side: str, i):
     return props[i]
 
 
-def _fits(premise: Node, lefts, rights, eq) -> bool:
-    """Each side of the premise is one of its candidate sides."""
-    got = premise.concl
-    return any(_aset_eq(got.left, s, eq) for s in lefts) and \
-        any(_aset_eq(got.right, s, eq) for s in rights)
+def _fits(ks, premise: Node, lefts, rights) -> bool:
+    """Each side of the premise has one of its candidate key sets."""
+    return ks(premise.concl.left) in lefts and ks(premise.concl.right) in rights
 
 
-def _principal(props, i, new, eq) -> list:
-    """The candidate premise sides for the side holding principal formula
-    props[i]: new, added to props without or keeping props[i]."""
-    return [_added(new, _without(props, i), eq), _added(new, props, eq)]
+def _principal(ks, props, i, *new) -> list:
+    """Key sets of props without or keeping principal formula props[i], plus new."""
+    return [ks(_without(props, i), *new), ks(props, *new)]
 
 
 def _check(L: _Logic, node: Node, path) -> Verdict:
@@ -157,7 +145,7 @@ def _rule(L: _Logic, node: Node) -> None:
         raise _Reject(f"unknown rule {node.rule}")
     if len(node.children) != want:
         raise _Reject(f"{node.rule} expects {want} premises, got {len(node.children)}")
-    C, eq = node.concl, L.eq
+    C, kids, ks = node.concl, node.children, L.keys
     for phi in C.left + C.right:
         L.check_formula(phi)
     side, i = ("right", node.ri) if node.rule in ("impr", "allr") else ("left", node.li)
@@ -170,39 +158,41 @@ def _rule(L: _Logic, node: Node) -> None:
                 raise _Reject("botl principal formula is not the false constant")
         case "impl":
             p, q = _parts(L.as_imp(phi), "impl", "an implication")
-            c1, c2 = node.children
-            if not _fits(c1, [_without(C.left, i), C.left],
-                         [_added(p, C.right, eq)], eq):
+            if not _fits(ks, kids[0], _principal(ks, C.left, i), [ks(C.right, p)]):
                 raise _Reject("first premise does not match impl", 0)
-            if not _fits(c2, _principal(C.left, i, q, eq), [C.right], eq):
+            if not _fits(ks, kids[1], _principal(ks, C.left, i, q), [ks(C.right)]):
                 raise _Reject("second premise does not match impl", 1)
         case "impr":
             p, q = _parts(L.as_imp(phi), "impr", "an implication")
-            if not _fits(node.children[0], [_added(p, C.left, eq)],
-                         _principal(C.right, i, q, eq), eq):
+            if not _fits(ks, kids[0], [ks(C.left, p)], _principal(ks, C.right, i, q)):
                 raise _Reject("premise does not match impr", 0)
         case "alll":
             x, body = _parts(L.as_all(phi), "alll", "a quantifier")
             if node.witness is None:
                 raise _Reject("alll needs a witness term")
             inst = L.instance(x, body, node.witness)
-            if not _fits(node.children[0], _principal(C.left, i, inst, eq),
-                         [C.right], eq):
+            if not _fits(ks, kids[0], _principal(ks, C.left, i, inst), [ks(C.right)]):
                 raise _Reject("premise does not match alll instance", 0)
         case "allr":
             x, body = _parts(L.as_all(phi), "allr", "a quantifier")
             if any(L.occurs(x, p) for p in C.left + _without(C.right, i)):
                 raise _Reject("allr eigenvariable occurs free in the sequent")
-            if not _fits(node.children[0], [C.left],
-                         _principal(C.right, i, body, eq), eq):
+            if not _fits(ks, kids[0], [ks(C.left)], _principal(ks, C.right, i, body)):
                 raise _Reject("premise does not match allr", 0)
 
 
 # ---------------------------------------------------------------------------
 # the two calculi
 
+def _memo(fn) -> Callable:
+    """fn, computed once per argument object for the life of one check."""
+    seen: dict = {}  # id -> (object, value); holding the object keeps its id unique
+    return lambda x: (seen.get(id(x)) or seen.setdefault(id(x), (x, fn(x))))[1]
+
+
 def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
-    eq = P.alpha_eq
+    ids: dict = {}  # canonical key -> small int
+    key = _memo(lambda phi: ids.setdefault(P.alpha_key(phi), len(ids)))
 
     def check_formula(phi):
         try:
@@ -214,9 +204,9 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
         if mode == RESTRICTED:
             if not perm.is_identity:
                 raise _Reject("axiom permutation must be identity in restricted mode")
-            if not eq(phi, psi):
+            if not P.alpha_eq(phi, psi):
                 raise _Reject("axiom formulas not alpha-equal")
-        elif not eq(P.perm_act(perm, phi), psi):
+        elif not P.alpha_eq(P.perm_act(perm, phi), psi):
             raise _Reject("permuted axiom formula does not match")
 
     def instance(x, body, r):
@@ -230,7 +220,7 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
         return P.subst_one(body, x, r)
 
     return _check(_Logic(
-        eq, check_formula, axiom,
+        key, check_formula, axiom,
         is_bot=lambda phi: isinstance(phi, P.Bot),
         as_imp=lambda phi: (phi.left, phi.right) if isinstance(phi, P.Imp) else None,
         as_all=lambda phi: (phi.unknown, phi.body) if isinstance(phi, P.All) else None,
@@ -239,21 +229,30 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
 
 
 def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
-    eq = H.alphabeta_eq
+    @_memo
+    def norm(phi):
+        """(key, normal form) under sig, or (None, the typing error)."""
+        try:
+            return H.normal_key(phi, sig)
+        except H.HolTypeError as e:
+            return None, e
+    ids: dict = {}  # a formula failing sig is keyed as alphabeta_eq compares it
+    key = _memo(lambda p: ids.setdefault(norm(p)[0] or H.alphabeta_key(p), len(ids)))
 
     def check_formula(phi):
-        try:
-            if H.hol_type_of(phi, sig) != H.O:
-                raise _Reject(f"formula is not a proposition: {phi!r}")
-        except H.HolTypeError as e:
-            raise _Reject(f"untypable formula: {e}")
+        k, got = norm(phi)
+        if k is None:
+            raise _Reject(f"untypable formula: {got}")
+        if k[0] != H.O:
+            raise _Reject(f"formula is not a proposition: {phi!r}")
 
     def axiom(perm, phi, psi):
-        if not eq(phi, psi):
+        # on the normal forms already at hand: equal exactly when phi and psi are
+        if not H.alphabeta_eq(norm(phi)[1], norm(psi)[1]):
             raise _Reject("axiom formulas not alpha-beta-equal")
 
     def as_imp(phi):
-        match H.beta_normalize(phi):
+        match norm(phi)[1]:
             case H.App(H.App(H.Const("imp", _), p), q):
                 return p, q
         return None
@@ -267,10 +266,10 @@ def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
         return H.App(H.Lam(v, body), t)
 
     return _check(_Logic(
-        eq, check_formula, axiom,
-        is_bot=lambda phi: eq(phi, H.BOT),
+        key, check_formula, axiom,
+        is_bot=lambda phi: key(phi) == key(H.BOT),
         as_imp=as_imp,
-        as_all=lambda phi: H.forall_parts(H.beta_normalize(phi)),
+        as_all=lambda phi: H.forall_parts(norm(phi)[1]),
         instance=instance,
         occurs=lambda v, phi: v in H.fv(phi)), node, ())
 
@@ -297,6 +296,7 @@ def _hol_atomic(phi) -> bool:
 def hol_atomic_derivable(seq: Sequent) -> Optional[bool]:
     """Exact derivability for sequents of purely atomic formulas; None when
     a logical constant makes the question proof-search-shaped."""
-    if not all(_hol_atomic(H.beta_normalize(p)) for p in seq.left + seq.right):
+    left, right = ([H.normal_key(p) for p in side] for side in (seq.left, seq.right))
+    if not all(_hol_atomic(nf) for _, nf in left + right):
         return None
-    return any(H.alphabeta_eq(p, q) for p in seq.left for q in seq.right)
+    return not {k for k, _ in left}.isdisjoint(k for k, _ in right)

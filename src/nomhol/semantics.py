@@ -20,12 +20,14 @@ from typing import Callable, Mapping, Optional, Union
 
 from .atoms import (Atom, CofinAtomSet, Perm, PermissionSet, Renaming,
                     fresh_atoms, freshening_pair, set_subset)
-from .capture import CaptureContext, capture_check, restrict_context
+from .capture import (CaptureContext, canonical_context, capture_check,
+                      capture_infer, restrict_context)
 from . import hol as H
 from . import pnl as P
 from .pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                   NameSort, PnlSignature, Pred, Sus, TupleSort, Tup, Unknown,
-                  alpha_eq, free_atoms, perm_act, sort_of, subst_apply)
+                  alpha_eq, alpha_key, free_atoms, perm_act, sort_of,
+                  subst_apply)
 from .translate import TranslationEnv, translate
 
 
@@ -170,12 +172,13 @@ def ren_eq(e1: RenElem, e2: RenElem, support_cap: int = 8) -> bool:
         return False
     sorts = sorted(groups1)
     pools = [itertools.permutations(groups2[k]) for k in sorts]
+    want = alpha_key(e2.val)
     for combo in itertools.product(*pools):
         f = {}
         for k, perm_targets in zip(sorts, combo):
             f.update(dict(zip(groups1[k], perm_targets)))
         pi = _complete_bijection(f)
-        if not alpha_eq(perm_act(pi, e1.val), e2.val):
+        if alpha_key(perm_act(pi, e1.val)) != want:
             continue
         if all(e1.rho(a) == e2.rho(f[a]) for a in s1):
             return True
@@ -960,13 +963,17 @@ class SquareVerdict:
 
 
 def square_check(tenv: TranslationEnv, model: HerbrandModel,
-                 ctx: CaptureContext, val: Valuation, x,
+                 ctx: Optional[CaptureContext], val: Valuation, x,
                  depth: int = 0) -> SquareVerdict:
     """Compare the direct value of a nominal term or proposition with the
-    value of its translation under the lifted valuation."""
-    ctx = tuple(ctx)
-    if not capture_check(ctx, x):
-        raise SemanticsError("the context does not capture-check the input")
+    value of its translation under the lifted valuation.  A ctx of None
+    means the least context that capture-checks x."""
+    if ctx is None:
+        ctx = canonical_context(capture_infer(x))
+    else:
+        ctx = tuple(ctx)
+        if not capture_check(ctx, x):
+            raise SemanticsError("the context does not capture-check the input")
     t = translate(tenv, ctx, x)
     lifted = lift_valuation(ctx, val, model.sig)
     ev = HolEvaluator(tenv, model, depth)

@@ -20,7 +20,7 @@ class SexprError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym:
     text: str
     line: int = 0
@@ -30,7 +30,7 @@ class Sym:
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SList:
     items: tuple
     line: int = 0

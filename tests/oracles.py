@@ -1,0 +1,105 @@
+"""Pairwise reference implementations of the equalities and sequent
+operations that nomhol decides by canonical keys.
+
+Each compares two objects directly, without computing a key: nominal
+alpha-equivalence by swapping binders (Urban, Pitts and Gabbay's suspension
+clause for unknowns), typed-lambda alpha-equivalence by binder levels, and
+alpha-beta equality through both normal forms.  Tests hold the key-based
+versions in `nomhol.pnl`, `nomhol.hol` and `nomhol.kernel` to these.
+"""
+
+from __future__ import annotations
+
+from nomhol.atoms import Perm
+from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var,
+                        beta_normalize, hol_type_of, var_type)
+from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, Pred, Sus,
+                        Tup, _perms_agree_on_pmss, free_atoms, free_unknowns,
+                        perm2_act, perm_act)
+
+
+def alpha_eq(x, y) -> bool:
+    """Nominal alpha-equivalence of terms and propositions."""
+    if x is y:
+        return True
+    match (x, y):
+        case (AtomT(a), AtomT(b)):
+            return a == b
+        case (Tup(xs), Tup(ys)):
+            return len(xs) == len(ys) and all(alpha_eq(a, b) for a, b in zip(xs, ys))
+        case (Former(f, a), Former(g, b)):
+            return f == g and alpha_eq(a, b)
+        case (AbsT(a, r), AbsT(b, s)):
+            if a == b:
+                return alpha_eq(r, s)
+            if a.sort != b.sort or b in free_atoms(r):
+                return False
+            return alpha_eq(perm_act(Perm.swap(b, a), r), s)
+        case (Sus(p1, u1), Sus(p2, u2)):
+            return u1 == u2 and _perms_agree_on_pmss(p1, p2, u1.pmss)
+        case (Bot(), Bot()):
+            return True
+        case (Imp(a1, b1), Imp(a2, b2)):
+            return alpha_eq(a1, a2) and alpha_eq(b1, b2)
+        case (Pred(p, a), Pred(q, b)):
+            return p == q and alpha_eq(a, b)
+        case (All(u1, b1), All(u2, b2)):
+            if u1 == u2:
+                return alpha_eq(b1, b2)
+            if u1.sort != u2.sort or u1.pmss != u2.pmss or u2 in free_unknowns(b1):
+                return False
+            return alpha_eq(perm2_act(Perm2.swap(u2, u1), b1), b2)
+    return False
+
+
+def _alpha(t, u, env_t: dict, env_u: dict, level: int) -> bool:
+    match (t, u):
+        case (Var(v), Var(w)):
+            lt, lu = env_t.get(v), env_u.get(w)
+            if lt is None and lu is None:
+                return v == w
+            return lt == lu
+        case (Lam(v, b1), Lam(w, b2)):
+            if var_type(v) != var_type(w):
+                return False
+            et = dict(env_t)
+            eu = dict(env_u)
+            et[v] = level
+            eu[w] = level
+            return _alpha(b1, b2, et, eu, level + 1)
+        case (App(f1, a1), App(f2, a2)):
+            return _alpha(f1, f2, env_t, env_u, level) and \
+                _alpha(a1, a2, env_t, env_u, level)
+        case (HTup(xs), HTup(ys)):
+            return len(xs) == len(ys) and all(
+                _alpha(x, y, env_t, env_u, level) for x, y in zip(xs, ys))
+        case (Const(n1, ty1), Const(n2, ty2)):
+            return n1 == n2 and ty1 == ty2
+    return False
+
+
+def hol_alpha_eq(t, u) -> bool:
+    """Alpha-equivalence of typed-lambda terms."""
+    return _alpha(t, u, {}, {}, 0)
+
+
+def alphabeta_eq(t, u) -> bool:
+    """Alpha-beta equality of typed-lambda terms of one type."""
+    if hol_type_of(t) != hol_type_of(u):
+        raise HolTypeError("comparing terms of different types")
+    return hol_alpha_eq(beta_normalize(t), beta_normalize(u))
+
+
+def dedup(props, eq) -> tuple:
+    """The first formula of each equality class, in order."""
+    out: list = []
+    for p in props:
+        if not any(eq(p, q) for q in out):
+            out.append(p)
+    return tuple(out)
+
+
+def aset_eq(xs, ys, eq) -> bool:
+    """xs and ys are equal as sets up to eq."""
+    return all(any(eq(x, y) for y in ys) for x in xs) and \
+        all(any(eq(x, y) for x in xs) for y in ys)

@@ -7,13 +7,14 @@ import pytest
 from nomhol import frontend as F
 from nomhol.cli import run_cli
 from nomhol.corpus import SIG
-from nomhol.hol import alphabeta_eq, hol_alpha_eq
+from nomhol.hol import alphabeta_eq
 from nomhol.pnl import alpha_eq
 from nomhol.semantics import mk_ren, ren_eq
 from nomhol.sexpr import SexprError, parse_all, parse_one, render
 from nomhol.translate import translate, translate_signature
 
 from gen import rand_prop, rand_term
+from oracles import hol_alpha_eq
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nomhol" / "corpus_files"
 ENV = translate_signature(SIG)
@@ -221,6 +222,27 @@ def test_cli_square(capsys):
                p("prop_basic.sexp"), "--json") == 0
     payload = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert payload["ok"] and payload["kind"] == "prop"
+
+
+def test_cli_infers_a_missing_context_once(capsys, monkeypatch):
+    from nomhol import cli as cli_module, semantics
+    calls = []
+    for mod in (cli_module, semantics):
+        for name in ("capture_infer", "capture_check"):
+            def spy(*args, real=getattr(mod, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(mod, name, spy)
+    for argv in (["translate", "--json", p("term_basic.sexp")],
+                 ["square", "--model", p("model_basic.sexp"), "--valuation",
+                  p("valuation_basic.sexp"), p("term_basic.sexp")]):
+        calls.clear()
+        assert cli(*argv) == 0
+        assert calls == ["capture_infer"], argv
+        calls.clear()
+        assert cli(*argv[:1], "--context", "[nu@0]", *argv[1:]) == 0
+        assert calls == ["capture_check"], argv
+    capsys.readouterr()
 
 
 def test_cli_output_deterministic(capsys):

@@ -1,18 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomhol.atoms import Atom, Perm
 from nomhol.hol import (App, ArrowT, AtomVar, BASE_SIGNATURE, BOT, BaseT,
                         Const, HTup, HolTypeError, IMP, Lam, O, PlainVar,
-                        TupleT, UnkVar, Var, alphabeta_eq, apps,
+                        TupleT, UnkVar, Var, alphabeta_eq, alphabeta_key, apps,
                         beta_normalize, forall, forall_const, fv,
-                        hol_alpha_eq, hol_perm_act, hol_subst,
-                        hol_subst_parallel, hol_type_of, lams, name_sort_type,
+                        hol_perm_act, hol_subst,
+                        hol_subst_parallel, hol_type_of, imp, lams, name_sort_type,
                         sort_to_type, type_to_sort, var_type)
 from nomhol.pnl import AbsSort, BaseSort, NameSort, TupleSort, Unknown
 
 from gen import IOTA, NSORT, NU, PMSS_ALL, SIG, X0
+import oracles
+from oracles import hol_alpha_eq
 
 
 def a(i):
@@ -254,3 +257,81 @@ def test_perm_commutes_with_substitution():
         lhs = hol_perm_act(pi, hol_subst(t, X, u))
         rhs = hol_subst(hol_perm_act(pi, t), X, hol_perm_act(pi, u))
         assert hol_alpha_eq(lhs, rhs)
+
+
+# --- alpha-beta keys against the pairwise oracle ------------------------------
+#
+# Deeper than rand_hol: up to seven levels, redexes at every type, binders
+# over every variable kind, pairs that are a beta step, a renaming of the
+# bound variables, or an unrelated term apart.
+
+TYPES = [MU_NU, MU_IOTA, O, ArrowT(MU_NU, MU_IOTA), TupleT((O, MU_NU))]
+small = st.integers(0, 2)
+
+
+@st.composite
+def hol_st(draw, ty, depth=7):
+    kind = draw(st.sampled_from(("leaf", "redex", "redex", "intro") if depth else ("leaf",)))
+    if kind == "redex":
+        arg_ty = draw(st.sampled_from([MU_NU, O, ty]))
+        v = PlainVar(arg_ty, draw(small))
+        return App(Lam(v, draw(hol_st(ty, depth - 1))), draw(hol_st(arg_ty, depth - 1)))
+    sub = depth - 1 if kind == "intro" else 0
+    match ty:
+        case ArrowT(arg, res):
+            v = a(draw(small)) if arg == MU_NU and draw(st.booleans()) else PlainVar(arg, draw(small))
+            return Lam(v, draw(hol_st(res, max(sub, 0))))
+        case TupleT(items):
+            return HTup(tuple(draw(hol_st(r, max(sub, 0))) for r in items))
+    if kind == "intro" and ty == MU_IOTA:
+        return App(Var(F), draw(hol_st(MU_NU, sub)))
+    if kind == "intro" and ty == O:
+        return imp(draw(hol_st(O, sub)), draw(hol_st(O, sub)))
+    if ty == MU_NU and draw(st.booleans()):
+        return Var(a(draw(small)))
+    if ty == O and draw(st.booleans()):
+        return BOT
+    return Var(PlainVar(ty, draw(small)))
+
+
+def rebound(t, fresh):
+    """t with every bound variable renamed to a fresh one: alpha-equal."""
+    match t:
+        case Lam(v, body):
+            w = PlainVar(var_type(v), next(fresh))
+            return Lam(w, rebound(hol_subst_parallel(body, {v: Var(w)}), fresh))
+        case App(f, u):
+            return App(rebound(f, fresh), rebound(u, fresh))
+        case HTup(items):
+            return HTup(tuple(rebound(r, fresh) for r in items))
+    return t
+
+
+@st.composite
+def hol_pairs_st(draw):
+    ty = draw(st.sampled_from(TYPES))
+    t = draw(hol_st(ty))
+    match draw(st.sampled_from(("beta-step", "rebound", "other", "other-type"))):
+        case "beta-step":
+            reds = list(redexes(t))
+            return t, reduce_once_at(t, draw(st.sampled_from(reds)))[0] if reds else t
+        case "rebound":
+            return t, rebound(t, iter(range(10, 10_000)))
+        case "other":
+            return t, draw(hol_st(ty))
+    return t, draw(hol_st(draw(st.sampled_from(TYPES))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hol_pairs_st())
+def test_alphabeta_key_matches_pairwise_oracle(pair):
+    t, u = pair
+    if hol_type_of(t) != hol_type_of(u):
+        assert alphabeta_key(t) != alphabeta_key(u)
+        for eq in (alphabeta_eq, oracles.alphabeta_eq):
+            with pytest.raises(HolTypeError):
+                eq(t, u)
+        return
+    same = hol_alpha_eq(beta_normalize(t), beta_normalize(u))
+    assert (alphabeta_key(t) == alphabeta_key(u)) == same
+    assert alphabeta_eq(t, u) == same == oracles.alphabeta_eq(t, u)

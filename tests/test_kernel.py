@@ -1,19 +1,24 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+from nomhol import hol as H
 from nomhol.atoms import Atom, Perm
 from nomhol.corpus import (SIG, alpha_pair, atom, eta_axiom,
                            full_only_derivation, restricted_derivations, var)
 from nomhol.hol import (App, AtomVar, BOT, Const, Lam, O, PlainVar, UnkVar,
                         Var, apps, forall, imp)
-from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, check_hol,
-                           check_pnl, hol_atomic_derivable, hol_sequent,
+from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, _Logic, check_hol,
+                           check_pnl, dedup, hol_atomic_derivable, hol_sequent,
                            pnl_sequent)
-from nomhol.pnl import All, AtomT, Bot, Former, Imp, Pred, Sus
-from nomhol.translate import translate, translate_signature
+from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, Pred, Sus,
+                        Tup, Unknown, alpha_key, perm2_act, perm_act)
+from nomhol.translate import translate, translate_derivation, translate_signature
 
-from gen import X0
+import oracles
+from gen import PMSS_ALL, X0, rand_perm, rand_prop
 
 ENV = translate_signature(SIG)
 
@@ -307,3 +312,134 @@ def test_rejection_table(logic, build, path, message):
         assert v.ok, v
     else:
         assert (v.ok, v.path, v.message) == (False, path, message)
+
+
+# --- sides as key sets, against the pairwise definitions -----------------------
+
+def rand_side(rng, n):
+    """n formulas with many alpha-variants and repeats among them."""
+    out = []
+    for _ in range(n):
+        if out and rng.random() < 0.5:
+            phi = rng.choice(out)
+            phi = perm_act(rand_perm(rng), phi) if rng.random() < 0.5 else \
+                perm2_act(Perm2.swap(X0, Unknown(X0.sort, X0.pmss, 5)), phi)
+        else:
+            phi = rand_prop(rng, 4)
+        out.append(phi)
+    return out
+
+
+def keys_of(key):
+    return _Logic(key, *[None] * 7).keys
+
+
+def test_keyed_sides_match_pairwise():
+    rng = random.Random(53)
+    pnl, hol = keys_of(alpha_key), keys_of(H.alphabeta_key)
+    for _ in range(300):
+        xs, ys = rand_side(rng, rng.randrange(7)), rand_side(rng, rng.randrange(7))
+        if rng.random() < 0.5:
+            ys = [perm2_act(Perm2({}), phi) for phi in reversed(xs)]
+        got = dedup(xs, alpha_key)
+        assert [id(p) for p in got] == [id(p) for p in oracles.dedup(xs, oracles.alpha_eq)]
+        same = oracles.aset_eq(xs, ys, oracles.alpha_eq)
+        assert (pnl(tuple(xs)) == pnl(tuple(ys))) == same
+        # translated, with a beta-redex around some formulas
+        hx, hy = ([translate(ENV, (), phi) for phi in side] for side in (xs, ys))
+        v = PlainVar(O, 0)
+        hy = [App(Lam(v, phi), BOT) if rng.random() < 0.3 else phi for phi in hy]
+        got = hol_sequent(hx, hy)
+        want = (oracles.dedup(hx, oracles.alphabeta_eq), oracles.dedup(hy, oracles.alphabeta_eq))
+        assert [[id(p) for p in side] for side in (got.left, got.right)] == \
+            [[id(p) for p in side] for side in want]
+        assert (hol(tuple(hx)) == hol(tuple(hy))) == oracles.aset_eq(hx, hy, oracles.alphabeta_eq)
+
+
+def impr_chain(n):
+    """|- P(var 1) -> ... -> P(var n) -> P(var 1), by n impr steps and ax."""
+    hyps = [P(var(i)) for i in range(1, n + 1)]
+    goal = hyps[0]
+    for h in reversed(hyps):
+        goal = Imp(h, goal)
+    node = Node("ax", pnl_sequent(list(reversed(hyps)), [hyps[0]]), li=n - 1, ri=0)
+    for k in range(n, 0, -1):
+        rest = hyps[k - 1:]
+        right = hyps[0]
+        for h in reversed(rest[1:]):
+            right = Imp(h, right)
+        right = Imp(rest[0], right)
+        node = Node("impr", pnl_sequent(list(reversed(hyps[:k - 1])), [right]), ri=0,
+                    children=(node,))
+    return node
+
+
+def test_check_hol_types_and_normalizes_each_formula_once(monkeypatch):
+    tree = translate_derivation(ENV, impr_chain(40)).tree
+    formulas, stack = {}, [tree]
+    while stack:
+        n = stack.pop()
+        formulas.update((id(p), p) for p in n.concl.left + n.concl.right)
+        stack.extend(n.children)
+    calls = Counter()
+    for name in ("hol_type_of", "_nf"):
+        def spy(t, *args, real=getattr(H, name), name=name):
+            if id(t) in formulas:
+                calls[name, id(t)] += 1
+            return real(t, *args)
+        monkeypatch.setattr(H, name, spy)
+    assert check_hol(tree, ENV.target)
+    assert len(formulas) == 41 * 42 // 2  # sequent k holds k formulas
+    assert Counter(name for name, _ in calls) == {"hol_type_of": len(formulas),
+                                                  "_nf": len(formulas)}
+    assert set(calls.values()) == {1}
+
+
+def binder_tower(n, names, swap):
+    """n nested lam binders over names, each level applying a variable bound
+    at or above it, around a suspension whose unknown permits no binder."""
+    x = Unknown(X0.sort, PMSS_ALL, 3)
+    t = Former("app", Tup((Sus(Perm.swap(*map(atom, swap)), x), var(names[-1]))))
+    for i in range(n - 1, -1, -1):
+        t = Former("lam", AbsT(atom(names[i]), Former("app", Tup((var(names[i // 2]), t)))))
+    return t
+
+
+def redex_tower(m):
+    """m nested beta-redexes: (lam v_i. g_app (v_i, g_var a_i)) R_(i-1)."""
+    gapp, iota = ENV.term_const("app"), H.name_sort_type("iota")
+    t = nf = ha(0)
+    for i in range(1, m + 1):
+        v = Var(PlainVar(iota, i))
+        t = App(Lam(v.var, App(gapp, H.HTup((v, ha(i % 3))))), t)
+        nf = App(gapp, H.HTup((nf, ha(i % 3))))
+    return t, nf
+
+
+def returns_at(limit, fn) -> bool:
+    """Whether fn() returns with the recursion limit set to limit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        fn()
+        return True
+    except RecursionError:
+        return False
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_keys_need_no_more_stack_than_pairwise_equality():
+    """Each key returns at the default recursion limit; and at the highest
+    limit, to 10 frames, where it fails, the pairwise oracle fails too."""
+    t = binder_tower(130, list(range(3, 133)), (0, 1))
+    u = binder_tower(130, list(range(200, 330)), (0, 1))
+    tower, nf = redex_tower(210)
+    assert alpha_key(t) == alpha_key(u)
+    assert H.alphabeta_key(tower) == H.alphabeta_key(nf)
+    for key, pairwise in [(lambda: alpha_key(t), lambda: oracles.alpha_eq(t, u)),
+                          (lambda: H.alphabeta_key(tower),
+                           lambda: oracles.alphabeta_eq(tower, nf))]:
+        least = next(n for n in range(100, sys.getrecursionlimit() + 1, 10)
+                     if returns_at(n, key))
+        assert not returns_at(least - 10, pairwise)

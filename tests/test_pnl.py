@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomhol.atoms import Atom, CofinAtomSet, Perm, PermissionSet, perm_image_set, set_subset
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Perm2, PnlSubst, Pred, SortError, Sus, Tup,
-                        TupleSort, Unknown, alpha_eq, check_prop, free_atoms,
-                        free_unknowns, perm2_act, perm_act, pi_translate,
-                        sort_of, subst_apply, subst_one)
+                        TupleSort, Unknown, alpha_eq, alpha_key, check_prop,
+                        free_atoms, free_unknowns, perm2_act, perm_act,
+                        pi_translate, sort_of, subst_apply, subst_one)
 
+import oracles
 from gen import (IOTA, NSORT, NU, PMSS_ALL, PMSS_HALF, SIG, WINDOW, X0, X1,
                  rand_perm, rand_prop, rand_term)
 
@@ -159,6 +161,118 @@ def test_alpha_matches_canonicalizing_oracle():
         x = rand_syntax(rng)
         y = rand_syntax(rng) if rng.random() < 0.5 else perm_act(rand_perm(rng), x)
         assert alpha_eq(x, y) == (canon(x) == canon(y)), (x, y)
+        assert alpha_eq(x, y) == oracles.alpha_eq(x, y), (x, y)
+
+
+# Beyond the windows of gen.py: atoms nu@-6..nu@6, four unknowns (one whose
+# permission set leaves out a downward atom), up to eight levels of nesting,
+# binders over suspensions and quantifiers over both.
+
+ATOMS = [a(i) for i in range(-6, 7)]
+UNKNOWNS = [X0, X1, Unknown(IOTA, PMSS_ALL, 2),
+            Unknown(IOTA, PermissionSet(frozenset({a(3), a(5)}), frozenset({a(-1)})), 3)]
+
+perms_st = st.lists(st.sampled_from(ATOMS), unique=True, max_size=5).map(
+    lambda cycle: Perm.from_cycles([cycle]) if len(cycle) > 1 else Perm.identity())
+
+
+@st.composite
+def terms_st(draw, depth=8):
+    kind = draw(st.sampled_from(("var", "sus", "app", "lam", "lam") if depth else ("var", "sus")))
+    match kind:
+        case "var":
+            return Former("var", AtomT(draw(st.sampled_from(ATOMS))))
+        case "sus":
+            return Sus(draw(perms_st), draw(st.sampled_from(UNKNOWNS)))
+        case "app":
+            return Former("app", Tup((draw(terms_st(depth - 1)), draw(terms_st(depth - 1)))))
+    return Former("lam", AbsT(draw(st.sampled_from(ATOMS)), draw(terms_st(depth - 1))))
+
+
+@st.composite
+def props_st(draw, depth=5):
+    kind = draw(st.sampled_from(("P", "equal", "bot", "imp", "all", "all") if depth
+                                else ("P", "equal", "bot")))
+    match kind:
+        case "P":
+            return Pred("P", draw(terms_st(depth + 2)))
+        case "equal":
+            return Pred("equal", Tup((draw(terms_st(depth + 1)), draw(terms_st(depth + 1)))))
+        case "bot":
+            return Bot()
+        case "imp":
+            return Imp(draw(props_st(depth - 1)), draw(props_st(depth - 1)))
+    return All(draw(st.sampled_from(UNKNOWNS)), draw(props_st(depth - 1)))
+
+
+def renamed(x, fresh):
+    """x with every binder renamed to a fresh atom or unknown: alpha-equal."""
+    match x:
+        case AtomT(_) | Sus(_, _) | Bot():
+            return x
+        case Tup(items):
+            return Tup(tuple(renamed(r, fresh) for r in items))
+        case Former(f, arg):
+            return Former(f, renamed(arg, fresh))
+        case Pred(p, arg):
+            return Pred(p, renamed(arg, fresh))
+        case Imp(p, q):
+            return Imp(renamed(p, fresh), renamed(q, fresh))
+        case AbsT(b, body):
+            c = Atom(b.sort, next(fresh))
+            return AbsT(c, perm_act(Perm.swap(c, b), renamed(body, fresh)))
+        case All(u, body):
+            v = Unknown(u.sort, u.pmss, next(fresh))
+            return All(v, perm2_act(Perm2.swap(v, u), renamed(body, fresh)))
+
+
+def nudged(x, pi):
+    """x with pi applied to its first suspension: often no longer alpha-equal."""
+    match x:
+        case Sus(p, u):
+            return Sus(pi.compose(p), u), True
+        case Tup(items):
+            out, done = [], False
+            for r in items:
+                if not done:
+                    r, done = nudged(r, pi)
+                out.append(r)
+            return Tup(tuple(out)), done
+        case Former(_, r) | Pred(_, r) | AbsT(_, r) | All(_, r):
+            r, done = nudged(r, pi)
+            first = x.name if isinstance(x, (Former, Pred)) else \
+                x.atom if isinstance(x, AbsT) else x.unknown
+            return type(x)(first, r), done
+        case Imp(p, q):
+            p, done = nudged(p, pi)
+            if done:
+                return Imp(p, q), True
+            q, done = nudged(q, pi)
+            return Imp(p, q), done
+    return x, False
+
+
+@st.composite
+def pairs_st(draw):
+    x = draw(st.one_of(terms_st(), props_st()))
+    y = renamed(x, iter(range(100, 10_000)))
+    match draw(st.sampled_from(("renamed", "nudged", "permuted", "other"))):
+        case "renamed":
+            return x, y
+        case "nudged":
+            return x, nudged(y, draw(perms_st))[0]
+        case "permuted":
+            return x, perm_act(draw(perms_st), y)
+    return x, draw(st.one_of(terms_st(), props_st()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs_st())
+def test_alpha_key_matches_pairwise_oracle(pair):
+    x, y = pair
+    same = oracles.alpha_eq(x, y)
+    assert (alpha_key(x) == alpha_key(y)) == same
+    assert alpha_eq(x, y) == same == (canon(x) == canon(y))
 
 
 def test_alpha_is_congruent_equivalence():
@@ -223,6 +337,16 @@ def test_subst_freshens_forall_binder():
     assert alpha_eq(got.body, Pred("equal", Tup((Sus.of(got.unknown), Sus.of(X0)))))
     # and the bound unknown still binds correctly
     assert X1 not in free_unknowns(got)
+
+
+def test_bare_suspension_bindings_are_dropped():
+    rng = random.Random(29)
+    for _ in range(300):
+        t = Sus(rand_perm(rng), rng.choice([X0, X1])) if rng.random() < 0.7 \
+            else rand_term(rng, 2)
+        x = rng.choice([X0, X1])
+        kept = PnlSubst({x: t}).mapped()
+        assert (x not in kept) == oracles.alpha_eq(t, Sus.of(x)), (x, t)
 
 
 def test_subst_validation():

@@ -794,6 +794,14 @@ def test_square_requires_a_capturing_context():
         square_check(ENV, M_ISVAR, (), Valuation(), AbsT(a(0), Sus.of(X0)))
 
 
+def test_square_infers_the_least_context():
+    x = AbsT(a(0), Sus.of(X0))
+    val = Valuation({X0: app(var(0), var(1))})
+    got = square_check(ENV, M_ISVAR, None, val, x)
+    want = square_check(ENV, M_ISVAR, canonical_context(capture_infer(x)), val, x)
+    assert got.ok and got == want
+
+
 def test_square_random_terms():
     rng = random.Random(549)
     for model in MODELS:
