@@ -3,9 +3,9 @@
 Ground nominal terms serve as carriers (term-formers act syntactically, so
 support and the permutation action are computable); renamings act on them by
 capture-avoiding atom replacement.  The free extension to renaming sets is
-represented by suspended pairs (renaming, ground term) compared up to the
-generated equivalence, and higher-order values are a small tagged union with
-function values given by closures, constants, and deferred renamings.
+represented by suspended pairs (renaming, ground term), with equivalence by
+canonical key (`ren_key`), and higher-order values are a small tagged union
+with function values given by closures, constants, and deferred renamings.
 
 The module provides evaluators for both syntaxes and a checker for the
 commuting square relating a nominal term/proposition's direct value to the
@@ -32,10 +32,6 @@ from .translate import TranslationEnv, translate
 
 
 class SemanticsError(Exception):
-    pass
-
-
-class SupportCapError(SemanticsError):
     pass
 
 
@@ -138,51 +134,30 @@ def mk_ren(rho: Renaming, val) -> RenElem:
     return canonicalize(RenElem(rho, val))
 
 
-def _complete_bijection(f: Mapping[Atom, Atom]) -> Perm:
-    """Extend an injective sort-preserving finite map to a permutation."""
-    dom, img = set(f), set(f.values())
-    moves = dict(f)
-    missing = sorted(img - dom)
-    free = sorted(dom - img)
-    by_sort: dict = {}
-    for a in free:
-        by_sort.setdefault(a.sort, []).append(a)
-    for a in missing:
-        moves[a] = by_sort[a.sort].pop(0)
-    return Perm({a: b for a, b in moves.items() if a != b})
+def ren_key(e: RenElem) -> tuple:
+    """Canonical form of the element that e denotes: two representative
+    pairs denote the same element exactly when their keys are equal.
+
+    Two pairs are equal when a sort-respecting bijection between the
+    supports of their values carries one value to the other up to alpha and
+    agrees with the renamings.  Every support atom occurs in the ground
+    value, so such a bijection must match the free atoms in the order of
+    their first occurrence.  The key is alpha_key(e.val) with each free atom
+    written as (its sort, the index of its first occurrence), followed by
+    its image under e.rho, in the same order."""
+    first: dict = {}  # free atom -> (sort, index); no other token is a tuple
+    shape = []
+    for tok in alpha_key(e.val):
+        if type(tok) is Atom:
+            tok = first.setdefault(tok, (tok.sort, len(first)))
+        shape.append(tok)
+    return (*shape, *map(e.rho, first))
 
 
-def ren_eq(e1: RenElem, e2: RenElem, support_cap: int = 8) -> bool:
+def ren_eq(e1: RenElem, e2: RenElem) -> bool:
     """Decide whether two representative pairs denote the same element of the
-    free extension, by searching for a sort-respecting support bijection."""
-    s1, s2 = sorted(supp(e1.val)), sorted(supp(e2.val))
-    if len(s1) != len(s2):
-        return False
-    if len(s1) > support_cap:
-        raise SupportCapError(
-            f"support size {len(s1)} exceeds the configured cap {support_cap}")
-    groups1: dict = {}
-    groups2: dict = {}
-    for a in s1:
-        groups1.setdefault(a.sort, []).append(a)
-    for a in s2:
-        groups2.setdefault(a.sort, []).append(a)
-    if set(groups1) != set(groups2) or any(
-            len(groups1[k]) != len(groups2[k]) for k in groups1):
-        return False
-    sorts = sorted(groups1)
-    pools = [itertools.permutations(groups2[k]) for k in sorts]
-    want = alpha_key(e2.val)
-    for combo in itertools.product(*pools):
-        f = {}
-        for k, perm_targets in zip(sorts, combo):
-            f.update(dict(zip(groups1[k], perm_targets)))
-        pi = _complete_bijection(f)
-        if alpha_key(perm_act(pi, e1.val)) != want:
-            continue
-        if all(e1.rho(a) == e2.rho(f[a]) for a in s1):
-            return True
-    return False
+    free extension."""
+    return ren_key(e1) == ren_key(e2)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +312,7 @@ def as_ren(v: SemVal) -> RenElem:
     raise SemanticsError(f"value has no suspension form: {v!r}")
 
 
-def sem_eq(v1: SemVal, v2: SemVal, support_cap: int = 8) -> bool:
+def sem_eq(v1: SemVal, v2: SemVal) -> bool:
     """Equality of semantic values.  Tuple values (the componentwise product)
     are compared componentwise; a tuple value is compared against a merged
     suspension only by coercion through the natural map."""
@@ -346,10 +321,10 @@ def sem_eq(v1: SemVal, v2: SemVal, support_cap: int = 8) -> bool:
             return a == b
         case (TupV(xs), TupV(ys)):
             return len(xs) == len(ys) and all(
-                sem_eq(a, b, support_cap) for a, b in zip(xs, ys))
+                sem_eq(a, b) for a, b in zip(xs, ys))
         case (FnV(_), _) | (_, FnV(_)):
             raise SemanticsError("function values are not comparable")
-    return ren_eq(as_ren(v1), as_ren(v2), support_cap)
+    return ren_eq(as_ren(v1), as_ren(v2))
 
 
 def ren_act_sem(rho: Renaming, v: SemVal) -> SemVal:
@@ -751,9 +726,8 @@ class LiftedValuation(HolValuation):
     its value abstracted over its own context, and each atom-variable
     receives that atom."""
 
-    def __init__(self, ctx: CaptureContext, val: Valuation, sig: PnlSignature):
+    def __init__(self, val: Valuation, sig: PnlSignature):
         super().__init__()
-        self.ctx = tuple(ctx)
         self.val = val
         self.sig = sig
 
@@ -767,9 +741,8 @@ class LiftedValuation(HolValuation):
         return None
 
 
-def lift_valuation(ctx: CaptureContext, val: Valuation,
-                   sig: PnlSignature) -> LiftedValuation:
-    return LiftedValuation(ctx, val, sig)
+def lift_valuation(val: Valuation, sig: PnlSignature) -> LiftedValuation:
+    return LiftedValuation(val, sig)
 
 
 def rename_valuation(rho: Renaming, parent: HolValuation) -> HolValuation:
@@ -791,9 +764,7 @@ class HolEvaluator:
     drops to False whenever a quantifier is evaluated by bounded
     enumeration."""
 
-    def __init__(self, tenv: Optional[TranslationEnv], model: HerbrandModel,
-                 depth: int = 0):
-        self.tenv = tenv
+    def __init__(self, model: HerbrandModel, depth: int = 0):
         self.model = model
         self.depth = depth
         self.exact = True
@@ -938,10 +909,9 @@ def _hol_atoms(t) -> frozenset:
     raise TypeError(f"not a term: {t!r}")
 
 
-def eval_hol(tenv: Optional[TranslationEnv], model: HerbrandModel,
-             env: HolValuation, t, depth: int = 0):
+def eval_hol(model: HerbrandModel, env: HolValuation, t, depth: int = 0):
     """Returns (value, exact)."""
-    ev = HolEvaluator(tenv, model, depth)
+    ev = HolEvaluator(model, depth)
     out = ev.eval(t, env)
     return out, ev.exact
 
@@ -975,8 +945,8 @@ def square_check(tenv: TranslationEnv, model: HerbrandModel,
         if not capture_check(ctx, x):
             raise SemanticsError("the context does not capture-check the input")
     t = translate(tenv, ctx, x)
-    lifted = lift_valuation(ctx, val, model.sig)
-    ev = HolEvaluator(tenv, model, depth)
+    lifted = lift_valuation(val, model.sig)
+    ev = HolEvaluator(model, depth)
     hv = ev.eval(t, lifted)
     if isinstance(x, (Bot, Imp, Pred, All)):
         rv, exact_p = eval_pnl_prop(model, val, x, depth)

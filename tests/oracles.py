@@ -4,18 +4,24 @@ operations that nomhol decides by canonical keys.
 Each compares two objects directly, without computing a key: nominal
 alpha-equivalence by swapping binders (Urban, Pitts and Gabbay's suspension
 clause for unknowns), typed-lambda alpha-equivalence by binder levels, and
-alpha-beta equality through both normal forms.  Tests hold the key-based
-versions in `nomhol.pnl`, `nomhol.hol` and `nomhol.kernel` to these.
+alpha-beta equality through both normal forms, and equality of suspended
+renamings by searching all support bijections.  Tests hold the key-based
+versions in `nomhol.pnl`, `nomhol.hol`, `nomhol.kernel` and
+`nomhol.semantics` to these.
 """
 
 from __future__ import annotations
 
-from nomhol.atoms import Perm
+import itertools
+from typing import Mapping
+
+from nomhol.atoms import Atom, Perm
 from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var,
                         beta_normalize, hol_type_of, var_type)
 from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, Pred, Sus,
                         Tup, _perms_agree_on_pmss, free_atoms, free_unknowns,
-                        perm2_act, perm_act)
+                        alpha_key, perm2_act, perm_act)
+from nomhol.semantics import RenElem, supp
 
 
 def alpha_eq(x, y) -> bool:
@@ -103,3 +109,48 @@ def aset_eq(xs, ys, eq) -> bool:
     """xs and ys are equal as sets up to eq."""
     return all(any(eq(x, y) for y in ys) for x in xs) and \
         all(any(eq(x, y) for x in xs) for y in ys)
+
+
+def _complete_bijection(f: Mapping[Atom, Atom]) -> Perm:
+    """Extend an injective sort-preserving finite map to a permutation."""
+    dom, img = set(f), set(f.values())
+    moves = dict(f)
+    missing = sorted(img - dom)
+    free = sorted(dom - img)
+    by_sort: dict = {}
+    for a in free:
+        by_sort.setdefault(a.sort, []).append(a)
+    for a in missing:
+        moves[a] = by_sort[a.sort].pop(0)
+    return Perm({a: b for a, b in moves.items() if a != b})
+
+
+def ren_eq_search(e1: RenElem, e2: RenElem) -> bool:
+    """Decide whether two representative pairs denote the same element of the
+    free extension, by searching for a sort-respecting support bijection.
+    Takes k! steps on a support of k atoms."""
+    s1, s2 = sorted(supp(e1.val)), sorted(supp(e2.val))
+    if len(s1) != len(s2):
+        return False
+    groups1: dict = {}
+    groups2: dict = {}
+    for a in s1:
+        groups1.setdefault(a.sort, []).append(a)
+    for a in s2:
+        groups2.setdefault(a.sort, []).append(a)
+    if set(groups1) != set(groups2) or any(
+            len(groups1[k]) != len(groups2[k]) for k in groups1):
+        return False
+    sorts = sorted(groups1)
+    pools = [itertools.permutations(groups2[k]) for k in sorts]
+    want = alpha_key(e2.val)
+    for combo in itertools.product(*pools):
+        f = {}
+        for k, perm_targets in zip(sorts, combo):
+            f.update(dict(zip(groups1[k], perm_targets)))
+        pi = _complete_bijection(f)
+        if alpha_key(perm_act(pi, e1.val)) != want:
+            continue
+        if all(e1.rho(a) == e2.rho(f[a]) for a in s1):
+            return True
+    return False

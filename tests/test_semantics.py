@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomhol.atoms import (Atom, CofinAtomSet, Perm, PermissionSet, Renaming,
                           freshening_pair, set_subset)
@@ -13,7 +14,7 @@ from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Pred, PnlSignature,
 from nomhol.semantics import (AtomV, BoolV, ConstFn, EnumerationError, FnV,
                               HerbrandModel, HolValuation, LamClos, PendingRen,
                               PredSpec, RawFn, RenElem, RenV, SemanticsError,
-                              SupportCapError, TupV, UnboundVariableError,
+                              TupV, UnboundVariableError,
                               Valuation, abstract_atoms, as_atom, as_bool,
                               as_ren, canonical_ground, canonicalize,
                               convert_model, enumerate_ground, eval_hol,
@@ -24,6 +25,7 @@ from nomhol.semantics import (AtomV, BoolV, ConstFn, EnumerationError, FnV,
                               supp_sem)
 from nomhol.translate import translate, translate_derivation, translate_signature
 
+import oracles
 from gen import (IOTA, NSORT, NU, PMSS_ALL, PMSS_HALF, SIG, WINDOW, X0, X1,
                  rand_ground_term, rand_perm, rand_prop, rand_term)
 
@@ -198,10 +200,90 @@ def test_canonicalize_keeps_genuine_collapses():
     assert not e.rho.is_identity
 
 
-def test_ren_eq_support_cap():
-    big = Tup(tuple(AtomT(a(i)) for i in range(9)))
-    with pytest.raises(SupportCapError):
-        ren_eq(RenElem(ID, big), RenElem(ID, big))
+def test_ren_eq_beyond_eight_atoms():
+    # twelve support atoms, each under a binder that shadows nothing; the
+    # permuted copy carries the renaming transported along the permutation
+    x = Tup(tuple(app(var(i), Former("lam", AbsT(a(20), app(var(20), var(i)))))
+                  for i in range(12)))
+    pi = Perm({a(i): a((5 * i + 3) % 12) for i in range(12)}) \
+        .compose(Perm.swap(a(4), a(30)))
+    rho = Renaming({a(i): a(40 + i // 3) for i in range(12)})
+    moved = {pi(q): rho(q) for q in supp(x)}
+    assert len(supp(x)) == 12
+    assert ren_eq(RenElem(rho, x), RenElem(Renaming(moved), perm_act(pi, x)))
+    moved[pi(a(7))] = a(50)
+    assert not ren_eq(RenElem(rho, x), RenElem(Renaming(moved), perm_act(pi, x)))
+    # collapse against diagonal, with ten atoms
+    rest = tuple(AtomT(a(i)) for i in range(2, 10))
+    collapsed = RenElem(Renaming.atomic(a(0), a(1)),
+                        Tup((AtomT(a(0)), AtomT(a(1))) + rest))
+    diagonal = RenElem(ID, Tup((AtomT(a(1)), AtomT(a(1))) + rest))
+    assert not ren_eq(collapsed, diagonal)
+    assert ren_eq(collapsed, RenElem(Renaming.atomic(a(10), a(1)),
+                                     Tup((AtomT(a(10)), AtomT(a(1))) + rest)))
+
+
+# Suspension pairs over two name sorts.  ren_eq needs no signature, so the
+# values are raw ground syntax: atoms, pairs, one former, abstractions.
+MU = "mu"
+REN_ATOMS = [Atom(srt, i) for srt in (NU, MU) for i in range(-1, 3)]
+
+
+def same_sort(b):
+    return [q for q in REN_ATOMS if q.sort == b.sort]
+
+
+@st.composite
+def ren_values_st(draw, pool, depth=4):
+    kind = draw(st.sampled_from(("atom", "pair", "former", "abs") if depth else ("atom",)))
+    match kind:
+        case "atom":
+            return AtomT(draw(st.sampled_from(pool)))
+        case "pair":
+            return Tup((draw(ren_values_st(pool, depth - 1)),
+                        draw(ren_values_st(pool, depth - 1))))
+        case "former":
+            return Former("f", draw(ren_values_st(pool, depth - 1)))
+    return AbsT(draw(st.sampled_from(REN_ATOMS)), draw(ren_values_st(pool, depth - 1)))
+
+
+@st.composite
+def ren_elems_st(draw):
+    """A pair whose free atoms lie in at most six atoms, under a renaming
+    that may collapse them."""
+    pool = draw(st.lists(st.sampled_from(REN_ATOMS), min_size=1, max_size=6,
+                         unique=True))
+    rho = Renaming({q: draw(st.sampled_from(same_sort(q))) for q in pool})
+    return RenElem(rho, draw(ren_values_st(pool))), pool
+
+
+@st.composite
+def ren_pairs_st(draw):
+    e1, pool = draw(ren_elems_st())
+    kind = draw(st.sampled_from(("permuted", "changed", "other")))
+    if kind == "other":
+        return kind, e1, draw(ren_elems_st())[0]
+    moves = {}
+    for srt in (NU, MU):
+        atoms = [q for q in REN_ATOMS if q.sort == srt]
+        moves.update(zip(atoms, draw(st.permutations(atoms))))
+    pi = Perm(moves)
+    images = {pi(q): e1.rho(q) for q in pool}
+    if kind == "changed":
+        q = draw(st.sampled_from(pool))
+        images[pi(q)] = draw(st.sampled_from(
+            [b for b in same_sort(q) if b != e1.rho(q)]))
+    return kind, e1, RenElem(Renaming(images), perm_act(pi, e1.val))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ren_pairs_st())
+def test_ren_eq_matches_bijection_search(pair):
+    kind, e1, e2 = pair
+    same = oracles.ren_eq_search(e1, e2)
+    assert ren_eq(e1, e2) == same == ren_eq(e2, e1)
+    if kind == "permuted":
+        assert same
 
 
 def test_componentwise_image_conflates_what_suspensions_distinguish():
@@ -244,7 +326,7 @@ def dup_clos():
     supported function: merging splits entangled collapses apart."""
     pv = H.PlainVar(H.sort_to_type(IOTA), 5)
     t = H.Lam(pv, H.App(ENV.term_const("app"), H.HTup((H.Var(pv), H.Var(pv)))))
-    v, _ = eval_hol(ENV, M_ISVAR, HolValuation(), t)
+    v, _ = eval_hol(M_ISVAR, HolValuation(), t)
     assert isinstance(v, FnV) and isinstance(v.fn, LamClos)
     return v.fn
 
@@ -254,7 +336,7 @@ def abs_clos():
     pv = H.PlainVar(H.sort_to_type(IOTA), 5)
     t = H.Lam(pv, H.App(ENV.term_const("lam"),
                         H.Lam(H.AtomVar(a(6)), H.Var(pv))))
-    v, _ = eval_hol(ENV, M_ISVAR, HolValuation(), t)
+    v, _ = eval_hol(M_ISVAR, HolValuation(), t)
     assert isinstance(v, FnV) and isinstance(v.fn, LamClos)
     return v.fn
 
@@ -548,15 +630,15 @@ def test_valuation_relevance():
 
 def test_eval_hol_constants():
     env = HolValuation()
-    assert eval_hol(ENV, M_ISVAR, env, H.BOT)[0] == BoolV(0)
-    assert eval_hol(ENV, M_ISVAR, env, H.imp(H.BOT, H.BOT))[0] == BoolV(1)
+    assert eval_hol(M_ISVAR, env, H.BOT)[0] == BoolV(0)
+    assert eval_hol(M_ISVAR, env, H.imp(H.BOT, H.BOT))[0] == BoolV(1)
 
 
 def test_eval_hol_boolean_quantifier_is_exact():
     v = H.PlainVar(H.O, 0)
     env = HolValuation()
-    assert eval_hol(ENV, M_ISVAR, env, H.forall(v, H.Var(v)))[0] == BoolV(0)
-    got, exact = eval_hol(ENV, M_ISVAR, env,
+    assert eval_hol(M_ISVAR, env, H.forall(v, H.Var(v)))[0] == BoolV(0)
+    got, exact = eval_hol(M_ISVAR, env,
                           H.forall(v, H.imp(H.Var(v), H.Var(v))))
     assert got == BoolV(1) and exact
 
@@ -564,18 +646,18 @@ def test_eval_hol_boolean_quantifier_is_exact():
 def test_eval_hol_non_enumerable_quantifier():
     v = H.PlainVar(H.ArrowT(H.O, H.O), 0)
     with pytest.raises(EnumerationError):
-        eval_hol(ENV, M_ISVAR, HolValuation(), H.forall(v, H.BOT))
+        eval_hol(M_ISVAR, HolValuation(), H.forall(v, H.BOT))
 
 
 def test_eval_hol_unbound_variable():
     v = H.PlainVar(H.O, 3)
     with pytest.raises(UnboundVariableError):
-        eval_hol(ENV, M_ISVAR, HolValuation(), H.Var(v))
+        eval_hol(M_ISVAR, HolValuation(), H.Var(v))
 
 
 def test_eval_hol_lambda_at_image_type_builds_an_abstraction():
     t = translate(ENV, (), AbsT(a(0), var(0)))
-    got, exact = eval_hol(ENV, M_ISVAR, HolValuation(), t)
+    got, exact = eval_hol(M_ISVAR, HolValuation(), t)
     assert exact
     assert ren_eq(as_ren(got), RenElem(ID, AbsT(a(0), var(0))))
 
@@ -593,10 +675,10 @@ def test_eval_hol_beta_agreement():
         d_x = tuple(q for q in ctx if q in X0.pmss)
         u = H.lams([H.AtomVar(q) for q in d_x], translate(ENV, ctx, rp))
         v = H.UnkVar(X0, d_x)
-        env = lift_valuation(ctx, rand_val(rng), SIG)
-        lhs, _ = eval_hol(ENV, M_ISVAR, env, H.App(H.Lam(v, t), u))
-        uval, _ = eval_hol(ENV, M_ISVAR, env, u)
-        rhs, _ = eval_hol(ENV, M_ISVAR, env.extend(v, uval), t)
+        env = lift_valuation(rand_val(rng), SIG)
+        lhs, _ = eval_hol(M_ISVAR, env, H.App(H.Lam(v, t), u))
+        uval, _ = eval_hol(M_ISVAR, env, u)
+        rhs, _ = eval_hol(M_ISVAR, env.extend(v, uval), t)
         assert sem_eq(lhs, rhs), (x, rp, ctx)
 
 
@@ -612,17 +694,17 @@ def test_hol_valuation_relevance():
             continue
         checked += 1
         t = translate(ENV, ctx, x)
-        env1 = lift_valuation(ctx, rand_val(rng), SIG)
+        env1 = lift_valuation(rand_val(rng), SIG)
         env2 = HolValuation({v: env1.get(v) for v in H.fv(t)})
         env2 = env2.extend(junk, RenV(RenElem(ID, var(2))))
-        v1, _ = eval_hol(ENV, M_ISVAR, env1, t)
-        v2, _ = eval_hol(ENV, M_ISVAR, env2, t)
+        v1, _ = eval_hol(M_ISVAR, env1, t)
+        v2, _ = eval_hol(M_ISVAR, env2, t)
         assert sem_eq(v1, v2), x
 
 
 def test_lifted_valuation_examples():
     val = Valuation({X0: var(0)})
-    env = lift_valuation((a(0),), val, SIG)
+    env = lift_valuation(val, SIG)
     got = env.get(H.UnkVar(X0, (a(0),)))
     assert got == RenV(RenElem(ID, AbsT(a(0), var(0))))
     assert env.get(H.UnkVar(X0, ())) == RenV(RenElem(ID, var(0)))
@@ -692,10 +774,10 @@ def test_translated_propositions_insensitive_to_valuation_renaming():
                 continue
             checked += 1
             t = translate(ENV, ctx, phi)
-            env = lift_valuation(ctx, deep_val(rng), SIG)
+            env = lift_valuation(deep_val(rng), SIG)
             env2 = rename_valuation(deep_renaming(rng), env)
-            assert as_bool(eval_hol(ENV, model, env, t)[0]) == \
-                as_bool(eval_hol(ENV, model, env2, t)[0]), phi
+            assert as_bool(eval_hol(model, env, t)[0]) == \
+                as_bool(eval_hol(model, env2, t)[0]), phi
 
 
 def test_quantified_translations_insensitive_to_valuation_renaming():
@@ -707,10 +789,10 @@ def test_quantified_translations_insensitive_to_valuation_renaming():
         if not capture_check(ctx, phi):
             continue
         t = translate(ENV, ctx, phi)
-        env = lift_valuation(ctx, deep_val(rng), SIG)
+        env = lift_valuation(deep_val(rng), SIG)
         env2 = rename_valuation(deep_renaming(rng), env)
-        assert as_bool(eval_hol(ENV, M_ISVAR, env, t, depth=2)[0]) == \
-            as_bool(eval_hol(ENV, M_ISVAR, env2, t, depth=2)[0]), phi
+        assert as_bool(eval_hol(M_ISVAR, env, t, depth=2)[0]) == \
+            as_bool(eval_hol(M_ISVAR, env2, t, depth=2)[0]), phi
 
 
 def test_translated_terms_evaluate_to_identity_suspensions():
@@ -723,8 +805,8 @@ def test_translated_terms_evaluate_to_identity_suspensions():
             continue
         checked += 1
         t = translate(ENV, ctx, x)
-        env = lift_valuation(ctx, rand_val(rng), SIG)
-        got, _ = eval_hol(ENV, M_ISVAR, env, t)
+        env = lift_valuation(rand_val(rng), SIG)
+        got, _ = eval_hol(M_ISVAR, env, t)
         e = as_ren(got)
         assert ren_eq(e, RenElem(ID, ground_renaming_action(e.rho, e.val))), x
 
@@ -738,9 +820,9 @@ def test_fresh_atom_reassignment_commutes_with_renaming():
             x = perm_act(Perm.swap(fresh_a, rng.choice(WINDOW)), x)
         t = translate(ENV, (), x)
         base = HolValuation()
-        v1, _ = eval_hol(ENV, M_ISVAR, base.extend(H.AtomVar(fresh_a),
+        v1, _ = eval_hol(M_ISVAR, base.extend(H.AtomVar(fresh_a),
                                                    AtomV(fresh_b)), t)
-        v0, _ = eval_hol(ENV, M_ISVAR, base, t)
+        v0, _ = eval_hol(M_ISVAR, base, t)
         assert sem_eq(v1, ren_act_sem(Renaming.atomic(fresh_a, fresh_b), v0)), x
 
 
@@ -750,8 +832,8 @@ def test_reassignment_fails_when_the_atom_supports_another_value():
     u = H.UnkVar(X0, ())
     t = H.HTup((H.App(ENV.term_const("var"), H.Var(H.AtomVar(a(0)))), H.Var(u)))
     env = HolValuation({u: RenV(RenElem(ID, var(0)))})
-    lhs, _ = eval_hol(ENV, M_ISVAR, env.extend(H.AtomVar(a(0)), AtomV(a(1))), t)
-    rhs0, _ = eval_hol(ENV, M_ISVAR, env, t)
+    lhs, _ = eval_hol(M_ISVAR, env.extend(H.AtomVar(a(0)), AtomV(a(1))), t)
+    rhs0, _ = eval_hol(M_ISVAR, env, t)
     rhs = ren_act_sem(Renaming.atomic(a(0), a(1)), rhs0)
     assert not sem_eq(lhs, rhs)
 
@@ -869,10 +951,10 @@ def test_translated_derivations_evaluate_valid():
         seq = out.tree.concl
         for model in MODELS:
             for _ in range(3):
-                env = lift_valuation((), rand_val(rng), SIG)
-                left = [as_bool(eval_hol(ENV, model, env, f, depth=2)[0])
+                env = lift_valuation(rand_val(rng), SIG)
+                left = [as_bool(eval_hol(model, env, f, depth=2)[0])
                         for f in seq.left]
-                right = [as_bool(eval_hol(ENV, model, env, f, depth=2)[0])
+                right = [as_bool(eval_hol(model, env, f, depth=2)[0])
                          for f in seq.right]
                 assert any(v == 0 for v in left) or any(v == 1 for v in right), \
                     (name, left, right)
