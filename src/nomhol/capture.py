@@ -65,9 +65,7 @@ def capture_cover(sequents) -> CaptureContext:
     """One context that capture-checks every proposition of every sequent."""
     needed: set = set()
     for seq in sequents:
-        props = list(getattr(seq, "left", ())) + list(getattr(seq, "right", ())) \
-            if hasattr(seq, "left") else [seq]
-        for phi in props:
+        for phi in (*seq.left, *seq.right):
             needed |= capture_infer(phi)
     return canonical_context(needed)
 

@@ -100,11 +100,6 @@ def alpha_pair():
     return lhs, rhs
 
 
-def displayed_pair_prop(u: Unknown):
-    """The quantified equality whose translation is displayed at two contexts."""
-    return All(u, equal(AbsT(A, sus(u)), AbsT(B, Sus(Perm.swap(B, A), u))))
-
-
 # ---------------------------------------------------------------------------
 # derivations
 

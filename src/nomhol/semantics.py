@@ -14,7 +14,6 @@ value of its translation under the lifted valuation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
 
@@ -109,6 +108,8 @@ def canonicalize(e: RenElem) -> RenElem:
     """Shrink the suspended renaming by pushing injective parts into the
     term: a move a -> t with t fresh for the term and no competing source is
     realized by renaming a to t directly."""
+    if e.rho.is_identity:
+        return e
     val = e.val
     rho = e.rho.restrict(supp(val))
     changed = True
@@ -632,38 +633,50 @@ def default_window(sig: PnlSignature):
 
 def enumerate_ground(sig: PnlSignature, sort, atoms, depth: int):
     """All ground terms of the sort over the atom window, with former nesting
-    bounded by depth (abstraction binders may use one extra fresh atom)."""
+    bounded by depth (abstraction binders may use one extra fresh atom),
+    generated one at a time in a fixed order and never stored."""
     atoms = list(atoms)
-    memo: dict = {}
 
     def go(s, d):
-        key = (s, d)
-        if key in memo:
-            return memo[key]
-        out = []
         match s:
             case NameSort(n):
-                out = [AtomT(a) for a in atoms if a.sort == n]
+                yield from (AtomT(a) for a in atoms if a.sort == n)
             case BaseSort(b):
                 if d > 0:
                     for f in sorted(sig.term_formers):
                         arg, res = sig.term_formers[f]
-                        if res != b:
-                            continue
-                        out.extend(Former(f, t) for t in go(arg, d - 1))
+                        if res == b:
+                            for t in go(arg, d - 1):
+                                yield Former(f, t)
             case TupleSort(items):
-                pools = [go(r, d) for r in items]
-                out = [Tup(combo) for combo in itertools.product(*pools)]
+                for combo in product(items, d):
+                    yield Tup(combo)
             case AbsSort(n, body):
                 binders = [a for a in atoms if a.sort == n]
                 binders += fresh_atoms([n], binders)
-                out = [AbsT(a, t) for a in binders for t in go(body, d)]
+                for a in binders:
+                    for t in go(body, d):
+                        yield AbsT(a, t)
             case _:
                 raise TypeError(f"not a sort: {s!r}")
-        memo[key] = out
-        return out
+
+    def product(items, d):
+        if not items:
+            yield ()
+            return
+        for t in go(items[0], d):
+            for rest in product(items[1:], d):
+                yield (t, *rest)
 
     return go(sort, depth)
+
+
+def _forall_ground(sig: PnlSignature, sort, atoms, depth: int, holds) -> int:
+    """1 if holds(t) is 1 for every ground term t that enumerate_ground yields,
+    else 0; stops at the first counterexample."""
+    if depth <= 0:
+        raise EnumerationError("a quantifier requires a positive depth bound")
+    return int(all(map(holds, enumerate_ground(sig, sort, atoms, depth))))
 
 
 def eval_pnl_prop(model: HerbrandModel, val: Valuation, phi, depth: int = 0):
@@ -679,17 +692,11 @@ def eval_pnl_prop(model: HerbrandModel, val: Valuation, phi, depth: int = 0):
             spec = model.spec(name)
             return spec.apply(eval_pnl_term(model, val, arg)), True
         case All(x, body):
-            if depth <= 0:
-                raise EnumerationError(
-                    "a quantifier requires a positive depth bound")
             window = pmss_window(x.pmss, model.sig.name_sorts)
-            best = 1
-            for t in enumerate_ground(model.sig, x.sort, window, depth):
-                v, _ = eval_pnl_prop(model, val.updated(x, t), body, depth)
-                if v == 0:
-                    best = 0
-                    break
-            return best, False
+            return _forall_ground(
+                model.sig, x.sort, window, depth,
+                lambda t: eval_pnl_prop(model, val.updated(x, t), body, depth)[0]
+            ), False
     raise TypeError(f"not a proposition: {phi!r}")
 
 
@@ -799,38 +806,30 @@ class HolEvaluator:
 
     def _forall_generic(self, domain, g: SemVal) -> SemVal:
         if domain == H.O:
-            for cand in (BoolV(0), BoolV(1)):
-                if as_bool(fn_apply(g, cand)) == 0:
-                    return BoolV(0)
-            return BoolV(1)
+            return BoolV(int(all(as_bool(fn_apply(g, BoolV(b))) for b in (0, 1))))
         sort = H.type_to_sort(self.model.sig, domain)
         if sort is None:
             raise EnumerationError(
                 f"quantifier domain {domain!r} is not enumerable")
-        if self.depth <= 0:
-            raise EnumerationError("a quantifier requires a positive depth bound")
         self.exact = False
-        for t in enumerate_ground(self.model.sig, sort,
-                                  default_window(self.model.sig), self.depth):
-            cand = RenV(RenElem(Renaming.identity(), t))
-            if as_bool(fn_apply(g, cand)) == 0:
-                return BoolV(0)
-        return BoolV(1)
+        return BoolV(_forall_ground(
+            self.model.sig, sort, default_window(self.model.sig), self.depth,
+            lambda t: as_bool(fn_apply(g, RenV(RenElem(Renaming.identity(), t))))))
 
     def _forall_unknown(self, v, body, env: HolValuation) -> SemVal:
         """Quantification over a context-indexed unknown-variable ranges over
         identity suspensions of context-abstracted ground terms whose free
         atoms are permitted for the unknown."""
-        if self.depth <= 0:
-            raise EnumerationError("a quantifier requires a positive depth bound")
         self.exact = False
         x = v.unknown
         window = pmss_window(x.pmss, self.model.sig.name_sorts)
-        for t in enumerate_ground(self.model.sig, x.sort, window, self.depth):
+
+        def holds(t):
             cand = RenV(RenElem(Renaming.identity(), abstract_atoms(v.ctx, t)))
-            if as_bool(self.eval(body, env.extend(v, cand))) == 0:
-                return BoolV(0)
-        return BoolV(1)
+            return as_bool(self.eval(body, env.extend(v, cand)))
+
+        return BoolV(_forall_ground(self.model.sig, x.sort, window,
+                                    self.depth, holds))
 
     # -- the evaluator ------------------------------------------------------
 
@@ -945,14 +944,12 @@ def square_check(tenv: TranslationEnv, model: HerbrandModel,
         if not capture_check(ctx, x):
             raise SemanticsError("the context does not capture-check the input")
     t = translate(tenv, ctx, x)
-    lifted = lift_valuation(val, model.sig)
-    ev = HolEvaluator(model, depth)
-    hv = ev.eval(t, lifted)
+    hv, exact_h = eval_hol(model, lift_valuation(val, model.sig), t, depth)
     if isinstance(x, (Bot, Imp, Pred, All)):
         rv, exact_p = eval_pnl_prop(model, val, x, depth)
         lv = as_bool(hv)
         ok = lv == rv
-        return SquareVerdict(ok, exact_p and ev.exact, "prop", lv, rv,
+        return SquareVerdict(ok, exact_p and exact_h, "prop", lv, rv,
                              "" if ok else "boolean values differ")
     rhs = RenElem(Renaming.identity(), eval_pnl_term(model, val, x))
     ok = ren_eq(as_ren(hv), rhs)

@@ -8,6 +8,9 @@ alpha-beta equality through both normal forms, and equality of suspended
 renamings by searching all support bijections.  Tests hold the key-based
 versions in `nomhol.pnl`, `nomhol.hol`, `nomhol.kernel` and
 `nomhol.semantics` to these.
+
+The eager, memoised ground-term enumerator is the reference for the lazy one
+in `nomhol.semantics`: the same terms in the same order, built as lists.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
-from nomhol.atoms import Atom, Perm
+from nomhol.atoms import Atom, Perm, fresh_atoms
 from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var,
                         beta_normalize, hol_type_of, var_type)
-from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, Pred, Sus,
-                        Tup, _perms_agree_on_pmss, free_atoms, free_unknowns,
-                        alpha_key, perm2_act, perm_act)
+from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
+                        NameSort, Perm2, PnlSignature, Pred, Sus, Tup,
+                        TupleSort, _perms_agree_on_pmss, free_atoms,
+                        free_unknowns, alpha_key, perm2_act, perm_act)
 from nomhol.semantics import RenElem, supp
 
 
@@ -154,3 +158,39 @@ def ren_eq_search(e1: RenElem, e2: RenElem) -> bool:
         if all(e1.rho(a) == e2.rho(f[a]) for a in s1):
             return True
     return False
+
+
+def enumerate_ground(sig: PnlSignature, sort, atoms, depth: int):
+    """All ground terms of the sort over the atom window, with former nesting
+    bounded by depth (abstraction binders may use one extra fresh atom)."""
+    atoms = list(atoms)
+    memo: dict = {}
+
+    def go(s, d):
+        key = (s, d)
+        if key in memo:
+            return memo[key]
+        out = []
+        match s:
+            case NameSort(n):
+                out = [AtomT(a) for a in atoms if a.sort == n]
+            case BaseSort(b):
+                if d > 0:
+                    for f in sorted(sig.term_formers):
+                        arg, res = sig.term_formers[f]
+                        if res != b:
+                            continue
+                        out.extend(Former(f, t) for t in go(arg, d - 1))
+            case TupleSort(items):
+                pools = [go(r, d) for r in items]
+                out = [Tup(combo) for combo in itertools.product(*pools)]
+            case AbsSort(n, body):
+                binders = [a for a in atoms if a.sort == n]
+                binders += fresh_atoms([n], binders)
+                out = [AbsT(a, t) for a in binders for t in go(body, d)]
+            case _:
+                raise TypeError(f"not a sort: {s!r}")
+        memo[key] = out
+        return out
+
+    return go(sort, depth)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,23 +7,23 @@ from hypothesis import given, settings, strategies as st
 from nomhol.atoms import (Atom, CofinAtomSet, Perm, PermissionSet, Renaming,
                           freshening_pair, set_subset)
 from nomhol.capture import canonical_context, capture_check, capture_infer
-from nomhol import hol as H
-from nomhol.corpus import restricted_derivations
-from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Pred, PnlSignature,
-                        Sus, Tup, TupleSort, Unknown, alpha_eq, free_atoms,
-                        free_unknowns, perm_act, subst_one)
+from nomhol import frontend as F, hol as H, semantics
+from nomhol.corpus import PMSS_DOWN, restricted_derivations
+from nomhol.pnl import (AbsSort, AbsT, All, AtomT, Bot, Former, Imp, Pred,
+                        PnlSignature, Sus, Tup, TupleSort, Unknown, alpha_eq,
+                        free_atoms, free_unknowns, perm_act, subst_one)
 from nomhol.semantics import (AtomV, BoolV, ConstFn, EnumerationError, FnV,
                               HerbrandModel, HolValuation, LamClos, PendingRen,
                               PredSpec, RawFn, RenElem, RenV, SemanticsError,
                               TupV, UnboundVariableError,
                               Valuation, abstract_atoms, as_atom, as_bool,
                               as_ren, canonical_ground, canonicalize,
-                              convert_model, enumerate_ground, eval_hol,
-                              eval_pnl_prop, eval_pnl_term, fn_apply,
+                              convert_model, default_window, enumerate_ground,
+                              eval_hol, eval_pnl_prop, eval_pnl_term, fn_apply,
                               ground_renaming_action, lift_valuation,
-                              merge_ren_tuple, mk_ren, ren_act_sem, ren_eq,
-                              rename_valuation, sem_eq, square_check, supp,
-                              supp_sem)
+                              merge_ren_tuple, mk_ren, pmss_window,
+                              ren_act_sem, ren_eq, rename_valuation, sem_eq,
+                              square_check, supp, supp_sem)
 from nomhol.translate import translate, translate_derivation, translate_signature
 
 import oracles
@@ -61,8 +62,8 @@ M_NONEQ = HerbrandModel(SIG, {"P": NONEQ_SPEC, "equal": EQ_SPEC})
 M_NEG = HerbrandModel(SIG, {"P": PredSpec((), 1), "equal": NEG_EQ_SPEC})
 MODELS = [M_ISVAR, M_NONEQ, M_NEG]
 
-GROUND_ALL = enumerate_ground(SIG, IOTA, [a(0), a(1), a(2)], 2)
-GROUND_HALF = enumerate_ground(SIG, IOTA, [a(0), a(-1), a(-2)], 2)
+GROUND_ALL = list(enumerate_ground(SIG, IOTA, [a(0), a(1), a(2)], 2))
+GROUND_HALF = list(enumerate_ground(SIG, IOTA, [a(0), a(-1), a(-2)], 2))
 
 
 def rand_val(rng):
@@ -198,6 +199,11 @@ def test_canonicalize_keeps_genuine_collapses():
     e = canonicalize(RenElem(Renaming.atomic(a(0), a(1)),
                              Tup((AtomT(a(0)), AtomT(a(1))))))
     assert not e.rho.is_identity
+
+
+def test_canonicalize_returns_an_identity_suspension_itself():
+    e = RenElem(ID, app(var(0), Former("lam", AbsT(a(1), var(1)))))
+    assert canonicalize(e) is e
 
 
 def test_ren_eq_beyond_eight_atoms():
@@ -747,7 +753,7 @@ def test_term_former_constants_push_suspensions_through():
 # the proposition's own atoms; an irrelevant collapse is thrown in to
 # exercise the non-injective part of the renaming harmlessly.
 DEEP = [a(-5), a(-6), a(-7), a(-8)]
-GROUND_DEEP = enumerate_ground(SIG, IOTA, DEEP, 2)
+GROUND_DEEP = list(enumerate_ground(SIG, IOTA, DEEP, 2))
 
 
 def deep_val(rng):
@@ -958,6 +964,91 @@ def test_translated_derivations_evaluate_valid():
                          for f in seq.right]
                 assert any(v == 0 for v in left) or any(v == 1 for v in right), \
                     (name, left, right)
+
+
+# ---------------------------------------------------------------------------
+# lazy enumeration of quantifier candidates
+
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "nomhol" / "corpus_files"
+SIG_SORTS = [NSORT, IOTA, TupleSort((IOTA, IOTA)), AbsSort(NU, IOTA)]
+WINDOWS = [pmss_window(p, SIG.name_sorts) for p in (PMSS_ALL, PMSS_HALF, PMSS_DOWN)]
+WINDOWS.append(default_window(SIG))
+
+
+def test_lazy_enumeration_matches_the_eager_oracle():
+    for sort in SIG_SORTS:
+        for window in WINDOWS:
+            for depth in range(4):
+                # the eager pool of pairs at depth 3 holds 0.46M-15.7M terms
+                # on windows of three or more atoms; it is compared on the
+                # two-atom window only
+                if sort == TupleSort((IOTA, IOTA)) and depth == 3 \
+                        and len(window) > 2:
+                    continue
+                got = enumerate_ground(SIG, sort, window, depth)
+                assert iter(got) is got, "not lazy"
+                assert list(got) == oracles.enumerate_ground(
+                    SIG, sort, window, depth), (sort, window, depth)
+
+
+def _quantified_cases(rng):
+    """(model, proposition, valuation, depth) quadruples, one and two
+    quantifiers deep, for comparing evaluation against the eager pools."""
+    out = []
+    for model in MODELS:
+        while sum(case[0] is model for case in out) < 8:
+            nested = len(out) % 4 == 3
+            phi = _rand_quantified(rng, nested)
+            if capture_check(d_for(phi), phi):
+                depth = rng.choice([1, 2] if nested else [1, 2, 3])
+                out.append((model, phi, rand_val(rng), depth))
+    return out
+
+
+def test_evaluation_agrees_with_the_eager_oracle(monkeypatch):
+    cases = _quantified_cases(random.Random(557))
+    # a higher-order quantifier over a plain variable of an image type
+    w = H.PlainVar(H.sort_to_type(IOTA), 0)
+    g_p = translate(ENV, (), Pred("P", var(0))).fn
+    over_iota = H.forall(w, H.App(g_p, H.Var(w)))
+
+    def run():
+        return ([(eval_pnl_prop(model, val, phi, depth),
+                  square_check(ENV, model, d_for(phi), val, phi, depth))
+                 for model, phi, val, depth in cases],
+                [eval_hol(model, HolValuation(), over_iota, depth)
+                 for model in MODELS for depth in (1, 2, 3)])
+
+    lazy = run()
+    monkeypatch.setattr(semantics, "enumerate_ground", oracles.enumerate_ground)
+    eager = run()
+    assert lazy == eager
+    props, generic = lazy
+    assert {v for (v, _), _ in props} == {0, 1}
+    assert {got.value for got, _ in generic} == {0, 1}
+
+
+def test_depth_four_refutation_draws_few_candidates(monkeypatch):
+    # checked first: an eager pool of iota at depth 4 holds 15.7M terms
+    pool = enumerate_ground(SIG, IOTA, default_window(SIG), 1)
+    assert iter(pool) is pool, "enumerate_ground builds its pool eagerly"
+    model = F.parse_document((CORPUS / "model_basic.sexp").read_text(),
+                             "model", SIG).value
+    phi = F.parse_document((CORPUS / "beta1.sexp").read_text(), "pnl", SIG).value
+    drawn = []
+
+    def counted(*args):
+        for t in enumerate_ground(*args):
+            drawn.append(t)
+            yield t
+
+    monkeypatch.setattr(semantics, "enumerate_ground", counted)
+    assert eval_pnl_prop(model, Valuation(), phi, 4) == (0, False)
+    assert len(drawn) == 1
+    drawn.clear()
+    v = square_check(ENV, model, None, Valuation(), phi, 4)
+    assert v.ok and not v.exact and v.lhs == 0
+    assert len(drawn) == 2
 
 
 # ---------------------------------------------------------------------------
