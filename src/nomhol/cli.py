@@ -177,7 +177,7 @@ def _cmd_eval(args) -> int:
     val = _load_valuation(args, sig)
     x = _load_pnl(args, args.file, sig)
     depth = _depth(args)
-    if isinstance(x, (P.Bot, P.Imp, P.Pred, P.All)):
+    if isinstance(x, P.PnlProp):
         v, exact = eval_pnl_prop(model, val, x, depth)
         return _emit(args, {"ok": True, "value": v, "exact": exact},
                      f"{v}{'' if exact else '  ; bounded, not exact'}")

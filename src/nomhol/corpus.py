@@ -6,7 +6,7 @@ derivations exercising every sequent rule of both nominal calculi.
 from __future__ import annotations
 
 from .atoms import Atom, Perm, PermissionSet
-from .kernel import Node, Sequent, pnl_sequent
+from .kernel import Node, Sequent
 from .pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                   NameSort, PnlSignature, Pred, Sus, Tup, TupleSort, Unknown)
 
@@ -105,7 +105,7 @@ def alpha_pair():
 
 
 def _ax(left, right, li=0, ri=0, perm=None):
-    return Node("ax", pnl_sequent(left, right), li=li, ri=ri,
+    return Node("ax", Sequent(tuple(left), tuple(right)), li=li, ri=ri,
                 perm=perm if perm is not None else Perm.identity())
 
 
@@ -119,53 +119,53 @@ def restricted_derivations():
     out.append(("ax-identity", _ax([p0], [p0])))
 
     out.append(("imp-reflexive", Node(
-        "impr", pnl_sequent([], [Imp(p0, p0)]), ri=0,
+        "impr", Sequent((), (Imp(p0, p0),)), ri=0,
         children=(_ax([p0], [p0]),))))
 
     out.append(("modus-ponens", Node(
-        "impl", pnl_sequent([Imp(p0, p1), p0], [p1]), li=0,
+        "impl", Sequent((Imp(p0, p1), p0), (p1,)), li=0,
         children=(_ax([p0], [p0, p1], ri=0),
                   _ax([p1, p0], [p1], li=0)))))
 
     out.append(("false-left", Node(
-        "botl", pnl_sequent([Bot()], [p0]), li=0)))
+        "botl", Sequent((Bot(),), (p0,)), li=0)))
 
     out.append(("false-implies-anything", Node(
-        "impr", pnl_sequent([], [Imp(Bot(), p0)]), ri=0,
-        children=(Node("botl", pnl_sequent([Bot()], [p0]), li=0),))))
+        "impr", Sequent((), (Imp(Bot(), p0),)), ri=0,
+        children=(Node("botl", Sequent((Bot(),), (p0,)), li=0),))))
 
     univ = All(X, Pred("P", sus(X)))
     out.append(("forall-instantiate", Node(
-        "alll", pnl_sequent([univ], [p0]), li=0, witness=var(0),
+        "alll", Sequent((univ,), (p0,)), li=0, witness=var(0),
         children=(_ax([p0], [p0]),))))
 
     out.append(("forall-vacuous", Node(
-        "allr", pnl_sequent([p0], [All(X, p0)]), ri=0,
+        "allr", Sequent((p0,), (All(X, p0),)), ri=0,
         children=(_ax([p0], [p0]),))))
 
     refl = All(X, Imp(Pred("P", sus(X)), Pred("P", sus(X))))
     inner = Imp(Pred("P", sus(X)), Pred("P", sus(X)))
     out.append(("forall-imp-reflexive", Node(
-        "allr", pnl_sequent([], [refl]), ri=0,
-        children=(Node("impr", pnl_sequent([], [inner]), ri=0,
+        "allr", Sequent((), (refl,)), ri=0,
+        children=(Node("impr", Sequent((), (inner,)), ri=0,
                        children=(_ax([Pred("P", sus(X))], [Pred("P", sus(X))]),)),))))
 
     eta = eta_axiom()
     eta_inst = equal(lam(A, app(var(-1), var(0))), var(-1))
     out.append(("eta-instantiate", Node(
-        "alll", pnl_sequent([eta], [eta_inst]), li=0, witness=var(-1),
+        "alll", Sequent((eta,), (eta_inst,)), li=0, witness=var(-1),
         children=(_ax([eta_inst], [eta_inst]),))))
 
     b1 = beta_axioms()[0]
     b1_inst = equal(subst_sugar(A, var(0), var(1)), var(1))
     out.append(("beta-identity-instantiate", Node(
-        "alll", pnl_sequent([b1], [b1_inst]), li=0, witness=var(1),
+        "alll", Sequent((b1,), (b1_inst,)), li=0, witness=var(1),
         children=(_ax([b1_inst], [b1_inst]),))))
 
     b5 = beta_axioms()[4]
     b5_inst = equal(subst_sugar(A, var(2), var(0)), var(2))
     out.append(("beta-noop-instantiate", Node(
-        "alll", pnl_sequent([b5], [b5_inst]), li=0, witness=var(2),
+        "alll", Sequent((b5,), (b5_inst,)), li=0, witness=var(2),
         children=(_ax([b5_inst], [b5_inst]),))))
 
     lhs, rhs = alpha_pair()

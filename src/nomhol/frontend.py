@@ -25,6 +25,8 @@ Concrete syntax (all forms are s-expressions; see sexpr.py for the lexer):
   derivations      (rule NAME (concl (seq (left P ...) (right P ...)))
                          [(li N)] [(ri N)] [(perm CYCLES)] [(witness T)]
                          CHILD ...)
+                   li and ri index a side as written, from 0; a side may
+                   list a formula more than once, and means the set
   models           (model [(sig ...)]
                           (pred NAME (clause PATTERN {0|1}) ...
                                 (default {0|1}) [(support ATOM ...)]) ...)
@@ -379,7 +381,7 @@ def parse_pnl(sig: P.PnlSignature, node: SNode):
 
 
 def render_pnl(x) -> str:
-    if isinstance(x, (P.Bot, P.Imp, P.Pred, P.All)):
+    if isinstance(x, P.PnlProp):
         return render_prop(x)
     return render_term(x)
 
@@ -583,7 +585,7 @@ def parse_sequent(sig, hsig, node: SNode, hol: bool) -> K.Sequent:
             right = _parse_props(sig, hsig, sec.items[1:], hol)
         else:
             _err(sec, f"unrecognized sequent side {head!r}")
-    return K.hol_sequent(left, right) if hol else K.pnl_sequent(left, right)
+    return K.Sequent(tuple(left), tuple(right))
 
 
 def render_sequent(seq: K.Sequent, hol: bool) -> str:

@@ -9,8 +9,11 @@ false, an implication or a quantifier, checking and instantiating a
 witness, and eigenvariable occurrence.
 
 Proof objects carry every rule parameter (principal indices, permutations,
-quantifier witnesses), so checking is search-free.  Sequent sides are
-deduplicated lists compared as key sets; a check keys each formula once.
+quantifier witnesses), so checking is search-free.  A sequent keeps its
+formulas as written: `li` and `ri` index a side in that order, and a side
+may list a formula, or an alpha-equal copy of it, more than once.  The rules
+compare sides as sets of keys, so the copies count as one formula; a check
+keys each formula object once.
 """
 
 from __future__ import annotations
@@ -30,24 +33,6 @@ RESTRICTED = "restricted"
 class Sequent:
     left: tuple
     right: tuple
-
-
-def dedup(props, key) -> tuple:
-    """The first formula of each key, in order; a lone formula is not keyed."""
-    if len(props) < 2:
-        return tuple(props)
-    firsts: dict = {}
-    for p in props:
-        firsts.setdefault(key(p), p)
-    return tuple(firsts.values())
-
-
-def pnl_sequent(left, right) -> Sequent:
-    return Sequent(dedup(left, P.alpha_key), dedup(right, P.alpha_key))
-
-
-def hol_sequent(left, right) -> Sequent:
-    return Sequent(dedup(left, H.alphabeta_key), dedup(right, H.alphabeta_key))
 
 
 def _without(props, i) -> tuple:
@@ -115,8 +100,9 @@ def _fits(ks, premise: Node, lefts, rights) -> bool:
 
 
 def _principal(ks, props, i, *new) -> list:
-    """Key sets of props without or keeping principal formula props[i], plus new."""
-    return [ks(_without(props, i), *new), ks(props, *new)]
+    """Key sets of props without or keeping principal formula props[i], plus
+    new.  Without it means without every copy of it: the side is a set."""
+    return [ks(props) - ks(props[i:i + 1]) | ks(new), ks(props, *new)]
 
 
 def _check(L: _Logic, node: Node, path) -> Verdict:
@@ -236,8 +222,10 @@ def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
             return H.normal_key(phi, sig)
         except H.HolTypeError as e:
             return None, e
-    ids: dict = {}  # a formula failing sig is keyed as alphabeta_eq compares it
-    key = _memo(lambda p: ids.setdefault(norm(p)[0] or H.alphabeta_key(p), len(ids)))
+    # A formula failing sig is keyed by itself, so it matches no typed
+    # formula: a premise holding one is rejected at its own path.
+    ids: dict = {}
+    key = _memo(lambda p: ids.setdefault(norm(p)[0] or p, len(ids)))
 
     def check_formula(phi):
         k, got = norm(phi)

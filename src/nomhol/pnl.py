@@ -342,13 +342,6 @@ def free_unknowns(x) -> frozenset:
 # ---------------------------------------------------------------------------
 # alpha-equivalence
 
-def _perms_agree_on_pmss(p1: Perm, p2: Perm, pmss: PermissionSet) -> bool:
-    for a in p1.nontriv | p2.nontriv:
-        if a in pmss and p1(a) != p2(a):
-            return False
-    return True
-
-
 def alpha_key(x) -> tuple:
     """Canonical form of x up to alpha-equivalence: x and y are alpha-equal
     exactly when their keys are equal.
@@ -447,7 +440,7 @@ class PnlSubst:
     __slots__ = ("_map",)
 
     def __init__(self, moves: Mapping[Unknown, PnlTerm]):
-        self._map = {x: t for x, t in moves.items() if not _is_sus_of(t, x)}
+        self._map = {x: t for x, t in moves.items() if not alpha_eq(t, Sus.of(x))}
 
     def __call__(self, x: Unknown) -> PnlTerm:
         return self._map.get(x, Sus.of(x))
@@ -467,12 +460,6 @@ class PnlSubst:
         produced = frozenset().union(
             *(free_unknowns(t) for t in self._map.values())) if self._map else frozenset()
         return frozenset(self._map) | produced
-
-
-def _is_sus_of(t, x: Unknown) -> bool:
-    """Whether t is alpha-equal to the bare suspension of x."""
-    return isinstance(t, Sus) and t.unknown == x and \
-        _perms_agree_on_pmss(t.perm, Perm.identity(), x.pmss)
 
 
 def _fresh_unknown_like(x: Unknown, avoid: Iterable[Unknown]) -> Unknown:

@@ -945,7 +945,7 @@ def square_check(tenv: TranslationEnv, model: HerbrandModel,
             raise SemanticsError("the context does not capture-check the input")
     t = translate(tenv, ctx, x)
     hv, exact_h = eval_hol(model, lift_valuation(val, model.sig), t, depth)
-    if isinstance(x, (Bot, Imp, Pred, All)):
+    if isinstance(x, P.PnlProp):
         rv, exact_p = eval_pnl_prop(model, val, x, depth)
         lv = as_bool(hv)
         ok = lv == rv

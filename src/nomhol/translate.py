@@ -6,11 +6,10 @@ and whole derivations rule-by-rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 from .atoms import Perm, set_subset
 from .capture import (CaptureContext, capture_cover, capture_infer,
-                      make_context, reindex_subst, restrict_context)
+                      make_context, restrict_context)
 from . import hol as H
 from . import kernel as K
 from . import pnl as P
@@ -91,12 +90,11 @@ class TranslatedDerivation:
     tree: K.Node
     ctx: CaptureContext        # the caller's context
     ctx_full: CaptureContext   # the possibly-larger context actually used
-    reindex: Mapping           # carries ctx_full translations back to ctx
 
 
 def translate_sequent(env, ctx, seq: K.Sequent) -> K.Sequent:
-    return K.hol_sequent([translate(env, ctx, p) for p in seq.left],
-                         [translate(env, ctx, p) for p in seq.right])
+    return K.Sequent(tuple(translate(env, ctx, p) for p in seq.left),
+                     tuple(translate(env, ctx, p) for p in seq.right))
 
 
 def translate_derivation(env: TranslationEnv, node: K.Node,
@@ -113,11 +111,7 @@ def translate_derivation(env: TranslationEnv, node: K.Node,
         needed |= set(capture_infer(r))
     ctx_full = _merge_context(ctx, needed)
     tree = _translate_node(env, ctx_full, node)
-    unknowns = frozenset().union(
-        *(P.free_unknowns(p) for s in seqs for p in s.left + s.right)) \
-        if seqs else frozenset()
-    reindex = reindex_subst(ctx_full, ctx, unknowns)
-    return TranslatedDerivation(tree, ctx, ctx_full, reindex)
+    return TranslatedDerivation(tree, ctx, ctx_full)
 
 
 def _witness_unknowns_terms(node: K.Node):
@@ -190,8 +184,8 @@ def _erase_node(node: K.Node, guard, path) -> K.Node:
                 f"axiom permutation moves permitted atoms {sorted(moved)}; "
                 "erasure would change the sequent", path)
         perm = Perm.identity()
-    concl = K.pnl_sequent([_strip_guard(p) for p in node.concl.left],
-                          [_strip_guard(p) for p in node.concl.right])
+    concl = K.Sequent(tuple(_strip_guard(p) for p in node.concl.left),
+                      tuple(_strip_guard(p) for p in node.concl.right))
     children = tuple(_erase_node(c, guard, path + (i,))
                      for i, c in enumerate(node.children))
     return K.Node(rule=node.rule, concl=concl, children=children, perm=perm,

@@ -7,7 +7,8 @@ clause for unknowns), typed-lambda alpha-equivalence by binder levels, and
 alpha-beta equality through both normal forms, and equality of suspended
 renamings by searching all support bijections.  Tests hold the key-based
 versions in `nomhol.pnl`, `nomhol.hol`, `nomhol.kernel` and
-`nomhol.semantics` to these.
+`nomhol.semantics` to these.  `dedup` says what a sequent side that repeats
+a formula means: the side without the copies.
 
 The eager, memoised ground-term enumerator is the reference for the lazy one
 in `nomhol.semantics`: the same terms in the same order, built as lists.
@@ -23,9 +24,16 @@ from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var,
                         beta_normalize, hol_type_of, var_type)
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Perm2, PnlSignature, Pred, Sus, Tup,
-                        TupleSort, _perms_agree_on_pmss, free_atoms,
-                        free_unknowns, alpha_key, perm2_act, perm_act)
+                        TupleSort, free_atoms, free_unknowns, alpha_key,
+                        perm2_act, perm_act)
 from nomhol.semantics import RenElem, supp
+
+
+def _perms_agree_on_pmss(p1: Perm, p2: Perm, pmss) -> bool:
+    for a in p1.nontriv | p2.nontriv:
+        if a in pmss and p1(a) != p2(a):
+            return False
+    return True
 
 
 def alpha_eq(x, y) -> bool:

@@ -155,6 +155,24 @@ def test_cli_check_hol_translated(tmp_path):
     assert cli("check", "--logic", "hol", str(f)) == 0
 
 
+def test_cli_sides_as_written(capsys, tmp_path):
+    """li indexes a side as written, a repeated formula included; the
+    translation keeps both copies, and the higher-order check accepts it."""
+    p0, p1 = "(pred P (var nu@0))", "(pred P (var nu@1))"
+    f = tmp_path / "d.sexp"
+    f.write_text(f"(rule ax (concl (seq (left {p0} {p0} {p1}) (right {p1}))) (li 2) (ri 0))")
+    assert cli("check", "--logic", "pnl-restricted", str(f)) == 0
+    capsys.readouterr()
+    assert cli("translate", "--derivation", "--json", str(f)) == 0
+    text = json.loads(capsys.readouterr().out)["derivation"]
+    left = F.parse_document(text, "deriv-hol", SIG, ENV.target).value.concl.left
+    assert len(left) == 3 and left[0] == left[1]
+    h = tmp_path / "d.hol.sexp"
+    h.write_text(text)
+    assert cli("check", "--logic", "hol", str(h)) == 0
+    capsys.readouterr()
+
+
 def test_cli_parse_error_is_exit_2(capsys):
     assert cli("check", "--logic", "hol", p("eta.sexp")) == 2
     assert cli("check", "--logic", "pnl-full", "/no/such/file") == 2

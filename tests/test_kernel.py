@@ -1,18 +1,22 @@
+import json
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from nomhol import hol as H
+from nomhol import pnl as PNL
 from nomhol.atoms import Atom, Perm
+from nomhol.cli import run_cli
 from nomhol.corpus import (SIG, alpha_pair, atom, eta_axiom,
                            full_only_derivation, restricted_derivations, var)
 from nomhol.hol import (App, AtomVar, BOT, Const, Lam, O, PlainVar, UnkVar,
                         Var, apps, forall, imp)
 from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, _Logic, check_hol,
-                           check_pnl, dedup, hol_atomic_derivable, hol_sequent,
-                           pnl_sequent)
+                           check_pnl, hol_atomic_derivable)
 from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, Pred, Sus,
                         Tup, Unknown, alpha_key, perm2_act, perm_act)
 from nomhol.translate import translate, translate_derivation, translate_signature
@@ -25,6 +29,10 @@ ENV = translate_signature(SIG)
 
 def P(t):
     return Pred("P", t)
+
+
+def sequent(left, right):
+    return Sequent(tuple(left), tuple(right))
 
 
 def test_full_axiom_accepts_permutation():
@@ -40,7 +48,7 @@ def test_restricted_rejects_permuted_axiom():
 
 
 def test_botl_leaf_empty_right():
-    d = Node("botl", pnl_sequent([Bot()], []), li=0)
+    d = Node("botl", sequent([Bot()], []), li=0)
     assert check_pnl(SIG, d, RESTRICTED)
 
 
@@ -65,8 +73,8 @@ def test_corpus_covers_all_rules():
 
 def test_allr_eigenvariable_violation():
     phi = P(Sus.of(X0))
-    d = Node("allr", pnl_sequent([phi], [All(X0, phi)]), ri=0,
-             children=(Node("ax", pnl_sequent([phi], [phi]), li=0, ri=0),))
+    d = Node("allr", sequent([phi], [All(X0, phi)]), ri=0,
+             children=(Node("ax", sequent([phi], [phi]), li=0, ri=0),))
     v = check_pnl(SIG, d, RESTRICTED)
     assert not v and "eigenvariable" in v.message
 
@@ -74,8 +82,8 @@ def test_allr_eigenvariable_violation():
 def test_alll_permission_violation():
     # X0 permits upward atoms 0..2 only; witness with nu@3 escapes
     univ = All(X0, P(Sus.of(X0)))
-    d = Node("alll", pnl_sequent([univ], [P(var(3))]), li=0, witness=var(3),
-             children=(Node("ax", pnl_sequent([P(var(3))], [P(var(3))]),
+    d = Node("alll", sequent([univ], [P(var(3))]), li=0, witness=var(3),
+             children=(Node("ax", sequent([P(var(3))], [P(var(3))]),
                             li=0, ri=0),))
     v = check_pnl(SIG, d, RESTRICTED)
     assert not v and "permission" in v.message
@@ -83,15 +91,15 @@ def test_alll_permission_violation():
 
 def test_mismatched_premise_reports_path():
     p0, p1 = P(var(0)), P(var(1))
-    d = Node("impr", pnl_sequent([], [Imp(p0, p0)]), ri=0,
-             children=(Node("ax", pnl_sequent([p1], [p1]), li=0, ri=0),))
+    d = Node("impr", sequent([], [Imp(p0, p0)]), ri=0,
+             children=(Node("ax", sequent([p1], [p1]), li=0, ri=0),))
     v = check_pnl(SIG, d, RESTRICTED)
     assert not v and v.path == (0,)
 
 
 def _add_everywhere(node, phi):
     return Node(node.rule,
-                pnl_sequent((phi,) + node.concl.left, node.concl.right),
+                sequent((phi,) + node.concl.left, node.concl.right),
                 children=tuple(_add_everywhere(c, phi) for c in node.children),
                 perm=node.perm,
                 li=None if node.li is None else node.li + 1,
@@ -121,12 +129,12 @@ def ha(i):
 
 
 def test_hax():
-    d = Node("ax", hol_sequent([hP(ha(0))], [hP(ha(0))]), li=0, ri=0)
+    d = Node("ax", sequent([hP(ha(0))], [hP(ha(0))]), li=0, ri=0)
     assert check_hol(d, ENV.target)
 
 
 def test_hax_rejects_distinct_atoms():
-    d = Node("ax", hol_sequent([hP(ha(0))], [hP(ha(1))]), li=0, ri=0)
+    d = Node("ax", sequent([hP(ha(0))], [hP(ha(1))]), li=0, ri=0)
     assert not check_hol(d, ENV.target)
 
 
@@ -134,26 +142,26 @@ def test_h_forall_left():
     v = PlainVar(O, 0)
     univ = forall(v, Var(v))
     inst = BOT
-    d = Node("alll", hol_sequent([univ], [inst]), li=0, witness=BOT,
-             children=(Node("ax", hol_sequent([inst], [inst]), li=0, ri=0),))
+    d = Node("alll", sequent([univ], [inst]), li=0, witness=BOT,
+             children=(Node("ax", sequent([inst], [inst]), li=0, ri=0),))
     assert check_hol(d)
 
 
 def test_h_forall_right_eigenvariable():
     v = PlainVar(O, 0)
-    d = Node("allr", hol_sequent([Var(v)], [forall(v, Var(v))]), ri=0,
-             children=(Node("ax", hol_sequent([Var(v)], [Var(v)]), li=0, ri=0),))
+    d = Node("allr", sequent([Var(v)], [forall(v, Var(v))]), ri=0,
+             children=(Node("ax", sequent([Var(v)], [Var(v)]), li=0, ri=0),))
     assert not check_hol(d)
 
 
 def test_h_imp_rules():
     p, q = hP(ha(0)), hP(ha(1))
-    d = Node("impr", hol_sequent([q], [imp(p, p)]), ri=0,
-             children=(Node("ax", hol_sequent([p, q], [p]), li=0, ri=0),))
+    d = Node("impr", sequent([q], [imp(p, p)]), ri=0,
+             children=(Node("ax", sequent([p, q], [p]), li=0, ri=0),))
     assert check_hol(d, ENV.target)
-    d2 = Node("impl", hol_sequent([imp(p, q), p], [q]), li=0,
-              children=(Node("ax", hol_sequent([p], [p, q]), li=0, ri=0),
-                        Node("ax", hol_sequent([q, p], [q]), li=0, ri=0)))
+    d2 = Node("impl", sequent([imp(p, q), p], [q]), li=0,
+              children=(Node("ax", sequent([p], [p, q]), li=0, ri=0),
+                        Node("ax", sequent([q, p], [q]), li=0, ri=0)))
     assert check_hol(d2, ENV.target)
 
 
@@ -161,7 +169,7 @@ def test_h_membership_up_to_beta():
     # the axiom matches a formula only beta-equal to its counterpart
     p = hP(ha(0))
     redex = App(Lam(PlainVar(O, 0), Var(PlainVar(O, 0))), p)
-    d = Node("ax", hol_sequent([redex], [p]), li=0, ri=0)
+    d = Node("ax", sequent([redex], [p]), li=0, ri=0)
     assert check_hol(d, ENV.target)
 
 
@@ -172,11 +180,11 @@ def test_untypable_formula_rejected():
 
 
 def test_atomic_probe():
-    yes = hol_sequent([hP(ha(0))], [hP(ha(0))])
-    no = hol_sequent([hP(ha(0))], [hP(ha(1))])
+    yes = sequent([hP(ha(0))], [hP(ha(0))])
+    no = sequent([hP(ha(0))], [hP(ha(1))])
     assert hol_atomic_derivable(yes) is True
     assert hol_atomic_derivable(no) is False
-    assert hol_atomic_derivable(hol_sequent([BOT], [])) is None
+    assert hol_atomic_derivable(sequent([BOT], [])) is None
 
 
 # --- one rejection table for both kernels ------------------------------------
@@ -186,11 +194,9 @@ def test_atomic_probe():
 # logic; None means that logic accepts the derivation.
 
 LOGICS = {
-    "pnl-restricted": (lambda d: check_pnl(SIG, d, RESTRICTED), pnl_sequent,
-                       lambda x: x),
-    "pnl-full": (lambda d: check_pnl(SIG, d, FULL), pnl_sequent, lambda x: x),
-    "hol": (lambda d: check_hol(d, ENV.target), hol_sequent,
-            lambda x: translate(ENV, (), x)),
+    "pnl-restricted": (lambda d: check_pnl(SIG, d, RESTRICTED), lambda x: x),
+    "pnl-full": (lambda d: check_pnl(SIG, d, FULL), lambda x: x),
+    "hol": (lambda d: check_hol(d, ENV.target), lambda x: translate(ENV, (), x)),
 }
 
 p, q, r = P(var(0)), P(var(1)), P(var(2))
@@ -280,6 +286,11 @@ REJECTIONS = [
                   "Former(name='var', arg=AtomT(atom=nu@0))",
       "hol": "formula is not a proposition: App(fn=Const(name='g_var', "
              "type=(mu_nu -> mu_iota)), arg=Var(var=nu@0))"}),
+    # P(nu@0) is ill-sorted, and its translation untypable, alone on a side
+    # of the premise: a formula that fails matches no formula of its parent
+    ("ill-sorted-premise-formula",
+     lambda n: n("impr", [], [Imp(p, q)], _ax(n, [p], [P(AtomT(atom(0)))]), ri=0),
+     (0,), "premise does not match impr"),
     ("unknown-rule", lambda n: n("cut", [p], [p]), (), "unknown rule cut"),
     ("premise-count", lambda n: n("impr", [], [Imp(p, p)], ri=0), (),
      "impr expects 1 premises, got 0"),
@@ -293,21 +304,26 @@ REJECTIONS = [
 ]
 
 
+def row_derivation(logic, build):
+    """A row's derivation, with its formulas and witnesses lifted to logic."""
+    lift = LOGICS[logic][1]
+
+    def n(rule, left, right, *children, witness=None, **kw):
+        return Node(rule, sequent(map(lift, left), map(lift, right)),
+                    children=children,
+                    witness=None if witness is None else lift(witness), **kw)
+
+    return build(n)
+
+
 @pytest.mark.parametrize("logic", LOGICS)
 @pytest.mark.parametrize("build, path, message",
                          [row[1:] for row in REJECTIONS],
                          ids=[row[0] for row in REJECTIONS])
 def test_rejection_table(logic, build, path, message):
-    check, seq, lift = LOGICS[logic]
-
-    def n(rule, left, right, *children, witness=None, **kw):
-        return Node(rule, seq([lift(f) for f in left], [lift(f) for f in right]),
-                    children=children,
-                    witness=None if witness is None else lift(witness), **kw)
-
     if isinstance(message, dict):
         message = message[logic]
-    v = check(build(n))
+    v = LOGICS[logic][0](row_derivation(logic, build))
     if message is None:
         assert v.ok, v
     else:
@@ -341,18 +357,12 @@ def test_keyed_sides_match_pairwise():
         xs, ys = rand_side(rng, rng.randrange(7)), rand_side(rng, rng.randrange(7))
         if rng.random() < 0.5:
             ys = [perm2_act(Perm2({}), phi) for phi in reversed(xs)]
-        got = dedup(xs, alpha_key)
-        assert [id(p) for p in got] == [id(p) for p in oracles.dedup(xs, oracles.alpha_eq)]
         same = oracles.aset_eq(xs, ys, oracles.alpha_eq)
         assert (pnl(tuple(xs)) == pnl(tuple(ys))) == same
         # translated, with a beta-redex around some formulas
         hx, hy = ([translate(ENV, (), phi) for phi in side] for side in (xs, ys))
         v = PlainVar(O, 0)
         hy = [App(Lam(v, phi), BOT) if rng.random() < 0.3 else phi for phi in hy]
-        got = hol_sequent(hx, hy)
-        want = (oracles.dedup(hx, oracles.alphabeta_eq), oracles.dedup(hy, oracles.alphabeta_eq))
-        assert [[id(p) for p in side] for side in (got.left, got.right)] == \
-            [[id(p) for p in side] for side in want]
         assert (hol(tuple(hx)) == hol(tuple(hy))) == oracles.aset_eq(hx, hy, oracles.alphabeta_eq)
 
 
@@ -362,16 +372,124 @@ def impr_chain(n):
     goal = hyps[0]
     for h in reversed(hyps):
         goal = Imp(h, goal)
-    node = Node("ax", pnl_sequent(list(reversed(hyps)), [hyps[0]]), li=n - 1, ri=0)
+    node = Node("ax", sequent(list(reversed(hyps)), [hyps[0]]), li=n - 1, ri=0)
     for k in range(n, 0, -1):
         rest = hyps[k - 1:]
         right = hyps[0]
         for h in reversed(rest[1:]):
             right = Imp(h, right)
         right = Imp(rest[0], right)
-        node = Node("impr", pnl_sequent(list(reversed(hyps[:k - 1])), [right]), ri=0,
+        node = Node("impr", sequent(list(reversed(hyps[:k - 1])), [right]), ri=0,
                     children=(node,))
     return node
+
+
+# --- copies of a formula on a side never change a verdict ----------------------
+
+def pnl_copy(phi):
+    """A new formula alpha-equal to phi, a quantifier's unknown renamed."""
+    if isinstance(phi, All):
+        u = Unknown(phi.unknown.sort, phi.unknown.pmss, 99)
+        return All(u, perm2_act(Perm2.swap(phi.unknown, u), phi.body))
+    return perm2_act(Perm2({}), phi)
+
+
+def hol_copy(phi):
+    """A new formula alpha-beta-equal to phi: a beta-redex around it."""
+    return App(Lam(PlainVar(O, 0), phi), BOT)
+
+
+def with_copies(rng, node, copy):
+    """node with copies of random formulas inserted at random places on every
+    side, and li and ri moved to follow the formulas they index."""
+    def side(props, i):
+        out = list(props)
+        for _ in range(rng.randrange(3) if props else 0):
+            out.insert(rng.randrange(len(out) + 1), copy(rng.choice(props)))
+        if i is not None:
+            i = next(k for k, phi in enumerate(out) if phi is props[i])
+        return tuple(out), i
+
+    (left, li), (right, ri) = side(node.concl.left, node.li), side(node.concl.right, node.ri)
+    return replace(node, concl=Sequent(left, right), li=li, ri=ri,
+                   children=tuple(with_copies(rng, c, copy) for c in node.children))
+
+
+def sequents(node):
+    yield node.concl
+    for c in node.children:
+        yield from sequents(c)
+
+
+@pytest.mark.parametrize("logic", LOGICS)
+def test_copies_never_change_a_verdict(logic):
+    """The corpus, impr chains and the rejection rows whose indices are in
+    range, each with copies added: same acceptance, same rejected path."""
+    rng = random.Random(61)
+    check = LOGICS[logic][0]
+    ds = [d for _, d in restricted_derivations()] + [impr_chain(n) for n in range(1, 7)]
+    if logic == "hol":
+        ds = [translate_derivation(ENV, d).tree for d in ds]
+    else:
+        ds.append(full_only_derivation())
+    ds += [row_derivation(logic, row[1]) for row in REJECTIONS
+           if row[0] not in ("left-index", "right-index")]
+    for d in ds:
+        want = check(d)
+        for _ in range(4):
+            dup = with_copies(rng, d, hol_copy if logic == "hol" else pnl_copy)
+            v = check(dup)
+            assert (v.ok, v.path) == (want.ok, want.path), (d, dup)
+            if logic == "hol":
+                continue
+            # as sets up to alpha, the sides are the ones written in d
+            for s, t in zip(sequents(d), sequents(dup)):
+                for orig, side in ((s.left, t.left), (s.right, t.right)):
+                    assert len(oracles.dedup(side, oracles.alpha_eq)) == len(orig)
+                    assert oracles.aset_eq(side, orig, oracles.alpha_eq)
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def test_cli_keys_each_formula_object_at_most_once(monkeypatch, tmp_path, capsys):
+    """On one pass of the benchmark's proof derivations: check --logic hol
+    calls hol.normal_key at most once per formula object, translate
+    --derivation never, and check --logic pnl-* calls pnl.alpha_key at most
+    once per formula object."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+    w = workloads.build("proof", 71)
+    monkeypatch.chdir(tmp_path)
+    for name, text in w.files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    calls, held = Counter(), []
+
+    def spy(real):
+        def counted(x, *args):
+            calls[real.__name__, id(x)] += 1
+            held.append(x)  # so no later object takes its id
+            return real(x, *args)
+        return counted
+
+    monkeypatch.setattr(H, "normal_key", spy(H.normal_key))
+    monkeypatch.setattr(PNL, "alpha_key", spy(PNL.alpha_key))
+    for call in w.passes[0]:
+        calls.clear()
+        held.clear()
+        assert run_cli(list(call.argv)) == call.exit, call.argv
+        out = capsys.readouterr().out
+        if call.feeds:
+            Path(call.feeds).write_text(json.loads(out)["derivation"], encoding="utf-8")
+        most = Counter()
+        for (name, _), k in calls.items():
+            most[name] = max(most[name], k)
+        if call.cmd == "check-hol":
+            assert most["normal_key"] == 1, call.argv
+        elif call.cmd == "translate":
+            assert most["normal_key"] == 0, call.argv
+        else:
+            assert most["alpha_key"] == 1, call.argv
 
 
 def test_check_hol_types_and_normalizes_each_formula_once(monkeypatch):

@@ -5,8 +5,8 @@ from nomhol.capture import apply_reindex, capture_cover
 from nomhol.corpus import (SIG, atom, full_only_derivation,
                            restricted_derivations, var)
 from nomhol.hol import alphabeta_eq
-from nomhol.kernel import (FULL, Node, RESTRICTED, check_hol, check_pnl,
-                           hol_atomic_derivable, hol_sequent, pnl_sequent)
+from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, check_hol,
+                           check_pnl, hol_atomic_derivable)
 from nomhol.pnl import (All, BaseSort, Imp, Pred, Sus, Tup, Unknown,
                         pi_translate)
 from nomhol.translate import (TranslationError, erase_pi, translate,
@@ -62,7 +62,7 @@ def saturated(phi):
 
 
 def _ax(left, right, perm=None):
-    return Node("ax", pnl_sequent(left, right), li=0, ri=0,
+    return Node("ax", Sequent(tuple(left), tuple(right)), li=0, ri=0,
                 perm=perm if perm is not None else Perm.identity())
 
 
