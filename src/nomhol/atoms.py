@@ -20,10 +20,6 @@ class Atom:
     def __repr__(self) -> str:
         return f"{self.sort}@{self.index}"
 
-    @property
-    def downward(self) -> bool:
-        return self.index < 0
-
 
 @dataclass(frozen=True, slots=True)
 class PermissionSet:

@@ -52,11 +52,11 @@ def _emit(args, payload: dict, human: str) -> int:
 def _load_sig(args) -> P.PnlSignature:
     if args.sig is None:
         return corpus.SIG
-    return F.parse_document(_read(args.sig), "sig").value
+    return F.parse_document(_read(args.sig), "sig")
 
 
-def _load_pnl(args, path: str, sig):
-    return F.parse_document(_read(path), "pnl", sig).value
+def _load_pnl(path: str, sig):
+    return F.parse_document(_read(path), "pnl", sig)
 
 
 def _default_depth() -> int:
@@ -74,13 +74,13 @@ def _depth(args) -> int:
 def _load_model(args, sig):
     if args.model is None:
         raise _Usage("this command needs --model")
-    return F.parse_document(_read(args.model), "model", sig).value
+    return F.parse_document(_read(args.model), "model", sig)
 
 
 def _load_valuation(args, sig) -> Valuation:
     if args.valuation is None:
         return Valuation()
-    val = F.parse_document(_read(args.valuation), "valuation", sig).value
+    val = F.parse_document(_read(args.valuation), "valuation", sig)
     val.validate(sig)
     return val
 
@@ -96,10 +96,10 @@ def _cmd_check(args) -> int:
     sig = _load_sig(args)
     if args.logic == "hol":
         hsig = translate_signature(sig).target
-        d = F.parse_document(_read(args.file), "deriv-hol", sig, hsig).value
+        d = F.parse_document(_read(args.file), "deriv-hol", sig, hsig)
         v = K.check_hol(d, hsig)
     else:
-        d = F.parse_document(_read(args.file), "deriv-pnl", sig).value
+        d = F.parse_document(_read(args.file), "deriv-pnl", sig)
         mode = K.FULL if args.logic == "pnl-full" else K.RESTRICTED
         v = K.check_pnl(sig, d, mode)
     payload = {"ok": bool(v), "path": list(v.path), "message": v.message}
@@ -113,7 +113,7 @@ def _cmd_translate(args) -> int:
     sig = _load_sig(args)
     env = translate_signature(sig)
     if args.derivation:
-        d = F.parse_document(_read(args.file), "deriv-pnl", sig).value
+        d = F.parse_document(_read(args.file), "deriv-pnl", sig)
         try:
             out = translate_derivation(env, d, _given_context(args) or ())
         except TranslationError as e:
@@ -124,7 +124,7 @@ def _cmd_translate(args) -> int:
                    "derivation": text}
         return _emit(args, payload,
                      f"; context {F.render_context(out.ctx_full)}\n{text}")
-    x = _load_pnl(args, args.file, sig)
+    x = _load_pnl(args.file, sig)
     ctx = _given_context(args)
     if ctx is None:  # the least context, which capture-checks by construction
         ctx, captured = canonical_context(capture_infer(x)), True
@@ -141,7 +141,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_infer_d(args) -> int:
     sig = _load_sig(args)
-    x = _load_pnl(args, args.file, sig)
+    x = _load_pnl(args.file, sig)
     ctx = canonical_context(capture_infer(x))
     return _emit(args, {"ok": True, "context": F.render_context(ctx)},
                  F.render_context(ctx))
@@ -151,12 +151,12 @@ def _cmd_alpha(args) -> int:
     sig = _load_sig(args)
     if args.hol:
         hsig = translate_signature(sig).target
-        t = F.parse_document(_read(args.file), "hol", sig, hsig).value
-        u = F.parse_document(_read(args.file2), "hol", sig, hsig).value
+        t = F.parse_document(_read(args.file), "hol", sig, hsig)
+        u = F.parse_document(_read(args.file2), "hol", sig, hsig)
         same = H.alphabeta_eq(t, u)
     else:
-        t = _load_pnl(args, args.file, sig)
-        u = _load_pnl(args, args.file2, sig)
+        t = _load_pnl(args.file, sig)
+        u = _load_pnl(args.file2, sig)
         same = P.alpha_eq(t, u)
     return _emit(args, {"ok": same},
                  "alpha-equal" if same else "not alpha-equal")
@@ -165,7 +165,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_normalize(args) -> int:
     sig = _load_sig(args)
     hsig = translate_signature(sig).target
-    t = F.parse_document(_read(args.file), "hol", sig, hsig).value
+    t = F.parse_document(_read(args.file), "hol", sig, hsig)
     H.hol_type_of(t, hsig)
     out = F.render_hol(H.beta_normalize(t))
     return _emit(args, {"ok": True, "term": out}, out)
@@ -175,7 +175,7 @@ def _cmd_eval(args) -> int:
     sig = _load_sig(args)
     model = _load_model(args, sig)
     val = _load_valuation(args, sig)
-    x = _load_pnl(args, args.file, sig)
+    x = _load_pnl(args.file, sig)
     depth = _depth(args)
     if isinstance(x, P.PnlProp):
         v, exact = eval_pnl_prop(model, val, x, depth)
@@ -190,7 +190,7 @@ def _cmd_square(args) -> int:
     env = translate_signature(sig)
     model = _load_model(args, sig)
     val = _load_valuation(args, sig)
-    x = _load_pnl(args, args.file, sig)
+    x = _load_pnl(args.file, sig)
     v = square_check(env, model, _given_context(args), val, x, _depth(args))
     payload = {"ok": v.ok, "exact": v.exact, "kind": v.kind,
                "message": v.message}

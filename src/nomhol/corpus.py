@@ -1,182 +1,64 @@
-"""Bundled fixtures: the lambda-calculus signature, the eta and beta
-substitution axioms, the classic alpha-conversion pair, and a set of checked
-derivations exercising every sequent rule of both nominal calculi.
+"""Bundled fixtures, read from ``corpus_files/``: the lambda-calculus
+signature, the eta and beta substitution axioms, the classic
+alpha-conversion pair, and a set of checked derivations exercising every
+sequent rule of both nominal calculi.
+
+The files are the only copy.  ``SIG`` is parsed once at import; every other
+fixture is parsed from its file, through ``frontend.parse_document``, on
+each call.
 """
 
 from __future__ import annotations
 
-from .atoms import Atom, Perm, PermissionSet
-from .kernel import Node, Sequent
-from .pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
-                  NameSort, PnlSignature, Pred, Sus, Tup, TupleSort, Unknown)
+import os
 
-NU = "nu"
-NSORT = NameSort(NU)
-IOTA = BaseSort("iota")
+from . import frontend as F
 
-SIG = PnlSignature(
-    name_sorts=frozenset({NU}),
-    base_sorts=frozenset({"iota"}),
-    term_formers={
-        "var": (NSORT, "iota"),
-        "app": (TupleSort((IOTA, IOTA)), "iota"),
-        "lam": (AbsSort(NU, IOTA), "iota"),
-    },
-    prop_formers={
-        "P": IOTA,
-        "equal": TupleSort((IOTA, IOTA)),
-    },
-)
+_DIR = os.path.join(os.path.dirname(__file__), "corpus_files")
 
 
-def atom(i: int) -> Atom:
-    return Atom(NU, i)
+def _read(name: str) -> str:
+    with open(os.path.join(_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
-def var(i: int):
-    return Former("var", AtomT(atom(i)))
+SIG = F.parse_document(_read("signature.sexp"), "sig")
 
 
-def app(s, t):
-    return Former("app", Tup((s, t)))
-
-
-def lam(a: Atom, body):
-    return Former("lam", AbsT(a, body))
-
-
-def equal(s, t):
-    return Pred("equal", Tup((s, t)))
-
-
-PMSS_DOWN = PermissionSet()  # the downward half only
-PMSS_UP2 = PermissionSet(plus=frozenset({atom(0), atom(1), atom(2)}))
-
-A, B = atom(0), atom(1)
-
-# unknowns used by the axioms; the eta/beta side conditions "a not permitted
-# for Z" are realized by giving Z the downward-only permission set
-Z = Unknown(IOTA, PMSS_DOWN, 0)
-X = Unknown(IOTA, PMSS_UP2, 0)
-X2 = Unknown(IOTA, PMSS_UP2, 1)
-Y = Unknown(IOTA, PMSS_UP2, 2)
-
-
-def sus(u: Unknown):
-    return Sus.of(u)
+def _load(name: str, kind: str = "prop"):
+    return F.parse_document(_read(name), kind, SIG)
 
 
 def eta_axiom():
     """Extensionality: binding a non-permitted name and re-applying is a no-op."""
-    return All(Z, equal(lam(A, app(sus(Z), var(0))), sus(Z)))
-
-
-def subst_sugar(a: Atom, body, arg):
-    """The display form r[a -> arg] as the redex app(lam(a, body), arg)."""
-    return app(lam(a, body), arg)
+    return _load("eta.sexp")
 
 
 def beta_axioms():
-    return [
-        All(Y, equal(subst_sugar(A, var(0), sus(Y)), sus(Y))),
-        All(Z, All(X, equal(subst_sugar(A, sus(Z), sus(X)), sus(Z)))),
-        All(X2, All(X, All(Y, equal(
-            subst_sugar(A, app(sus(X2), sus(X)), sus(Y)),
-            app(subst_sugar(A, sus(X2), sus(Y)),
-                subst_sugar(A, sus(X), sus(Y))))))),
-        All(X, All(Z, equal(
-            subst_sugar(B, lam(A, sus(X)), sus(Z)),
-            lam(A, subst_sugar(B, sus(X), sus(Z)))))),
-        All(X, equal(subst_sugar(A, sus(X), var(0)), sus(X))),
-    ]
+    """The five substitution axioms; ``beta_axioms()[i]`` is ``beta{i+1}.sexp``."""
+    return [_load(f"beta{i}.sexp") for i in range(1, 6)]
 
 
 def alpha_pair():
     """A quantified proposition and its fully alpha-converted form."""
-    XH = Unknown(IOTA, PermissionSet(plus=frozenset({atom(0)})), 0)
-    YH = Unknown(IOTA, PermissionSet(plus=frozenset({atom(0)})), 1)
-    lhs = All(XH, Pred("P", lam(A, sus(XH))))
-    rhs = All(YH, Pred("P", lam(B, Sus(Perm.swap(B, A), YH))))
-    return lhs, rhs
+    return _load("alpha1.sexp"), _load("alpha2.sexp")
 
 
-# ---------------------------------------------------------------------------
-# derivations
-
-
-def _ax(left, right, li=0, ri=0, perm=None):
-    return Node("ax", Sequent(tuple(left), tuple(right)), li=li, ri=ri,
-                perm=perm if perm is not None else Perm.identity())
+# accepted in restricted mode; together they exercise all six rules
+_RESTRICTED = ("ax-identity", "imp-reflexive", "modus-ponens", "false-left",
+               "false-implies-anything", "forall-instantiate", "forall-vacuous",
+               "forall-imp-reflexive", "eta-instantiate",
+               "beta-identity-instantiate", "beta-noop-instantiate",
+               "alpha-converted-axiom")
 
 
 def restricted_derivations():
-    """(name, derivation) pairs accepted in restricted mode; together they
-    exercise all six rules."""
-    out = []
-    p0 = Pred("P", var(0))
-    p1 = Pred("P", var(1))
-
-    out.append(("ax-identity", _ax([p0], [p0])))
-
-    out.append(("imp-reflexive", Node(
-        "impr", Sequent((), (Imp(p0, p0),)), ri=0,
-        children=(_ax([p0], [p0]),))))
-
-    out.append(("modus-ponens", Node(
-        "impl", Sequent((Imp(p0, p1), p0), (p1,)), li=0,
-        children=(_ax([p0], [p0, p1], ri=0),
-                  _ax([p1, p0], [p1], li=0)))))
-
-    out.append(("false-left", Node(
-        "botl", Sequent((Bot(),), (p0,)), li=0)))
-
-    out.append(("false-implies-anything", Node(
-        "impr", Sequent((), (Imp(Bot(), p0),)), ri=0,
-        children=(Node("botl", Sequent((Bot(),), (p0,)), li=0),))))
-
-    univ = All(X, Pred("P", sus(X)))
-    out.append(("forall-instantiate", Node(
-        "alll", Sequent((univ,), (p0,)), li=0, witness=var(0),
-        children=(_ax([p0], [p0]),))))
-
-    out.append(("forall-vacuous", Node(
-        "allr", Sequent((p0,), (All(X, p0),)), ri=0,
-        children=(_ax([p0], [p0]),))))
-
-    refl = All(X, Imp(Pred("P", sus(X)), Pred("P", sus(X))))
-    inner = Imp(Pred("P", sus(X)), Pred("P", sus(X)))
-    out.append(("forall-imp-reflexive", Node(
-        "allr", Sequent((), (refl,)), ri=0,
-        children=(Node("impr", Sequent((), (inner,)), ri=0,
-                       children=(_ax([Pred("P", sus(X))], [Pred("P", sus(X))]),)),))))
-
-    eta = eta_axiom()
-    eta_inst = equal(lam(A, app(var(-1), var(0))), var(-1))
-    out.append(("eta-instantiate", Node(
-        "alll", Sequent((eta,), (eta_inst,)), li=0, witness=var(-1),
-        children=(_ax([eta_inst], [eta_inst]),))))
-
-    b1 = beta_axioms()[0]
-    b1_inst = equal(subst_sugar(A, var(0), var(1)), var(1))
-    out.append(("beta-identity-instantiate", Node(
-        "alll", Sequent((b1,), (b1_inst,)), li=0, witness=var(1),
-        children=(_ax([b1_inst], [b1_inst]),))))
-
-    b5 = beta_axioms()[4]
-    b5_inst = equal(subst_sugar(A, var(2), var(0)), var(2))
-    out.append(("beta-noop-instantiate", Node(
-        "alll", Sequent((b5,), (b5_inst,)), li=0, witness=var(2),
-        children=(_ax([b5_inst], [b5_inst]),))))
-
-    lhs, rhs = alpha_pair()
-    out.append(("alpha-converted-axiom", _ax([lhs], [rhs])))
-
-    return out
+    """(name, derivation) pairs, each read from ``deriv_{name}.sexp``."""
+    return [(name, _load(f"deriv_{name}.sexp", "deriv-pnl"))
+            for name in _RESTRICTED]
 
 
 def full_only_derivation():
     """The equivariance step the translation cannot follow: an axiom whose
     permutation genuinely moves the formula."""
-    p0 = Pred("P", var(0))
-    p1 = Pred("P", var(1))
-    return _ax([p0], [p1], perm=Perm.swap(A, B))
+    return _load("deriv_full-only.sexp", "deriv-pnl")

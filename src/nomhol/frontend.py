@@ -38,7 +38,6 @@ Concrete syntax (all forms are s-expressions; see sexpr.py for the lexer):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from . import hol as H
@@ -47,6 +46,7 @@ from . import pnl as P
 from .atoms import Atom, Perm, PermissionSet, Renaming
 from .semantics import HerbrandModel, PredSpec, RenElem, Valuation
 from .sexpr import SexprError, SList, SNode, Sym, parse_one
+from .translate import translate_signature
 
 
 class ParseError(SexprError):
@@ -197,18 +197,8 @@ def parse_sort_text(sig: P.PnlSignature, text: str, where) -> P.PnlSort:
     if text.startswith("<"):
         if not text.endswith(">"):
             _err(where, f"unterminated tuple sort in {text!r}")
-        parts, depth, start = [], 0, 1
-        for i, c in enumerate(text[1:-1], start=1):
-            if c in "<[":
-                depth += 1
-            elif c in ">]":
-                depth -= 1
-            elif c == "," and depth == 0:
-                parts.append(text[start:i])
-                start = i + 1
-        last = text[start:-1]
-        if last or parts:
-            parts.append(last)
+        inner = text[1:-1]
+        parts = _split_top(inner, ",", where) if inner else []  # <> is empty
         return P.TupleSort(tuple(parse_sort_text(sig, p, where) for p in parts))
     if text in sig.name_sorts:
         return P.NameSort(text)
@@ -755,63 +745,57 @@ KINDS = ("sig", "term", "prop", "pnl", "hol", "deriv-pnl", "deriv-hol",
          "model", "valuation", "renelem")
 
 
-@dataclass(frozen=True)
-class Document:
-    kind: str
-    value: object
-    sig: Optional[P.PnlSignature] = None
-
-
 def parse_document(text: str, kind: str,
                    sig: Optional[P.PnlSignature] = None,
-                   hsig: Optional[H.HolSignature] = None) -> Document:
+                   hsig: Optional[H.HolSignature] = None):
+    """The object of the given kind that the text holds.  Every kind but
+    ``sig`` needs the signature; ``hol`` and ``deriv-hol`` translate it when
+    no higher-order signature is given."""
     if kind not in KINDS:
         raise ValueError(f"unknown document kind {kind!r}")
     node = parse_one(text)
     if kind == "sig":
-        s = parse_signature(node)
-        return Document(kind, s, s)
+        return parse_signature(node)
     if sig is None:
         raise ValueError("this document kind needs a signature")
-    if hsig is None:
-        from .translate import translate_signature
+    if kind in ("hol", "deriv-hol") and hsig is None:
         hsig = translate_signature(sig).target
     if kind == "term":
-        return Document(kind, parse_term(sig, node), sig)
+        return parse_term(sig, node)
     if kind == "prop":
-        return Document(kind, parse_prop(sig, node), sig)
+        return parse_prop(sig, node)
     if kind == "pnl":
-        return Document(kind, parse_pnl(sig, node), sig)
+        return parse_pnl(sig, node)
     if kind == "hol":
-        return Document(kind, parse_hol(sig, hsig, node), sig)
+        return parse_hol(sig, hsig, node)
     if kind == "deriv-pnl":
-        return Document(kind, parse_derivation(sig, hsig, node, False), sig)
+        return parse_derivation(sig, hsig, node, False)
     if kind == "deriv-hol":
-        return Document(kind, parse_derivation(sig, hsig, node, True), sig)
+        return parse_derivation(sig, hsig, node, True)
     if kind == "model":
-        return Document(kind, parse_model(node, sig), sig)
+        return parse_model(node, sig)
     if kind == "valuation":
-        return Document(kind, parse_valuation(sig, node), sig)
-    return Document(kind, parse_renelem(sig, node), sig)
+        return parse_valuation(sig, node)
+    return parse_renelem(sig, node)
 
 
-def render_document(doc: Document) -> str:
-    if doc.kind == "sig":
-        return render_signature(doc.value)
-    if doc.kind == "term":
-        return render_term(doc.value)
-    if doc.kind == "prop":
-        return render_prop(doc.value)
-    if doc.kind == "pnl":
-        return render_pnl(doc.value)
-    if doc.kind == "hol":
-        return render_hol(doc.value)
-    if doc.kind == "deriv-pnl":
-        return render_derivation(doc.value, False)
-    if doc.kind == "deriv-hol":
-        return render_derivation(doc.value, True)
-    if doc.kind == "model":
-        return render_model(doc.value)
-    if doc.kind == "valuation":
-        return render_valuation(doc.value)
-    return render_renelem(doc.value)
+def render_document(kind: str, value) -> str:
+    if kind == "sig":
+        return render_signature(value)
+    if kind == "term":
+        return render_term(value)
+    if kind == "prop":
+        return render_prop(value)
+    if kind == "pnl":
+        return render_pnl(value)
+    if kind == "hol":
+        return render_hol(value)
+    if kind == "deriv-pnl":
+        return render_derivation(value, False)
+    if kind == "deriv-hol":
+        return render_derivation(value, True)
+    if kind == "model":
+        return render_model(value)
+    if kind == "valuation":
+        return render_valuation(value)
+    return render_renelem(value)

@@ -75,7 +75,10 @@ def _tokens(text: str) -> Iterator[tuple]:
                     depth -= 1
                 elif depth == 0 and (c in "() \t\r\n;"):
                     break
-                col += 1
+                if c == "\n":  # inside a brace group
+                    line, col = line + 1, 1
+                else:
+                    col += 1
                 i += 1
             if depth != 0:
                 raise SexprError("unterminated '{' in symbol", sline, scol)

@@ -36,9 +36,19 @@ SIG = PnlSignature(
 PMSS_ALL = PermissionSet(plus=frozenset({Atom(NU, 0), Atom(NU, 1), Atom(NU, 2)}))
 PMSS_HALF = PermissionSet(plus=frozenset({Atom(NU, 0)}))
 
+PMSS_DOWN = PermissionSet()  # the downward half only
+
 X0 = Unknown(IOTA, PMSS_ALL, 0)
 X1 = Unknown(IOTA, PMSS_HALF, 1)
 UNKNOWNS = [X0, X1]
+
+
+def atom(i: int) -> Atom:
+    return Atom(NU, i)
+
+
+def var(i: int):
+    return Former("var", AtomT(atom(i)))
 
 
 def rand_perm(rng: random.Random) -> Perm:

@@ -63,6 +63,27 @@ def test_reader_comments_and_multiple_forms():
     assert [f.text for f in forms] == ["nu@0", "nu@1"]
 
 
+READER_ERRORS = [
+    # (text, message, line, col); a brace group may span lines
+    ("(tup nu@0\n  (var nu@1)", "unclosed '('", 1, 1),
+    ("(tup))", "unmatched ')'", 1, 6),
+    ("X{iota", "unterminated '{' in symbol", 1, 1),
+    ("nu@0}", "unbalanced '}' in symbol", 1, 5),
+    ("; nothing but a comment\n", "empty input", 1, 1),
+    ("nu@0\n nu@1", "expected exactly one form", 2, 2),
+    ("(a X{iota;\nperm(+{}-{});0}\n  ))", "unmatched ')'", 3, 4),
+    ("(all X{iota;perm(+{}-{});0\n}\n  (pred Q bot))",
+     "undeclared proposition-former Q", 3, 3),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", READER_ERRORS)
+def test_reader_error_locations(text, message, line, col):
+    with pytest.raises(SexprError) as e:
+        F.parse_document(text, "prop", SIG)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
 # --- round-trips -------------------------------------------------------------
 
 def test_corpus_round_trip():
@@ -70,11 +91,30 @@ def test_corpus_round_trip():
         kind = kind_of(f.name)
         text = f.read_text()
         doc = F.parse_document(text, kind, SIG)
-        back = F.render_document(doc)
+        back = F.render_document(kind, doc)
         doc2 = F.parse_document(back, kind, SIG)
         if kind in ("pnl", "term", "prop"):
-            assert alpha_eq(doc.value, doc2.value), f.name
-        assert F.render_document(doc2) == back, f.name
+            assert alpha_eq(doc, doc2), f.name
+        assert F.render_document(kind, doc2) == back, f.name
+
+
+def test_loaded_fixtures_render_as_their_files():
+    """nomhol.corpus reads these files and nothing else builds the fixtures,
+    so each loaded object must render back to its file's text exactly."""
+    from nomhol import corpus
+    loaded = [("signature.sexp", "sig", corpus.SIG),
+              ("eta.sexp", "prop", corpus.eta_axiom()),
+              ("deriv_full-only.sexp", "deriv-pnl", corpus.full_only_derivation())]
+    loaded += [(f"beta{i + 1}.sexp", "prop", b)
+               for i, b in enumerate(corpus.beta_axioms())]
+    loaded += [(f"alpha{i + 1}.sexp", "prop", a)
+               for i, a in enumerate(corpus.alpha_pair())]
+    loaded += [(f"deriv_{name}.sexp", "deriv-pnl", d)
+               for name, d in corpus.restricted_derivations()]
+    assert len(loaded) == 22
+    for name, kind, value in loaded:
+        text = (CORPUS / name).read_text()
+        assert F.render_document(kind, value) + "\n" == text, name
 
 
 def test_random_pnl_round_trip():
@@ -82,7 +122,7 @@ def test_random_pnl_round_trip():
     for _ in range(300):
         x = rand_prop(rng) if rng.random() < 0.5 else rand_term(rng)
         text = F.render_pnl(x)
-        assert F.parse_document(text, "pnl", SIG).value == x
+        assert F.parse_document(text, "pnl", SIG) == x
 
 
 def test_hol_round_trip_on_translations():
@@ -92,14 +132,15 @@ def test_hol_round_trip_on_translations():
         x = rand_prop(rng) if rng.random() < 0.5 else rand_term(rng)
         t = translate(ENV, canonical_context(capture_infer(x)), x)
         text = F.render_hol(t)
-        back = F.parse_document(text, "hol", SIG).value
+        back = F.parse_document(text, "hol", SIG)
         assert hol_alpha_eq(back, t), text
 
 
 def test_rendering_deterministic():
     for f in corpus_files():
-        doc = F.parse_document(f.read_text(), kind_of(f.name), SIG)
-        assert F.render_document(doc) == F.render_document(doc)
+        kind = kind_of(f.name)
+        doc = F.parse_document(f.read_text(), kind, SIG)
+        assert F.render_document(kind, doc) == F.render_document(kind, doc)
 
 
 def test_translated_derivations_round_trip_and_recheck():
@@ -109,14 +150,14 @@ def test_translated_derivations_round_trip_and_recheck():
     for name, d in restricted_derivations()[:4]:
         out = translate_derivation(ENV, d)
         text = F.render_derivation(out.tree, hol=True)
-        back = F.parse_document(text, "deriv-hol", SIG).value
+        back = F.parse_document(text, "deriv-hol", SIG)
         assert check_hol(back, ENV.target), name
 
 
 # --- suspension-element fixtures --------------------------------------------
 
 def _renelem(name):
-    return F.parse_document((CORPUS / name).read_text(), "renelem", SIG).value
+    return F.parse_document((CORPUS / name).read_text(), "renelem", SIG)
 
 
 def test_collapse_fixture_distinguished_from_diagonal():
@@ -165,7 +206,7 @@ def test_cli_sides_as_written(capsys, tmp_path):
     capsys.readouterr()
     assert cli("translate", "--derivation", "--json", str(f)) == 0
     text = json.loads(capsys.readouterr().out)["derivation"]
-    left = F.parse_document(text, "deriv-hol", SIG, ENV.target).value.concl.left
+    left = F.parse_document(text, "deriv-hol", SIG, ENV.target).concl.left
     assert len(left) == 3 and left[0] == left[1]
     h = tmp_path / "d.hol.sexp"
     h.write_text(text)
@@ -196,8 +237,8 @@ def test_cli_translate_displayed(capsys):
         assert cli("translate", "--context", "[nu@0,nu@1]", "--json", p(name)) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] and payload["captured"]
-        got = F.parse_document(payload["term"], "hol", SIG).value
-        src = F.parse_document((CORPUS / name).read_text(), "prop", SIG).value
+        got = F.parse_document(payload["term"], "hol", SIG)
+        src = F.parse_document((CORPUS / name).read_text(), "prop", SIG)
         from nomhol.atoms import Atom
         want = translate(ENV, (Atom("nu", 0), Atom("nu", 1)), src)
         assert hol_alpha_eq(got, want)

@@ -11,8 +11,8 @@ from nomhol import hol as H
 from nomhol import pnl as PNL
 from nomhol.atoms import Atom, Perm
 from nomhol.cli import run_cli
-from nomhol.corpus import (SIG, alpha_pair, atom, eta_axiom,
-                           full_only_derivation, restricted_derivations, var)
+from nomhol.corpus import (SIG, alpha_pair, eta_axiom, full_only_derivation,
+                           restricted_derivations)
 from nomhol.hol import (App, AtomVar, BOT, Const, Lam, O, PlainVar, UnkVar,
                         Var, apps, forall, imp)
 from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, _Logic, check_hol,
@@ -22,7 +22,7 @@ from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, Pred, Sus,
 from nomhol.translate import translate, translate_derivation, translate_signature
 
 import oracles
-from gen import PMSS_ALL, X0, rand_perm, rand_prop
+from gen import PMSS_ALL, X0, atom, rand_perm, rand_prop, var
 
 ENV = translate_signature(SIG)
 

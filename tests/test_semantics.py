@@ -8,7 +8,7 @@ from nomhol.atoms import (Atom, CofinAtomSet, Perm, PermissionSet, Renaming,
                           freshening_pair, set_subset)
 from nomhol.capture import canonical_context, capture_check, capture_infer
 from nomhol import frontend as F, hol as H, semantics
-from nomhol.corpus import PMSS_DOWN, restricted_derivations
+from nomhol.corpus import restricted_derivations
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, Bot, Former, Imp, Pred,
                         PnlSignature, Sus, Tup, TupleSort, Unknown, alpha_eq,
                         free_atoms, free_unknowns, perm_act, subst_one)
@@ -27,8 +27,8 @@ from nomhol.semantics import (AtomV, BoolV, ConstFn, EnumerationError, FnV,
 from nomhol.translate import translate, translate_derivation, translate_signature
 
 import oracles
-from gen import (IOTA, NSORT, NU, PMSS_ALL, PMSS_HALF, SIG, WINDOW, X0, X1,
-                 rand_ground_term, rand_perm, rand_prop, rand_term)
+from gen import (IOTA, NSORT, NU, PMSS_ALL, PMSS_DOWN, PMSS_HALF, SIG, WINDOW,
+                 X0, X1, rand_ground_term, rand_perm, rand_prop, rand_term)
 
 ENV = translate_signature(SIG)
 ID = Renaming.identity()
@@ -1033,8 +1033,8 @@ def test_depth_four_refutation_draws_few_candidates(monkeypatch):
     pool = enumerate_ground(SIG, IOTA, default_window(SIG), 1)
     assert iter(pool) is pool, "enumerate_ground builds its pool eagerly"
     model = F.parse_document((CORPUS / "model_basic.sexp").read_text(),
-                             "model", SIG).value
-    phi = F.parse_document((CORPUS / "beta1.sexp").read_text(), "pnl", SIG).value
+                             "model", SIG)
+    phi = F.parse_document((CORPUS / "beta1.sexp").read_text(), "pnl", SIG)
     drawn = []
 
     def counted(*args):

@@ -2,8 +2,7 @@ import pytest
 
 from nomhol.atoms import Perm, PermissionSet
 from nomhol.capture import apply_reindex, capture_cover
-from nomhol.corpus import (SIG, atom, full_only_derivation,
-                           restricted_derivations, var)
+from nomhol.corpus import SIG, full_only_derivation, restricted_derivations
 from nomhol.hol import alphabeta_eq
 from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, check_hol,
                            check_pnl, hol_atomic_derivable)
@@ -12,6 +11,8 @@ from nomhol.pnl import (All, BaseSort, Imp, Pred, Sus, Tup, Unknown,
 from nomhol.translate import (TranslationError, erase_pi, translate,
                               translate_derivation, translate_sequent,
                               translate_signature)
+
+from gen import atom, var
 
 ENV = translate_signature(SIG)
 
