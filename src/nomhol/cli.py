@@ -9,6 +9,7 @@ machine-readable verdict object on stdout.  The environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -203,7 +204,10 @@ def _cmd_square(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first call and reused: parse_args keeps nothing between
+    calls, since each returns a fresh namespace."""
     top = argparse.ArgumentParser(prog="nomhol", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -269,9 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else EXIT_OK
     try:

@@ -33,6 +33,14 @@ Concrete syntax (all forms are s-expressions; see sexpr.py for the lexer):
   valuations       (valuation (assign X{..} TERM) ...)
   suspension elements
                    (ren RENAMING TERM)
+  indices          (atoms, unknowns, plain variables, li, ri) are the
+                   digits 0-9, after a '-' where signed
+
+A derivation restates its context at every node, so its text repeats each
+formula many times.  `parse_document` reads a derivation with one memo for
+the call: a sequent formula is parsed once per distinct text, keyed by the
+reader's structural id (`sexpr.SList.sid`, which is per `parse_all` call)
+or by a symbol's text, and every copy is the same object.
 """
 
 from __future__ import annotations
@@ -72,7 +80,12 @@ def _args(node: SList, n: int, what: str) -> tuple:
 # ---------------------------------------------------------------------------
 # atoms, permission sets, permutations, renamings
 
-_ATOM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)@(-?\d+)$")
+# ASCII digits only: \d, str.isdigit and int() also take other scripts'
+# digits, and int() takes '_' and blanks.  '$' lets a brace group's field
+# end its line, as in X{iota;perm(+{}-{});0<newline>}.
+_INT_RE = re.compile(r"-?[0-9]+$")
+_NAT_RE = re.compile(r"[0-9]+$")
+_ATOM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)@(-?[0-9]+)$")
 
 
 def parse_atom_text(text: str) -> Optional[Atom]:
@@ -271,11 +284,9 @@ def parse_unknown_text(sig: P.PnlSignature, text: str, where) -> P.Unknown:
         _err(where, f"an unknown has three ';'-separated fields, got {text!r}")
     sort = parse_sort_text(sig, parts[0], where)
     pmss = parse_pmss_text(parts[1], where)
-    try:
-        idx = int(parts[2])
-    except ValueError:
+    if not _INT_RE.match(parts[2]):
         _err(where, f"bad unknown index {parts[2]!r}")
-    return P.Unknown(sort, pmss, idx)
+    return P.Unknown(sort, pmss, int(parts[2]))
 
 
 def render_unknown(u: P.Unknown) -> str:
@@ -421,7 +432,7 @@ def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
             _err(node, f"bad context suffix in {node.text!r}")
     if _head(node) == "plain":
         ty, idx = _args(node, 2, "plain")
-        if not isinstance(idx, Sym) or not re.match(r"^-?\d+$", idx.text):
+        if not isinstance(idx, Sym) or not _INT_RE.match(idx.text):
             _err(node, "a plain variable carries an integer index")
         return H.PlainVar(parse_type(ty), int(idx.text))
     _err(node, f"expected a variable, got {node!r}")
@@ -557,22 +568,29 @@ def render_signature(sig: P.PnlSignature) -> str:
 # ---------------------------------------------------------------------------
 # sequents and derivations
 
-def _parse_props(sig, hsig, nodes, hol: bool):
-    if hol:
-        return [parse_hol(sig, hsig, n) for n in nodes]
-    return [parse_prop(sig, n) for n in nodes]
+def _parse_props(sig, hsig, nodes, hol: bool, memo: dict) -> list:
+    """The formulas, each distinct text parsed once per memo: a list is
+    keyed by its sid (an int), a symbol by its text (a str)."""
+    out = []
+    for n in nodes:
+        key = n.sid if isinstance(n, SList) else n.text
+        phi = memo.get(key)
+        if phi is None:
+            phi = memo[key] = parse_hol(sig, hsig, n) if hol else parse_prop(sig, n)
+        out.append(phi)
+    return out
 
 
-def parse_sequent(sig, hsig, node: SNode, hol: bool) -> K.Sequent:
+def parse_sequent(sig, hsig, node: SNode, hol: bool, memo: dict) -> K.Sequent:
     if _head(node) != "seq":
         _err(node, "expected (seq (left ...) (right ...))")
     left, right = [], []
     for sec in node.items[1:]:
         head = _head(sec)
         if head == "left":
-            left = _parse_props(sig, hsig, sec.items[1:], hol)
+            left = _parse_props(sig, hsig, sec.items[1:], hol, memo)
         elif head == "right":
-            right = _parse_props(sig, hsig, sec.items[1:], hol)
+            right = _parse_props(sig, hsig, sec.items[1:], hol, memo)
         else:
             _err(sec, f"unrecognized sequent side {head!r}")
     return K.Sequent(tuple(left), tuple(right))
@@ -585,7 +603,9 @@ def render_sequent(seq: K.Sequent, hol: bool) -> str:
     return f"(seq (left{left}) (right{right}))"
 
 
-def parse_derivation(sig, hsig, node: SNode, hol: bool) -> K.Node:
+def parse_derivation(sig, hsig, node: SNode, hol: bool, memo: dict) -> K.Node:
+    """The derivation tree; memo holds the sequent formulas parsed so far
+    from the same `parse_one` call (see `_parse_props`)."""
     if _head(node) != "rule":
         _err(node, "expected (rule NAME (concl ...) ...)")
     if len(node.items) < 3 or not isinstance(node.items[1], Sym):
@@ -600,10 +620,10 @@ def parse_derivation(sig, hsig, node: SNode, hol: bool) -> K.Node:
         head = _head(sec)
         if head == "concl":
             (s,) = _args(sec, 1, "concl")
-            concl = parse_sequent(sig, hsig, s, hol)
+            concl = parse_sequent(sig, hsig, s, hol, memo)
         elif head in ("li", "ri"):
             (n,) = _args(sec, 1, head)
-            if not isinstance(n, Sym) or not n.text.isdigit():
+            if not isinstance(n, Sym) or not _NAT_RE.match(n.text):
                 _err(sec, f"{head} takes a non-negative index")
             if head == "li":
                 li = int(n.text)
@@ -616,7 +636,7 @@ def parse_derivation(sig, hsig, node: SNode, hol: bool) -> K.Node:
             (w,) = _args(sec, 1, "witness")
             witness = parse_hol(sig, hsig, w) if hol else parse_term(sig, w)
         elif head == "rule":
-            children.append(parse_derivation(sig, hsig, sec, hol))
+            children.append(parse_derivation(sig, hsig, sec, hol, memo))
         else:
             _err(sec, f"unrecognized rule section {head!r}")
     if concl is None:
@@ -750,7 +770,8 @@ def parse_document(text: str, kind: str,
                    hsig: Optional[H.HolSignature] = None):
     """The object of the given kind that the text holds.  Every kind but
     ``sig`` needs the signature; ``hol`` and ``deriv-hol`` translate it when
-    no higher-order signature is given."""
+    no higher-order signature is given.  In a derivation, sequent formulas
+    that read the same are one shared object."""
     if kind not in KINDS:
         raise ValueError(f"unknown document kind {kind!r}")
     node = parse_one(text)
@@ -768,10 +789,8 @@ def parse_document(text: str, kind: str,
         return parse_pnl(sig, node)
     if kind == "hol":
         return parse_hol(sig, hsig, node)
-    if kind == "deriv-pnl":
-        return parse_derivation(sig, hsig, node, False)
-    if kind == "deriv-hol":
-        return parse_derivation(sig, hsig, node, True)
+    if kind in ("deriv-pnl", "deriv-hol"):
+        return parse_derivation(sig, hsig, node, kind == "deriv-hol", {})
     if kind == "model":
         return parse_model(node, sig)
     if kind == "valuation":

@@ -436,7 +436,8 @@ def alphabeta_key(t: HolTerm) -> tuple:
 
 
 def alphabeta_eq(t: HolTerm, u: HolTerm) -> bool:
-    kt, ku = alphabeta_key(t), alphabeta_key(u)
+    kt = alphabeta_key(t)
+    ku = kt if u is t else alphabeta_key(u)
     if kt[0] != ku[0]:
         raise HolTypeError("comparing terms of different types")
     return kt == ku

@@ -13,7 +13,8 @@ quantifier witnesses), so checking is search-free.  A sequent keeps its
 formulas as written: `li` and `ri` index a side in that order, and a side
 may list a formula, or an alpha-equal copy of it, more than once.  The rules
 compare sides as sets of keys, so the copies count as one formula; a check
-keys each formula object once.
+keys and checks each formula object once, and the parser shares one object
+among the copies of a formula (`frontend.parse_document`).
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
     ids: dict = {}  # canonical key -> small int
     key = _memo(lambda phi: ids.setdefault(P.alpha_key(phi), len(ids)))
 
+    @_memo
     def check_formula(phi):
         try:
             P.check_prop(sig, phi)

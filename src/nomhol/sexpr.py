@@ -4,11 +4,18 @@ Tokens are parentheses and symbols.  A symbol may carry balanced ``{}``
 groups (used for the compact unknown-variable syntax) whose contents —
 including parentheses — are consumed as part of the token, so forms like
 ``X{iota;perm(+{nu@0}-{});0}`` lex as one symbol.
+
+`parse_all` gives every list a structural id, ``sid``: a small int, interned
+per call from the tuple of its children's keys (a symbol's text, a list's
+``sid``).  Two lists read by one call share a ``sid`` exactly when they print
+the same, so a consumer can parse each distinct form once.  Ids from
+different calls are unrelated, and ``sid`` takes no part in ``==`` or
+``hash``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Union
 
 
@@ -35,6 +42,7 @@ class SList:
     items: tuple
     line: int = 0
     col: int = 0
+    sid: int = field(default=0, compare=False, repr=False)
 
     def __repr__(self):
         return "(" + " ".join(map(repr, self.items)) + ")"
@@ -86,29 +94,32 @@ def _tokens(text: str) -> Iterator[tuple]:
 
 
 def parse_all(text: str) -> List[SNode]:
-    """All top-level forms in the text."""
-    stack: List[list] = []
-    marks: List[tuple] = []
+    """All top-level forms in the text, each list with its ``sid``."""
+    stack: List[tuple] = []  # open lists: (items, keys of items, line, col)
+    sids: dict = {}          # tuple of children's keys -> sid
     out: List[SNode] = []
     last = (1, 1)
     for kind, tok, line, col in _tokens(text):
         last = (line, col)
         if kind == "(":
-            stack.append([])
-            marks.append((line, col))
-        elif kind == ")":
+            stack.append(([], [], line, col))
+            continue
+        if kind == ")":
             if not stack:
                 raise SexprError("unmatched ')'", line, col)
-            items = stack.pop()
-            l, c = marks.pop()
-            node = SList(tuple(items), l, c)
-            (stack[-1] if stack else out).append(node)
+            items, keys, l, c = stack.pop()
+            key = sids.setdefault(tuple(keys), len(sids))
+            node = SList(tuple(items), l, c, key)
         else:
+            key = tok
             node = Sym(tok, line, col)
-            (stack[-1] if stack else out).append(node)
+        if stack:
+            stack[-1][0].append(node)
+            stack[-1][1].append(key)
+        else:
+            out.append(node)
     if stack:
-        l, c = marks[-1]
-        raise SexprError("unclosed '('", l, c)
+        raise SexprError("unclosed '('", *stack[-1][2:])
     if not out:
         raise SexprError("empty input", *last)
     return out

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import random
+import sys
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomhol import frontend as F
 from nomhol.cli import run_cli
@@ -10,13 +14,14 @@ from nomhol.corpus import SIG
 from nomhol.hol import alphabeta_eq
 from nomhol.pnl import alpha_eq
 from nomhol.semantics import mk_ren, ren_eq
-from nomhol.sexpr import SexprError, parse_all, parse_one, render
+from nomhol.sexpr import SexprError, SList, _flat, parse_all, parse_one, render
 from nomhol.translate import translate, translate_signature
 
 from gen import rand_prop, rand_term
 from oracles import hol_alpha_eq
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nomhol" / "corpus_files"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 ENV = translate_signature(SIG)
 
 SPECIAL_KINDS = {"signature.sexp": "sig", "model_basic.sexp": "model",
@@ -82,6 +87,197 @@ def test_reader_error_locations(text, message, line, col):
     with pytest.raises(SexprError) as e:
         F.parse_document(text, "prop", SIG)
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+# Non-ASCII digits, '_' and blanks are not indices (str.isdigit and int()
+# take them); each is an error at the form that holds it.
+DIGIT_ERRORS = [
+    # (kind, text, message, line, col)
+    ("prop", "(pred P (var nu@\u0663))", "unrecognized term 'nu@\u0663'", 1, 14),
+    ("prop", "(all X{nu;perm(+{nu@\u0663}-{});0} bot)",
+     "bad atom 'nu@\u0663' in permission set", 1, 6),
+    ("prop", "(all X{nu;perm(+{nu@0}-{});1_0} bot)", "bad unknown index '1_0'", 1, 6),
+    ("prop", "(all X{nu;perm(+{nu@0}-{}); 7 } bot)", "bad unknown index ' 7 '", 1, 6),
+    ("prop", "(all X{nu;perm(+{nu@0}-{});\u0667} bot)", "bad unknown index '\u0667'", 1, 6),
+    ("hol", "(lam (plain o \u0663) bot)", "a plain variable carries an integer index", 1, 6),
+    ("hol", "(lam (plain o 1_0) bot)", "a plain variable carries an integer index", 1, 6),
+    ("deriv-pnl", "(rule botl (concl (seq (left bot) (right)))\n  (li \u0660))",
+     "li takes a non-negative index", 2, 3),
+    ("deriv-pnl", "(rule botl (concl (seq (left bot) (right)))\n  (li \u00b2))",
+     "li takes a non-negative index", 2, 3),
+    ("deriv-hol", "(rule ax (concl (seq (left bot) (right bot))) (li 0) (ri \u0663))",
+     "ri takes a non-negative index", 1, 54),
+]
+
+
+@pytest.mark.parametrize("kind,text,message,line,col", DIGIT_ERRORS)
+def test_index_digit_errors(kind, text, message, line, col):
+    with pytest.raises(F.ParseError) as e:
+        F.parse_document(text, kind, SIG)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+# --- structural ids ----------------------------------------------------------
+
+_GAPS = st.sampled_from([" ", "\n", "\t ", " ; note (x\n", "\n;;)\n  "])
+_SYMS = st.sampled_from(["a", "b", "nu@0", "nu@1", "bot", "imp"]) | st.builds(
+    "X{{{}}}".format, st.sampled_from(["iota;0", "a b", "(x)", "{y}", "p\nq", "a;b"]))
+
+
+def _form(children):
+    return st.builds(lambda parts, end: "(" + "".join(g + x for x, g in parts) + end + ")",
+                     st.lists(st.tuples(children, _GAPS), max_size=4), _GAPS)
+
+
+_TEXTS = st.builds(lambda forms, gap: gap.join(forms),
+                   st.lists(st.recursive(_SYMS, _form, max_leaves=24), min_size=1,
+                            max_size=3), _GAPS)
+
+
+def _slists(forms):
+    stack, out = list(forms), []
+    while stack:
+        n = stack.pop()
+        if isinstance(n, SList):
+            out.append(n)
+            stack.extend(n.items)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS)
+def test_sid_is_the_printed_form(text):
+    """Two lists of one parse_all share a sid exactly when they print the
+    same; equality and hashing ignore the sid."""
+    lists = _slists(parse_all(text))
+    pairs = {(n.sid, _flat(n)) for n in lists}
+    assert len(pairs) == len({s for s, _ in pairs}) == len({f for _, f in pairs})
+    for n in lists:
+        other = dataclasses.replace(n, sid=n.sid + 1)
+        assert other == n and hash(other) == hash(n) and repr(other) == repr(n)
+
+
+# --- one object per distinct formula ----------------------------------------
+
+def _sequent_formulas(tree):
+    stack = [tree]
+    while stack:
+        n = stack.pop()
+        yield from n.concl.left + n.concl.right
+        stack.extend(n.children)
+
+
+def _read_sharing(monkeypatch, text, kind):
+    """Parse a derivation, counting the formula parses parse_sequent starts
+    (not their recursive calls) by the formula's text."""
+    parsed = Counter()
+    depth = [0, 0]  # open parse_sequent calls, open formula parses
+
+    def spy(real, i):
+        def counted(*args):
+            if i and depth == [1, 0]:
+                parsed[_flat(args[-1])] += 1
+            depth[i] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[i] -= 1
+        return counted
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "parse_sequent", spy(F.parse_sequent, 0))
+        m.setattr(F, "parse_prop", spy(F.parse_prop, 1))
+        m.setattr(F, "parse_hol", spy(F.parse_hol, 1))
+        tree = F.parse_document(text, kind, SIG)
+    return tree, parsed
+
+
+def _proof_document(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+    files = workloads.build("proof", 5).files
+    return max((t for n, t in files.items() if n.endswith(".sexp")), key=len)
+
+
+def test_repeated_formulas_are_one_object(monkeypatch, tmp_path, capsys):
+    """On every corpus derivation and one benchmark proof document, read as
+    deriv-pnl and, through translate --derivation, as deriv-hol: formulas
+    that render equal are one object, parsed once."""
+    texts = [f.read_text() for f in sorted(CORPUS.glob("deriv_*.sexp"))]
+    texts.append(_proof_document(monkeypatch))
+    copies = 0
+    for i, text in enumerate(texts):
+        f = tmp_path / f"d{i}.sexp"
+        f.write_text(text)
+        docs = [(text, "deriv-pnl", F.render_prop)]
+        code = cli("translate", "--derivation", "--json", str(f))
+        out = json.loads(capsys.readouterr().out)
+        if code == 0:
+            docs.append((out["derivation"], "deriv-hol", F.render_hol))
+        for doc, kind, render_formula in docs:
+            tree, parsed = _read_sharing(monkeypatch, doc, kind)
+            objects = defaultdict(set)
+            for phi in _sequent_formulas(tree):
+                objects[render_formula(phi)].add(id(phi))
+                copies += 1
+            assert all(len(ids) == 1 for ids in objects.values()), (i, kind)
+            assert parsed and set(parsed.values()) == {1}, (i, kind)
+            assert len(parsed) == len(objects), (i, kind)
+            copies -= len(objects)
+    assert copies > 100  # the documents do repeat their formulas
+
+
+def _at(text, needle, nth=0):
+    """(line, col) of the nth occurrence of needle in text."""
+    i = -1
+    for _ in range(nth + 1):
+        i = text.index(needle, i + 1)
+    return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
+
+
+@pytest.mark.parametrize("kind,good,bad,message", [
+    ("deriv-pnl", "(pred P (var nu@0))", "(pred Q (var nu@0))",
+     "undeclared proposition-former Q"),
+    ("deriv-hol", "(app g_P nu@0)", "(app g_P)", "app takes at least two arguments"),
+])
+def test_shared_formula_errors_keep_their_positions(kind, good, bad, message):
+    """An ill-formed formula written twice fails at its first copy; one
+    written after a shared well-formed formula fails at its own place."""
+    twice = (f"(rule impr (concl (seq (left {good}) (right (imp {good} {good}))))\n"
+             f"  (ri 0)\n  (rule ax (concl (seq (left {good} {bad})\n"
+             f"    (right {bad} {good}))) (li 0) (ri 1)))")
+    after = (f"(rule ax (concl (seq (left {good} {good})\n"
+             f"  (right {good} {bad}))) (li 0) (ri 0))")
+    for text, where in [(twice, _at(twice, bad)), (after, _at(after, bad))]:
+        with pytest.raises(F.ParseError) as e:
+            F.parse_document(text, kind, SIG)
+        assert (e.value.message, (e.value.line, e.value.col)) == (message, where)
+    assert _at(twice, bad) != _at(twice, bad, 1)
+
+
+def _towers(n):
+    """A PNL and a HOL formula with n nested lam/abs binders."""
+    t, h = "(var nu@0)", "nu@0"
+    for i in range(n, 0, -1):
+        t = f"(lam (abs nu@{i} (app (tup (var nu@{i // 2}) {t}))))"
+        h = f"(app g_lam (lam nu@{i} {h}))"
+    return f"(pred P {t})", h
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_shared_formulas_add_no_stack_per_level(copies):
+    """Deep formulas, alone or repeated, parse in a derivation at the default
+    recursion limit: sharing adds no frame per nesting level."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for kind, phi in zip(("deriv-pnl", "deriv-hol"), _towers(130)):
+            text = (f"(rule ax (concl (seq (left{f' {phi}' * copies})"
+                    f" (right{f' {phi}' * copies}))) (li 0) (ri 0))")
+            tree = F.parse_document(text, kind, SIG)
+            assert len({id(p) for p in tree.concl.left + tree.concl.right}) == 1
+    finally:
+        sys.setrecursionlimit(old)
 
 
 # --- round-trips -------------------------------------------------------------
@@ -302,6 +498,29 @@ def test_cli_infers_a_missing_context_once(capsys, monkeypatch):
         assert cli(*argv[:1], "--context", "[nu@0]", *argv[1:]) == 0
         assert calls == ["capture_check"], argv
     capsys.readouterr()
+
+
+def test_cli_parser_is_reused_without_leaks(capsys, monkeypatch):
+    """The argument parser is built once a process; no option of one call
+    reaches the next."""
+    import argparse
+    from nomhol import cli as cli_module
+    cli_module._parser()
+    built = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda *a, real=argparse.ArgumentParser.__init__, **k:
+                        built.append(1) or real(*a, **k))
+    first = ["check", "--logic", "pnl-full", "--json", p("deriv_modus-ponens.sexp")]
+    outs = []
+    for argv, code in [(first, 0), (first[:3] + first[4:], 0),
+                       (["check", p("deriv_modus-ponens.sexp")], 2), (first, 0)]:
+        assert cli(*argv) == code, argv
+        outs.append(capsys.readouterr())
+    assert json.loads(outs[0].out) == {"ok": True, "path": [], "message": ""}
+    assert outs[1].out == "accepted\n"
+    assert outs[2].out == "" and "--logic" in outs[2].err
+    assert outs[3] == outs[0]
+    assert not built
 
 
 def test_cli_output_deterministic(capsys):
