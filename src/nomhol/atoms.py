@@ -1,9 +1,9 @@
-"""Atoms, permission sets, co-infinite atom sets, permutations and renamings.
+"""Atoms, finite and co-infinite atom sets, permutations and renamings.
 
 Atoms are pure values (name-sort, integer index); negative indices form the
 downward half of the atom universe, non-negative indices the upward half.
-A permission set denotes (downward half ∪ plus) \\ minus and is kept in the
-normalized finite representation (plus, minus).
+A permission set (downward half ∪ plus) \\ minus is the co-infinite atom set
+with excluded = minus and included = plus; `permission_set` builds one.
 """
 
 from __future__ import annotations
@@ -21,31 +21,6 @@ class Atom:
         return f"{self.sort}@{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class PermissionSet:
-    """(downward half ∪ plus) \\ minus, with plus upward and minus downward."""
-
-    plus: frozenset = frozenset()
-    minus: frozenset = frozenset()
-
-    def __post_init__(self):
-        if any(a.index < 0 for a in self.plus):
-            raise ValueError("plus part must hold non-negative indices")
-        if any(a.index >= 0 for a in self.minus):
-            raise ValueError("minus part must hold negative indices")
-
-    def __contains__(self, a: Atom) -> bool:
-        return a in self.plus or (a.index < 0 and a not in self.minus)
-
-    def as_cofin(self) -> "CofinAtomSet":
-        return CofinAtomSet.cofin(self.minus, self.plus)
-
-    def __repr__(self) -> str:
-        p = ",".join(map(repr, sorted(self.plus)))
-        m = ",".join(map(repr, sorted(self.minus)))
-        return f"perm(+{{{p}}} -{{{m}}})"
-
-
 def _split_signs(atoms: Iterable[Atom]):
     neg, pos = set(), set()
     for a in atoms:
@@ -59,6 +34,7 @@ class CofinAtomSet:
 
     In the co-infinite form `excluded` holds only negative indices and
     `included` only non-negative ones, which makes the representation unique.
+    The co-infinite sets are exactly the permission sets.
     """
 
     cofinite: bool
@@ -115,7 +91,18 @@ class CofinAtomSet:
             return "{" + ",".join(map(repr, sorted(self.included))) + "}"
         e = ",".join(map(repr, sorted(self.excluded)))
         i = ",".join(map(repr, sorted(self.included)))
-        return f"cofin(-{{{e}}} +{{{i}}})"
+        return f"perm(+{{{i}}} -{{{e}}})"
+
+
+def permission_set(plus: Iterable[Atom] = (), minus: Iterable[Atom] = ()) -> CofinAtomSet:
+    """The permission set (downward half ∪ plus) \\ minus, with plus upward
+    and minus downward."""
+    plus, minus = frozenset(plus), frozenset(minus)
+    if any(a.index < 0 for a in plus):
+        raise ValueError("plus part must hold non-negative indices")
+    if any(a.index >= 0 for a in minus):
+        raise ValueError("minus part must hold negative indices")
+    return CofinAtomSet(True, minus, plus)
 
 
 def set_subset(s: CofinAtomSet, t: CofinAtomSet) -> bool:
@@ -270,10 +257,8 @@ def fresh_atoms(sorts: Sequence[str], avoid) -> list:
 
     Each atom gets the least non-negative index of its sort not in `avoid`
     and not already handed out within the call.  `avoid` may be a
-    CofinAtomSet, a PermissionSet, or any iterable of atoms.
+    CofinAtomSet or any iterable of atoms.
     """
-    if isinstance(avoid, PermissionSet):
-        avoid = avoid.as_cofin()
     if not isinstance(avoid, CofinAtomSet):
         avoid = CofinAtomSet.finite(avoid)
     taken: set = set()
@@ -288,13 +273,12 @@ def fresh_atoms(sorts: Sequence[str], avoid) -> list:
     return out
 
 
-def freshening_pair(atoms: Iterable[Atom], permitted, avoid: Iterable[Atom] = ()):
+def freshening_pair(atoms: Iterable[Atom], permitted: CofinAtomSet,
+                    avoid: Iterable[Atom] = ()):
     """A pair (r1, r2) moving `atoms` clear of `permitted` ∪ `atoms` ∪ `avoid`
     and back: dom(r1) = atoms, dom(r2) = img(r1), r2∘r1 fixes every input atom.
     """
     atoms = sorted(set(atoms))
-    if isinstance(permitted, PermissionSet):
-        permitted = permitted.as_cofin()
     blocked = permitted.union(CofinAtomSet.finite(set(atoms) | set(avoid)))
     targets = fresh_atoms([a.sort for a in atoms], blocked)
     r1 = Renaming(dict(zip(atoms, targets)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-from .atoms import Atom, PermissionSet
+from .atoms import Atom, CofinAtomSet
 from . import hol as H
 from .hol import AtomVar, HolTerm, HolVar, UnkVar, Var, apps, lams
 from .pnl import (AbsT, All, AtomT, Bot, Former, Imp, Pred, Sus, Tup,
@@ -25,7 +25,7 @@ def make_context(atoms: Iterable[Atom]) -> CaptureContext:
     return out
 
 
-def restrict_context(ctx: CaptureContext, pmss: PermissionSet) -> CaptureContext:
+def restrict_context(ctx: CaptureContext, pmss: CofinAtomSet) -> CaptureContext:
     return tuple(a for a in ctx if a in pmss)
 
 

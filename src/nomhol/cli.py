@@ -60,11 +60,20 @@ def _load_pnl(path: str, sig):
     return F.parse_document(_read(path), "pnl", sig)
 
 
+def _depth_value(raw: str) -> int:
+    """A depth bound, for both `--depth` and NOMHOL_DEPTH: ASCII digits with
+    an optional leading '-', as the frontend reads integers (int() alone
+    would also take '_', blanks and other scripts' digits)."""
+    if not F.INT_RE.fullmatch(raw):
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    return int(raw)
+
+
 def _default_depth() -> int:
     raw = os.environ.get("NOMHOL_DEPTH", "0")
     try:
-        return int(raw)
-    except ValueError:
+        return _depth_value(raw)
+    except argparse.ArgumentTypeError:
         raise _Usage(f"NOMHOL_DEPTH must be an integer, got {raw!r}")
 
 
@@ -255,7 +264,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model")
     p.add_argument("--valuation")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=_depth_value)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_eval)
 
@@ -265,7 +274,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--valuation")
     p.add_argument("--context")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=_depth_value)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_square)
 

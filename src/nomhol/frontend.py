@@ -51,7 +51,7 @@ from typing import Optional
 from . import hol as H
 from . import kernel as K
 from . import pnl as P
-from .atoms import Atom, Perm, PermissionSet, Renaming
+from .atoms import Atom, CofinAtomSet, Perm, Renaming, permission_set
 from .semantics import HerbrandModel, PredSpec, RenElem, Valuation
 from .sexpr import SexprError, SList, SNode, Sym, parse_one
 from .translate import translate_signature
@@ -83,7 +83,7 @@ def _args(node: SList, n: int, what: str) -> tuple:
 # ASCII digits only: \d, str.isdigit and int() also take other scripts'
 # digits, and int() takes '_' and blanks.  '$' lets a brace group's field
 # end its line, as in X{iota;perm(+{}-{});0<newline>}.
-_INT_RE = re.compile(r"-?[0-9]+$")
+INT_RE = re.compile(r"-?[0-9]+$")
 _NAT_RE = re.compile(r"[0-9]+$")
 _ATOM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)@(-?[0-9]+)$")
 
@@ -118,20 +118,20 @@ def _atom_list_text(text: str, where) -> tuple:
     return tuple(out)
 
 
-def parse_pmss_text(text: str, where) -> PermissionSet:
+def parse_pmss_text(text: str, where) -> CofinAtomSet:
     m = _PMSS_RE.match(text)
     if not m:
         _err(where, f"expected perm(+{{..}}-{{..}}), got {text!r}")
     try:
-        return PermissionSet(plus=frozenset(_atom_list_text(m.group(1), where)),
-                             minus=frozenset(_atom_list_text(m.group(2), where)))
+        return permission_set(plus=_atom_list_text(m.group(1), where),
+                              minus=_atom_list_text(m.group(2), where))
     except ValueError as e:
         _err(where, str(e))
 
 
-def render_pmss(p: PermissionSet) -> str:
-    plus = ",".join(render_atom(a) for a in sorted(p.plus))
-    minus = ",".join(render_atom(a) for a in sorted(p.minus))
+def render_pmss(p: CofinAtomSet) -> str:
+    plus = ",".join(render_atom(a) for a in sorted(p.included))
+    minus = ",".join(render_atom(a) for a in sorted(p.excluded))
     return f"perm(+{{{plus}}}-{{{minus}}})"
 
 
@@ -284,7 +284,7 @@ def parse_unknown_text(sig: P.PnlSignature, text: str, where) -> P.Unknown:
         _err(where, f"an unknown has three ';'-separated fields, got {text!r}")
     sort = parse_sort_text(sig, parts[0], where)
     pmss = parse_pmss_text(parts[1], where)
-    if not _INT_RE.match(parts[2]):
+    if not INT_RE.match(parts[2]):
         _err(where, f"bad unknown index {parts[2]!r}")
     return P.Unknown(sort, pmss, int(parts[2]))
 
@@ -432,7 +432,7 @@ def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
             _err(node, f"bad context suffix in {node.text!r}")
     if _head(node) == "plain":
         ty, idx = _args(node, 2, "plain")
-        if not isinstance(idx, Sym) or not _INT_RE.match(idx.text):
+        if not isinstance(idx, Sym) or not INT_RE.match(idx.text):
             _err(node, "a plain variable carries an integer index")
         return H.PlainVar(parse_type(ty), int(idx.text))
     _err(node, f"expected a variable, got {node!r}")

@@ -203,7 +203,7 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
                 raise _Reject("witness has the wrong sort")
         except P.SortError as e:
             raise _Reject(f"ill-sorted witness: {e}")
-        if not set_subset(P.free_atoms(r), x.pmss.as_cofin()):
+        if not set_subset(P.free_atoms(r), x.pmss):
             raise _Reject("witness free atoms escape the permission set")
         return P.subst_one(body, x, r)
 

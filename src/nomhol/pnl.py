@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Union
 
-from .atoms import (Atom, CofinAtomSet, Perm, PermissionSet, perm_image_set,
-                    set_subset)
+from .atoms import Atom, CofinAtomSet, Perm, perm_image_set, set_subset
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,7 @@ class PnlSignature:
 @dataclass(frozen=True, slots=True)
 class Unknown:
     sort: PnlSort
-    pmss: PermissionSet
+    pmss: CofinAtomSet  # co-infinite: a permission set
     index: int
 
     def __repr__(self):
@@ -310,7 +309,7 @@ def free_atoms(x) -> CofinAtomSet:
         case AbsT(a, body):
             return free_atoms(body).minus_finite([a])
         case Sus(pi, unk):
-            return perm_image_set(pi, unk.pmss.as_cofin())
+            return perm_image_set(pi, unk.pmss)
         case Bot():
             return CofinAtomSet.finite()
         case Imp(a, b):
@@ -452,7 +451,7 @@ class PnlSubst:
         for x, t in self._map.items():
             if sort_of(sig, t) != x.sort:
                 raise SortError(f"substituting {t!r} of wrong sort for {x!r}", t)
-            if not set_subset(free_atoms(t), x.pmss.as_cofin()):
+            if not set_subset(free_atoms(t), x.pmss):
                 raise ValueError(f"free atoms of {t!r} escape the permission set of {x!r}")
 
     @property
@@ -520,7 +519,7 @@ def pi_translate(sig: PnlSignature, phi: PnlProp, guard: Unknown):
             guard_sort = name
         case _:
             raise SortError("guard unknown must have a fresh base sort", guard)
-    if not set_subset(free_atoms(phi), guard.pmss.as_cofin()):
+    if not set_subset(free_atoms(phi), guard.pmss):
         raise ValueError("free atoms of the proposition escape the guard's permission set")
     new_sig = saturate_signature(sig, guard_sort)
 

@@ -5,7 +5,8 @@ support and the permutation action are computable); renamings act on them by
 capture-avoiding atom replacement.  The free extension to renaming sets is
 represented by suspended pairs (renaming, ground term), with equivalence by
 canonical key (`ren_key`), and higher-order values are a small tagged union
-with function values given by closures, constants, and deferred renamings.
+in which every function value is one closure type, `FnV`: a host callable
+with the finite support the function is equivariant outside of.
 
 The module provides evaluators for both syntaxes and a checker for the
 commuting square relating a nominal term/proposition's direct value to the
@@ -14,11 +15,11 @@ value of its translation under the lifted valuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
-from .atoms import (Atom, CofinAtomSet, Perm, PermissionSet, Renaming,
-                    fresh_atoms, freshening_pair, set_subset)
+from .atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
+                    freshening_pair, set_subset)
 from .capture import (CaptureContext, canonical_context, capture_check,
                       capture_infer, restrict_context)
 from . import hol as H
@@ -189,53 +190,12 @@ class TupV:
 
 
 @dataclass(frozen=True, eq=False)
-class LamClos:
-    bound: object          # HolVar
-    body: object           # HolTerm
-    env: object            # HolValuation
-    support: frozenset
-    ev: object             # HolEvaluator
-
-
-@dataclass(frozen=True, eq=False)
-class ConstFn:
-    kind: str              # "imp" | "forall" | "former" | "pred"
-    payload: object = None  # forall: domain type; former: name; pred: (name, spec)
-    args: tuple = ()
-    ev: object = None
-
-    @property
-    def support(self) -> frozenset:
-        if self.kind == "pred":
-            return self.payload[1].declared_support()
-        return frozenset()
-
-
-@dataclass(frozen=True, eq=False)
-class PendingRen:
-    rho: Renaming
-    inner: object  # FnElem
-
-    @property
-    def support(self) -> frozenset:
-        return self.rho.nontriv | self.inner.support
-
-
-@dataclass(frozen=True, eq=False)
-class RawFn:
-    """A function value given directly by a host callable; used for model
-    carriers that are not definable by closures over the term syntax."""
-
-    func: Callable
-    support: frozenset = frozenset()
-
-
-FnElem = Union[LamClos, ConstFn, PendingRen, RawFn]
-
-
-@dataclass(frozen=True, eq=False)
 class FnV:
-    fn: FnElem
+    """A function value: `apply` maps a value to a value, and the function
+    commutes with every renaming that fixes `support`."""
+
+    apply: Callable
+    support: frozenset = frozenset()
 
 
 SemVal = Union[BoolV, AtomV, RenV, TupV, FnV]
@@ -251,8 +211,8 @@ def supp_sem(v: SemVal) -> frozenset:
             return frozenset(e.rho(a) for a in supp(e.val))
         case TupV(items):
             return frozenset().union(*map(supp_sem, items)) if items else frozenset()
-        case FnV(f):
-            return f.support
+        case FnV():
+            return v.support
     raise TypeError(f"not a semantic value: {v!r}")
 
 
@@ -283,19 +243,11 @@ def merge_ren_tuple(elems) -> RenElem:
     out_moves: dict = {}
     vals = []
     for i, e in enumerate(elems):
-        rho = e.rho
         others = set().union(*(s for j, s in enumerate(supports) if j != i)) \
             if len(elems) > 1 else set()
-        conflicts = sorted(rho.dom & (used | others))
-        if conflicts:
-            fresh = fresh_atoms([a.sort for a in conflicts],
-                                CofinAtomSet.finite(avoid | used))
-            avoid |= set(fresh)
-            pi = Perm({**dict(zip(conflicts, fresh)),
-                       **dict(zip(fresh, conflicts))})
-            val = perm_act(pi, e.val)
-            rho = Renaming({pi(a): t for a, t in rho.moves().items()})
-            e = RenElem(rho, val)
+        conflicts = sorted(e.rho.dom & (used | others))
+        if conflicts:  # the fresh atoms join e.rho.dom, hence `used`
+            e = _relabel(e, conflicts, avoid | used)
         used |= e.rho.dom
         out_moves.update(e.rho.moves())
         vals.append(e.val)
@@ -323,7 +275,7 @@ def sem_eq(v1: SemVal, v2: SemVal) -> bool:
         case (TupV(xs), TupV(ys)):
             return len(xs) == len(ys) and all(
                 sem_eq(a, b) for a, b in zip(xs, ys))
-        case (FnV(_), _) | (_, FnV(_)):
+        case (FnV(), _) | (_, FnV()):
             raise SemanticsError("function values are not comparable")
     return ren_eq(as_ren(v1), as_ren(v2))
 
@@ -340,9 +292,23 @@ def ren_act_sem(rho: Renaming, v: SemVal) -> SemVal:
             return RenV(mk_ren(rho.compose(e.rho), e.val))
         case TupV(items):
             return TupV(tuple(ren_act_sem(rho, r) for r in items))
-        case FnV(f):
-            return FnV(PendingRen(rho, f))
+        case FnV(f, support):
+            def renamed(a: SemVal) -> SemVal:
+                blocked = CofinAtomSet.finite(supp_sem(a) | support)
+                r1, r2 = freshening_pair(rho.nontriv, blocked)
+                return ren_act_sem(r2.compose(rho), f(ren_act_sem(r1, a)))
+            return FnV(renamed, rho.nontriv | support)
     raise TypeError(f"not a semantic value: {v!r}")
+
+
+def _relabel(e: RenElem, moved, avoid) -> RenElem:
+    """An equivalent representative in which the renaming-domain atoms
+    `moved` are swapped with the least fresh atoms outside `avoid`, which
+    must contain the support of e.val and e.rho.nontriv."""
+    fresh = fresh_atoms([a.sort for a in moved], CofinAtomSet.finite(avoid))
+    pi = Perm({**dict(zip(moved, fresh)), **dict(zip(fresh, moved))})
+    rho = Renaming({pi(a): t for a, t in e.rho.moves().items()})
+    return RenElem(rho, perm_act(pi, e.val))
 
 
 def _strip_for(e: RenElem, away: frozenset) -> RenElem:
@@ -351,12 +317,7 @@ def _strip_for(e: RenElem, away: frozenset) -> RenElem:
     bad = sorted(e.rho.dom & away)
     if not bad:
         return e
-    avoid = supp(e.val) | e.rho.nontriv | away
-    fresh = fresh_atoms([a.sort for a in bad], CofinAtomSet.finite(avoid))
-    pi = Perm({**dict(zip(bad, fresh)), **dict(zip(fresh, bad))})
-    val = perm_act(pi, e.val)
-    rho = Renaming({pi(a): t for a, t in e.rho.moves().items()})
-    return RenElem(rho, val)
+    return _relabel(e, bad, supp(e.val) | e.rho.nontriv | away)
 
 
 def fn_apply(f: SemVal, a: SemVal) -> SemVal:
@@ -372,36 +333,9 @@ def fn_apply(f: SemVal, a: SemVal) -> SemVal:
             return RenV(mk_ren(Renaming.atomic(bound, b).compose(rho), body))
         case RenV(_):
             raise SemanticsError(f"applying a non-abstraction element: {f!r}")
-        case FnV(LamClos() as clos):
-            return clos.ev.eval(clos.body, clos.env.extend(clos.bound, a))
-        case FnV(PendingRen(rho, inner)):
-            blocked = CofinAtomSet.finite(supp_sem(a) | inner.support)
-            r1, r2 = freshening_pair(rho.nontriv, blocked)
-            return ren_act_sem(r2.compose(rho),
-                               fn_apply(FnV(inner), ren_act_sem(r1, a)))
-        case FnV(RawFn(func, _)):
-            return func(a)
-        case FnV(ConstFn() as c):
-            return _const_apply(c, a)
+        case FnV():
+            return f.apply(a)
     raise SemanticsError(f"not a function value: {f!r}")
-
-
-def _const_apply(c: ConstFn, a: SemVal) -> SemVal:
-    if c.kind == "imp":
-        if not c.args:
-            return FnV(ConstFn("imp", args=(as_bool(a),)))
-        x, y = c.args[0], as_bool(a)
-        return BoolV(max(1 - x, y))
-    if c.kind == "former":
-        e = as_ren(a)
-        return RenV(RenElem(e.rho, Former(c.payload, e.val)))
-    if c.kind == "pred":
-        _, spec = c.payload
-        e = _strip_for(as_ren(a), spec.declared_support())
-        return BoolV(spec.apply(e.val))
-    if c.kind == "forall":
-        return c.ev._forall_generic(c.payload, a)
-    raise SemanticsError(f"unknown constant function {c.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +367,7 @@ def match_pattern(pattern, term, binds: Optional[dict] = None) -> Optional[dict]
             cand = perm_act(pi.inverse(), term)
             if u in binds:
                 return binds if alpha_eq(binds[u], cand) else None
-            if not set_subset(free_atoms(cand), u.pmss.as_cofin()):
+            if not set_subset(free_atoms(cand), u.pmss):
                 return None
             out = dict(binds)
             out[u] = cand
@@ -526,7 +460,7 @@ def _base_ranks(sig: PnlSignature) -> dict:
     return rank
 
 
-def canonical_ground(sig: PnlSignature, sort, pmss: PermissionSet):
+def canonical_ground(sig: PnlSignature, sort, pmss: CofinAtomSet):
     """A deterministic ground term of the sort whose free atoms lie in the
     permission set."""
     ranks = _base_ranks(sig)
@@ -589,7 +523,7 @@ class Valuation:
                 raise SemanticsError(f"valuation value for {x!r} is not ground")
             if sort_of(sig, t) != x.sort:
                 raise SemanticsError(f"valuation value for {x!r} has the wrong sort")
-            if not set_subset(free_atoms(t), x.pmss.as_cofin()):
+            if not set_subset(free_atoms(t), x.pmss):
                 raise SemanticsError(
                     f"valuation value for {x!r} escapes its permission set")
 
@@ -612,13 +546,17 @@ def eval_pnl_term(model: HerbrandModel, val: Valuation, r):
     raise TypeError(f"not a term: {r!r}")
 
 
-def pmss_window(pmss: PermissionSet, name_sorts, n_down: int = 2):
-    """A finite, deterministic atom window inside a permission set."""
+WINDOW_DOWN = 2  # downward atoms of each name sort in a pmss_window
+
+
+def pmss_window(pmss: CofinAtomSet, name_sorts):
+    """A finite, deterministic atom window inside a permission set: its
+    upward atoms and its WINDOW_DOWN greatest downward ones, per name sort."""
     out = []
     for ns in sorted(name_sorts):
-        out.extend(sorted(a for a in pmss.plus if a.sort == ns))
+        out.extend(sorted(a for a in pmss.included if a.sort == ns))
         i, got = -1, 0
-        while got < n_down:
+        while got < WINDOW_DOWN:
             a = Atom(ns, i)
             if a in pmss:
                 out.append(a)
@@ -790,18 +728,25 @@ class HolEvaluator:
         if c.name == "bot":
             return BoolV(0)
         if c.name == "imp":
-            return FnV(ConstFn("imp"))
+            return FnV(_imp)
         if c.name == "forall":
             match c.type:
                 case H.ArrowT(H.ArrowT(domain, _), _):
-                    return FnV(ConstFn("forall", payload=domain, ev=self))
+                    return FnV(lambda g: self._forall_generic(domain, g))
             raise SemanticsError(f"malformed quantifier constant {c!r}")
         if c.name.startswith("g_"):
             base = c.name[2:]
             if base in self.model.sig.term_formers:
-                return FnV(ConstFn("former", payload=base))
+                def former(a: SemVal) -> SemVal:
+                    e = as_ren(a)
+                    return RenV(RenElem(e.rho, Former(base, e.val)))
+                return FnV(former)
             if base in self.model.sig.prop_formers:
-                return FnV(ConstFn("pred", payload=(base, self.model.spec(base))))
+                spec = self.model.spec(base)
+                support = spec.declared_support()
+                def pred(a: SemVal) -> SemVal:
+                    return BoolV(spec.apply(_strip_for(as_ren(a), support).val))
+                return FnV(pred, support)
         raise SemanticsError(f"uninterpreted constant {c.name}")
 
     def _forall_generic(self, domain, g: SemVal) -> SemVal:
@@ -887,7 +832,13 @@ class HolEvaluator:
         support = frozenset()
         for w in H.fv(body) - {v}:
             support |= supp_sem(self._lookup(env, w))
-        return FnV(LamClos(v, body, env, support, self))
+        return FnV(lambda a: self.eval(body, env.extend(v, a)), support)
+
+
+def _imp(x: SemVal) -> SemVal:
+    """The curried implication constant."""
+    bx = as_bool(x)
+    return FnV(lambda y: BoolV(max(1 - bx, as_bool(y))))
 
 
 def _hol_atoms(t) -> frozenset:

@@ -155,7 +155,7 @@ def erase_pi(sig_pi: P.PnlSignature, node: K.Node, guard: P.Unknown) -> K.Node:
     guard's permission set."""
     for seq in _collect_sequents(node):
         for phi in seq.left + seq.right:
-            if not set_subset(P.free_atoms(phi), guard.pmss.as_cofin()):
+            if not set_subset(P.free_atoms(phi), guard.pmss):
                 raise TranslationError(
                     "sequent formula mentions atoms outside the guard's "
                     "permission set")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from nomhol.atoms import Atom, CofinAtomSet, Perm, PermissionSet
+from nomhol.atoms import Atom, CofinAtomSet, Perm, permission_set
 from nomhol.pnl import (AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Pred, PnlSignature, Sus, Tup, TupleSort,
                         AbsSort, Unknown)
@@ -33,10 +33,10 @@ SIG = PnlSignature(
     },
 )
 
-PMSS_ALL = PermissionSet(plus=frozenset({Atom(NU, 0), Atom(NU, 1), Atom(NU, 2)}))
-PMSS_HALF = PermissionSet(plus=frozenset({Atom(NU, 0)}))
+PMSS_ALL = permission_set(plus=frozenset({Atom(NU, 0), Atom(NU, 1), Atom(NU, 2)}))
+PMSS_HALF = permission_set(plus=frozenset({Atom(NU, 0)}))
 
-PMSS_DOWN = PermissionSet()  # the downward half only
+PMSS_DOWN = permission_set()  # the downward half only
 
 X0 = Unknown(IOTA, PMSS_ALL, 0)
 X1 = Unknown(IOTA, PMSS_HALF, 1)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from nomhol.atoms import (Atom, CofinAtomSet, Perm, PermissionSet, Renaming,
+from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, permission_set,
                           fresh_atoms, freshening_pair, perm_image_set,
                           set_subset)
 
@@ -43,6 +43,34 @@ def test_fresh_sequential():
 
 def test_fresh_scans_past_cofin_included():
     assert fresh_atoms([NU], CofinAtomSet.cofin([], [a(0), a(1)])) == [a(2)]
+
+
+# --- permission sets ----------------------------------------------------
+
+upward_st = st.frozensets(st.builds(a, st.integers(0, 4)), max_size=4)
+downward_st = st.frozensets(st.builds(a, st.integers(-4, -1)), max_size=4)
+
+
+@given(upward_st, downward_st)
+def test_permission_set_is_the_cofin_set(plus, minus):
+    s = permission_set(plus, minus)
+    assert s == CofinAtomSet.cofin(minus, plus)
+    for x in map(a, range(-6, 7)):
+        assert (x in s) == (x in plus or (x.index < 0 and x not in minus)), x
+
+
+@given(atom_sets_st, atom_sets_st)
+def test_permission_set_rejects_atoms_in_the_wrong_half(plus, minus):
+    if any(x.index < 0 for x in plus):
+        want = "plus part must hold non-negative indices"
+    elif any(x.index >= 0 for x in minus):
+        want = "minus part must hold negative indices"
+    else:
+        permission_set(plus, minus)
+        return
+    with pytest.raises(ValueError) as e:
+        permission_set(plus, minus)
+    assert str(e.value) == want
 
 
 # --- subset decision ------------------------------------------------------
@@ -136,8 +164,6 @@ def check_pair(atoms, permitted, avoid=()):
     assert r2.dom == r1.img
     for x in atoms:
         assert r2(r1(x)) == x
-    if isinstance(permitted, PermissionSet):
-        permitted = permitted.as_cofin()
     for t in r2.dom:
         assert t not in permitted and t not in set(atoms) and t not in set(avoid)
     return r1, r2
@@ -149,17 +175,17 @@ def test_pair_single():
 
 
 def test_pair_empty():
-    r1, r2 = freshening_pair([], PermissionSet())
+    r1, r2 = freshening_pair([], permission_set())
     assert r1.is_identity and r2.is_identity
 
 
 def test_pair_two_atoms():
     r1, r2 = check_pair([a(0), a(1)],
-                        PermissionSet(plus=frozenset({a(0), a(1)})))
+                        permission_set(plus=frozenset({a(0), a(1)})))
     assert r1.moves() == {a(0): a(2), a(1): a(3)}
     assert r2.moves() == {a(2): a(0), a(3): a(1)}
 
 
 @given(atom_sets_st, st.frozensets(st.builds(a, st.integers(0, 4)), max_size=3))
 def test_pair_clauses_random(atoms, plus):
-    check_pair(sorted(atoms), PermissionSet(plus=plus))
+    check_pair(sorted(atoms), permission_set(plus=plus))

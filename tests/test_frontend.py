@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import random
+import re
+import shlex
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -22,6 +24,7 @@ from oracles import hol_alpha_eq
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nomhol" / "corpus_files"
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+README = Path(__file__).resolve().parents[1] / "README.md"
 ENV = translate_signature(SIG)
 
 SPECIAL_KINDS = {"signature.sexp": "sig", "model_basic.sexp": "model",
@@ -467,6 +470,66 @@ def test_cli_eval_and_depth(capsys, monkeypatch):
                "--json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] and payload["exact"] is False
+
+
+def test_cli_depth_from_flag_and_environment_agree(capsys, monkeypatch):
+    argv = ["eval", "--model", p("model_basic.sexp"), p("eta.sexp"), "--json"]
+    assert cli(*argv, "--depth", "2") == 0
+    by_flag = capsys.readouterr().out
+    monkeypatch.setenv("NOMHOL_DEPTH", "2")
+    assert cli(*argv) == 0
+    assert capsys.readouterr().out == by_flag
+
+
+@pytest.mark.parametrize("raw", ["1_0", "\u0661", " 7 ", "\uff12"])
+def test_cli_depth_takes_ascii_digits_only(raw, capsys, monkeypatch):
+    # int() reads each of these: '_' separators, blanks, Arabic-Indic one,
+    # fullwidth two
+    argv = ["eval", "--model", p("model_basic.sexp"), p("eta.sexp")]
+    assert cli(*argv, f"--depth={raw}") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"argument --depth: invalid int value: {raw!r}" in out.err
+    monkeypatch.setenv("NOMHOL_DEPTH", raw)
+    assert cli(*argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "", f"error: NOMHOL_DEPTH must be an integer, got {raw!r}\n")
+
+
+def test_cli_type_error_prints_the_permission_set(capsys, tmp_path):
+    f = tmp_path / "t.sexp"
+    f.write_text("(app g_var X{iota;perm(+{nu@0}-{nu@-1});0}_[])")
+    assert cli("normalize", str(f)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: application expects mu_nu, got mu_iota in "
+        "App(fn=Const(name='g_var', type=(mu_nu -> mu_iota)), "
+        "arg=Var(var=X{iota;perm(+{nu@0} -{nu@-1});0}_[]))\n")
+
+
+def readme_cli_examples():
+    """(argv, exit) for each `nomhol` line of the README's usage block that
+    names a bundled corpus file; the exit is its `# exit N` comment, else 0."""
+    text = README.read_text(encoding="utf-8")
+    usage = text.split("## Command-line usage", 1)[1]
+    block = usage.split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        if not (line.startswith("nomhol ") and "$CD/" in line):
+            continue
+        status = re.search(r"#\s*exit (\d+)\s*$", line)
+        argv = shlex.split(line.replace("$CD", str(CORPUS)), comments=True)
+        out.append((argv[1:], int(status.group(1)) if status else 0))
+    return out
+
+
+def test_readme_cli_examples_exit_as_documented(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) >= 9
+    for argv, status in examples:
+        assert cli(*argv) == status, argv
+    capsys.readouterr()
 
 
 def test_cli_square(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomhol.atoms import Atom, CofinAtomSet, Perm, PermissionSet, perm_image_set, set_subset
+from nomhol.atoms import Atom, CofinAtomSet, Perm, perm_image_set, permission_set, set_subset
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Perm2, PnlSubst, Pred, SortError, Sus, Tup,
                         TupleSort, Unknown, alpha_eq, alpha_key, check_prop,
@@ -170,7 +170,7 @@ def test_alpha_matches_canonicalizing_oracle():
 
 ATOMS = [a(i) for i in range(-6, 7)]
 UNKNOWNS = [X0, X1, Unknown(IOTA, PMSS_ALL, 2),
-            Unknown(IOTA, PermissionSet(frozenset({a(3), a(5)}), frozenset({a(-1)})), 3)]
+            Unknown(IOTA, permission_set(frozenset({a(3), a(5)}), frozenset({a(-1)})), 3)]
 
 perms_st = st.lists(st.sampled_from(ATOMS), unique=True, max_size=5).map(
     lambda cycle: Perm.from_cycles([cycle]) if len(cycle) > 1 else Perm.identity())

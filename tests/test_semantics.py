@@ -4,17 +4,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomhol.atoms import (Atom, CofinAtomSet, Perm, PermissionSet, Renaming,
-                          freshening_pair, set_subset)
+from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, freshening_pair,
+                          permission_set, set_subset)
 from nomhol.capture import canonical_context, capture_check, capture_infer
 from nomhol import frontend as F, hol as H, semantics
 from nomhol.corpus import restricted_derivations
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, Bot, Former, Imp, Pred,
                         PnlSignature, Sus, Tup, TupleSort, Unknown, alpha_eq,
                         free_atoms, free_unknowns, perm_act, subst_one)
-from nomhol.semantics import (AtomV, BoolV, ConstFn, EnumerationError, FnV,
-                              HerbrandModel, HolValuation, LamClos, PendingRen,
-                              PredSpec, RawFn, RenElem, RenV, SemanticsError,
+from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV,
+                              HerbrandModel, HolValuation, PredSpec, RenElem,
+                              RenV, SemanticsError,
                               TupV, UnboundVariableError,
                               Valuation, abstract_atoms, as_atom, as_bool,
                               as_ren, canonical_ground, canonicalize,
@@ -48,7 +48,7 @@ def app(s, t):
 
 # Pattern variables with a wide permission set so that matching never fails
 # for permission reasons on desk-scale ground terms.
-WIDE = PermissionSet(plus=frozenset(Atom(NU, i) for i in range(0, 40)))
+WIDE = permission_set(plus=frozenset(Atom(NU, i) for i in range(0, 40)))
 W1 = Unknown(IOTA, WIDE, 90)
 WN = Unknown(NSORT, WIDE, 92)
 
@@ -314,7 +314,7 @@ def dup_fn():
         e = as_ren(v)
         return RenV(RenElem(e.rho, app(e.val, e.val)))
 
-    return RawFn(f, frozenset())
+    return FnV(f, frozenset())
 
 
 def pair_fn():
@@ -324,7 +324,7 @@ def pair_fn():
     def f(v):
         return TupV((v, RenV(RenElem(ID, var(0)))))
 
-    return RawFn(f, frozenset([a(0)]))
+    return FnV(f, frozenset([a(0)]))
 
 
 def dup_clos():
@@ -333,8 +333,8 @@ def dup_clos():
     pv = H.PlainVar(H.sort_to_type(IOTA), 5)
     t = H.Lam(pv, H.App(ENV.term_const("app"), H.HTup((H.Var(pv), H.Var(pv)))))
     v, _ = eval_hol(M_ISVAR, HolValuation(), t)
-    assert isinstance(v, FnV) and isinstance(v.fn, LamClos)
-    return v.fn
+    assert isinstance(v, FnV)
+    return v
 
 
 def abs_clos():
@@ -343,8 +343,8 @@ def abs_clos():
     t = H.Lam(pv, H.App(ENV.term_const("lam"),
                         H.Lam(H.AtomVar(a(6)), H.Var(pv))))
     v, _ = eval_hol(M_ISVAR, HolValuation(), t)
-    assert isinstance(v, FnV) and isinstance(v.fn, LamClos)
-    return v.fn
+    assert isinstance(v, FnV)
+    return v
 
 
 def _rand_arg(rng):
@@ -354,7 +354,7 @@ def _rand_arg(rng):
 def apply_with_pair(rho, g, arg, extra_avoid=()):
     blocked = CofinAtomSet.finite(supp_sem(arg) | g.support)
     r1, r2 = freshening_pair(rho.nontriv, blocked, avoid=extra_avoid)
-    return ren_act_sem(r2.compose(rho), fn_apply(FnV(g), ren_act_sem(r1, arg)))
+    return ren_act_sem(r2.compose(rho), fn_apply(g, ren_act_sem(r1, arg)))
 
 
 def test_deferred_renaming_independent_of_freshening_choice():
@@ -378,8 +378,8 @@ def test_renaming_distributes_over_supported_application():
         g = fns[i % len(fns)]
         rho = rand_renaming(rng)
         arg = _rand_arg(rng)
-        lhs = ren_act_sem(rho, fn_apply(FnV(g), arg))
-        rhs = fn_apply(ren_act_sem(rho, FnV(g)), ren_act_sem(rho, arg))
+        lhs = ren_act_sem(rho, fn_apply(g, arg))
+        rhs = fn_apply(ren_act_sem(rho, g), ren_act_sem(rho, arg))
         assert sem_eq(lhs, rhs), (rho, arg)
 
 
@@ -391,8 +391,8 @@ def test_merged_duplication_closure_is_not_a_supported_function():
     g = dup_clos()
     rho = Renaming({a(0): a(1), a(2): a(1)})
     arg = RenV(RenElem(ID, app(var(0), var(2))))
-    lhs = ren_act_sem(rho, fn_apply(FnV(g), arg))
-    rhs = fn_apply(ren_act_sem(rho, FnV(g)), ren_act_sem(rho, arg))
+    lhs = ren_act_sem(rho, fn_apply(g, arg))
+    rhs = fn_apply(ren_act_sem(rho, g), ren_act_sem(rho, arg))
     assert not sem_eq(lhs, rhs)
 
 
@@ -406,8 +406,16 @@ def test_deferred_renaming_with_disjoint_domain_is_plain_application():
             continue
         arg = _rand_arg(rng)
         checked += 1
-        assert sem_eq(fn_apply(FnV(PendingRen(rho, g)), arg),
-                      fn_apply(FnV(g), arg)), (rho, arg)
+        assert sem_eq(fn_apply(ren_act_sem(rho, g), arg),
+                      fn_apply(g, arg)), (rho, arg)
+
+
+def test_renamed_function_is_supported_by_the_renaming_and_the_function():
+    rng = random.Random(523)
+    for g in (dup_fn(), pair_fn(), abs_clos()):
+        for _ in range(20):
+            rho = rand_renaming(rng)
+            assert ren_act_sem(rho, g).support == rho.nontriv | g.support, rho
 
 
 def test_abstraction_elements_act_like_renaming_functions():
@@ -437,13 +445,13 @@ def test_suspended_abstraction_application():
 def test_renaming_function_is_not_an_abstraction_element():
     # the function realizing [nu@0:=nu@1] on atoms differs from every
     # abstraction-of-an-atom element on at least one input
-    raw = RawFn(lambda v: AtomV(Renaming.atomic(a(0), a(1))(as_atom(v))),
-                frozenset([a(0), a(1)]))
+    raw = FnV(lambda v: AtomV(Renaming.atomic(a(0), a(1))(as_atom(v))),
+              frozenset([a(0), a(1)]))
 
     def table(g):
         return tuple(as_atom(fn_apply(g, AtomV(q))) for q in WINDOW)
 
-    want = table(FnV(raw))
+    want = table(raw)
     candidates = [RenV(RenElem(ID, AbsT(c, AtomT(d))))
                   for c in WINDOW + [a(5)] for d in WINDOW + [a(5)]]
     assert all(table(g) != want for g in candidates)
@@ -460,7 +468,7 @@ def test_boolean_and_tuple_values_have_trivial_or_pointwise_action():
 
 def test_function_values_are_not_comparable():
     with pytest.raises(SemanticsError):
-        sem_eq(FnV(dup_fn()), FnV(dup_fn()))
+        sem_eq(dup_fn(), dup_fn())
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +540,7 @@ def test_valuation_defaults_are_canonical_and_permitted():
     v = Valuation()
     got = v.get(SIG, X0)
     assert alpha_eq(got, var(-1))
-    assert set_subset(free_atoms(got), X0.pmss.as_cofin())
+    assert set_subset(free_atoms(got), X0.pmss)
     assert alpha_eq(canonical_ground(SIG, TupleSort((IOTA, IOTA)), X0.pmss),
                     Tup((var(-1), var(-1))))
 
@@ -602,7 +610,7 @@ def test_substitution_lemma():
         val = rand_val(rng)
         rp = rand_term(rng, 2)
         vrp = eval_pnl_term(M_ISVAR, val, rp)
-        if not set_subset(free_atoms(vrp), X0.pmss.as_cofin()):
+        if not set_subset(free_atoms(vrp), X0.pmss):
             continue
         checked += 1
         val2 = val.updated(X0, vrp)
@@ -723,11 +731,11 @@ def test_lifted_predicates_constant_across_representatives():
         rho = rand_renaming(rng)
         if rng.random() < 0.5:
             spec, x = ISVAR_SPEC, rand_ground_term(rng, 2)
-            g = FnV(ConstFn("pred", payload=("P", spec)))
+            g, _ = eval_hol(M_ISVAR, HolValuation(), ENV.pred_const("P"))
         else:
             spec = EQ_SPEC
             x = Tup((rand_ground_term(rng, 2), rand_ground_term(rng, 2)))
-            g = FnV(ConstFn("pred", payload=("equal", spec)))
+            g, _ = eval_hol(M_ISVAR, HolValuation(), ENV.pred_const("equal"))
         got = as_bool(fn_apply(g, ren_act_sem(rho, RenV(RenElem(ID, x)))))
         assert got == spec.apply(x), (rho, x)
         # in particular a true instance stays true under every renaming
@@ -737,7 +745,7 @@ def test_lifted_predicates_constant_across_representatives():
 
 def test_term_former_constants_push_suspensions_through():
     rng = random.Random(537)
-    g = FnV(ConstFn("former", payload="var"))
+    g, _ = eval_hol(M_ISVAR, HolValuation(), ENV.term_const("var"))
     for _ in range(100):
         rho = rand_renaming(rng)
         b = rng.choice(WINDOW)

@@ -1,6 +1,6 @@
 import pytest
 
-from nomhol.atoms import Perm, PermissionSet
+from nomhol.atoms import Perm, permission_set
 from nomhol.capture import apply_reindex, capture_cover
 from nomhol.corpus import SIG, full_only_derivation, restricted_derivations
 from nomhol.hol import alphabeta_eq
@@ -55,7 +55,7 @@ def test_single_axiom_translates_to_single_axiom():
 # --- guard saturation and erasure ---------------------------------------------
 
 GUARD_SORT = BaseSort("tau_g")
-GUARD = Unknown(GUARD_SORT, PermissionSet(plus=frozenset({atom(0), atom(1), atom(2)})), 0)
+GUARD = Unknown(GUARD_SORT, permission_set(plus=frozenset({atom(0), atom(1), atom(2)})), 0)
 
 
 def saturated(phi):
@@ -114,7 +114,7 @@ def test_erasure_rejects_moving_permitted_atom():
 
 def test_erasure_checks_permission_precondition():
     sig2, phi2 = saturated(Pred("P", var(0)))
-    bad = Unknown(GUARD_SORT, PermissionSet(), 0)  # permits no upward atoms
+    bad = Unknown(GUARD_SORT, permission_set(), 0)  # permits no upward atoms
     d = _ax([phi2], [phi2])
     with pytest.raises(TranslationError):
         erase_pi(sig2, d, bad)
