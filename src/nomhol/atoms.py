@@ -9,7 +9,7 @@ with excluded = minus and included = plus; `permission_set` builds one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True, order=True, slots=True)

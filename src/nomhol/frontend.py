@@ -708,10 +708,8 @@ def parse_model(node: SNode, ambient_sig: Optional[P.PnlSignature] = None) -> He
         _err(node, str(e))
 
 
-def render_model(model: HerbrandModel, include_sig: bool = True) -> str:
-    parts = ["(model"]
-    if include_sig:
-        parts.append("  " + render_signature(model.sig).replace("\n", "\n  "))
+def render_model(model: HerbrandModel) -> str:
+    parts = ["(model", "  " + render_signature(model.sig).replace("\n", "\n  ")]
     for name in sorted(model.preds):
         spec = model.preds[name]
         body = [f"  (pred {name}"]
@@ -761,8 +759,21 @@ def render_renelem(e: RenElem) -> str:
 # ---------------------------------------------------------------------------
 # documents
 
-KINDS = ("sig", "term", "prop", "pnl", "hol", "deriv-pnl", "deriv-hol",
-         "model", "valuation", "renelem")
+# kind -> (parse(sig, hsig, node), render(value))
+KINDS = {
+    "sig": (lambda sig, hsig, node: parse_signature(node), render_signature),
+    "term": (lambda sig, hsig, node: parse_term(sig, node), render_term),
+    "prop": (lambda sig, hsig, node: parse_prop(sig, node), render_prop),
+    "pnl": (lambda sig, hsig, node: parse_pnl(sig, node), render_pnl),
+    "hol": (parse_hol, render_hol),
+    "deriv-pnl": (lambda sig, hsig, node: parse_derivation(sig, hsig, node, False, {}),
+                  lambda d: render_derivation(d, False)),
+    "deriv-hol": (lambda sig, hsig, node: parse_derivation(sig, hsig, node, True, {}),
+                  lambda d: render_derivation(d, True)),
+    "model": (lambda sig, hsig, node: parse_model(node, sig), render_model),
+    "valuation": (lambda sig, hsig, node: parse_valuation(sig, node), render_valuation),
+    "renelem": (lambda sig, hsig, node: parse_renelem(sig, node), render_renelem),
+}
 
 
 def parse_document(text: str, kind: str,
@@ -775,46 +786,12 @@ def parse_document(text: str, kind: str,
     if kind not in KINDS:
         raise ValueError(f"unknown document kind {kind!r}")
     node = parse_one(text)
-    if kind == "sig":
-        return parse_signature(node)
-    if sig is None:
+    if kind != "sig" and sig is None:
         raise ValueError("this document kind needs a signature")
     if kind in ("hol", "deriv-hol") and hsig is None:
         hsig = translate_signature(sig).target
-    if kind == "term":
-        return parse_term(sig, node)
-    if kind == "prop":
-        return parse_prop(sig, node)
-    if kind == "pnl":
-        return parse_pnl(sig, node)
-    if kind == "hol":
-        return parse_hol(sig, hsig, node)
-    if kind in ("deriv-pnl", "deriv-hol"):
-        return parse_derivation(sig, hsig, node, kind == "deriv-hol", {})
-    if kind == "model":
-        return parse_model(node, sig)
-    if kind == "valuation":
-        return parse_valuation(sig, node)
-    return parse_renelem(sig, node)
+    return KINDS[kind][0](sig, hsig, node)
 
 
 def render_document(kind: str, value) -> str:
-    if kind == "sig":
-        return render_signature(value)
-    if kind == "term":
-        return render_term(value)
-    if kind == "prop":
-        return render_prop(value)
-    if kind == "pnl":
-        return render_pnl(value)
-    if kind == "hol":
-        return render_hol(value)
-    if kind == "deriv-pnl":
-        return render_derivation(value, False)
-    if kind == "deriv-hol":
-        return render_derivation(value, True)
-    if kind == "model":
-        return render_model(value)
-    if kind == "valuation":
-        return render_valuation(value)
-    return render_renelem(value)
+    return KINDS[kind][1](value)

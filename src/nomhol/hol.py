@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .atoms import Atom, Perm, fresh_atoms
 from .pnl import (AbsSort, BaseSort, NameSort, PnlSignature, PnlSort,
-                  TupleSort, Unknown)
+                  TupleSort, Unknown, fresh_unknown_like)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +283,8 @@ def _fresh_var_like(v: HolVar, avoid: frozenset) -> HolVar:
             taken = {w.atom for w in avoid if isinstance(w, AtomVar)}
             return AtomVar(fresh_atoms([a.sort], taken)[0])
         case UnkVar(unk, ctx):
-            taken = {w.unknown.index for w in avoid
-                     if isinstance(w, UnkVar) and w.unknown.sort == unk.sort
-                     and w.unknown.pmss == unk.pmss and w.ctx == ctx}
-            i = 0
-            while i in taken:
-                i += 1
-            return UnkVar(Unknown(unk.sort, unk.pmss, i), ctx)
+            return UnkVar(fresh_unknown_like(
+                unk, [w.unknown for w in avoid if isinstance(w, UnkVar) and w.ctx == ctx]), ctx)
         case PlainVar(ty, _):
             taken = {w.index for w in avoid
                      if isinstance(w, PlainVar) and w.type == ty}

@@ -192,7 +192,7 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
         if mode == RESTRICTED:
             if not perm.is_identity:
                 raise _Reject("axiom permutation must be identity in restricted mode")
-            if not P.alpha_eq(phi, psi):
+            if key(phi) != key(psi):
                 raise _Reject("axiom formulas not alpha-equal")
         elif not P.alpha_eq(P.perm_act(perm, phi), psi):
             raise _Reject("permuted axiom formula does not match")

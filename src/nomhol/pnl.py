@@ -6,7 +6,7 @@ downstream is the decidable alpha-equivalence implemented here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Union
 
@@ -461,7 +461,7 @@ class PnlSubst:
         return frozenset(self._map) | produced
 
 
-def _fresh_unknown_like(x: Unknown, avoid: Iterable[Unknown]) -> Unknown:
+def fresh_unknown_like(x: Unknown, avoid: Iterable[Unknown]) -> Unknown:
     taken = {u.index for u in avoid if u.sort == x.sort and u.pmss == x.pmss}
     i = 0
     while i in taken:
@@ -487,7 +487,7 @@ def subst_apply(theta: PnlSubst, x):
             return Pred(p, subst_apply(theta, arg))
         case All(unk, body):
             if unk in theta.nontriv:
-                fresh = _fresh_unknown_like(unk, theta.nontriv | free_unknowns(body))
+                fresh = fresh_unknown_like(unk, theta.nontriv | free_unknowns(body))
                 body = perm2_act(Perm2.swap(fresh, unk), body)
                 unk = fresh
             return All(unk, subst_apply(theta, body))

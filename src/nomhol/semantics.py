@@ -21,13 +21,13 @@ from typing import Callable, Mapping, Optional, Union
 from .atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
                     freshening_pair, set_subset)
 from .capture import (CaptureContext, canonical_context, capture_check,
-                      capture_infer, restrict_context)
+                      capture_infer)
 from . import hol as H
 from . import pnl as P
 from .pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                   NameSort, PnlSignature, Pred, Sus, TupleSort, Tup, Unknown,
-                  alpha_eq, alpha_key, free_atoms, perm_act, sort_of,
-                  subst_apply)
+                  alpha_eq, alpha_key, free_atoms, free_unknowns, perm_act,
+                  sort_of, subst_apply)
 from .translate import TranslationEnv, translate
 
 
@@ -45,21 +45,6 @@ class UnboundVariableError(SemanticsError):
 
 # ---------------------------------------------------------------------------
 # ground elements
-
-def is_ground(x) -> bool:
-    match x:
-        case AtomT(_) | Bot():
-            return True
-        case Tup(items):
-            return all(is_ground(r) for r in items)
-        case Former(_, arg) | Pred(_, arg):
-            return is_ground(arg)
-        case AbsT(_, body) | Imp(body, _):
-            return is_ground(body) and (not isinstance(x, Imp) or is_ground(x.right))
-        case Sus(_, _) | All(_, _):
-            return False
-    raise TypeError(f"not nominal syntax: {x!r}")
-
 
 def supp(x) -> frozenset:
     """Support of a ground element: its free atoms, always a finite set."""
@@ -519,7 +504,7 @@ class Valuation:
 
     def validate(self, sig: PnlSignature):
         for x, t in self.assignments.items():
-            if not is_ground(t):
+            if free_unknowns(t):
                 raise SemanticsError(f"valuation value for {x!r} is not ground")
             if sort_of(sig, t) != x.sort:
                 raise SemanticsError(f"valuation value for {x!r} has the wrong sort")
@@ -642,63 +627,51 @@ def eval_pnl_prop(model: HerbrandModel, val: Valuation, phi, depth: int = 0):
 # higher-order valuations
 
 class HolValuation:
-    """Layered finite map from higher-order variables to semantic values."""
+    """Finite map from higher-order variables to semantic values over a
+    fallback, `base(v)`, for the variables outside the map (None: unbound)."""
 
     def __init__(self, mapping: Optional[Mapping] = None,
-                 parent: Optional["HolValuation"] = None,
-                 transform: Optional[Callable] = None):
+                 base: Callable = lambda v: None):
         self.mapping = dict(mapping or {})
-        self.parent = parent
-        self.transform = transform
+        self.base = base
 
     def get(self, v) -> Optional[SemVal]:
         if v in self.mapping:
             return self.mapping[v]
-        if self.parent is not None:
-            got = self.parent.get(v)
-            if got is not None and self.transform is not None:
-                got = self.transform(v, got)
-            return got
-        return None
+        return self.base(v)
 
     def extend(self, v, value: SemVal) -> "HolValuation":
-        return HolValuation({v: value}, parent=self)
+        return HolValuation({v: value}, self.get)
 
 
-class LiftedValuation(HolValuation):
+def lift_valuation(val: Valuation, sig: PnlSignature) -> HolValuation:
     """The valuation induced by a nominal valuation at a translation context:
     each context-indexed unknown-variable receives the identity suspension of
     its value abstracted over its own context, and each atom-variable
     receives that atom."""
 
-    def __init__(self, val: Valuation, sig: PnlSignature):
-        super().__init__()
-        self.val = val
-        self.sig = sig
-
-    def get(self, v) -> Optional[SemVal]:
+    def base(v):
         match v:
             case H.AtomVar(a):
                 return AtomV(a)
             case H.UnkVar(x, d):
-                body = abstract_atoms(d, self.val.get(self.sig, x))
+                body = abstract_atoms(d, val.get(sig, x))
                 return RenV(RenElem(Renaming.identity(), body))
         return None
 
-
-def lift_valuation(val: Valuation, sig: PnlSignature) -> LiftedValuation:
-    return LiftedValuation(val, sig)
+    return HolValuation({}, base)
 
 
 def rename_valuation(rho: Renaming, parent: HolValuation) -> HolValuation:
     """Pointwise renaming of the unknown-variable entries of a valuation."""
 
-    def tr(v, value):
-        if isinstance(v, H.UnkVar):
-            return ren_act_sem(rho, value)
-        return value
+    def base(v):
+        got = parent.get(v)
+        if got is not None and isinstance(v, H.UnkVar):
+            return ren_act_sem(rho, got)
+        return got
 
-    return HolValuation({}, parent=parent, transform=tr)
+    return HolValuation({}, base)
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +889,7 @@ def convert_model(model_pi: HerbrandModel, z) -> HerbrandModel:
     clauses whose first slot cannot match z are pruned, the rest are
     instantiated, and the declared support grows by the free atoms of z."""
     sig = model_pi.sig
-    if not is_ground(z):
+    if free_unknowns(z):
         raise SemanticsError("the distinguished argument must be ground")
     z_sort = sort_of(sig, z)
     new_props = {}

@@ -1,4 +1,4 @@
-"""A small s-expression reader/writer with source locations.
+"""A small s-expression reader with source locations.
 
 Tokens are parentheses and symbols.  A symbol may carry balanced ``{}``
 groups (used for the compact unknown-variable syntax) whose contents —
@@ -132,23 +132,7 @@ def parse_one(text: str) -> SNode:
     return forms[0]
 
 
-def render(node: SNode, width: int = 72) -> str:
-    """Deterministic printing: flat when short, indented otherwise."""
-    return _render(node, 0, width)
-
-
 def _flat(node: SNode) -> str:
     if isinstance(node, Sym):
         return node.text
     return "(" + " ".join(_flat(x) for x in node.items) + ")"
-
-
-def _render(node: SNode, indent: int, width: int) -> str:
-    flat = _flat(node)
-    if isinstance(node, Sym) or not node.items or indent + len(flat) <= width:
-        return flat
-    head, *rest = node.items
-    pad = " " * (indent + 2)
-    lines = [_render(x, indent + 2, width) for x in rest]
-    body = ("\n" + pad).join(lines)
-    return f"({_flat(head) if isinstance(head, Sym) else _render(head, indent + 1, width)}\n{pad}{body})"

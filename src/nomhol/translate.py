@@ -79,10 +79,15 @@ def _merge_context(ctx: CaptureContext, needed) -> CaptureContext:
     return make_context(tuple(ctx) + tuple(extra))
 
 
-def _collect_sequents(node: K.Node):
-    yield node.concl
-    for c in node.children:
-        yield from _collect_sequents(c)
+def _nodes(node: K.Node):
+    """(path, node) for every node of a derivation, in preorder; an explicit
+    stack, so deep derivations need no stack frame per level."""
+    stack = [((), node)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        stack.extend((path + (i,), node.children[i])
+                     for i in reversed(range(len(node.children))))
 
 
 @dataclass(frozen=True)
@@ -99,38 +104,31 @@ def translate_sequent(env, ctx, seq: K.Sequent) -> K.Sequent:
 
 def translate_derivation(env: TranslationEnv, node: K.Node,
                          ctx: CaptureContext = ()) -> TranslatedDerivation:
-    _reject_equivariant_axioms(node, ())
+    _reject_equivariant_axioms(node)
     verdict = K.check_pnl(env.source, node, K.RESTRICTED)
     if not verdict:
         raise TranslationError(
             f"input derivation fails the restricted check: {verdict.message}",
             verdict.path)
-    seqs = list(_collect_sequents(node))
-    needed = set(capture_cover(seqs))
-    for r in _witness_unknowns_terms(node):
-        needed |= set(capture_infer(r))
+    nodes = [n for _, n in _nodes(node)]
+    needed = set(capture_cover(n.concl for n in nodes))
+    for n in nodes:
+        if n.rule == "alll" and n.witness is not None:
+            needed |= set(capture_infer(n.witness))
     ctx_full = _merge_context(ctx, needed)
     tree = _translate_node(env, ctx_full, node)
     return TranslatedDerivation(tree, ctx, ctx_full)
 
 
-def _witness_unknowns_terms(node: K.Node):
-    if node.rule == "alll" and node.witness is not None:
-        yield node.witness
-    for c in node.children:
-        yield from _witness_unknowns_terms(c)
-
-
-def _reject_equivariant_axioms(node: K.Node, path):
-    if node.rule == "ax" and not node.perm.is_identity:
-        phi = node.concl.left[node.li] if node.li is not None and \
-            node.li < len(node.concl.left) else None
-        if phi is None or not P.alpha_eq(P.perm_act(node.perm, phi), phi):
-            raise TranslationError(
-                "equivariant axiom steps (a non-identity permutation changing "
-                "the principal formula) have no higher-order counterpart", path)
-    for i, c in enumerate(node.children):
-        _reject_equivariant_axioms(c, path + (i,))
+def _reject_equivariant_axioms(node: K.Node):
+    for path, n in _nodes(node):
+        if n.rule == "ax" and not n.perm.is_identity:
+            phi = n.concl.left[n.li] if n.li is not None and \
+                n.li < len(n.concl.left) else None
+            if phi is None or not P.alpha_eq(P.perm_act(n.perm, phi), phi):
+                raise TranslationError(
+                    "equivariant axiom steps (a non-identity permutation changing "
+                    "the principal formula) have no higher-order counterpart", path)
 
 
 def _translate_node(env, ctx, node: K.Node) -> K.Node:
@@ -153,8 +151,8 @@ def erase_pi(sig_pi: P.PnlSignature, node: K.Node, guard: P.Unknown) -> K.Node:
     """Strip the guard slot from every predicate and demote every axiom to the
     permutation-free rule, checking the permutation is invisible on the
     guard's permission set."""
-    for seq in _collect_sequents(node):
-        for phi in seq.left + seq.right:
+    for _, n in _nodes(node):
+        for phi in n.concl.left + n.concl.right:
             if not set_subset(P.free_atoms(phi), guard.pmss):
                 raise TranslationError(
                     "sequent formula mentions atoms outside the guard's "

@@ -16,7 +16,7 @@ from nomhol.corpus import SIG
 from nomhol.hol import alphabeta_eq
 from nomhol.pnl import alpha_eq
 from nomhol.semantics import mk_ren, ren_eq
-from nomhol.sexpr import SexprError, SList, _flat, parse_all, parse_one, render
+from nomhol.sexpr import SexprError, SList, _flat, parse_all, parse_one
 from nomhol.translate import translate, translate_signature
 
 from gen import rand_prop, rand_term
@@ -295,6 +295,36 @@ def test_corpus_round_trip():
         if kind in ("pnl", "term", "prop"):
             assert alpha_eq(doc, doc2), f.name
         assert F.render_document(kind, doc2) == back, f.name
+
+
+def test_document_kind_errors():
+    with pytest.raises(ValueError, match="unknown document kind") as e:
+        F.parse_document("(", "nope", SIG)
+    assert not isinstance(e.value, SexprError)
+    text = (CORPUS / "term_basic.sexp").read_text()
+    for kind in F.KINDS:
+        if kind != "sig":
+            with pytest.raises(ValueError, match="needs a signature"):
+                F.parse_document(text, kind)
+
+
+def test_every_document_kind_round_trips():
+    from nomhol.capture import canonical_context, capture_infer
+    from nomhol.corpus import restricted_derivations
+    from nomhol.translate import translate_derivation
+    term = F.parse_document((CORPUS / "term_basic.sexp").read_text(), "term", SIG)
+    deriv = dict(restricted_derivations())["modus-ponens"]
+    files = {"sig": "signature.sexp", "term": "term_basic.sexp",
+             "prop": "prop_basic.sexp", "pnl": "eta.sexp",
+             "deriv-pnl": "deriv_modus-ponens.sexp", "model": "model_basic.sexp",
+             "valuation": "valuation_basic.sexp", "renelem": "reneq_collapse.sexp"}
+    texts = {kind: (CORPUS / name).read_text() for kind, name in files.items()}
+    texts["hol"] = F.render_hol(translate(ENV, canonical_context(capture_infer(term)), term))
+    texts["deriv-hol"] = F.render_derivation(translate_derivation(ENV, deriv).tree, hol=True)
+    assert texts.keys() == F.KINDS.keys()
+    for kind, text in texts.items():
+        back = F.render_document(kind, F.parse_document(text, kind, SIG))
+        assert F.render_document(kind, F.parse_document(back, kind, SIG)) == back, kind
 
 
 def test_loaded_fixtures_render_as_their_files():

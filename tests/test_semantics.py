@@ -725,6 +725,22 @@ def test_lifted_valuation_examples():
     assert env.get(H.AtomVar(a(1))) == AtomV(a(1))
 
 
+def test_renamed_lifted_valuation_layers():
+    rho = Renaming.atomic(a(0), a(1))
+    lifted = lift_valuation(Valuation({X0: app(var(0), var(2))}), SIG)
+    r = rename_valuation(rho, lifted)
+    u = H.UnkVar(X0, (a(2),))
+    assert r.get(u) == ren_act_sem(rho, lifted.get(u))
+    assert not sem_eq(r.get(u), lifted.get(u))
+    assert r.get(H.AtomVar(a(0))) == AtomV(a(0))
+    x = RenV(RenElem(ID, var(3)))
+    assert r.extend(u, x).get(u) == x
+    assert r.extend(u, x).get(H.AtomVar(a(0))) == AtomV(a(0))
+    y = RenV(RenElem(ID, var(0)))
+    assert rename_valuation(rho, HolValuation({u: y})).get(u) == ren_act_sem(rho, y)
+    assert HolValuation().get(u) is None
+
+
 def test_lifted_predicates_constant_across_representatives():
     rng = random.Random(535)
     for _ in range(220):

@@ -1,0 +1,114 @@
+"""Fingerprint of everything the nomhol CLI prints, for byte-identity checks.
+
+    python tools/cli_parity.py WORKLOAD:SEED [WORKLOAD:SEED ...]
+
+Runs, in-process through `nomhol.cli.run_cli`, every call of every pass of
+each named benchmark workload (`benchmarks/workloads.py`, honouring each
+call's `feeds` and `needs`), then every bundled corpus file under each CLI
+command, with and without `--json`.  Prints the number of calls and one
+SHA-256 over (argv, exit status or escaped exception, stdout, stderr) of
+each call in order, with the temporary directory and the checkout path
+written as placeholders.  Run it in two checkouts: the same line means the
+CLI printed the same bytes.  It uses the `nomhol` beside it, not an
+installed one, and writes only to temporary directories.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import workloads  # noqa: E402
+from nomhol.cli import run_cli  # noqa: E402
+from workloads import Call  # noqa: E402
+
+CORPUS = ROOT / "src" / "nomhol" / "corpus_files"
+MODEL = ["--model", str(CORPUS / "model_basic.sexp"), "--depth", "1"]
+VALUATION = ["--valuation", str(CORPUS / "valuation_basic.sexp")]
+# argv before the file argument(s); `alpha` also gets a second file
+COMMANDS = (["check", "--logic", "pnl-full"], ["check", "--logic", "pnl-restricted"],
+            ["check", "--logic", "hol"], ["translate"],
+            ["translate", "--context", "[nu@0,nu@1]"], ["translate", "--derivation"],
+            ["infer-d"], ["normalize"], ["alpha"], ["alpha", "--hol"],
+            ["eval"] + MODEL, ["eval"] + MODEL + VALUATION,
+            ["square"] + MODEL, ["square"] + MODEL + VALUATION)
+
+
+def corpus_calls() -> list:
+    files = sorted(str(f) for f in CORPUS.glob("*.sexp"))
+    calls = []
+    for i, f in enumerate(files):
+        for cmd in COMMANDS:
+            args = [f, files[(i + 1) % len(files)]] if cmd[0] == "alpha" else [f]
+            for json_flag in ([], ["--json"]):
+                calls.append(Call(cmd[0], cmd + json_flag + args, 0, {}))
+            if cmd[-1] == "--derivation":
+                fed = f"corpus-{i}.hol.sexp"
+                calls[-1].feeds = fed
+                calls.append(Call("check", ["check", "--logic", "hol", fed], 0, {},
+                                  needs=fed))
+    return calls
+
+
+def run(call: Call) -> tuple:
+    """(argv, status, stdout, stderr) of one call in the current directory."""
+    if call.needs and not Path(call.needs).exists():
+        return call.argv, "skipped", "", ""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = run_cli(list(call.argv))
+    except Exception as e:   # run_cli lets some errors escape, RecursionError among them
+        status = type(e).__name__
+    stdout = out.getvalue()
+    if call.feeds and status == 0:
+        Path(call.feeds).write_text(json.loads(stdout)["derivation"], encoding="utf-8")
+    return call.argv, status, stdout, err.getvalue()
+
+
+def fingerprint(groups) -> tuple:
+    """(calls, hex digest) over groups of (files to write, calls to run)."""
+    h, count, home = hashlib.sha256(), 0, os.getcwd()
+    for files, calls in groups:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                for name, text in files.items():
+                    Path(name).write_text(text, encoding="utf-8")
+                for call in calls:
+                    rec = repr(run(call))
+                    for path, mark in ((work, "<work>"), (str(ROOT), "<root>")):
+                        rec = rec.replace(path, mark)
+                    h.update(rec.encode() + b"\0")
+                    count += 1
+            finally:
+                os.chdir(home)
+    return count, h.hexdigest()
+
+
+def main(argv) -> int:
+    if not argv or any(a.count(":") != 1 for a in argv):
+        print("usage: python tools/cli_parity.py WORKLOAD:SEED ...", file=sys.stderr)
+        return 2
+    groups = []
+    for spec in argv:
+        name, seed = spec.split(":")
+        w = workloads.build(name, int(seed))
+        groups.append((w.files, [c for calls in w.passes for c in calls]))
+    groups.append(({}, corpus_calls()))
+    count, digest = fingerprint(groups)
+    print(f"{count} calls sha256 {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
