@@ -129,7 +129,7 @@ def _cmd_translate(args) -> int:
         except TranslationError as e:
             payload = {"ok": False, "path": list(e.path), "message": str(e)}
             return _emit(args, payload, f"rejected: {e}")
-        text = F.render_derivation(out.tree, hol=True)
+        text = F.render_derivation(out.tree)
         payload = {"ok": True, "context": F.render_context(out.ctx_full),
                    "derivation": text}
         return _emit(args, payload,
@@ -141,7 +141,7 @@ def _cmd_translate(args) -> int:
     else:
         captured = capture_check(ctx, x)
     t = translate(env, ctx, x)
-    text = F.render_hol(t)
+    text = F.render(t)
     payload = {"ok": True, "context": F.render_context(ctx),
                "captured": captured, "term": text}
     note = "" if captured else "  ; warning: context does not capture-check"
@@ -177,7 +177,7 @@ def _cmd_normalize(args) -> int:
     hsig = translate_signature(sig).target
     t = F.parse_document(_read(args.file), "hol", sig, hsig)
     H.hol_type_of(t, hsig)
-    out = F.render_hol(H.beta_normalize(t))
+    out = F.render(H.beta_normalize(t))
     return _emit(args, {"ok": True, "term": out}, out)
 
 
@@ -191,7 +191,7 @@ def _cmd_eval(args) -> int:
         v, exact = eval_pnl_prop(model, val, x, depth)
         return _emit(args, {"ok": True, "value": v, "exact": exact},
                      f"{v}{'' if exact else '  ; bounded, not exact'}")
-    out = F.render_term(eval_pnl_term(model, val, x))
+    out = F.render(eval_pnl_term(model, val, x))
     return _emit(args, {"ok": True, "term": out}, out)
 
 

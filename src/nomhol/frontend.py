@@ -71,6 +71,13 @@ def _head(node: SNode) -> Optional[str]:
     return None
 
 
+def _once(seen: set, node: SNode, what: str):
+    """Records `what`; a section or declaration given twice is an error."""
+    if what in seen:
+        _err(node, f"repeated {what}")
+    seen.add(what)
+
+
 def _args(node: SList, n: int, what: str) -> tuple:
     if len(node.items) != n + 1:
         _err(node, f"{what} takes {n} argument(s), got {len(node.items) - 1}")
@@ -85,7 +92,8 @@ def _args(node: SList, n: int, what: str) -> tuple:
 # end its line, as in X{iota;perm(+{}-{});0<newline>}.
 INT_RE = re.compile(r"-?[0-9]+$")
 _NAT_RE = re.compile(r"[0-9]+$")
-_ATOM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)@(-?[0-9]+)$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")   # a sort, as an atom carries it
+_ATOM_RE = re.compile(rf"^({_NAME_RE.pattern})@(-?[0-9]+)$")
 
 
 def parse_atom_text(text: str) -> Optional[Atom]:
@@ -99,10 +107,6 @@ def parse_atom(node: SNode) -> Atom:
         if a is not None:
             return a
     _err(node, f"expected an atom like nu@0, got {node!r}")
-
-
-def render_atom(a: Atom) -> str:
-    return f"{a.sort}@{a.index}"
 
 
 _PMSS_RE = re.compile(r"^perm\(\+\{([^{}]*)\}-\{([^{}]*)\}\)$")
@@ -129,12 +133,6 @@ def parse_pmss_text(text: str, where) -> CofinAtomSet:
         _err(where, str(e))
 
 
-def render_pmss(p: CofinAtomSet) -> str:
-    plus = ",".join(render_atom(a) for a in sorted(p.included))
-    minus = ",".join(render_atom(a) for a in sorted(p.excluded))
-    return f"perm(+{{{plus}}}-{{{minus}}})"
-
-
 def parse_perm(node: SNode) -> Perm:
     if not isinstance(node, SList):
         _err(node, "expected a cycle list like ((nu@0 nu@1))")
@@ -147,11 +145,6 @@ def parse_perm(node: SNode) -> Perm:
         return Perm.from_cycles(cycles)
     except ValueError as e:
         _err(node, str(e))
-
-
-def render_perm(pi: Perm) -> str:
-    return "(" + "".join(
-        "(" + " ".join(render_atom(a) for a in c) + ")" for c in pi.cycles()) + ")"
 
 
 def parse_renaming_text(text: str, where) -> Renaming:
@@ -173,12 +166,6 @@ def parse_renaming_text(text: str, where) -> Renaming:
         _err(where, str(e))
 
 
-def render_renaming(rho: Renaming) -> str:
-    items = ",".join(f"{render_atom(a)}:={render_atom(b)}"
-                     for a, b in sorted(rho.moves().items()))
-    return f"[{items}]"
-
-
 def parse_context_text(text: str) -> tuple:
     """A bracketed atom list like [nu@0,nu@1] (used for --context)."""
     where = Sym(text, 0, 0)
@@ -189,7 +176,7 @@ def parse_context_text(text: str) -> tuple:
 
 
 def render_context(ctx) -> str:
-    return "[" + ",".join(render_atom(a) for a in ctx) + "]"
+    return "[" + ",".join(map(render, ctx)) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +233,6 @@ def parse_sort_node(sig: P.PnlSignature, node: SNode) -> P.PnlSort:
     _err(node, f"expected a sort, got {node!r}")
 
 
-def render_sort_node(sort: P.PnlSort) -> str:
-    match sort:
-        case P.NameSort(n) | P.BaseSort(n):
-            return n
-        case P.TupleSort(items):
-            return "(tup " + " ".join(render_sort_node(s) for s in items) + ")"
-        case P.AbsSort(n, body):
-            return f"(abs {n} {render_sort_node(body)})"
-    raise TypeError(f"not a sort: {sort!r}")
-
-
 # ---------------------------------------------------------------------------
 # unknowns
 
@@ -287,10 +263,6 @@ def parse_unknown_text(sig: P.PnlSignature, text: str, where) -> P.Unknown:
     if not INT_RE.match(parts[2]):
         _err(where, f"bad unknown index {parts[2]!r}")
     return P.Unknown(sort, pmss, int(parts[2]))
-
-
-def render_unknown(u: P.Unknown) -> str:
-    return f"X{{{render_sort(u.sort)};{render_pmss(u.pmss)};{u.index}}}"
 
 
 def parse_unknown(sig: P.PnlSignature, node: SNode) -> P.Unknown:
@@ -325,23 +297,6 @@ def parse_term(sig: P.PnlSignature, node: SNode) -> P.PnlTerm:
     _err(node, f"unrecognized term form {head!r}")
 
 
-def render_term(t: P.PnlTerm) -> str:
-    match t:
-        case P.AtomT(a):
-            return render_atom(a)
-        case P.Tup(items):
-            return "(tup" + "".join(" " + render_term(r) for r in items) + ")"
-        case P.Former(f, arg):
-            return f"({f} {render_term(arg)})"
-        case P.AbsT(a, body):
-            return f"(abs {render_atom(a)} {render_term(body)})"
-        case P.Sus(pi, unk):
-            if pi.is_identity:
-                return render_unknown(unk)
-            return f"(sus {render_perm(pi)} {render_unknown(unk)})"
-    raise TypeError(f"not a term: {t!r}")
-
-
 def parse_prop(sig: P.PnlSignature, node: SNode) -> P.PnlProp:
     if isinstance(node, Sym) and node.text == "bot":
         return P.Bot()
@@ -360,31 +315,12 @@ def parse_prop(sig: P.PnlSignature, node: SNode) -> P.PnlProp:
     _err(node, f"unrecognized proposition {node!r}")
 
 
-def render_prop(phi: P.PnlProp) -> str:
-    match phi:
-        case P.Bot():
-            return "bot"
-        case P.Imp(p, q):
-            return f"(imp {render_prop(p)} {render_prop(q)})"
-        case P.Pred(name, arg):
-            return f"(pred {name} {render_term(arg)})"
-        case P.All(unk, body):
-            return f"(all {render_unknown(unk)} {render_prop(body)})"
-    raise TypeError(f"not a proposition: {phi!r}")
-
-
 def parse_pnl(sig: P.PnlSignature, node: SNode):
     """A proposition if it reads as one, otherwise a term."""
     if (isinstance(node, Sym) and node.text == "bot") or \
             _head(node) in ("imp", "pred", "all"):
         return parse_prop(sig, node)
     return parse_term(sig, node)
-
-
-def render_pnl(x) -> str:
-    if isinstance(x, P.PnlProp):
-        return render_prop(x)
-    return render_term(x)
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +338,6 @@ def parse_type(node: SNode) -> H.HolType:
     _err(node, f"expected a type, got {node!r}")
 
 
-def render_type(ty: H.HolType) -> str:
-    match ty:
-        case H.BaseT(n):
-            return n
-        case H.ArrowT(a, b):
-            return f"(-> {render_type(a)} {render_type(b)})"
-        case H.TupleT(items):
-            return "(tupt" + "".join(" " + render_type(t) for t in items) + ")"
-    raise TypeError(f"not a type: {ty!r}")
-
-
 def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
     if isinstance(node, Sym):
         a = parse_atom_text(node.text)
@@ -420,34 +345,20 @@ def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
             return H.AtomVar(a)
         if node.text.startswith("X{"):
             parts = _split_top(node.text, "_", node)
-            if len(parts) == 1:
-                return H.UnkVar(parse_unknown_text(sig, parts[0], node), ())
-            if len(parts) == 2 and parts[1].startswith("[") and parts[1].endswith("]"):
-                unk = parse_unknown_text(sig, parts[0], node)
-                ctx = _atom_list_text(parts[1][1:-1], node)
-                try:
-                    return H.UnkVar(unk, ctx)
-                except ValueError as e:
-                    _err(node, str(e))
-            _err(node, f"bad context suffix in {node.text!r}")
+            ctx = parts[1] if len(parts) == 2 else "[]"
+            if len(parts) > 2 or not (ctx.startswith("[") and ctx.endswith("]")):
+                _err(node, f"bad context suffix in {node.text!r}")
+            unk = parse_unknown_text(sig, parts[0], node)
+            try:
+                return H.UnkVar(unk, _atom_list_text(ctx[1:-1], node))
+            except ValueError as e:
+                _err(node, str(e))
     if _head(node) == "plain":
         ty, idx = _args(node, 2, "plain")
         if not isinstance(idx, Sym) or not INT_RE.match(idx.text):
             _err(node, "a plain variable carries an integer index")
         return H.PlainVar(parse_type(ty), int(idx.text))
     _err(node, f"expected a variable, got {node!r}")
-
-
-def render_hol_var(v: H.HolVar) -> str:
-    match v:
-        case H.AtomVar(a):
-            return render_atom(a)
-        case H.UnkVar(unk, ctx):
-            return render_unknown(unk) + "_[" + \
-                ",".join(render_atom(a) for a in ctx) + "]"
-        case H.PlainVar(ty, idx):
-            return f"(plain {render_type(ty)} {idx})"
-    raise TypeError(f"not a variable: {v!r}")
 
 
 def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode) -> H.HolTerm:
@@ -491,28 +402,75 @@ def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode) -> H.HolTe
     _err(node, f"unrecognized term form {head!r}")
 
 
-def render_hol(t: H.HolTerm) -> str:
-    match t:
-        case H.Var(v):
-            return render_hol_var(v)
-        case H.Lam(v, body):
-            return f"(lam {render_hol_var(v)} {render_hol(body)})"
+# ---------------------------------------------------------------------------
+# the printer
+
+def render(x) -> str:
+    """The text of a sort (signature form), type, PNL term or proposition,
+    HOL variable or term, atom, permission set, permutation, renaming or
+    unknown.  Cases run from the most frequent in a printed derivation (HOL
+    applications and constants, then variables) to the leaves: a match tests
+    them in turn, and with the leaves first printing took a third longer."""
+    match x:
         case H.App(H.App(H.Const("imp", _), p), q):
-            return f"(imp {render_hol(p)} {render_hol(q)})"
-        case H.App(_, _) if (parts := H.forall_parts(t)):
-            v, body = parts
-            return f"(all {render_hol_var(v)} {render_hol(body)})"
+            return f"(imp {render(p)} {render(q)})"
+        case H.App(H.Const("forall", _), H.Lam(v, body)):
+            return f"(all {render(v)} {render(body)})"
         case H.App(fn, arg):
-            return f"(app {render_hol(fn)} {render_hol(arg)})"
-        case H.HTup(items):
-            return "(tup" + "".join(" " + render_hol(r) for r in items) + ")"
-        case H.Const("bot", _):
+            return f"(app {render(fn)} {render(arg)})"
+        case H.Const("bot", _) | P.Bot():
             return "bot"
         case H.Const(name, ty):
-            if name.startswith("g_"):
-                return name
-            return f"(const {name} {render_type(ty)})"
-    raise TypeError(f"not a term: {t!r}")
+            return name if name.startswith("g_") else f"(const {name} {render(ty)})"
+        case (H.Var(H.AtomVar(Atom(sort, index))) | H.AtomVar(Atom(sort, index))
+              | P.AtomT(Atom(sort, index)) | Atom(sort, index)):
+            return f"{sort}@{index}"
+        case H.Var(v):
+            return render(v)
+        case H.Lam(v, body):
+            return f"(lam {render(v)} {render(body)})"
+        case H.UnkVar(unk, ctx):
+            return f"{render(unk)}_{render_context(ctx)}"
+        case H.HTup(items) | P.Tup(items):
+            return "(tup" + "".join(" " + render(r) for r in items) + ")"
+        case P.Former(f, arg):
+            return f"({f} {render(arg)})"
+        case P.AbsT(a, body):
+            return f"(abs {render(a)} {render(body)})"
+        case P.Sus(pi, unk):
+            return render(unk) if pi.is_identity else f"(sus {render(pi)} {render(unk)})"
+        case P.Pred(name, arg):
+            return f"(pred {name} {render(arg)})"
+        case P.Imp(p, q):
+            return f"(imp {render(p)} {render(q)})"
+        case P.All(unk, body):
+            return f"(all {render(unk)} {render(body)})"
+        case P.Unknown(sort, pmss, index):
+            return f"X{{{render_sort(sort)};{render(pmss)};{index}}}"
+        case H.PlainVar(ty, index):
+            return f"(plain {render(ty)} {index})"
+        case H.BaseT(n) | P.NameSort(n) | P.BaseSort(n):
+            return n
+        case H.ArrowT(a, b):
+            return f"(-> {render(a)} {render(b)})"
+        case H.TupleT(items):
+            return "(tupt" + "".join(" " + render(t) for t in items) + ")"
+        case P.TupleSort(items):
+            return "(tup " + " ".join(map(render, items)) + ")"
+        case P.AbsSort(n, body):
+            return f"(abs {n} {render(body)})"
+        case CofinAtomSet(_, excluded, included):
+            plus, minus = (",".join(map(render, sorted(s))) for s in (included, excluded))
+            return f"perm(+{{{plus}}}-{{{minus}}})"
+        case Perm():
+            return "(" + "".join(f"({' '.join(map(render, c))})" for c in x.cycles()) + ")"
+        case Renaming():
+            return "[" + ",".join(f"{render(a)}:={render(b)}"
+                                  for a, b in sorted(x.moves().items())) + "]"
+    raise TypeError(f"cannot render {x!r}")
+
+
+render_term = render_hol = render  # names benchmarks/tracing.py wraps
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +480,16 @@ def parse_signature(node: SNode) -> P.PnlSignature:
     if _head(node) != "sig":
         _err(node, "expected (sig ...)")
     name_sorts, base_sorts = set(), set()
-    terms, preds = {}, {}
+    terms, preds, seen = {}, {}, set()
     sections = node.items[1:]
     # sorts first so the formers can resolve them
     for sec in sections:
         head = _head(sec)
-        if head == "name-sorts":
-            name_sorts |= {s.text for s in sec.items[1:] if isinstance(s, Sym)}
-        elif head == "base-sorts":
-            base_sorts |= {s.text for s in sec.items[1:] if isinstance(s, Sym)}
+        if head in ("name-sorts", "base-sorts"):
+            for s in sec.items[1:]:
+                if not (isinstance(s, Sym) and _NAME_RE.fullmatch(s.text)):
+                    _err(s, f"bad sort name {s!r}")
+                (name_sorts if head == "name-sorts" else base_sorts).add(s.text)
         elif head not in ("term", "pred"):
             _err(sec, f"unrecognized signature section {head!r}")
     probe = P.PnlSignature(frozenset(name_sorts), frozenset(base_sorts), {}, {})
@@ -540,11 +499,13 @@ def parse_signature(node: SNode) -> P.PnlSignature:
             name, arg, res = _args(sec, 3, "term")
             if not isinstance(name, Sym) or not isinstance(res, Sym):
                 _err(sec, "term-former declarations are (term NAME ARGSORT RESULT)")
+            _once(seen, sec, f"(term {name.text} ...)")
             terms[name.text] = (parse_sort_node(probe, arg), res.text)
         elif head == "pred":
             name, arg = _args(sec, 2, "pred")
             if not isinstance(name, Sym):
                 _err(sec, "proposition-former declarations are (pred NAME ARGSORT)")
+            _once(seen, sec, f"(pred {name.text} ...)")
             preds[name.text] = parse_sort_node(probe, arg)
     try:
         return P.PnlSignature(frozenset(name_sorts), frozenset(base_sorts),
@@ -559,53 +520,46 @@ def render_signature(sig: P.PnlSignature) -> str:
     parts.append("  (base-sorts " + " ".join(sorted(sig.base_sorts)) + ")")
     for f in sorted(sig.term_formers):
         arg, res = sig.term_formers[f]
-        parts.append(f"  (term {f} {render_sort_node(arg)} {res})")
+        parts.append(f"  (term {f} {render(arg)} {res})")
     for p in sorted(sig.prop_formers):
-        parts.append(f"  (pred {p} {render_sort_node(sig.prop_formers[p])})")
+        parts.append(f"  (pred {p} {render(sig.prop_formers[p])})")
     return "\n".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
 # sequents and derivations
 
-def _parse_props(sig, hsig, nodes, hol: bool, memo: dict) -> list:
-    """The formulas, each distinct text parsed once per memo: a list is
-    keyed by its sid (an int), a symbol by its text (a str)."""
-    out = []
-    for n in nodes:
-        key = n.sid if isinstance(n, SList) else n.text
-        phi = memo.get(key)
-        if phi is None:
-            phi = memo[key] = parse_hol(sig, hsig, n) if hol else parse_prop(sig, n)
-        out.append(phi)
-    return out
-
-
-def parse_sequent(sig, hsig, node: SNode, hol: bool, memo: dict) -> K.Sequent:
+def parse_sequent(sig, hsig, node: SNode, memo: dict) -> K.Sequent:
+    """The sequent, HOL exactly when a higher-order signature is given.
+    Each distinct formula text is parsed once per memo: a list is keyed by
+    its sid (an int), a symbol by its text (a str)."""
     if _head(node) != "seq":
         _err(node, "expected (seq (left ...) (right ...))")
-    left, right = [], []
+    sides, seen = {"left": [], "right": []}, set()
     for sec in node.items[1:]:
         head = _head(sec)
-        if head == "left":
-            left = _parse_props(sig, hsig, sec.items[1:], hol, memo)
-        elif head == "right":
-            right = _parse_props(sig, hsig, sec.items[1:], hol, memo)
-        else:
+        if head not in sides:
             _err(sec, f"unrecognized sequent side {head!r}")
-    return K.Sequent(tuple(left), tuple(right))
+        _once(seen, sec, f"({head} ...)")
+        for n in sec.items[1:]:
+            key = n.sid if isinstance(n, SList) else n.text
+            phi = memo.get(key)
+            if phi is None:
+                phi = memo[key] = parse_prop(sig, n) if hsig is None else parse_hol(sig, hsig, n)
+            sides[head].append(phi)
+    return K.Sequent(tuple(sides["left"]), tuple(sides["right"]))
 
 
-def render_sequent(seq: K.Sequent, hol: bool) -> str:
-    rp = render_hol if hol else render_prop
-    left = "".join(" " + rp(p) for p in seq.left)
-    right = "".join(" " + rp(p) for p in seq.right)
+def render_sequent(seq: K.Sequent) -> str:
+    left = "".join(" " + render(p) for p in seq.left)
+    right = "".join(" " + render(p) for p in seq.right)
     return f"(seq (left{left}) (right{right}))"
 
 
-def parse_derivation(sig, hsig, node: SNode, hol: bool, memo: dict) -> K.Node:
-    """The derivation tree; memo holds the sequent formulas parsed so far
-    from the same `parse_one` call (see `_parse_props`)."""
+def parse_derivation(sig, hsig, node: SNode, memo: dict) -> K.Node:
+    """The derivation tree, higher-order exactly when `hsig` is given; memo
+    holds the sequent formulas parsed so far from the same `parse_one` call
+    (see `parse_sequent`)."""
     if _head(node) != "rule":
         _err(node, "expected (rule NAME (concl ...) ...)")
     if len(node.items) < 3 or not isinstance(node.items[1], Sym):
@@ -613,52 +567,50 @@ def parse_derivation(sig, hsig, node: SNode, hol: bool, memo: dict) -> K.Node:
     rule = node.items[1].text
     concl = None
     perm = Perm.identity()
-    li = ri = None
+    index = {"li": None, "ri": None}
     witness = None
-    children = []
+    children, seen = [], set()
     for sec in node.items[2:]:
         head = _head(sec)
+        if head != "rule":
+            _once(seen, sec, f"({head} ...)")
         if head == "concl":
             (s,) = _args(sec, 1, "concl")
-            concl = parse_sequent(sig, hsig, s, hol, memo)
+            concl = parse_sequent(sig, hsig, s, memo)
         elif head in ("li", "ri"):
             (n,) = _args(sec, 1, head)
             if not isinstance(n, Sym) or not _NAT_RE.match(n.text):
                 _err(sec, f"{head} takes a non-negative index")
-            if head == "li":
-                li = int(n.text)
-            else:
-                ri = int(n.text)
+            index[head] = int(n.text)
         elif head == "perm":
             (cyc,) = _args(sec, 1, "perm")
             perm = parse_perm(cyc)
         elif head == "witness":
             (w,) = _args(sec, 1, "witness")
-            witness = parse_hol(sig, hsig, w) if hol else parse_term(sig, w)
+            witness = parse_term(sig, w) if hsig is None else parse_hol(sig, hsig, w)
         elif head == "rule":
-            children.append(parse_derivation(sig, hsig, sec, hol, memo))
+            children.append(parse_derivation(sig, hsig, sec, memo))
         else:
             _err(sec, f"unrecognized rule section {head!r}")
     if concl is None:
         _err(node, "a rule node needs a (concl ...) section")
-    return K.Node(rule, concl, tuple(children), perm, li, ri, witness)
+    return K.Node(rule, concl, tuple(children), perm, index["li"], index["ri"], witness)
 
 
-def render_derivation(node: K.Node, hol: bool, indent: int = 0) -> str:
+def render_derivation(node: K.Node, indent: int = 0) -> str:
     pad = " " * indent
     parts = [f"{pad}(rule {node.rule}"]
-    parts.append(f"{pad}  (concl {render_sequent(node.concl, hol)})")
+    parts.append(f"{pad}  (concl {render_sequent(node.concl)})")
     if node.li is not None:
         parts.append(f"{pad}  (li {node.li})")
     if node.ri is not None:
         parts.append(f"{pad}  (ri {node.ri})")
     if not node.perm.is_identity:
-        parts.append(f"{pad}  (perm {render_perm(node.perm)})")
+        parts.append(f"{pad}  (perm {render(node.perm)})")
     if node.witness is not None:
-        w = render_hol(node.witness) if hol else render_term(node.witness)
-        parts.append(f"{pad}  (witness {w})")
+        parts.append(f"{pad}  (witness {render(node.witness)})")
     for c in node.children:
-        parts.append(render_derivation(c, hol, indent + 2))
+        parts.append(render_derivation(c, indent + 2))
     return "\n".join(parts) + ")"
 
 
@@ -669,10 +621,11 @@ def parse_model(node: SNode, ambient_sig: Optional[P.PnlSignature] = None) -> He
     if _head(node) != "model":
         _err(node, "expected (model ...)")
     sig = ambient_sig
-    preds = {}
+    preds, seen = {}, set()
     for sec in node.items[1:]:
         head = _head(sec)
         if head == "sig":
+            _once(seen, sec, "(sig ...)")
             sig = parse_signature(sec)
         elif head == "pred":
             if sig is None:
@@ -680,9 +633,12 @@ def parse_model(node: SNode, ambient_sig: Optional[P.PnlSignature] = None) -> He
             if len(sec.items) < 2 or not isinstance(sec.items[1], Sym):
                 _err(sec, "predicate interpretations name their predicate")
             name = sec.items[1].text
-            clauses, default, support = [], 0, frozenset()
+            _once(seen, sec, f"(pred {name} ...)")
+            clauses, default, support, parts = [], 0, frozenset(), set()
             for part in sec.items[2:]:
                 phead = _head(part)
+                if phead in ("default", "support"):
+                    _once(parts, part, f"({phead} ...)")
                 if phead == "clause":
                     pat, v = _args(part, 2, "clause")
                     if not isinstance(v, Sym) or v.text not in ("0", "1"):
@@ -714,11 +670,11 @@ def render_model(model: HerbrandModel) -> str:
         spec = model.preds[name]
         body = [f"  (pred {name}"]
         for pat, v in spec.clauses:
-            body.append(f"    (clause {render_term(pat)} {v})")
+            body.append(f"    (clause {render(pat)} {v})")
         body.append(f"    (default {spec.default})")
         if spec.extra_support:
             body.append("    (support " + " ".join(
-                render_atom(a) for a in sorted(spec.extra_support)) + ")")
+                map(render, sorted(spec.extra_support))) + ")")
         parts.append("\n".join(body) + ")")
     return "\n".join(parts) + ")"
 
@@ -737,9 +693,8 @@ def parse_valuation(sig: P.PnlSignature, node: SNode) -> Valuation:
 
 def render_valuation(val: Valuation) -> str:
     parts = ["(valuation"]
-    for unk in sorted(val.assignments, key=render_unknown):
-        parts.append(f"  (assign {render_unknown(unk)} "
-                     f"{render_term(val.assignments[unk])})")
+    for unk in sorted(val.assignments, key=render):
+        parts.append(f"  (assign {render(unk)} {render(val.assignments[unk])})")
     return "\n".join(parts) + ")"
 
 
@@ -753,7 +708,7 @@ def parse_renelem(sig: P.PnlSignature, node: SNode) -> RenElem:
 
 
 def render_renelem(e: RenElem) -> str:
-    return f"(ren {render_renaming(e.rho)} {render_term(e.val)})"
+    return f"(ren {render(e.rho)} {render(e.val)})"
 
 
 # ---------------------------------------------------------------------------
@@ -762,14 +717,14 @@ def render_renelem(e: RenElem) -> str:
 # kind -> (parse(sig, hsig, node), render(value))
 KINDS = {
     "sig": (lambda sig, hsig, node: parse_signature(node), render_signature),
-    "term": (lambda sig, hsig, node: parse_term(sig, node), render_term),
-    "prop": (lambda sig, hsig, node: parse_prop(sig, node), render_prop),
-    "pnl": (lambda sig, hsig, node: parse_pnl(sig, node), render_pnl),
-    "hol": (parse_hol, render_hol),
-    "deriv-pnl": (lambda sig, hsig, node: parse_derivation(sig, hsig, node, False, {}),
-                  lambda d: render_derivation(d, False)),
-    "deriv-hol": (lambda sig, hsig, node: parse_derivation(sig, hsig, node, True, {}),
-                  lambda d: render_derivation(d, True)),
+    "term": (lambda sig, hsig, node: parse_term(sig, node), render),
+    "prop": (lambda sig, hsig, node: parse_prop(sig, node), render),
+    "pnl": (lambda sig, hsig, node: parse_pnl(sig, node), render),
+    "hol": (parse_hol, render),
+    "deriv-pnl": (lambda sig, hsig, node: parse_derivation(sig, None, node, {}),
+                  render_derivation),
+    "deriv-hol": (lambda sig, hsig, node: parse_derivation(sig, hsig, node, {}),
+                  render_derivation),
     "model": (lambda sig, hsig, node: parse_model(node, sig), render_model),
     "valuation": (lambda sig, hsig, node: parse_valuation(sig, node), render_valuation),
     "renelem": (lambda sig, hsig, node: parse_renelem(sig, node), render_renelem),

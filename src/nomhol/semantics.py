@@ -794,7 +794,7 @@ class HolEvaluator:
             for w in H.fv(body) - {v}:
                 others |= supp_sem(self._lookup(env, w))
             if a in others:
-                avoid = others | _hol_atoms(body)
+                avoid = others | {w.atom for w in H.fv(body) if isinstance(w, H.AtomVar)}
                 c = fresh_atoms([a.sort], avoid)[0]
                 body = H.hol_subst_parallel(body, {v: H.Var(H.AtomVar(c))})
                 a = c
@@ -812,24 +812,6 @@ def _imp(x: SemVal) -> SemVal:
     """The curried implication constant."""
     bx = as_bool(x)
     return FnV(lambda y: BoolV(max(1 - bx, as_bool(y))))
-
-
-def _hol_atoms(t) -> frozenset:
-    match t:
-        case H.Var(H.AtomVar(a)) | H.Lam(H.AtomVar(a), _):
-            out = frozenset([a])
-            if isinstance(t, H.Lam):
-                out |= _hol_atoms(t.body)
-            return out
-        case H.Var(_) | H.Const(_, _):
-            return frozenset()
-        case H.Lam(_, body):
-            return _hol_atoms(body)
-        case H.App(fn, arg):
-            return _hol_atoms(fn) | _hol_atoms(arg)
-        case H.HTup(items):
-            return frozenset().union(*map(_hol_atoms, items)) if items else frozenset()
-    raise TypeError(f"not a term: {t!r}")
 
 
 def eval_hol(model: HerbrandModel, env: HolValuation, t, depth: int = 0):

@@ -130,9 +130,3 @@ def parse_one(text: str) -> SNode:
     if len(forms) != 1:
         raise SexprError("expected exactly one form", forms[1].line, forms[1].col)
     return forms[0]
-
-
-def _flat(node: SNode) -> str:
-    if isinstance(node, Sym):
-        return node.text
-    return "(" + " ".join(_flat(x) for x in node.items) + ")"

@@ -12,6 +12,8 @@ a formula means: the side without the copies.
 
 The eager, memoised ground-term enumerator is the reference for the lazy one
 in `nomhol.semantics`: the same terms in the same order, built as lists.
+`flat` prints a reader node, the reference for `nomhol.sexpr`'s structural
+ids: two lists of one read share a sid exactly when they print the same.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         TupleSort, free_atoms, free_unknowns, alpha_key,
                         perm2_act, perm_act)
 from nomhol.semantics import RenElem, supp
+from nomhol.sexpr import SNode, Sym
 
 
 def _perms_agree_on_pmss(p1: Perm, p2: Perm, pmss) -> bool:
@@ -202,3 +205,10 @@ def enumerate_ground(sig: PnlSignature, sort, atoms, depth: int):
         return out
 
     return go(sort, depth)
+
+
+def flat(node: SNode) -> str:
+    """A reader node printed on one line, single spaces between items."""
+    if isinstance(node, Sym):
+        return node.text
+    return "(" + " ".join(flat(x) for x in node.items) + ")"

@@ -16,11 +16,11 @@ from nomhol.corpus import SIG
 from nomhol.hol import alphabeta_eq
 from nomhol.pnl import alpha_eq
 from nomhol.semantics import mk_ren, ren_eq
-from nomhol.sexpr import SexprError, SList, _flat, parse_all, parse_one
+from nomhol.sexpr import SexprError, SList, parse_all, parse_one
 from nomhol.translate import translate, translate_signature
 
 from gen import rand_prop, rand_term
-from oracles import hol_alpha_eq
+from oracles import flat, hol_alpha_eq
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nomhol" / "corpus_files"
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -34,6 +34,10 @@ SPECIAL_KINDS = {"signature.sexp": "sig", "model_basic.sexp": "model",
 def kind_of(name: str) -> str:
     if name.startswith("deriv_"):
         return "deriv-pnl"
+    if name.startswith("derivhol_"):
+        return "deriv-hol"
+    if name.startswith("hol_"):
+        return "hol"
     if name.startswith("reneq_"):
         return "renelem"
     return SPECIAL_KINDS.get(name, "pnl")
@@ -120,6 +124,57 @@ def test_index_digit_errors(kind, text, message, line, col):
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
 
 
+# A section or declaration given twice, and a sort that is not a name, is an
+# error at the second copy or the bad sort; none of them replaces the first.
+_AX = "(rule ax (concl (seq (left bot) (right bot))) (li 0) (ri 0)"
+_SIG = "(sig (name-sorts nu) (base-sorts iota)"
+SECTION_ERRORS = [
+    # (kind, text, message, line, col)
+    ("sig", "(sig (name-sorts nu\n  (bogus stuff) 7) (base-sorts iota))",
+     "bad sort name (bogus stuff)", 2, 3),
+    ("sig", "(sig (name-sorts nu\n  7) (base-sorts iota))", "bad sort name 7", 2, 3),
+    ("sig", "(sig (name-sorts nu) (base-sorts\n  iota<>))", "bad sort name iota<>", 2, 3),
+    ("sig", f"{_SIG}\n  (term var nu iota)\n  (term var nu iota))",
+     "repeated (term var ...)", 3, 3),
+    ("sig", f"{_SIG}\n  (pred P iota)\n  (pred P nu))", "repeated (pred P ...)", 3, 3),
+    ("deriv-pnl", "(rule ax (concl (seq (left bot) (right bot)))\n"
+     "  (concl (seq (left bot) (right bot))) (li 0) (ri 0))", "repeated (concl ...)", 2, 3),
+    ("deriv-pnl", "(rule botl (concl (seq (left bot) (right)))\n  (li 0)\n  (li 0))",
+     "repeated (li ...)", 3, 3),
+    ("deriv-pnl", f"{_AX}\n  (ri 0))", "repeated (ri ...)", 2, 3),
+    ("deriv-pnl", f"{_AX}\n  (perm ((nu@0 nu@1))) (perm ()))", "repeated (perm ...)", 2, 24),
+    ("deriv-pnl", f"{_AX}\n  (witness nu@0)\n  (witness nu@1))", "repeated (witness ...)", 3, 3),
+    ("deriv-hol", f"{_AX}\n  (witness nu@0)\n  (witness nu@1))", "repeated (witness ...)", 3, 3),
+    ("deriv-pnl", "(rule ax (concl (seq (left bot)\n  (left bot) (right bot))) (li 0) (ri 0))",
+     "repeated (left ...)", 2, 3),
+    ("deriv-hol", "(rule ax (concl (seq (left bot) (right bot)\n  (right))) (li 0) (ri 0))",
+     "repeated (right ...)", 2, 3),
+    ("model", "(model\n  (pred P (default 0)\n    (default 1)))", "repeated (default ...)", 3, 5),
+    ("model", "(model\n  (pred P (support nu@0)\n    (support nu@1)))",
+     "repeated (support ...)", 3, 5),
+    ("model", "(model\n  (pred P (default 0))\n  (pred P (default 1)))",
+     "repeated (pred P ...)", 3, 3),
+    ("model", f"(model {_SIG})\n  {_SIG}))", "repeated (sig ...)", 2, 3),
+]
+
+
+@pytest.mark.parametrize("kind,text,message,line,col", SECTION_ERRORS)
+def test_section_errors(kind, text, message, line, col):
+    with pytest.raises(F.ParseError) as e:
+        F.parse_document(text, kind, SIG)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def test_section_errors_exit_2(tmp_path, capsys):
+    f = tmp_path / "d.sexp"
+    f.write_text(f"{_AX}\n  (li 0))")
+    assert cli("check", "--logic", "pnl-full", str(f)) == 2
+    assert capsys.readouterr().err == "error: 2:3: repeated (li ...)\n"
+    f.write_text("(sig (name-sorts nu\n  7) (base-sorts iota))")
+    assert cli("infer-d", "--sig", str(f), p("term_basic.sexp")) == 2
+    assert capsys.readouterr().err == "error: 2:3: bad sort name 7\n"
+
+
 # --- structural ids ----------------------------------------------------------
 
 _GAPS = st.sampled_from([" ", "\n", "\t ", " ; note (x\n", "\n;;)\n  "])
@@ -153,7 +208,7 @@ def test_sid_is_the_printed_form(text):
     """Two lists of one parse_all share a sid exactly when they print the
     same; equality and hashing ignore the sid."""
     lists = _slists(parse_all(text))
-    pairs = {(n.sid, _flat(n)) for n in lists}
+    pairs = {(n.sid, flat(n)) for n in lists}
     assert len(pairs) == len({s for s, _ in pairs}) == len({f for _, f in pairs})
     for n in lists:
         other = dataclasses.replace(n, sid=n.sid + 1)
@@ -179,7 +234,7 @@ def _read_sharing(monkeypatch, text, kind):
     def spy(real, i):
         def counted(*args):
             if i and depth == [1, 0]:
-                parsed[_flat(args[-1])] += 1
+                parsed[flat(args[-1])] += 1
             depth[i] += 1
             try:
                 return real(*args)
@@ -212,11 +267,11 @@ def test_repeated_formulas_are_one_object(monkeypatch, tmp_path, capsys):
     for i, text in enumerate(texts):
         f = tmp_path / f"d{i}.sexp"
         f.write_text(text)
-        docs = [(text, "deriv-pnl", F.render_prop)]
+        docs = [(text, "deriv-pnl", F.render)]
         code = cli("translate", "--derivation", "--json", str(f))
         out = json.loads(capsys.readouterr().out)
         if code == 0:
-            docs.append((out["derivation"], "deriv-hol", F.render_hol))
+            docs.append((out["derivation"], "deriv-hol", F.render))
         for doc, kind, render_formula in docs:
             tree, parsed = _read_sharing(monkeypatch, doc, kind)
             objects = defaultdict(set)
@@ -319,12 +374,73 @@ def test_every_document_kind_round_trips():
              "deriv-pnl": "deriv_modus-ponens.sexp", "model": "model_basic.sexp",
              "valuation": "valuation_basic.sexp", "renelem": "reneq_collapse.sexp"}
     texts = {kind: (CORPUS / name).read_text() for kind, name in files.items()}
-    texts["hol"] = F.render_hol(translate(ENV, canonical_context(capture_infer(term)), term))
-    texts["deriv-hol"] = F.render_derivation(translate_derivation(ENV, deriv).tree, hol=True)
+    texts["hol"] = F.render(translate(ENV, canonical_context(capture_infer(term)), term))
+    texts["deriv-hol"] = F.render_derivation(translate_derivation(ENV, deriv).tree)
     assert texts.keys() == F.KINDS.keys()
     for kind, text in texts.items():
         back = F.render_document(kind, F.parse_document(text, kind, SIG))
         assert F.render_document(kind, F.parse_document(back, kind, SIG)) == back, kind
+
+
+def _printable_rows():
+    """(kind, value, text): one hand-built value for each class `render`
+    prints, inside a document of the given kind, and the document's text."""
+    from nomhol import hol as H, kernel as K, pnl as P
+    from nomhol.atoms import Atom, Perm, Renaming, permission_set
+    from nomhol.semantics import RenElem
+    a0, a1, a2 = (Atom("nu", i) for i in range(3))
+    iota, nu = P.BaseSort("iota"), P.NameSort("nu")
+    unk = P.Unknown(iota, permission_set(plus=(a0, a1), minus=(Atom("nu", -2),)), 4)
+    u = "X{iota;perm(+{nu@0,nu@1}-{nu@-2});4}"
+    x0, p0 = H.Var(H.AtomVar(a0)), H.Var(H.PlainVar(H.O, 0))
+    g_var = H.Const("g_var", ENV.target.constants["g_var"])
+    sig = P.PnlSignature(frozenset({"nu"}), frozenset({"iota"}),
+                         {"lam": (P.AbsSort("nu", iota), "iota"), "unit": (P.TupleSort(()), "iota"),
+                          "pair": (P.TupleSort((iota, nu)), "iota")}, {"P": iota})
+    return [
+        ("term", P.AtomT(a0), "nu@0"),
+        ("term", P.Former("lam", P.AbsT(a1, P.Tup((P.AtomT(a1), P.Sus.of(unk))))),
+         f"(lam (abs nu@1 (tup nu@1 {u})))"),
+        ("term", P.Sus(Perm.from_cycles([(a0, a2, a1)]), unk), f"(sus ((nu@0 nu@2 nu@1)) {u})"),
+        ("term", P.Tup(()), "(tup)"),
+        ("prop", P.Bot(), "bot"),
+        ("prop", P.All(unk, P.Imp(P.Pred("P", P.Sus.of(unk)), P.Bot())),
+         f"(all {u} (imp (pred P {u}) bot))"),
+        ("renelem", RenElem(Renaming({a0: a1, a2: a1}), P.Tup((P.AtomT(a0), P.AtomT(a2)))),
+         "(ren [nu@0:=nu@1,nu@2:=nu@1] (tup nu@0 nu@2))"),
+        ("sig", sig, "(sig\n  (name-sorts nu)\n  (base-sorts iota)\n  (term lam (abs nu iota) iota)"
+         "\n  (term pair (tup iota nu) iota)\n  (term unit (tup ) iota)\n  (pred P iota))"),
+        ("hol", H.Lam(H.AtomVar(a0), H.App(g_var, x0)), "(lam nu@0 (app g_var nu@0))"),
+        ("hol", g_var, "g_var"),
+        ("hol", H.Var(H.UnkVar(unk, (a1, a0))), f"{u}_[nu@1,nu@0]"),
+        ("hol", H.Var(H.UnkVar(unk, ())), f"{u}_[]"),
+        ("hol", H.forall(H.PlainVar(H.O, 0), p0), "(all (plain o 0) (plain o 0))"),
+        ("hol", H.Const("k", H.ArrowT(H.TupleT((H.O, H.BaseT("mu_nu"), H.TupleT(()))), H.O)),
+         "(const k (-> (tupt o mu_nu (tupt)) o))"),
+        ("hol", H.IMP, "(const imp (-> o (-> o o)))"),
+        ("hol", H.BOT, "bot"),
+        ("hol", H.imp(H.BOT, x0), "(imp bot nu@0)"),
+        ("hol", H.App(H.IMP, H.BOT), "(app (const imp (-> o (-> o o))) bot)"),
+        ("hol", H.HTup((x0, H.HTup(()))), "(tup nu@0 (tup))"),
+        ("deriv-pnl", K.Node("ax", K.Sequent((P.Bot(),), (P.Bot(),)), (), Perm.swap(a0, a1),
+                             0, 0, P.AtomT(a2)),
+         "(rule ax\n  (concl (seq (left bot) (right bot)))\n  (li 0)\n  (ri 0)\n"
+         "  (perm ((nu@0 nu@1)))\n  (witness nu@2))"),
+        ("deriv-hol", K.Node("impr", K.Sequent((), (H.imp(H.BOT, H.BOT),)), (
+            K.Node("ax", K.Sequent((H.BOT,), (H.BOT,)), li=0, ri=0),), ri=0, witness=p0),
+         "(rule impr\n  (concl (seq (left) (right (imp bot bot))))\n  (ri 0)\n"
+         "  (witness (plain o 0))\n  (rule ax\n    (concl (seq (left bot) (right bot)))\n"
+         "    (li 0)\n    (ri 0)))"),
+    ]
+
+
+def test_every_printable_class_round_trips():
+    """Each class prints as written and reads back equal; a mis-ordered
+    case in `render` (a general application before imp or all, say)
+    changes the text."""
+    for kind, value, text in _printable_rows():
+        assert F.render_document(kind, value) == text, text
+        assert F.parse_document(text, kind, SIG) == value, text
 
 
 def test_loaded_fixtures_render_as_their_files():
@@ -346,11 +462,20 @@ def test_loaded_fixtures_render_as_their_files():
         assert F.render_document(kind, value) + "\n" == text, name
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("hol_term-basic.sexp", ["translate", "term_basic.sexp"]),
+    ("derivhol_modus-ponens.sexp", ["translate", "--derivation", "deriv_modus-ponens.sexp"]),
+])
+def test_hol_fixtures_are_the_clis_output(name, argv, capsys):
+    assert cli(*argv[:-1], p(argv[-1])) == 0
+    assert capsys.readouterr().out == (CORPUS / name).read_text()
+
+
 def test_random_pnl_round_trip():
     rng = random.Random(601)
     for _ in range(300):
         x = rand_prop(rng) if rng.random() < 0.5 else rand_term(rng)
-        text = F.render_pnl(x)
+        text = F.render(x)
         assert F.parse_document(text, "pnl", SIG) == x
 
 
@@ -360,7 +485,7 @@ def test_hol_round_trip_on_translations():
     for _ in range(200):
         x = rand_prop(rng) if rng.random() < 0.5 else rand_term(rng)
         t = translate(ENV, canonical_context(capture_infer(x)), x)
-        text = F.render_hol(t)
+        text = F.render(t)
         back = F.parse_document(text, "hol", SIG)
         assert hol_alpha_eq(back, t), text
 
@@ -378,7 +503,7 @@ def test_translated_derivations_round_trip_and_recheck():
     from nomhol.translate import translate_derivation
     for name, d in restricted_derivations()[:4]:
         out = translate_derivation(ENV, d)
-        text = F.render_derivation(out.tree, hol=True)
+        text = F.render_derivation(out.tree)
         back = F.parse_document(text, "deriv-hol", SIG)
         assert check_hol(back, ENV.target), name
 
@@ -421,7 +546,7 @@ def test_cli_check_hol_translated(tmp_path):
     from nomhol.translate import translate_derivation
     out = translate_derivation(ENV, dict(restricted_derivations())["modus-ponens"])
     f = tmp_path / "d.sexp"
-    f.write_text(F.render_derivation(out.tree, hol=True))
+    f.write_text(F.render_derivation(out.tree))
     assert cli("check", "--logic", "hol", str(f)) == 0
 
 
