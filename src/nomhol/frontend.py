@@ -150,7 +150,7 @@ def parse_perm(node: SNode) -> Perm:
 def parse_renaming_text(text: str, where) -> Renaming:
     if not (text.startswith("[") and text.endswith("]")):
         _err(where, f"expected a renaming like [nu@0:=nu@1], got {text!r}")
-    moves = {}
+    moves, seen = {}, set()
     body = text[1:-1]
     for part in filter(None, body.split(",")):
         if ":=" not in part:
@@ -159,6 +159,7 @@ def parse_renaming_text(text: str, where) -> Renaming:
         sa, ta = parse_atom_text(s), parse_atom_text(t)
         if sa is None or ta is None:
             _err(where, f"bad renaming move {part!r}")
+        _once(seen, where, f"{render(sa)}:=...")
         moves[sa] = ta
     try:
         return Renaming(moves)
@@ -167,12 +168,18 @@ def parse_renaming_text(text: str, where) -> Renaming:
 
 
 def parse_context_text(text: str) -> tuple:
-    """A bracketed atom list like [nu@0,nu@1] (used for --context)."""
-    where = Sym(text, 0, 0)
+    """A bracketed atom list like [nu@0,nu@1], as `--context` gives it.  The
+    text is no document, so an error names the option and no place in it."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        _err(where, f"expected a bracketed atom list, got {text!r}")
-    return _atom_list_text(text[1:-1].replace(" ", ""), where)
+        raise ValueError(f"--context: expected a bracketed atom list, got {text!r}")
+    out = []
+    for part in filter(None, text[1:-1].replace(" ", "").split(",")):
+        a = parse_atom_text(part)
+        if a is None:
+            raise ValueError(f"--context: bad atom {part!r}")
+        out.append(a)
+    return tuple(out)
 
 
 def render_context(ctx) -> str:
@@ -682,12 +689,14 @@ def render_model(model: HerbrandModel) -> str:
 def parse_valuation(sig: P.PnlSignature, node: SNode) -> Valuation:
     if _head(node) != "valuation":
         _err(node, "expected (valuation ...)")
-    assignments = {}
+    assignments, seen = {}, set()
     for sec in node.items[1:]:
         if _head(sec) != "assign":
             _err(sec, "valuation entries are (assign X{..} TERM)")
         unk, term = _args(sec, 2, "assign")
-        assignments[parse_unknown(sig, unk)] = parse_term(sig, term)
+        x = parse_unknown(sig, unk)
+        _once(seen, sec, f"(assign {render(x)} ...)")
+        assignments[x] = parse_term(sig, term)
     return Valuation(assignments)
 
 

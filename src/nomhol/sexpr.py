@@ -3,7 +3,20 @@
 Tokens are parentheses and symbols.  A symbol may carry balanced ``{}``
 groups (used for the compact unknown-variable syntax) whose contents —
 including parentheses — are consumed as part of the token, so forms like
-``X{iota;perm(+{nu@0}-{});0}`` lex as one symbol.
+``X{iota;perm(+{nu@0}-{});0}`` lex as one symbol.  Blanks are space, tab,
+CR and LF only; any other character (form feed, NBSP, ...) is a symbol
+character.
+
+`parse_all` reads with one compiled pattern (`_TOKEN`) that splits the text
+into blanks, comments, parentheses, symbols whose brace groups nest at most
+two deep, and stray braces.  It raises nothing itself: on a stray brace, an
+unmatched ``)``, an unclosed ``(`` or an empty text it hands the text to
+`_parse_chars`, the character-by-character reader, which raises the located
+error or, for brace groups nested three or more deep, returns the tree.
+
+A node stores its character offset and the text it was read from; ``line``
+and ``col`` are computed from them when asked, in practice only when an
+error is raised.
 
 `parse_all` gives every list a structural id, ``sid``: a small int, interned
 per call from the tuple of its children's keys (a symbol's text, a list's
@@ -15,6 +28,7 @@ different calls are unrelated, and ``sid`` takes no part in ``==`` or
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, List, Union
 
@@ -27,21 +41,34 @@ class SexprError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class Sym:
+class _Located:
+    """``line`` and ``col`` of a node, from its offset ``pos`` in ``src``."""
+    __slots__ = ()
+
+    @property
+    def line(self) -> int:
+        return self.src.count("\n", 0, self.pos) + 1
+
+    @property
+    def col(self) -> int:
+        return self.pos - self.src.rfind("\n", 0, self.pos)
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Sym(_Located):
     text: str
-    line: int = 0
-    col: int = 0
+    pos: int = 0
+    src: str = field(default="", compare=False, repr=False)
 
     def __repr__(self):
         return self.text
 
 
-@dataclass(frozen=True, slots=True)
-class SList:
+@dataclass(slots=True, unsafe_hash=True)
+class SList(_Located):
     items: tuple
-    line: int = 0
-    col: int = 0
+    pos: int = 0                                       # the offset of its '('
+    src: str = field(default="", compare=False, repr=False)
     sid: int = field(default=0, compare=False, repr=False)
 
     def __repr__(self):
@@ -50,79 +77,47 @@ class SList:
 
 SNode = Union[Sym, SList]
 
-
-def _tokens(text: str) -> Iterator[tuple]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c, c, line, col
-            col += 1
-            i += 1
-        else:
-            start, sline, scol = i, line, col
-            depth = 0
-            while i < n:
-                c = text[i]
-                if c == "{":
-                    depth += 1
-                elif c == "}":
-                    if depth == 0:
-                        raise SexprError("unbalanced '}' in symbol", line, col)
-                    depth -= 1
-                elif depth == 0 and (c in "() \t\r\n;"):
-                    break
-                if c == "\n":  # inside a brace group
-                    line, col = line + 1, 1
-                else:
-                    col += 1
-                i += 1
-            if depth != 0:
-                raise SexprError("unterminated '{' in symbol", sline, scol)
-            yield "sym", text[start:i], sline, scol
+# One alternative per token kind; together they match every character once.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+                                          # blanks
+  | ;[^\n]*                                             # a comment
+  | [()]
+  | (?:[^ \t\r\n();{}] | \{(?:[^{}] | \{[^{}]*\})*\})+  # a symbol
+  | [{}]                                                # a stray brace
+""", re.VERBOSE)
 
 
 def parse_all(text: str) -> List[SNode]:
     """All top-level forms in the text, each list with its ``sid``."""
-    stack: List[tuple] = []  # open lists: (items, keys of items, line, col)
+    stack: List[tuple] = []  # enclosing lists: (items, keys, offset of '(')
+    items: list = []         # the open list's nodes; the forms at top level
+    keys: list = []          # their keys: a symbol's text, a list's sid
     sids: dict = {}          # tuple of children's keys -> sid
-    out: List[SNode] = []
-    last = (1, 1)
-    for kind, tok, line, col in _tokens(text):
-        last = (line, col)
-        if kind == "(":
-            stack.append(([], [], line, col))
-            continue
-        if kind == ")":
+    pos = start = 0
+    for tok in _TOKEN.findall(text):
+        c = tok[0]
+        if c == "(":
+            stack.append((items, keys, start))
+            items, keys, start = [], [], pos
+        elif c == ")":
             if not stack:
-                raise SexprError("unmatched ')'", line, col)
-            items, keys, l, c = stack.pop()
-            key = sids.setdefault(tuple(keys), len(sids))
-            node = SList(tuple(items), l, c, key)
+                return _parse_chars(text)
+            sid = sids.setdefault(tuple(keys), len(sids))
+            node = SList(tuple(items), start, text, sid)
+            items, keys, start = stack.pop()
+            items.append(node)
+            keys.append(sid)
+        elif c in " \t\r\n;":
+            pass
+        elif c in "{}" and len(tok) == 1:
+            return _parse_chars(text)
         else:
-            key = tok
-            node = Sym(tok, line, col)
-        if stack:
-            stack[-1][0].append(node)
-            stack[-1][1].append(key)
-        else:
-            out.append(node)
-    if stack:
-        raise SexprError("unclosed '('", *stack[-1][2:])
-    if not out:
-        raise SexprError("empty input", *last)
-    return out
+            items.append(Sym(tok, pos, text))
+            keys.append(tok)
+        pos += len(tok)
+    if stack or not items:
+        return _parse_chars(text)
+    return items
 
 
 def parse_one(text: str) -> SNode:
@@ -130,3 +125,74 @@ def parse_one(text: str) -> SNode:
     if len(forms) != 1:
         raise SexprError("expected exactly one form", forms[1].line, forms[1].col)
     return forms[0]
+
+
+# ---------------------------------------------------------------------------
+# the character-by-character reader, for what the pattern does not cover
+
+def _error(message: str, text: str, pos: int) -> SexprError:
+    """The error at offset `pos`, located as a node read there would be."""
+    where = Sym("", pos, text)
+    return SexprError(message, where.line, where.col)
+
+
+def _tokens(text: str) -> Iterator[tuple]:
+    """(kind, token, offset) of each parenthesis and symbol."""
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            yield c, c, i
+            i += 1
+        else:
+            start, depth = i, 0
+            while i < n:
+                c = text[i]
+                if c == "{":
+                    depth += 1
+                elif c == "}":
+                    if depth == 0:
+                        raise _error("unbalanced '}' in symbol", text, i)
+                    depth -= 1
+                elif depth == 0 and (c in "() \t\r\n;"):
+                    break
+                i += 1
+            if depth != 0:
+                raise _error("unterminated '{' in symbol", text, start)
+            yield "sym", text[start:i], start
+
+
+def _parse_chars(text: str) -> List[SNode]:
+    """`parse_all`, one character at a time: the same trees, and the located
+    error for text that is not a sequence of forms."""
+    stack: List[tuple] = []  # open lists: (items, keys of items, offset)
+    sids: dict = {}
+    out: List[SNode] = []
+    for kind, tok, pos in _tokens(text):
+        if kind == "(":
+            stack.append(([], [], pos))
+            continue
+        if kind == ")":
+            if not stack:
+                raise _error("unmatched ')'", text, pos)
+            items, keys, start = stack.pop()
+            key = sids.setdefault(tuple(keys), len(sids))
+            node = SList(tuple(items), start, text, key)
+        else:
+            key = tok
+            node = Sym(tok, pos, text)
+        if stack:
+            stack[-1][0].append(node)
+            stack[-1][1].append(key)
+        else:
+            out.append(node)
+    if stack:
+        raise _error("unclosed '('", text, stack[-1][2])
+    if not out:
+        raise _error("empty input", text, 0)
+    return out

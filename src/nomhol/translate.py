@@ -6,6 +6,7 @@ and whole derivations rule-by-rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .atoms import Perm, set_subset
 from .capture import (CaptureContext, capture_cover, capture_infer,
@@ -25,24 +26,25 @@ class TranslationError(Exception):
 class TranslationEnv:
     source: P.PnlSignature
     target: H.HolSignature
+    formers: Mapping[str, H.Const]   # each term- and proposition-former's constant
 
     def term_const(self, f: str) -> H.Const:
-        arg, res = self.source.term_formers[f]
-        return H.Const(f"g_{f}", H.ArrowT(H.sort_to_type(arg), H.name_sort_type(res)))
+        return self.formers[f]
 
     def pred_const(self, p: str) -> H.Const:
-        arg = self.source.prop_formers[p]
-        return H.Const(f"g_{p}", H.ArrowT(H.sort_to_type(arg), H.O))
+        return self.formers[p]
 
 
 def translate_signature(sig: P.PnlSignature) -> TranslationEnv:
+    """The translation environment; each former's constant is built here,
+    once, and shared by every occurrence."""
+    formers = {f: H.Const(f"g_{f}", H.ArrowT(H.sort_to_type(arg), H.name_sort_type(res)))
+               for f, (arg, res) in sig.term_formers.items()}
+    formers.update((p, H.Const(f"g_{p}", H.ArrowT(H.sort_to_type(arg), H.O)))
+                   for p, arg in sig.prop_formers.items())
     consts = dict(H.BASE_SIGNATURE.constants)
-    env = TranslationEnv(sig, H.HolSignature(consts))
-    for f in sig.term_formers:
-        consts[f"g_{f}"] = env.term_const(f).type
-    for p in sig.prop_formers:
-        consts[f"g_{p}"] = env.pred_const(p).type
-    return env
+    consts.update((c.name, c.type) for c in formers.values())
+    return TranslationEnv(sig, H.HolSignature(consts), formers)
 
 
 def translate(env: TranslationEnv, ctx: CaptureContext, x) -> H.HolTerm:

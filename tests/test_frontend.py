@@ -8,9 +8,9 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nomhol import frontend as F
+from nomhol import frontend as F, sexpr
 from nomhol.cli import run_cli
 from nomhol.corpus import SIG
 from nomhol.hol import alphabeta_eq
@@ -173,6 +173,114 @@ def test_section_errors_exit_2(tmp_path, capsys):
     f.write_text("(sig (name-sorts nu\n  7) (base-sorts iota))")
     assert cli("infer-d", "--sig", str(f), p("term_basic.sexp")) == 2
     assert capsys.readouterr().err == "error: 2:3: bad sort name 7\n"
+
+
+# A valuation entry or a renaming move given twice is an error at the second
+# entry, or at the renaming's token; neither replaces the first.
+_U = "X{iota;perm(+{}-{});0}"
+ENTRY_ERRORS = [
+    # (kind, text, message, line, col)
+    ("valuation", f"(valuation (assign {_U} nu@0)\n  (assign {_U} nu@1))",
+     f"repeated (assign {_U} ...)", 2, 3),
+    ("valuation", "(valuation (assign X{iota;perm(+{nu@1,nu@0}-{});0} nu@0)\n"
+     "  (assign X{iota;perm(+{nu@0,nu@1}-{});0} nu@0))",
+     "repeated (assign X{iota;perm(+{nu@0,nu@1}-{});0} ...)", 2, 3),
+    ("renelem", "(ren\n  [nu@0:=nu@1,nu@0:=nu@2] (tup nu@0))", "repeated nu@0:=...", 2, 3),
+    ("renelem", "(ren [nu@1:=nu@0,nu@1:=nu@0] (tup nu@1))", "repeated nu@1:=...", 1, 6),
+]
+
+
+@pytest.mark.parametrize("kind,text,message,line,col", ENTRY_ERRORS)
+def test_repeated_entry_errors(kind, text, message, line, col):
+    with pytest.raises(F.ParseError) as e:
+        F.parse_document(text, kind, SIG)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def test_entry_and_context_errors_exit_2(tmp_path, capsys):
+    """A repeated valuation entry is a located error; a bad --context is an
+    error that names the option, since its text has no place in a file."""
+    f = tmp_path / "v.sexp"
+    f.write_text(ENTRY_ERRORS[0][1])
+    assert cli("eval", "--model", p("model_basic.sexp"), "--valuation", str(f),
+               p("eta.sexp")) == 2
+    assert capsys.readouterr().err == f"error: 2:3: repeated (assign {_U} ...)\n"
+    assert cli("translate", "--context", "nu@0", p("term_basic.sexp")) == 2
+    assert capsys.readouterr().err == \
+        "error: --context: expected a bracketed atom list, got 'nu@0'\n"
+    assert cli("translate", "--context", "[nu@0,x]", p("term_basic.sexp")) == 2
+    assert capsys.readouterr().err == "error: --context: bad atom 'x'\n"
+
+
+# --- the pattern reader and the character loop -------------------------------
+
+# Blanks are space, tab, CR and LF only: form feed, vertical tab and NBSP are
+# symbol characters.  Brace groups nest one to four deep; the pattern covers
+# two, and the character loop reads the rest.
+_ODD_SYMS = ["a", "nu@0", "nu@0\fnu@1", "a\vb", "a\xa0b", "X{a}", "X{a{b}}",
+             "X{a{b{c}}}", "X{a{b{c{d}}}}", "{p\nq}", "X{(x);\r\ny}", "{}"]
+_ODD_GAPS = st.sampled_from([" ", "\n", "\r\n", "\t", " ; c (\n", "\n;)\n "])
+_EOF = st.sampled_from(["", "\n", "; end", " ; (open"])
+
+
+def _odd_form(children):
+    return st.builds(lambda parts, end: "(" + "".join(g + x for x, g in parts) + end + ")",
+                     st.lists(st.tuples(children, _ODD_GAPS), max_size=4), _ODD_GAPS)
+
+
+_WELL_FORMED = st.builds(
+    lambda forms, gap, eof: gap.join(forms) + eof,
+    st.lists(st.recursive(st.sampled_from(_ODD_SYMS), _odd_form, max_leaves=16),
+             min_size=1, max_size=3), _ODD_GAPS, _EOF)
+_MALFORMED = st.builds(
+    lambda parts, eof: "".join(parts) + eof,
+    st.lists(st.sampled_from(["(", ")", "{", "}", " ", "\n", "\r\n", "\f", "\xa0",
+                              "; c (\n", *_ODD_SYMS]), max_size=24), _EOF)
+
+
+def _reading(parse, text):
+    """(kind, text or sid, line, col) of every node in preorder, or the
+    error's (message, line, col)."""
+    try:
+        stack, out = list(reversed(parse(text))), []
+    except SexprError as e:
+        return e.message, e.line, e.col
+    while stack:
+        n = stack.pop()
+        if isinstance(n, SList):
+            out.append(("list", n.sid, n.line, n.col))
+            stack.extend(reversed(n.items))
+        else:
+            out.append(("sym", n.text, n.line, n.col))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(_WELL_FORMED | _MALFORMED)
+@example("(a X{b{c{d}}})")
+@example("nu@0\x0cnu@1 ; end")
+def test_pattern_reader_agrees_with_character_loop(text):
+    assert _reading(parse_all, text) == _reading(sexpr._parse_chars, text)
+
+
+def test_documents_take_the_pattern_path(monkeypatch):
+    """Every corpus file, and every document that one pass of each benchmark
+    workload reads, is read by the pattern without the character loop."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+    texts = [f.read_text() for f in corpus_files()]
+    for name in ("proof", "square", "syntax"):
+        w = workloads.build(name, 5)
+        texts += [w.files[a] for a in {a for c in w.passes[0] for a in c.argv}
+                  if a in w.files]
+    slow = []
+    loop = sexpr._parse_chars
+    monkeypatch.setattr(sexpr, "_parse_chars", lambda text: slow.append(text) or loop(text))
+    for text in texts:
+        parse_all(text)
+    assert slow == [] and len(texts) > 100
+    parse_all("(a X{b{c{d}}})")   # three deep: the loop reads it
+    assert slow == ["(a X{b{c{d}}})"]
 
 
 # --- structural ids ----------------------------------------------------------

@@ -8,9 +8,12 @@ call's `feeds` and `needs`), then every bundled corpus file under each CLI
 command, with and without `--json`.  Prints the number of calls and one
 SHA-256 over (argv, exit status or escaped exception, stdout, stderr) of
 each call in order, with the temporary directory and the checkout path
-written as placeholders.  Run it in two checkouts: the same line means the
-CLI printed the same bytes.  It uses the `nomhol` beside it, not an
-installed one, and writes only to temporary directories.
+written as placeholders.  A second line does the same for the malformed
+half: every corpus file under the same commands after each of a fixed set
+of corruptions (`CORRUPTIONS`), so it covers the located reader errors.
+Run it in two checkouts: the same lines mean the CLI printed the same
+bytes.  It uses the `nomhol` beside it, not an installed one, and writes
+only to temporary directories.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -43,8 +47,9 @@ COMMANDS = (["check", "--logic", "pnl-full"], ["check", "--logic", "pnl-restrict
             ["square"] + MODEL, ["square"] + MODEL + VALUATION)
 
 
-def corpus_calls() -> list:
-    files = sorted(str(f) for f in CORPUS.glob("*.sexp"))
+def corpus_calls(files: list) -> list:
+    """Every command, with and without --json, on each file; `alpha` pairs a
+    file with the next one."""
     calls = []
     for i, f in enumerate(files):
         for cmd in COMMANDS:
@@ -57,6 +62,38 @@ def corpus_calls() -> list:
                 calls.append(Call("check", ["check", "--logic", "hol", fed], 0, {},
                                   needs=fed))
     return calls
+
+
+# comments, blanks and parentheses, then the text's first symbol
+_FIRST_SYMBOL = re.compile(r"(?:;[^\n]*|[\s()])*[^\s();{}]+")
+
+
+def _stray_brace(text: str) -> str:
+    at = _FIRST_SYMBOL.match(text).end()
+    return text[:at] + "}" + text[at:]
+
+
+# name -> the corrupted text, or None where the corruption does not apply
+CORRUPTIONS = {
+    "drop-last-close": lambda t: t[:t.rindex(")")] + t[t.rindex(")") + 1:],
+    "stray-close": lambda t: t + ")",
+    "stray-brace": _stray_brace,
+    "cut-in-braces": lambda t: t[:t.index("{") + 1] if "{" in t else None,
+    "second-form": lambda t: t + "\nnu@0\n",
+}
+
+
+def malformed_group() -> tuple:
+    """(files, calls): each corpus file after each corruption, under every
+    command."""
+    files = {}
+    for f in sorted(CORPUS.glob("*.sexp")):
+        text = f.read_text(encoding="utf-8")
+        for name, corrupt in CORRUPTIONS.items():
+            bad = corrupt(text)
+            if bad is not None:
+                files[f"{f.stem}.{name}.sexp"] = bad
+    return files, corpus_calls(list(files))
 
 
 def run(call: Call) -> tuple:
@@ -104,9 +141,11 @@ def main(argv) -> int:
         name, seed = spec.split(":")
         w = workloads.build(name, int(seed))
         groups.append((w.files, [c for calls in w.passes for c in calls]))
-    groups.append(({}, corpus_calls()))
+    groups.append(({}, corpus_calls(sorted(str(f) for f in CORPUS.glob("*.sexp")))))
     count, digest = fingerprint(groups)
     print(f"{count} calls sha256 {digest}")
+    count, digest = fingerprint([malformed_group()])
+    print(f"{count} malformed calls sha256 {digest}")
     return 0
 
 
