@@ -95,8 +95,8 @@ def _load_valuation(args, sig) -> Valuation:
     return val
 
 
-def _given_context(args) -> Optional[tuple]:
-    return None if args.context is None else F.parse_context_text(args.context)
+def _given_context(args, sig) -> Optional[tuple]:
+    return None if args.context is None else F.parse_context_text(sig, args.context)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def _cmd_translate(args) -> int:
     if args.derivation:
         d = F.parse_document(_read(args.file), "deriv-pnl", sig)
         try:
-            out = translate_derivation(env, d, _given_context(args) or ())
+            out = translate_derivation(env, d, _given_context(args, sig) or ())
         except TranslationError as e:
             payload = {"ok": False, "path": list(e.path), "message": str(e)}
             return _emit(args, payload, f"rejected: {e}")
@@ -135,7 +135,7 @@ def _cmd_translate(args) -> int:
         return _emit(args, payload,
                      f"; context {F.render_context(out.ctx_full)}\n{text}")
     x = _load_pnl(args.file, sig)
-    ctx = _given_context(args)
+    ctx = _given_context(args, sig)
     if ctx is None:  # the least context, which capture-checks by construction
         ctx, captured = canonical_context(capture_infer(x)), True
     else:
@@ -201,7 +201,7 @@ def _cmd_square(args) -> int:
     model = _load_model(args, sig)
     val = _load_valuation(args, sig)
     x = _load_pnl(args.file, sig)
-    v = square_check(env, model, _given_context(args), val, x, _depth(args))
+    v = square_check(env, model, _given_context(args, sig), val, x, _depth(args))
     payload = {"ok": v.ok, "exact": v.exact, "kind": v.kind,
                "message": v.message}
     if v.ok:

@@ -101,53 +101,67 @@ def parse_atom_text(text: str) -> Optional[Atom]:
     return Atom(m.group(1), int(m.group(2))) if m else None
 
 
-def parse_atom(node: SNode) -> Atom:
+def _undeclared(sig: P.PnlSignature, a: Atom) -> Optional[str]:
+    """The error for an atom whose sort is not a declared name sort."""
+    if a.sort in sig.name_sorts:
+        return None
+    return f"atom {a!r} has undeclared name sort {a.sort!r}"
+
+
+def _declared(sig: P.PnlSignature, a: Atom, where) -> Atom:
+    problem = _undeclared(sig, a)
+    if problem:
+        _err(where, problem)
+    return a
+
+
+def parse_atom(sig: P.PnlSignature, node: SNode) -> Atom:
     if isinstance(node, Sym):
         a = parse_atom_text(node.text)
         if a is not None:
-            return a
+            return _declared(sig, a, node)
     _err(node, f"expected an atom like nu@0, got {node!r}")
 
 
 _PMSS_RE = re.compile(r"^perm\(\+\{([^{}]*)\}-\{([^{}]*)\}\)$")
 
 
-def _atom_list_text(text: str, where) -> tuple:
+def _atom_list_text(sig: P.PnlSignature, text: str, where) -> tuple:
     out = []
     for part in filter(None, text.split(",")):
         a = parse_atom_text(part)
         if a is None:
             _err(where, f"bad atom {part!r} in permission set")
-        out.append(a)
+        out.append(_declared(sig, a, where))
     return tuple(out)
 
 
-def parse_pmss_text(text: str, where) -> CofinAtomSet:
+def parse_pmss_text(sig: P.PnlSignature, text: str, where) -> CofinAtomSet:
     m = _PMSS_RE.match(text)
     if not m:
         _err(where, f"expected perm(+{{..}}-{{..}}), got {text!r}")
     try:
-        return permission_set(plus=_atom_list_text(m.group(1), where),
-                              minus=_atom_list_text(m.group(2), where))
+        return permission_set(plus=_atom_list_text(sig, m.group(1), where),
+                              minus=_atom_list_text(sig, m.group(2), where))
     except ValueError as e:
         _err(where, str(e))
 
 
-def parse_perm(node: SNode) -> Perm:
+def parse_perm(sig: P.PnlSignature, node: SNode) -> Perm:
     if not isinstance(node, SList):
         _err(node, "expected a cycle list like ((nu@0 nu@1))")
     cycles = []
     for cyc in node.items:
         if not isinstance(cyc, SList) or not cyc.items:
             _err(node, "each cycle is a non-empty atom list")
-        cycles.append(tuple(parse_atom(a) for a in cyc.items))
+        cycles.append(tuple(parse_atom(sig, a) for a in cyc.items))
     try:
         return Perm.from_cycles(cycles)
     except ValueError as e:
         _err(node, str(e))
 
 
-def parse_renaming_text(text: str, where) -> Renaming:
+def parse_renaming_text(sig: P.PnlSignature, text: str, where) -> Renaming:
     if not (text.startswith("[") and text.endswith("]")):
         _err(where, f"expected a renaming like [nu@0:=nu@1], got {text!r}")
     moves, seen = {}, set()
@@ -159,6 +173,8 @@ def parse_renaming_text(text: str, where) -> Renaming:
         sa, ta = parse_atom_text(s), parse_atom_text(t)
         if sa is None or ta is None:
             _err(where, f"bad renaming move {part!r}")
+        _declared(sig, sa, where)
+        _declared(sig, ta, where)
         _once(seen, where, f"{render(sa)}:=...")
         moves[sa] = ta
     try:
@@ -167,7 +183,7 @@ def parse_renaming_text(text: str, where) -> Renaming:
         _err(where, str(e))
 
 
-def parse_context_text(text: str) -> tuple:
+def parse_context_text(sig: P.PnlSignature, text: str) -> tuple:
     """A bracketed atom list like [nu@0,nu@1], as `--context` gives it.  The
     text is no document, so an error names the option and no place in it."""
     text = text.strip()
@@ -178,6 +194,9 @@ def parse_context_text(text: str) -> tuple:
         a = parse_atom_text(part)
         if a is None:
             raise ValueError(f"--context: bad atom {part!r}")
+        problem = _undeclared(sig, a)
+        if problem:
+            raise ValueError(f"--context: {problem}")
         out.append(a)
     return tuple(out)
 
@@ -266,7 +285,7 @@ def parse_unknown_text(sig: P.PnlSignature, text: str, where) -> P.Unknown:
     if len(parts) != 3:
         _err(where, f"an unknown has three ';'-separated fields, got {text!r}")
     sort = parse_sort_text(sig, parts[0], where)
-    pmss = parse_pmss_text(parts[1], where)
+    pmss = parse_pmss_text(sig, parts[1], where)
     if not INT_RE.match(parts[2]):
         _err(where, f"bad unknown index {parts[2]!r}")
     return P.Unknown(sort, pmss, int(parts[2]))
@@ -285,7 +304,7 @@ def parse_term(sig: P.PnlSignature, node: SNode) -> P.PnlTerm:
     if isinstance(node, Sym):
         a = parse_atom_text(node.text)
         if a is not None:
-            return P.AtomT(a)
+            return P.AtomT(_declared(sig, a, node))
         if node.text.startswith("X{"):
             return P.Sus.of(parse_unknown_text(sig, node.text, node))
         _err(node, f"unrecognized term {node.text!r}")
@@ -294,10 +313,10 @@ def parse_term(sig: P.PnlSignature, node: SNode) -> P.PnlTerm:
         return P.Tup(tuple(parse_term(sig, t) for t in node.items[1:]))
     if head == "abs":
         a, body = _args(node, 2, "abs")
-        return P.AbsT(parse_atom(a), parse_term(sig, body))
+        return P.AbsT(parse_atom(sig, a), parse_term(sig, body))
     if head == "sus":
         cycles, unk = _args(node, 2, "sus")
-        return P.Sus(parse_perm(cycles), parse_unknown(sig, unk))
+        return P.Sus(parse_perm(sig, cycles), parse_unknown(sig, unk))
     if head in sig.term_formers:
         (arg,) = _args(node, 1, head)
         return P.Former(head, parse_term(sig, arg))
@@ -349,7 +368,7 @@ def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
     if isinstance(node, Sym):
         a = parse_atom_text(node.text)
         if a is not None:
-            return H.AtomVar(a)
+            return H.AtomVar(_declared(sig, a, node))
         if node.text.startswith("X{"):
             parts = _split_top(node.text, "_", node)
             ctx = parts[1] if len(parts) == 2 else "[]"
@@ -357,7 +376,7 @@ def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
                 _err(node, f"bad context suffix in {node.text!r}")
             unk = parse_unknown_text(sig, parts[0], node)
             try:
-                return H.UnkVar(unk, _atom_list_text(ctx[1:-1], node))
+                return H.UnkVar(unk, _atom_list_text(sig, ctx[1:-1], node))
             except ValueError as e:
                 _err(node, str(e))
     if _head(node) == "plain":
@@ -378,7 +397,7 @@ def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode) -> H.HolTe
             return H.Const(node.text, hsig.constants[node.text])
         a = parse_atom_text(node.text)
         if a is not None:
-            return H.Var(H.AtomVar(a))
+            return H.Var(H.AtomVar(_declared(sig, a, node)))
         if node.text.startswith("X{"):
             return H.Var(parse_hol_var(sig, node))
         _err(node, f"unrecognized term {node.text!r}")
@@ -591,7 +610,7 @@ def parse_derivation(sig, hsig, node: SNode, memo: dict) -> K.Node:
             index[head] = int(n.text)
         elif head == "perm":
             (cyc,) = _args(sec, 1, "perm")
-            perm = parse_perm(cyc)
+            perm = parse_perm(sig, cyc)
         elif head == "witness":
             (w,) = _args(sec, 1, "witness")
             witness = parse_term(sig, w) if hsig is None else parse_hol(sig, hsig, w)
@@ -657,7 +676,7 @@ def parse_model(node: SNode, ambient_sig: Optional[P.PnlSignature] = None) -> He
                         _err(part, "the default value is 0 or 1")
                     default = int(v.text)
                 elif phead == "support":
-                    support = frozenset(parse_atom(a) for a in part.items[1:])
+                    support = frozenset(parse_atom(sig, a) for a in part.items[1:])
                 else:
                     _err(part, f"unrecognized predicate section {phead!r}")
             preds[name] = PredSpec(tuple(clauses), default, support)
@@ -713,7 +732,7 @@ def parse_renelem(sig: P.PnlSignature, node: SNode) -> RenElem:
     rho, term = _args(node, 2, "ren")
     if not isinstance(rho, Sym):
         _err(node, "the renaming is a token like [nu@0:=nu@1]")
-    return RenElem(parse_renaming_text(rho.text, rho), parse_term(sig, term))
+    return RenElem(parse_renaming_text(sig, rho.text, rho), parse_term(sig, term))
 
 
 def render_renelem(e: RenElem) -> str:

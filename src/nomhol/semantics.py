@@ -10,12 +10,18 @@ with the finite support the function is equivariant outside of.
 
 The module provides evaluators for both syntaxes and a checker for the
 commuting square relating a nominal term/proposition's direct value to the
-value of its translation under the lifted valuation.
+value of its translation under the lifted valuation.  Each evaluation call
+compiles its input once into closures and then runs them for every
+quantifier candidate: clause tables become matchers, quantified unknowns
+become slots, and each (sort, window, depth) pool of candidates is drawn
+once per call and replayed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Callable, Mapping, Optional, Union
 
 from .atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
@@ -48,7 +54,8 @@ class UnboundVariableError(SemanticsError):
 
 def supp(x) -> frozenset:
     """Support of a ground element: its free atoms, always a finite set."""
-    return free_atoms(x).as_finite()
+    got = _ground_atoms(x, None)
+    return free_atoms(x).as_finite() if got is None else got
 
 
 def ground_renaming_action(rho: Renaming, x):
@@ -221,6 +228,8 @@ def merge_ren_tuple(elems) -> RenElem:
     choosing representatives whose renaming domains are pairwise disjoint and
     disjoint from the other components' supports."""
     elems = [canonicalize(e) for e in elems]
+    if all(e.rho.is_identity for e in elems):
+        return RenElem(Renaming({}), Tup(tuple(e.val for e in elems)))
     supports = [supp(e.val) for e in elems]
     avoid = set().union(*(s | e.rho.nontriv for s, e in zip(supports, elems))) \
         if elems else set()
@@ -343,39 +352,154 @@ def pattern_atoms(p) -> frozenset:
     raise TypeError(f"not a pattern: {p!r}")
 
 
-def match_pattern(pattern, term, binds: Optional[dict] = None) -> Optional[dict]:
-    """First-order matching of a pattern (with unknowns as pattern variables)
-    against a ground term, up to alpha; returns the bindings or None."""
-    binds = {} if binds is None else binds
-    match (pattern, term):
-        case (Sus(pi, u), _):
-            cand = perm_act(pi.inverse(), term)
-            if u in binds:
-                return binds if alpha_eq(binds[u], cand) else None
-            if not set_subset(free_atoms(cand), u.pmss):
+def _ground_atoms(x, memo) -> Optional[frozenset]:
+    """The free atoms of x as a finite set, or None when x suspends an
+    unknown.  A term found in `memo` (the id of a term its owner keeps
+    alive -> the term's free atoms) is not walked again."""
+    if memo:
+        hit = memo.get(id(x))
+        if hit is not None:
+            return hit
+    t = type(x)
+    if t is AtomT:
+        return frozenset((x.atom,))
+    if t is Former:
+        return _ground_atoms(x.arg, memo)
+    if t is AbsT:
+        got = _ground_atoms(x.body, memo)
+        return got - {x.atom} if got is not None and x.atom in got else got
+    if t is Tup:
+        out = frozenset()
+        for r in x.items:
+            got = _ground_atoms(r, memo)
+            if got is None:
                 return None
-            out = dict(binds)
-            out[u] = cand
-            return out
-        case (AtomT(a), AtomT(b)):
-            return binds if a == b else None
-        case (Tup(ps), Tup(ts)):
-            if len(ps) != len(ts):
-                return None
-            for p, t in zip(ps, ts):
-                binds = match_pattern(p, t, binds)
-                if binds is None:
-                    return None
-            return binds
-        case (Former(f, p), Former(g, t)):
-            return match_pattern(p, t, binds) if f == g else None
-        case (AbsT(a, pb), AbsT(b, tb)):
-            if a == b:
-                return match_pattern(pb, tb, binds)
-            if a.sort != b.sort or a in free_atoms(tb):
-                return None
-            return match_pattern(pb, perm_act(Perm.swap(a, b), tb), binds)
+            out |= got
+        return out
     return None
+
+
+def _atoms_within(x, pmss: CofinAtomSet, memo) -> bool:
+    """Whether the free atoms of x lie in the permission set."""
+    got = _ground_atoms(x, memo)
+    if got is None:
+        return set_subset(free_atoms(x), pmss)
+    return all(a in pmss for a in got)
+
+
+def _is_free_in(a: Atom, x, memo) -> bool:
+    got = _ground_atoms(x, memo)
+    return a in (free_atoms(x) if got is None else got)
+
+
+def _pattern_test(p, slots: list, index: dict, memo) -> Callable:
+    """The pattern p compiled into a test term -> bool, for first-order
+    matching up to alpha.  The first occurrence of a pattern variable in
+    preorder stores its binding in `slots` at the position `index` gives it;
+    a later occurrence compares with that binding."""
+    t = type(p)
+    if t is Sus:
+        u, inv = p.unknown, p.perm.inverse()
+        moved = not inv.is_identity
+        if u in index:
+            k = index[u]
+            if moved:
+                return lambda x: alpha_eq(slots[k], perm_act(inv, x))
+            return lambda x: alpha_eq(slots[k], x)
+        k = index[u] = len(slots)
+        slots.append(None)
+        pmss = u.pmss
+
+        def bind(x) -> bool:
+            if moved:
+                x = perm_act(inv, x)
+            if not _atoms_within(x, pmss, memo):
+                return False
+            slots[k] = x
+            return True
+        return bind
+    if t is AtomT:
+        a = p.atom
+        return lambda x: type(x) is AtomT and x.atom == a
+    if t is Former:
+        f, arg = p.name, _pattern_test(p.arg, slots, index, memo)
+        return lambda x: type(x) is Former and x.name == f and arg(x.arg)
+    if t is Tup:
+        items = tuple(_pattern_test(q, slots, index, memo) for q in p.items)
+        n = len(items)
+
+        def tup(x) -> bool:
+            if type(x) is not Tup or len(x.items) != n:
+                return False
+            for test, y in zip(items, x.items):
+                if not test(y):
+                    return False
+            return True
+        return tup
+    if t is AbsT:
+        a, body = p.atom, _pattern_test(p.body, slots, index, memo)
+
+        def abst(x) -> bool:
+            if type(x) is not AbsT:
+                return False
+            b = x.atom
+            if a == b:
+                return body(x.body)
+            if a.sort != b.sort or _is_free_in(a, x.body, memo):
+                return False
+            return body(perm_act(Perm.swap(a, b), x.body))
+        return abst
+    return lambda x: False
+
+
+def compile_pattern(pattern, memo=None) -> Callable:
+    """The pattern (with unknowns as pattern variables) compiled once into a
+    matcher for ground terms: match(term) returns the bindings, or None when
+    the term does not match up to alpha."""
+    slots: list = []
+    index: dict = {}
+    test = _pattern_test(pattern, slots, index, memo)
+    unknowns = tuple(index)
+
+    def match(term) -> Optional[dict]:
+        return dict(zip(unknowns, slots)) if test(term) else None
+    return match
+
+
+def _head(x):
+    """What a clause's pattern must agree with before it is tried: the class,
+    with a former's name or a tuple's arity."""
+    t = type(x)
+    if t is Former:
+        return t, x.name
+    if t is Tup:
+        return t, len(x.items)
+    return t
+
+
+def compile_spec(spec: "PredSpec", memo=None) -> Callable:
+    """The clause table compiled once: apply(term) is the value of the first
+    clause whose pattern matches, else the default.  Clauses are grouped by
+    the head they need (a pattern variable at the root needs none), so a
+    term is tried only against the clauses its head allows."""
+    clauses = []
+    for p, v in spec.clauses:
+        need = None if type(p) is Sus else _head(p)
+        clauses.append((need, _pattern_test(p, [], {}, memo), v))
+    by_head: dict = {}
+    default = spec.default
+
+    def apply(x) -> int:
+        key = _head(x)
+        tests = by_head.get(key)
+        if tests is None:
+            tests = by_head[key] = [(test, v) for need, test, v in clauses
+                                    if need is None or need == key]
+        for test, v in tests:
+            if test(x):
+                return v
+        return default
+    return apply
 
 
 @dataclass(frozen=True)
@@ -400,10 +524,11 @@ class PredSpec:
         return out
 
     def apply(self, x) -> int:
-        for p, v in self.clauses:
-            if match_pattern(p, x) is not None:
-                return v
-        return self.default
+        return self._apply(x)
+
+    @cached_property
+    def _apply(self) -> Callable:
+        return compile_spec(self)
 
 
 @dataclass(frozen=True)
@@ -514,22 +639,7 @@ class Valuation:
 
 
 # ---------------------------------------------------------------------------
-# the nominal evaluator
-
-def eval_pnl_term(model: HerbrandModel, val: Valuation, r):
-    match r:
-        case AtomT(_):
-            return r
-        case Tup(items):
-            return Tup(tuple(eval_pnl_term(model, val, x) for x in items))
-        case Former(f, arg):
-            return Former(f, eval_pnl_term(model, val, arg))
-        case AbsT(a, body):
-            return AbsT(a, eval_pnl_term(model, val, body))
-        case Sus(pi, x):
-            return perm_act(pi, val.get(model.sig, x))
-    raise TypeError(f"not a term: {r!r}")
-
+# quantifier candidates
 
 WINDOW_DOWN = 2  # downward atoms of each name sort in a pmss_window
 
@@ -554,10 +664,33 @@ def default_window(sig: PnlSignature):
     return [Atom(n, i) for n in sorted(sig.name_sorts) for i in range(-2, 3)]
 
 
+POOL_LIMIT = 4096  # terms a _Pool records; past them each walk generates anew
+
+
+def _tuples(pools):
+    """The tuples over the pools, first slot outermost."""
+    if len(pools) == 2:
+        first, second = pools
+        for t in first:
+            for u in second:
+                yield (t, u)
+    elif len(pools) > 2:
+        for t in pools[0]:
+            for rest in _tuples(pools[1:]):
+                yield (t, *rest)
+    elif pools:
+        for t in pools[0]:
+            yield (t,)
+    else:
+        yield ()
+
+
 def enumerate_ground(sig: PnlSignature, sort, atoms, depth: int):
     """All ground terms of the sort over the atom window, with former nesting
     bounded by depth (abstraction binders may use one extra fresh atom),
-    generated one at a time in a fixed order and never stored."""
+    generated one at a time in a fixed order.  The sub-pools walked once per
+    term of an enclosing slot (a tuple's later slots, an abstraction's body)
+    are recorded as `_Pool`s."""
     atoms = list(atoms)
 
     def go(s, d):
@@ -572,55 +705,213 @@ def enumerate_ground(sig: PnlSignature, sort, atoms, depth: int):
                             for t in go(arg, d - 1):
                                 yield Former(f, t)
             case TupleSort(items):
-                for combo in product(items, d):
-                    yield Tup(combo)
+                pools = [go(r, d) for r in items[:1]]
+                pools += [_Pool(lambda r=r: go(r, d)) for r in items[1:]]
+                yield from map(Tup, _tuples(pools))
             case AbsSort(n, body):
                 binders = [a for a in atoms if a.sort == n]
                 binders += fresh_atoms([n], binders)
+                bodies = _Pool(lambda: go(body, d))
                 for a in binders:
-                    for t in go(body, d):
+                    for t in bodies:
                         yield AbsT(a, t)
             case _:
                 raise TypeError(f"not a sort: {s!r}")
 
-    def product(items, d):
-        if not items:
-            yield ()
-            return
-        for t in go(items[0], d):
-            for rest in product(items[1:], d):
-                yield (t, *rest)
-
     return go(sort, depth)
 
 
-def _forall_ground(sig: PnlSignature, sort, atoms, depth: int, holds) -> int:
-    """1 if holds(t) is 1 for every ground term t that enumerate_ground yields,
-    else 0; stops at the first counterexample."""
-    if depth <= 0:
-        raise EnumerationError("a quantifier requires a positive depth bound")
-    return int(all(map(holds, enumerate_ground(sig, sort, atoms, depth))))
+_DONE = object()  # the end of a generator, for next()
+
+
+class _Pool:
+    """The terms that make() generates, drawn when a walk first needs them
+    and recorded for the walks after it, with their free atoms in `memo`
+    when one is given.  Walks may be nested; each reads the recorded prefix
+    and draws past it.  Past POOL_LIMIT terms nothing more is recorded: the
+    first walk to get there goes on drawing, any other generates the rest
+    anew."""
+
+    __slots__ = ("make", "items", "source", "done", "memo")
+
+    def __init__(self, make: Callable, memo: Optional[dict] = None):
+        self.make, self.memo = make, memo
+        self.items: list = []
+        self.source = iter(make())
+        self.done = False  # the recorded items are the whole pool
+
+    def __iter__(self):
+        return iter(self.items) if self.done else self._walk()
+
+    def _walk(self):
+        items, i = self.items, 0
+        while True:
+            if i < len(items):
+                yield items[i]
+            elif self.done:
+                return
+            elif i < POOL_LIMIT:
+                t = next(self.source, _DONE)
+                if t is _DONE:
+                    self.done = True
+                    return
+                items.append(t)
+                if self.memo is not None:
+                    self.memo[id(t)] = _ground_atoms(t, None)
+                yield t
+            else:
+                rest, self.source = self.source, None
+                yield from islice(self.make(), POOL_LIMIT, None) if rest is None else rest
+                return
+            i += 1
+
+
+class _Pools:
+    """The candidate pools of one evaluation, one per (sort, window, depth),
+    and the free atoms of every recorded candidate (`memo`, id -> atoms),
+    which the evaluation's matchers read instead of walking.
+    `exact` drops to False once a quantifier is evaluated by bounded
+    enumeration.  Nothing here refers back to the evaluation's closures, so
+    the pools are freed as soon as the evaluation is."""
+
+    def __init__(self, sig: PnlSignature, depth: int):
+        self.sig, self.depth = sig, depth
+        self.table: dict = {}
+        self.memo: dict = {}
+        self.exact = True
+
+    def forall(self, sort, window: tuple, holds: Callable) -> int:
+        """1 if holds(t) is 1 for every candidate t of the sort over the
+        window, else 0; stops at the first counterexample."""
+        self.exact = False
+        if self.depth <= 0:
+            raise EnumerationError("a quantifier requires a positive depth bound")
+        key = (sort, window, self.depth)
+        pool = self.table.get(key)
+        if pool is None:
+            sig = self.sig
+            pool = self.table[key] = _Pool(
+                lambda: enumerate_ground(sig, *key), self.memo)
+        return int(all(map(holds, pool)))
+
+
+# ---------------------------------------------------------------------------
+# the nominal evaluator
+
+def _raiser(e: Exception) -> Callable:
+    """A compiled piece that fails as evaluating the source piece would, so
+    that errors surface when and in the order the evaluation reaches them."""
+    def fail(*_):
+        raise e
+    return fail
+
+
+class _PnlCompiler:
+    """Compiles a nominal term or proposition once for one evaluation.  Each
+    ∀ owns a slot that it fills with one candidate after another; a
+    suspension of a quantified unknown reads its slot; every subterm without
+    one is built once, at compile time, and a proposition-former's clause
+    table is compiled once."""
+
+    def __init__(self, model: HerbrandModel, val: Valuation,
+                 pools: Optional[_Pools]):
+        self.model, self.val, self.pools = model, val, pools
+        self.slots: list = []
+        self.values: dict = {}  # unknown -> its value under val
+        self.specs: dict = {}   # proposition-former -> compiled clause table
+
+    def term(self, r, env: dict) -> tuple:
+        """(t, None) when r's value t is the same for every candidate, else
+        (None, build) where build() makes the value from the slots."""
+        t = type(r)
+        if t is AtomT:
+            return r, None
+        if t is Sus:
+            pi, x = r.perm, r.unknown
+            k = env.get(x)
+            if k is None:
+                try:
+                    value = self.values.get(x)
+                    if value is None:
+                        value = self.values[x] = self.val.get(self.model.sig, x)
+                except SemanticsError as e:
+                    return None, _raiser(e)
+                return perm_act(pi, value), None
+            slots = self.slots
+            if pi.is_identity:
+                return None, lambda: slots[k]
+            return None, lambda: perm_act(pi, slots[k])
+        if t is Former or t is AbsT:
+            head = r.name if t is Former else r.atom
+            arg, build = self.term(r.arg if t is Former else r.body, env)
+            if build is None:
+                return t(head, arg), None
+            return None, lambda: t(head, build())
+        if t is Tup:
+            parts = [self.term(q, env) for q in r.items]
+            if all(build is None for _, build in parts):
+                return Tup(tuple(c for c, _ in parts)), None
+            builds = [(lambda c=c: c) if build is None else build
+                      for c, build in parts]
+            if len(builds) == 2:
+                left, right = builds
+                return None, lambda: Tup((left(), right()))
+            return None, lambda: Tup(tuple([build() for build in builds]))
+        return None, _raiser(TypeError(f"not a term: {r!r}"))
+
+    def prop(self, phi, env: dict) -> Callable:
+        """phi compiled into a closure that returns its value, 0 or 1."""
+        t = type(phi)
+        if t is Bot:
+            return lambda: 0
+        if t is Imp:
+            left, right = self.prop(phi.left, env), self.prop(phi.right, env)
+
+            def imp() -> int:
+                vp = left()
+                return max(1 - vp, right())
+            return imp
+        if t is Pred:
+            apply = self.specs.get(phi.name)
+            if apply is None:
+                try:
+                    spec = self.model.spec(phi.name)
+                except SemanticsError as e:
+                    return _raiser(e)
+                apply = self.specs[phi.name] = compile_spec(spec, self.pools.memo)
+            arg, build = self.term(phi.arg, env)
+            if build is None:
+                value = apply(arg)
+                return lambda: value
+            return lambda: apply(build())
+        if t is All:
+            x, slots = phi.unknown, self.slots
+            k = len(slots)
+            slots.append(None)
+            body = self.prop(phi.body, {**env, x: k})
+            sort = x.sort
+            window = tuple(pmss_window(x.pmss, self.model.sig.name_sorts))
+            forall = self.pools.forall
+
+            def holds(cand) -> int:
+                slots[k] = cand
+                return body()
+            return lambda: forall(sort, window, holds)
+        return _raiser(TypeError(f"not a proposition: {phi!r}"))
+
+
+def eval_pnl_term(model: HerbrandModel, val: Valuation, r):
+    value, build = _PnlCompiler(model, val, None).term(r, {})
+    return value if build is None else build()
 
 
 def eval_pnl_prop(model: HerbrandModel, val: Valuation, phi, depth: int = 0):
-    """Returns (value, exact); exact is True iff phi is quantifier-free."""
-    match phi:
-        case Bot():
-            return 0, True
-        case Imp(p, q):
-            vp, ep = eval_pnl_prop(model, val, p, depth)
-            vq, eq_ = eval_pnl_prop(model, val, q, depth)
-            return max(1 - vp, vq), ep and eq_
-        case Pred(name, arg):
-            spec = model.spec(name)
-            return spec.apply(eval_pnl_term(model, val, arg)), True
-        case All(x, body):
-            window = pmss_window(x.pmss, model.sig.name_sorts)
-            return _forall_ground(
-                model.sig, x.sort, window, depth,
-                lambda t: eval_pnl_prop(model, val.updated(x, t), body, depth)[0]
-            ), False
-    raise TypeError(f"not a proposition: {phi!r}")
+    """Returns (value, exact); exact is True iff phi is quantifier-free.
+    phi is compiled once, then run; its quantifiers draw their candidates
+    from pools that belong to this call."""
+    pools = _Pools(model.sig, depth)
+    value = _PnlCompiler(model, val, pools).prop(phi, {})()
+    return value, pools.exact
 
 
 # ---------------------------------------------------------------------------
@@ -678,14 +969,22 @@ def rename_valuation(rho: Renaming, parent: HolValuation) -> HolValuation:
 # the higher-order evaluator
 
 class HolEvaluator:
-    """Evaluates higher-order terms over a Herbrand model.  The `exact` flag
-    drops to False whenever a quantifier is evaluated by bounded
-    enumeration."""
+    """Evaluates higher-order terms over a Herbrand model.  A term is
+    compiled once into a closure over valuations: each constant's value is
+    built once per evaluator, the type tests of tuples and lambdas are made
+    once per node, and quantifiers draw their candidates from pools that
+    belong to this evaluator.  The `exact` flag drops to False whenever a
+    quantifier is evaluated by bounded enumeration."""
 
     def __init__(self, model: HerbrandModel, depth: int = 0):
         self.model = model
         self.depth = depth
-        self.exact = True
+        self._pools = _Pools(model.sig, depth)
+        self._consts: dict = {}  # Const -> its value
+
+    @property
+    def exact(self) -> bool:
+        return self._pools.exact
 
     # -- helpers ------------------------------------------------------------
 
@@ -698,14 +997,20 @@ class HolEvaluator:
         raise UnboundVariableError(f"unbound variable {v!r}")
 
     def _const_value(self, c: H.Const) -> SemVal:
+        got = self._consts.get(c)
+        if got is None:
+            got = self._consts[c] = self._make_const(c)
+        return got
+
+    def _make_const(self, c: H.Const) -> SemVal:
         if c.name == "bot":
-            return BoolV(0)
+            return _BOOLS[0]
         if c.name == "imp":
             return FnV(_imp)
         if c.name == "forall":
             match c.type:
                 case H.ArrowT(H.ArrowT(domain, _), _):
-                    return FnV(lambda g: self._forall_generic(domain, g))
+                    return _forall_generic(self.model.sig, self._pools, domain)
             raise SemanticsError(f"malformed quantifier constant {c!r}")
         if c.name.startswith("g_"):
             base = c.name[2:]
@@ -717,61 +1022,12 @@ class HolEvaluator:
             if base in self.model.sig.prop_formers:
                 spec = self.model.spec(base)
                 support = spec.declared_support()
+                apply = compile_spec(spec, self._pools.memo)
+
                 def pred(a: SemVal) -> SemVal:
-                    return BoolV(spec.apply(_strip_for(as_ren(a), support).val))
+                    return _BOOLS[apply(_strip_for(as_ren(a), support).val)]
                 return FnV(pred, support)
         raise SemanticsError(f"uninterpreted constant {c.name}")
-
-    def _forall_generic(self, domain, g: SemVal) -> SemVal:
-        if domain == H.O:
-            return BoolV(int(all(as_bool(fn_apply(g, BoolV(b))) for b in (0, 1))))
-        sort = H.type_to_sort(self.model.sig, domain)
-        if sort is None:
-            raise EnumerationError(
-                f"quantifier domain {domain!r} is not enumerable")
-        self.exact = False
-        return BoolV(_forall_ground(
-            self.model.sig, sort, default_window(self.model.sig), self.depth,
-            lambda t: as_bool(fn_apply(g, RenV(RenElem(Renaming.identity(), t))))))
-
-    def _forall_unknown(self, v, body, env: HolValuation) -> SemVal:
-        """Quantification over a context-indexed unknown-variable ranges over
-        identity suspensions of context-abstracted ground terms whose free
-        atoms are permitted for the unknown."""
-        self.exact = False
-        x = v.unknown
-        window = pmss_window(x.pmss, self.model.sig.name_sorts)
-
-        def holds(t):
-            cand = RenV(RenElem(Renaming.identity(), abstract_atoms(v.ctx, t)))
-            return as_bool(self.eval(body, env.extend(v, cand)))
-
-        return BoolV(_forall_ground(self.model.sig, x.sort, window,
-                                    self.depth, holds))
-
-    # -- the evaluator ------------------------------------------------------
-
-    def eval(self, t, env: HolValuation) -> SemVal:
-        match t:
-            case H.Var(v):
-                return self._lookup(env, v)
-            case H.Const(_, _):
-                return self._const_value(t)
-            case H.App(H.Const("forall", _), H.Lam(v, body)) if isinstance(v, H.UnkVar):
-                return self._forall_unknown(v, body, env)
-            case H.Lam(v, body):
-                return self._eval_lam(v, body, env)
-            case H.App(fn, arg):
-                return fn_apply(self.eval(fn, env), self.eval(arg, env))
-            case H.HTup(items):
-                vals = [self.eval(r, env) for r in items]
-                if self._all_image(items):
-                    try:
-                        return RenV(merge_ren_tuple([as_ren(v) for v in vals]))
-                    except SemanticsError:
-                        pass
-                return TupV(tuple(vals))
-        raise TypeError(f"not a term: {t!r}")
 
     def _all_image(self, items) -> bool:
         try:
@@ -781,37 +1037,142 @@ class HolEvaluator:
         except H.HolTypeError:
             return False
 
-    def _eval_lam(self, v, body, env: HolValuation) -> SemVal:
+    # -- the compiler ---------------------------------------------------------
+    #
+    # A compiled term is a closure run(env, locs): env is the valuation of the
+    # variables free in the compiled term, and locs holds the values of the
+    # variables bound around the node, outermost first, so that a bound
+    # variable is read by its position, found once at compile time.
+
+    def eval(self, t, env: HolValuation) -> SemVal:
+        return self._compile(t, ())(env, ())
+
+    def _reader(self, v, scope: tuple) -> Callable:
+        """Reads variable v at a node inside the binders `scope`."""
+        for i in range(len(scope) - 1, -1, -1):
+            if scope[i] == v:
+                return lambda env, locs: locs[i]
+        lookup = self._lookup
+        return lambda env, locs: lookup(env, v)
+
+    def _compile(self, t, scope: tuple) -> Callable:
+        """t compiled into a closure run(env, locs) that returns t's value."""
+        tt = type(t)
+        if tt is H.Var:
+            return self._reader(t.var, scope)
+        if tt is H.Const:
+            try:
+                value = self._const_value(t)
+            except SemanticsError as e:
+                return _raiser(e)
+            return lambda env, locs: value
+        if tt is H.App:
+            fn, arg = t.fn, t.arg
+            if type(fn) is H.Const and fn.name == "forall" and \
+                    type(arg) is H.Lam and isinstance(arg.var, H.UnkVar):
+                return self._forall_unknown(arg.var, arg.body, scope)
+            f, a = self._compile(fn, scope), self._compile(arg, scope)
+            return lambda env, locs: fn_apply(f(env, locs), a(env, locs))
+        if tt is H.Lam:
+            return self._lam(t.var, t.body, scope)
+        if tt is H.HTup:
+            items = [self._compile(r, scope) for r in t.items]
+            image = self._all_image(t.items)
+
+            def tup(env, locs) -> SemVal:
+                vals = [item(env, locs) for item in items]
+                if image:
+                    try:
+                        return RenV(merge_ren_tuple([as_ren(v) for v in vals]))
+                    except SemanticsError:
+                        pass
+                return TupV(tuple(vals))
+            return tup
+        return _raiser(TypeError(f"not a term: {t!r}"))
+
+    def _forall_unknown(self, v, body, scope: tuple) -> Callable:
+        """Quantification over a context-indexed unknown-variable ranges over
+        identity suspensions of context-abstracted ground terms whose free
+        atoms are permitted for the unknown."""
+        x, ctx = v.unknown, v.ctx
+        window = tuple(pmss_window(x.pmss, self.model.sig.name_sorts))
+        run = self._compile(body, scope + (v,))
+        forall = self._pools.forall
+
+        def quantified(env, locs) -> SemVal:
+            def holds(t) -> int:
+                cand = RenV(RenElem(_ID, abstract_atoms(ctx, t)))
+                return as_bool(run(env, (*locs, cand)))
+            return _BOOLS[forall(x.sort, window, holds)]
+        return quantified
+
+    def _lam(self, v, body, scope: tuple) -> Callable:
         vt = H.var_type(v)
         try:
             whole = H.ArrowT(vt, H.hol_type_of(body))
             image = isinstance(H.type_to_sort(self.model.sig, whole), AbsSort)
         except H.HolTypeError:
             image = False
+        free = H.fv(body)
+        others = [self._reader(w, scope) for w in free - {v}]
+        run = self._compile(body, scope + (v,))
+
+        def support_of(env, locs) -> frozenset:
+            out = frozenset()
+            for read in others:
+                out |= supp_sem(read(env, locs))
+            return out
+
         if image and isinstance(v, H.AtomVar):
             a = v.atom
-            others = frozenset()
-            for w in H.fv(body) - {v}:
-                others |= supp_sem(self._lookup(env, w))
-            if a in others:
-                avoid = others | {w.atom for w in H.fv(body) if isinstance(w, H.AtomVar)}
-                c = fresh_atoms([a.sort], avoid)[0]
-                body = H.hol_subst_parallel(body, {v: H.Var(H.AtomVar(c))})
-                a = c
-            inner = env.extend(H.AtomVar(a), AtomV(a))
-            e = as_ren(self.eval(body, inner))
-            rho = e.rho.restrict(supp(e.val) - {a})
-            return RenV(RenElem(rho, AbsT(a, e.val)))
-        support = frozenset()
-        for w in H.fv(body) - {v}:
-            support |= supp_sem(self._lookup(env, w))
-        return FnV(lambda a: self.eval(body, env.extend(v, a)), support)
+            named = {w.atom for w in free if isinstance(w, H.AtomVar)}
+            renamed: dict = {}  # fresh atom -> the body compiled with it for a
+
+            def abstraction(env, locs) -> SemVal:
+                b, go = a, run
+                taken = support_of(env, locs)
+                if a in taken:
+                    b = fresh_atoms([a.sort], taken | named)[0]
+                    go = renamed.get(b)
+                    if go is None:
+                        w = H.AtomVar(b)
+                        go = renamed[b] = self._compile(
+                            H.hol_subst_parallel(body, {v: H.Var(w)}), scope + (w,))
+                e = as_ren(go(env, (*locs, AtomV(b))))
+                rho = e.rho.restrict(supp(e.val) - {b})
+                return RenV(RenElem(rho, AbsT(b, e.val)))
+            return abstraction
+
+        def closure(env, locs) -> SemVal:
+            return FnV(lambda x: run(env, (*locs, x)), support_of(env, locs))
+        return closure
+
+
+_ID = Renaming.identity()
+_BOOLS = (BoolV(0), BoolV(1))
+
+
+def _forall_generic(sig: PnlSignature, pools: _Pools, domain) -> FnV:
+    """The quantifier constant over a domain type: over o it tries both
+    truth values, over an image type it draws candidates from the pools."""
+    if domain == H.O:
+        return FnV(lambda g: _BOOLS[int(all(as_bool(fn_apply(g, b)) for b in _BOOLS))])
+    sort = H.type_to_sort(sig, domain)
+    window = tuple(default_window(sig))
+
+    def forall(g: SemVal) -> SemVal:
+        if sort is None:
+            raise EnumerationError(
+                f"quantifier domain {domain!r} is not enumerable")
+        return _BOOLS[pools.forall(
+            sort, window, lambda t: as_bool(fn_apply(g, RenV(RenElem(_ID, t)))))]
+    return FnV(forall)
 
 
 def _imp(x: SemVal) -> SemVal:
     """The curried implication constant."""
     bx = as_bool(x)
-    return FnV(lambda y: BoolV(max(1 - bx, as_bool(y))))
+    return FnV(lambda y: _BOOLS[max(1 - bx, as_bool(y))])
 
 
 def eval_hol(model: HerbrandModel, env: HolValuation, t, depth: int = 0):
@@ -892,7 +1253,7 @@ def convert_model(model_pi: HerbrandModel, z) -> HerbrandModel:
         for pattern, v in spec.clauses:
             match pattern:
                 case Tup((pz, pr)):
-                    binds = match_pattern(pz, z)
+                    binds = compile_pattern(pz)(z)
                     if binds is None:
                         continue
                     clauses.append((subst_apply(P.PnlSubst(binds), pr), v))

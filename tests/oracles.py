@@ -12,6 +12,12 @@ a formula means: the side without the copies.
 
 The eager, memoised ground-term enumerator is the reference for the lazy one
 in `nomhol.semantics`: the same terms in the same order, built as lists.
+The tree-walking evaluators are the references for the compiled ones:
+`match_pattern` for `semantics.compile_pattern` and `compile_spec`,
+`eval_pnl_term`/`eval_pnl_prop` for the nominal evaluator, and
+`HolEvaluator`/`eval_hol` for the higher-order one.  They walk the syntax
+at every candidate, draw every quantifier's candidates from the eager
+enumerator, and keep nothing between candidates.
 `flat` prints a reader node, the reference for `nomhol.sexpr`'s structural
 ids: two lists of one read share a sid exactly when they print the same.
 """
@@ -21,14 +27,20 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
-from nomhol.atoms import Atom, Perm, fresh_atoms
+from nomhol.atoms import Atom, Perm, Renaming, fresh_atoms, set_subset
 from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var,
                         beta_normalize, hol_type_of, var_type)
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Perm2, PnlSignature, Pred, Sus, Tup,
                         TupleSort, free_atoms, free_unknowns, alpha_key,
                         perm2_act, perm_act)
-from nomhol.semantics import RenElem, supp
+from nomhol import hol as H
+from nomhol import semantics as S
+from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV, RenElem,
+                              RenV, SemanticsError, TupV, UnboundVariableError,
+                              abstract_atoms, as_bool, as_ren, default_window,
+                              fn_apply, merge_ren_tuple, pmss_window, supp,
+                              supp_sem)
 from nomhol.sexpr import SNode, Sym
 
 
@@ -212,3 +224,229 @@ def flat(node: SNode) -> str:
     if isinstance(node, Sym):
         return node.text
     return "(" + " ".join(flat(x) for x in node.items) + ")"
+
+
+# ---------------------------------------------------------------------------
+# the tree-walking evaluators
+
+def match_pattern(pattern, term, binds=None):
+    """First-order matching of a pattern (with unknowns as pattern variables)
+    against a ground term, up to alpha; returns the bindings or None."""
+    binds = {} if binds is None else binds
+    match (pattern, term):
+        case (Sus(pi, u), _):
+            cand = perm_act(pi.inverse(), term)
+            if u in binds:
+                return binds if alpha_eq(binds[u], cand) else None
+            if not set_subset(free_atoms(cand), u.pmss):
+                return None
+            out = dict(binds)
+            out[u] = cand
+            return out
+        case (AtomT(a), AtomT(b)):
+            return binds if a == b else None
+        case (Tup(ps), Tup(ts)):
+            if len(ps) != len(ts):
+                return None
+            for p, t in zip(ps, ts):
+                binds = match_pattern(p, t, binds)
+                if binds is None:
+                    return None
+            return binds
+        case (Former(f, p), Former(g, t)):
+            return match_pattern(p, t, binds) if f == g else None
+        case (AbsT(a, pb), AbsT(b, tb)):
+            if a == b:
+                return match_pattern(pb, tb, binds)
+            if a.sort != b.sort or a in free_atoms(tb):
+                return None
+            return match_pattern(pb, perm_act(Perm.swap(a, b), tb), binds)
+    return None
+
+
+def spec_apply(spec, x) -> int:
+    """The value of the first clause whose pattern matches x, else the
+    default."""
+    for p, v in spec.clauses:
+        if match_pattern(p, x) is not None:
+            return v
+    return spec.default
+
+
+def _forall_ground(sig, sort, atoms, depth: int, holds) -> int:
+    if depth <= 0:
+        raise EnumerationError("a quantifier requires a positive depth bound")
+    return int(all(map(holds, enumerate_ground(sig, sort, atoms, depth))))
+
+
+def eval_pnl_term(model, val, r):
+    match r:
+        case AtomT(_):
+            return r
+        case Tup(items):
+            return Tup(tuple(eval_pnl_term(model, val, x) for x in items))
+        case Former(f, arg):
+            return Former(f, eval_pnl_term(model, val, arg))
+        case AbsT(a, body):
+            return AbsT(a, eval_pnl_term(model, val, body))
+        case Sus(pi, x):
+            return perm_act(pi, val.get(model.sig, x))
+    raise TypeError(f"not a term: {r!r}")
+
+
+def eval_pnl_prop(model, val, phi, depth: int = 0):
+    """Returns (value, exact); exact is True iff phi is quantifier-free."""
+    match phi:
+        case Bot():
+            return 0, True
+        case Imp(p, q):
+            vp, ep = eval_pnl_prop(model, val, p, depth)
+            vq, eq_ = eval_pnl_prop(model, val, q, depth)
+            return max(1 - vp, vq), ep and eq_
+        case Pred(name, arg):
+            spec = model.spec(name)
+            return spec_apply(spec, eval_pnl_term(model, val, arg)), True
+        case All(x, body):
+            window = pmss_window(x.pmss, model.sig.name_sorts)
+            return _forall_ground(
+                model.sig, x.sort, window, depth,
+                lambda t: eval_pnl_prop(model, val.updated(x, t), body, depth)[0]
+            ), False
+    raise TypeError(f"not a proposition: {phi!r}")
+
+
+def _imp(x):
+    bx = as_bool(x)
+    return FnV(lambda y: BoolV(max(1 - bx, as_bool(y))))
+
+
+class HolEvaluator:
+    """Evaluates higher-order terms over a Herbrand model by walking them.
+    The `exact` flag drops to False whenever a quantifier is evaluated by
+    bounded enumeration."""
+
+    def __init__(self, model, depth: int = 0):
+        self.model = model
+        self.depth = depth
+        self.exact = True
+
+    def _lookup(self, env, v):
+        got = env.get(v)
+        if got is not None:
+            return got
+        if isinstance(v, H.AtomVar):
+            return AtomV(v.atom)
+        raise UnboundVariableError(f"unbound variable {v!r}")
+
+    def _const_value(self, c):
+        if c.name == "bot":
+            return BoolV(0)
+        if c.name == "imp":
+            return FnV(_imp)
+        if c.name == "forall":
+            match c.type:
+                case H.ArrowT(H.ArrowT(domain, _), _):
+                    return FnV(lambda g: self._forall_generic(domain, g))
+            raise SemanticsError(f"malformed quantifier constant {c!r}")
+        if c.name.startswith("g_"):
+            base = c.name[2:]
+            if base in self.model.sig.term_formers:
+                def former(a):
+                    e = as_ren(a)
+                    return RenV(RenElem(e.rho, Former(base, e.val)))
+                return FnV(former)
+            if base in self.model.sig.prop_formers:
+                spec = self.model.spec(base)
+                support = spec.declared_support()
+
+                def pred(a):
+                    return BoolV(spec_apply(spec, S._strip_for(as_ren(a), support).val))
+                return FnV(pred, support)
+        raise SemanticsError(f"uninterpreted constant {c.name}")
+
+    def _forall_generic(self, domain, g):
+        if domain == H.O:
+            return BoolV(int(all(as_bool(fn_apply(g, BoolV(b))) for b in (0, 1))))
+        sort = H.type_to_sort(self.model.sig, domain)
+        if sort is None:
+            raise EnumerationError(
+                f"quantifier domain {domain!r} is not enumerable")
+        self.exact = False
+        return BoolV(_forall_ground(
+            self.model.sig, sort, default_window(self.model.sig), self.depth,
+            lambda t: as_bool(fn_apply(g, RenV(RenElem(Renaming.identity(), t))))))
+
+    def _forall_unknown(self, v, body, env):
+        self.exact = False
+        x = v.unknown
+        window = pmss_window(x.pmss, self.model.sig.name_sorts)
+
+        def holds(t):
+            cand = RenV(RenElem(Renaming.identity(), abstract_atoms(v.ctx, t)))
+            return as_bool(self.eval(body, env.extend(v, cand)))
+
+        return BoolV(_forall_ground(self.model.sig, x.sort, window,
+                                    self.depth, holds))
+
+    def eval(self, t, env):
+        match t:
+            case H.Var(v):
+                return self._lookup(env, v)
+            case H.Const(_, _):
+                return self._const_value(t)
+            case H.App(H.Const("forall", _), H.Lam(v, body)) if isinstance(v, H.UnkVar):
+                return self._forall_unknown(v, body, env)
+            case H.Lam(v, body):
+                return self._eval_lam(v, body, env)
+            case H.App(fn, arg):
+                return fn_apply(self.eval(fn, env), self.eval(arg, env))
+            case H.HTup(items):
+                vals = [self.eval(r, env) for r in items]
+                if self._all_image(items):
+                    try:
+                        return RenV(merge_ren_tuple([as_ren(v) for v in vals]))
+                    except SemanticsError:
+                        pass
+                return TupV(tuple(vals))
+        raise TypeError(f"not a term: {t!r}")
+
+    def _all_image(self, items):
+        try:
+            return all(
+                H.type_to_sort(self.model.sig, H.hol_type_of(r)) is not None
+                for r in items)
+        except H.HolTypeError:
+            return False
+
+    def _eval_lam(self, v, body, env):
+        vt = H.var_type(v)
+        try:
+            whole = H.ArrowT(vt, H.hol_type_of(body))
+            image = isinstance(H.type_to_sort(self.model.sig, whole), AbsSort)
+        except H.HolTypeError:
+            image = False
+        if image and isinstance(v, H.AtomVar):
+            a = v.atom
+            others = frozenset()
+            for w in H.fv(body) - {v}:
+                others |= supp_sem(self._lookup(env, w))
+            if a in others:
+                avoid = others | {w.atom for w in H.fv(body) if isinstance(w, H.AtomVar)}
+                c = fresh_atoms([a.sort], avoid)[0]
+                body = H.hol_subst_parallel(body, {v: H.Var(H.AtomVar(c))})
+                a = c
+            inner = env.extend(H.AtomVar(a), AtomV(a))
+            e = as_ren(self.eval(body, inner))
+            rho = e.rho.restrict(supp(e.val) - {a})
+            return RenV(RenElem(rho, AbsT(a, e.val)))
+        support = frozenset()
+        for w in H.fv(body) - {v}:
+            support |= supp_sem(self._lookup(env, w))
+        return FnV(lambda a: self.eval(body, env.extend(v, a)), support)
+
+
+def eval_hol(model, env, t, depth: int = 0):
+    """Returns (value, exact)."""
+    ev = HolEvaluator(model, depth)
+    out = ev.eval(t, env)
+    return out, ev.exact

@@ -212,6 +212,49 @@ def test_entry_and_context_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --context: bad atom 'x'\n"
 
 
+# An atom whose sort is not a declared name sort (an unknown sort, or a base
+# sort) is an error at the node or token that holds it, wherever it occurs.
+SORT_ERRORS = [
+    # (kind, text, message, line, col)
+    ("pnl", "(tup zz@0 X{iota;perm(+{zz@1}-{});0})",
+     "atom zz@0 has undeclared name sort 'zz'", 1, 6),
+    ("pnl", "(tup iota@0)", "atom iota@0 has undeclared name sort 'iota'", 1, 6),
+    ("pnl", "(tup nu@0\n  X{iota;perm(+{zz@1}-{});0})",
+     "atom zz@1 has undeclared name sort 'zz'", 2, 3),
+    ("pnl", "(lam (abs zz@0 (var nu@0)))", "atom zz@0 has undeclared name sort 'zz'", 1, 11),
+    ("pnl", "(sus ((nu@0 zz@1)) X{iota;perm(+{}-{});0})",
+     "atom zz@1 has undeclared name sort 'zz'", 1, 13),
+    ("pnl", "(all X{iota;perm(+{}-{zz@-1});0} bot)",
+     "atom zz@-1 has undeclared name sort 'zz'", 1, 6),
+    ("renelem", "(ren [nu@0:=zz@1] (var nu@0))",
+     "atom zz@1 has undeclared name sort 'zz'", 1, 6),
+    ("hol", "(app g_var zz@0)", "atom zz@0 has undeclared name sort 'zz'", 1, 12),
+]
+
+
+@pytest.mark.parametrize("kind,text,message,line,col", SORT_ERRORS)
+def test_atoms_of_undeclared_sorts_are_located_errors(kind, text, message, line, col):
+    with pytest.raises(F.ParseError) as e:
+        F.parse_document(text, kind, SIG)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def test_atoms_of_undeclared_sorts_exit_2(tmp_path, capsys):
+    f = tmp_path / "t.sexp"
+    for text in ("(tup zz@0 X{iota;perm(+{zz@1}-{});0})", "(tup iota@0)"):
+        f.write_text(text)
+        for cmd in (["infer-d"], ["translate"], ["translate", "--context", "[zz@0]"]):
+            assert cli(*cmd, str(f)) == 2
+            assert capsys.readouterr().err.startswith("error: 1:6: atom ")
+    for bad in ("zz@0", "iota@0"):
+        assert cli("translate", "--context", f"[nu@0,{bad}]", p("term_basic.sexp")) == 2
+        assert capsys.readouterr().err == \
+            f"error: --context: atom {bad} has undeclared name sort '{bad[:-2]}'\n"
+        assert cli("square", "--model", p("model_basic.sexp"), "--context", f"[{bad}]",
+                   p("term_basic.sexp")) == 2
+        assert capsys.readouterr().err.startswith("error: --context: atom ")
+
+
 # --- the pattern reader and the character loop -------------------------------
 
 # Blanks are space, tab, CR and LF only: form feed, vertical tab and NBSP are

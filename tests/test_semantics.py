@@ -8,7 +8,7 @@ from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, freshening_pair,
                           permission_set, set_subset)
 from nomhol.capture import canonical_context, capture_check, capture_infer
 from nomhol import frontend as F, hol as H, semantics
-from nomhol.corpus import restricted_derivations
+from nomhol.corpus import beta_axioms, eta_axiom, restricted_derivations
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, Bot, Former, Imp, Pred,
                         PnlSignature, Sus, Tup, TupleSort, Unknown, alpha_eq,
                         free_atoms, free_unknowns, perm_act, subst_one)
@@ -18,6 +18,7 @@ from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV,
                               TupV, UnboundVariableError,
                               Valuation, abstract_atoms, as_atom, as_bool,
                               as_ren, canonical_ground, canonicalize,
+                              compile_pattern, compile_spec,
                               convert_model, default_window, enumerate_ground,
                               eval_hol, eval_pnl_prop, eval_pnl_term, fn_apply,
                               ground_renaming_action, lift_valuation,
@@ -1073,6 +1074,163 @@ def test_depth_four_refutation_draws_few_candidates(monkeypatch):
     v = square_check(ENV, model, None, Valuation(), phi, 4)
     assert v.ok and not v.exact and v.lhs == 0
     assert len(drawn) == 2
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against the tree-walking oracles
+
+
+def _subterms(t):
+    yield t
+    match t:
+        case Tup(items):
+            for r in items:
+                yield from _subterms(r)
+        case Former(_, arg):
+            yield from _subterms(arg)
+        case AbsT(_, body):
+            yield from _subterms(body)
+
+
+@st.composite
+def pattern_and_term_st(draw):
+    """A pattern from `gen.rand_term` (repeated pattern variables, suspensions
+    under non-identity permutations, binders) and a ground term: usually an
+    instance of the pattern, so that both verdicts occur, else a random
+    ground term of the same sort."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sort = rng.choice([IOTA, IOTA, TupleSort((IOTA, IOTA)), AbsSort(NU, IOTA)])
+    pattern = rand_term(rng, rng.randrange(1, 5), sort)
+    if rng.random() < 0.7:
+        term = oracles.eval_pnl_term(M_ISVAR, rand_val(rng), pattern)
+        if rng.random() < 0.3:
+            term = perm_act(rand_perm(rng), term)
+    else:
+        term = rand_ground_term(rng, rng.randrange(1, 4), sort)
+    return pattern, term
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_and_term_st())
+def test_compiled_matcher_agrees_with_the_oracle(case):
+    pattern, term = case
+    want = oracles.match_pattern(pattern, term)
+    assert compile_pattern(pattern)(term) == want
+    # the same, reading every subterm's free atoms from a memo
+    memo = {id(t): supp(t) for t in _subterms(term)}
+    assert compile_pattern(pattern, memo)(term) == want
+    spec = PredSpec(((pattern, 1),), 0)
+    assert compile_spec(spec, memo)(term) == spec.apply(term) == int(want is not None)
+
+
+def test_compiled_clause_tables_agree_with_the_oracle():
+    rng = random.Random(561)
+    matched = 0
+    for _ in range(300):
+        clauses = tuple((rand_term(rng, rng.randrange(1, 4)), rng.randrange(2))
+                        for _ in range(rng.randrange(0, 5)))
+        spec = PredSpec(clauses, rng.randrange(2))
+        for _ in range(4):
+            x = rand_ground_term(rng, rng.randrange(1, 4))
+            if clauses and rng.random() < 0.5:
+                x = oracles.eval_pnl_term(M_ISVAR, rand_val(rng), rng.choice(clauses)[0])
+            got = spec.apply(x)
+            assert got == oracles.spec_apply(spec, x), (clauses, x)
+            matched += any(oracles.match_pattern(p, x) is not None for p, _ in clauses)
+    assert matched > 100
+
+
+def _nesting(phi) -> int:
+    match phi:
+        case All(_, body):
+            return 1 + _nesting(body)
+        case Imp(p, q):
+            return max(_nesting(p), _nesting(q))
+    return 0
+
+
+def _oracle_cases():
+    """(proposition, valuation, depth) triples at depth <= 3: random
+    propositions and the corpus eta and beta axioms, none deeper than the
+    tree-walking oracles evaluate in about a second on all three models."""
+    rng = random.Random(563)
+    cases = []
+    while len(cases) < 20:
+        phi = rand_prop(rng, rng.randrange(2, 5))
+        n = _nesting(phi)
+        if n and capture_check(d_for(phi), phi):
+            cases.append((phi, rand_val(rng), rng.randrange(1, 5 - n)))
+    eta = eta_axiom()
+    for phi in [eta, *beta_axioms()]:
+        deepest = 3 if phi is eta else min(2, 4 - _nesting(phi))
+        cases += [(phi, Valuation(), depth) for depth in range(1, deepest + 1)]
+    return cases
+
+
+def test_evaluation_agrees_with_the_tree_walking_oracles():
+    values = set()
+    for model in MODELS:
+        for phi, val, depth in _oracle_cases():
+            got = eval_pnl_prop(model, val, phi, depth)
+            assert got == oracles.eval_pnl_prop(model, val, phi, depth), (phi, depth)
+            values.add(got[0])
+            ctx = d_for(phi)
+            t = translate(ENV, ctx, phi)
+            env = lift_valuation(val, SIG)
+            assert eval_hol(model, env, t, depth) == \
+                oracles.eval_hol(model, env, t, depth), (phi, depth)
+    assert values == {0, 1}
+    rng = random.Random(565)
+    for _ in range(200):
+        x, val = rand_term(rng), rand_val(rng)
+        assert eval_pnl_term(M_ISVAR, val, x) == oracles.eval_pnl_term(M_ISVAR, val, x)
+
+
+def test_pools_and_supports_are_built_once_per_evaluation(monkeypatch):
+    y = Unknown(IOTA, PMSS_ALL, 5)
+    eq = lambda s, t: Pred("equal", Tup((s, t)))
+    both = eq(Sus.of(X0), Sus.of(y))
+    phi = All(X0, All(y, Imp(both, Imp(eq(Sus.of(y), Sus.of(X0)), both))))
+    pools, supports = [], []
+    counted_pools = lambda sig, sort, window, depth: (
+        pools.append((sort, tuple(window), depth)) or enumerate_ground(sig, sort, window, depth))
+    declared = PredSpec.declared_support
+
+    def counted_support(spec):
+        supports.append(spec)
+        return declared(spec)
+
+    monkeypatch.setattr(semantics, "enumerate_ground", counted_pools)
+    monkeypatch.setattr(semantics.PredSpec, "declared_support", counted_support)
+    for model in MODELS:
+        pools.clear()
+        assert eval_pnl_prop(model, Valuation(), phi, 2) == (1, False)
+        assert len(pools) == len(set(pools)) == 1
+        pools.clear()
+        t = translate(ENV, d_for(phi), phi)
+        got, exact = eval_hol(model, HolValuation(), t, 2)
+        assert got == BoolV(1) and not exact
+        assert len(pools) == len(set(pools)) == 1
+        assert len(supports) == len(set(map(id, supports))) == 1
+        supports.clear()
+
+
+def test_pools_past_the_limit_are_drawn_anew(monkeypatch):
+    # past depth 1 the pools of the oracle cases, and the sub-pools that
+    # enumerate_ground replays at depth 2, outgrow a limit of 7 terms
+    monkeypatch.setattr(semantics, "POOL_LIMIT", 7)
+    for sort in SIG_SORTS:
+        for depth in range(3):
+            assert list(enumerate_ground(SIG, sort, WINDOWS[0], depth)) == \
+                oracles.enumerate_ground(SIG, sort, WINDOWS[0], depth)
+    for model in MODELS:
+        for phi, val, depth in _oracle_cases()[::3]:
+            assert eval_pnl_prop(model, val, phi, depth) == \
+                oracles.eval_pnl_prop(model, val, phi, depth), (phi, depth)
+            t = translate(ENV, d_for(phi), phi)
+            env = lift_valuation(val, SIG)
+            assert eval_hol(model, env, t, depth) == \
+                oracles.eval_hol(model, env, t, depth), (phi, depth)
 
 
 # ---------------------------------------------------------------------------

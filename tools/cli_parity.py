@@ -5,7 +5,9 @@
 Runs, in-process through `nomhol.cli.run_cli`, every call of every pass of
 each named benchmark workload (`benchmarks/workloads.py`, honouring each
 call's `feeds` and `needs`), then every bundled corpus file under each CLI
-command, with and without `--json`.  Prints the number of calls and one
+command, with and without `--json`; `eval` and `square` run at depth 1 and
+again at depth 2 (`DEPTH_TWO`), where the quantifiers of valid inputs
+exhaust their candidate pools.  Prints the number of calls and one
 SHA-256 over (argv, exit status or escaped exception, stdout, stderr) of
 each call in order, with the temporary directory and the checkout path
 written as placeholders.  A second line does the same for the malformed
@@ -45,14 +47,17 @@ COMMANDS = (["check", "--logic", "pnl-full"], ["check", "--logic", "pnl-restrict
             ["infer-d"], ["normalize"], ["alpha"], ["alpha", "--hol"],
             ["eval"] + MODEL, ["eval"] + MODEL + VALUATION,
             ["square"] + MODEL, ["square"] + MODEL + VALUATION)
+MODEL_DEPTH_TWO = MODEL[:-1] + ["2"]
+DEPTH_TWO = (["eval"] + MODEL_DEPTH_TWO, ["eval"] + MODEL_DEPTH_TWO + VALUATION,
+             ["square"] + MODEL_DEPTH_TWO, ["square"] + MODEL_DEPTH_TWO + VALUATION)
 
 
-def corpus_calls(files: list) -> list:
+def corpus_calls(files: list, commands=COMMANDS) -> list:
     """Every command, with and without --json, on each file; `alpha` pairs a
     file with the next one."""
     calls = []
     for i, f in enumerate(files):
-        for cmd in COMMANDS:
+        for cmd in commands:
             args = [f, files[(i + 1) % len(files)]] if cmd[0] == "alpha" else [f]
             for json_flag in ([], ["--json"]):
                 calls.append(Call(cmd[0], cmd + json_flag + args, 0, {}))
@@ -141,7 +146,8 @@ def main(argv) -> int:
         name, seed = spec.split(":")
         w = workloads.build(name, int(seed))
         groups.append((w.files, [c for calls in w.passes for c in calls]))
-    groups.append(({}, corpus_calls(sorted(str(f) for f in CORPUS.glob("*.sexp")))))
+    files = sorted(str(f) for f in CORPUS.glob("*.sexp"))
+    groups.append(({}, corpus_calls(files, COMMANDS + DEPTH_TWO)))
     count, digest = fingerprint(groups)
     print(f"{count} calls sha256 {digest}")
     count, digest = fingerprint([malformed_group()])
