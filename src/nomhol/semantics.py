@@ -20,7 +20,6 @@ once per call and replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Callable, Mapping, Optional, Union
 
@@ -228,7 +227,7 @@ def merge_ren_tuple(elems) -> RenElem:
     choosing representatives whose renaming domains are pairwise disjoint and
     disjoint from the other components' supports."""
     elems = [canonicalize(e) for e in elems]
-    if all(e.rho.is_identity for e in elems):
+    if all(e.rho.is_identity for e in elems):  # no supports need walking
         return RenElem(Renaming({}), Tup(tuple(e.val for e in elems)))
     supports = [supp(e.val) for e in elems]
     avoid = set().union(*(s | e.rho.nontriv for s, e in zip(supports, elems))) \
@@ -354,12 +353,12 @@ def pattern_atoms(p) -> frozenset:
 
 def _ground_atoms(x, memo) -> Optional[frozenset]:
     """The free atoms of x as a finite set, or None when x suspends an
-    unknown.  A term found in `memo` (the id of a term its owner keeps
-    alive -> the term's free atoms) is not walked again."""
+    unknown.  A term found in `memo` (id -> the term and its free atoms) is
+    not walked again; the memo holds the term, so its id is not reused."""
     if memo:
         hit = memo.get(id(x))
-        if hit is not None:
-            return hit
+        if hit is not None and hit[0] is x:
+            return hit[1]
     t = type(x)
     if t is AtomT:
         return frozenset((x.atom,))
@@ -452,13 +451,13 @@ def _pattern_test(p, slots: list, index: dict, memo) -> Callable:
     return lambda x: False
 
 
-def compile_pattern(pattern, memo=None) -> Callable:
+def compile_pattern(pattern) -> Callable:
     """The pattern (with unknowns as pattern variables) compiled once into a
     matcher for ground terms: match(term) returns the bindings, or None when
     the term does not match up to alpha."""
     slots: list = []
     index: dict = {}
-    test = _pattern_test(pattern, slots, index, memo)
+    test = _pattern_test(pattern, slots, index, None)
     unknowns = tuple(index)
 
     def match(term) -> Optional[dict]:
@@ -524,11 +523,7 @@ class PredSpec:
         return out
 
     def apply(self, x) -> int:
-        return self._apply(x)
-
-    @cached_property
-    def _apply(self) -> Callable:
-        return compile_spec(self)
+        return compile_spec(self)(x)
 
 
 @dataclass(frozen=True)
@@ -669,12 +664,7 @@ POOL_LIMIT = 4096  # terms a _Pool records; past them each walk generates anew
 
 def _tuples(pools):
     """The tuples over the pools, first slot outermost."""
-    if len(pools) == 2:
-        first, second = pools
-        for t in first:
-            for u in second:
-                yield (t, u)
-    elif len(pools) > 2:
+    if len(pools) > 1:
         for t in pools[0]:
             for rest in _tuples(pools[1:]):
                 yield (t, *rest)
@@ -757,7 +747,7 @@ class _Pool:
                     return
                 items.append(t)
                 if self.memo is not None:
-                    self.memo[id(t)] = _ground_atoms(t, None)
+                    self.memo[id(t)] = (t, _ground_atoms(t, None))
                 yield t
             else:
                 rest, self.source = self.source, None
@@ -768,11 +758,12 @@ class _Pool:
 
 class _Pools:
     """The candidate pools of one evaluation, one per (sort, window, depth),
-    and the free atoms of every recorded candidate (`memo`, id -> atoms),
-    which the evaluation's matchers read instead of walking.
+    and the free atoms of every recorded candidate (`memo`, id -> the term
+    and its atoms), which the evaluation's matchers read instead of walking.
     `exact` drops to False once a quantifier is evaluated by bounded
     enumeration.  Nothing here refers back to the evaluation's closures, so
-    the pools are freed as soon as the evaluation is."""
+    the pools are freed as soon as the evaluation is; a predicate value that
+    outlives it keeps only `memo`, which holds the terms it is keyed by."""
 
     def __init__(self, sig: PnlSignature, depth: int):
         self.sig, self.depth = sig, depth
@@ -853,9 +844,6 @@ class _PnlCompiler:
                 return Tup(tuple(c for c, _ in parts)), None
             builds = [(lambda c=c: c) if build is None else build
                       for c, build in parts]
-            if len(builds) == 2:
-                left, right = builds
-                return None, lambda: Tup((left(), right()))
             return None, lambda: Tup(tuple([build() for build in builds]))
         return None, _raiser(TypeError(f"not a term: {r!r}"))
 

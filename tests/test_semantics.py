@@ -1,3 +1,4 @@
+import gc
 import random
 from pathlib import Path
 
@@ -1116,11 +1117,33 @@ def test_compiled_matcher_agrees_with_the_oracle(case):
     pattern, term = case
     want = oracles.match_pattern(pattern, term)
     assert compile_pattern(pattern)(term) == want
-    # the same, reading every subterm's free atoms from a memo
-    memo = {id(t): supp(t) for t in _subterms(term)}
-    assert compile_pattern(pattern, memo)(term) == want
+    # the same verdict, reading every subterm's free atoms from a memo
+    memo = {id(t): (t, supp(t)) for t in _subterms(term)}
     spec = PredSpec(((pattern, 1),), 0)
     assert compile_spec(spec, memo)(term) == spec.apply(term) == int(want is not None)
+
+
+def test_predicate_values_outlive_their_evaluation():
+    # The g_equal value escapes the evaluation whose exhausted iota pool
+    # filled its free-atom memo.  Once that evaluation is freed, fresh terms
+    # take the pool terms' ids; the memo must not answer for them.
+    w = H.PlainVar(H.sort_to_type(IOTA), 0)
+    gp = H.App(translate(ENV, (), Pred("P", var(0))).fn, H.Var(w))
+    pair, _ = eval_hol(M_ISVAR, HolValuation(),
+                       H.HTup((H.forall(w, H.imp(gp, gp)),
+                               ENV.pred_const("equal"))), 2)
+    g = pair.items[1]
+    gc.collect()
+    # atoms outside WIDE: a pair of fresh terms is an instance of EQ_SPEC
+    # only when the term is closed
+    fresh = list(enumerate_ground(SIG, IOTA, [Atom(NU, i) for i in range(50, 53)], 3))
+    verdicts = []
+    for x in fresh:
+        y = Tup((x, x))
+        got = as_bool(fn_apply(g, RenV(RenElem(ID, y))))
+        assert got == oracles.spec_apply(EQ_SPEC, y), x
+        verdicts.append(got)
+    assert verdicts.count(0) > 500 and 1 in verdicts
 
 
 def test_compiled_clause_tables_agree_with_the_oracle():
