@@ -732,7 +732,10 @@ def parse_renelem(sig: P.PnlSignature, node: SNode) -> RenElem:
     rho, term = _args(node, 2, "ren")
     if not isinstance(rho, Sym):
         _err(node, "the renaming is a token like [nu@0:=nu@1]")
-    return RenElem(parse_renaming_text(sig, rho.text, rho), parse_term(sig, term))
+    renaming, val = parse_renaming_text(sig, rho.text, rho), parse_term(sig, term)
+    if P.free_unknowns(val):
+        _err(term, "the term of (ren ...) must be ground")
+    return RenElem(renaming, val)
 
 
 def render_renelem(e: RenElem) -> str:

@@ -12,9 +12,12 @@ The module provides evaluators for both syntaxes and a checker for the
 commuting square relating a nominal term/proposition's direct value to the
 value of its translation under the lifted valuation.  Each evaluation call
 compiles its input once into closures and then runs them for every
-quantifier candidate: clause tables become matchers, quantified unknowns
-become slots, and each (sort, window, depth) pool of candidates is drawn
-once per call and replayed.
+quantifier candidate: clause tables become matchers that try their clauses
+in order, quantified unknowns become slots, lambda bodies read their bound
+variables by position, and each (sort, window, depth) pool of candidates is
+drawn once per call and replayed.  A matcher keeps nothing about a
+candidate: it walks the candidate's free atoms whenever it tests a
+permission set.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class UnboundVariableError(SemanticsError):
 
 def supp(x) -> frozenset:
     """Support of a ground element: its free atoms, always a finite set."""
-    got = _ground_atoms(x, None)
+    got = _ground_atoms(x)
     return free_atoms(x).as_finite() if got is None else got
 
 
@@ -317,7 +320,7 @@ def fn_apply(f: SemVal, a: SemVal) -> SemVal:
     match f:
         case RenV(RenElem(rho, AbsT(bound, body))):
             b = as_atom(a)
-            if bound in rho.nontriv or bound == b:
+            if bound in rho.nontriv:
                 avoid = free_atoms(body).union(
                     CofinAtomSet.finite(rho.nontriv | {b, bound}))
                 c = fresh_atoms([bound.sort], avoid)[0]
@@ -351,26 +354,21 @@ def pattern_atoms(p) -> frozenset:
     raise TypeError(f"not a pattern: {p!r}")
 
 
-def _ground_atoms(x, memo) -> Optional[frozenset]:
+def _ground_atoms(x) -> Optional[frozenset]:
     """The free atoms of x as a finite set, or None when x suspends an
-    unknown.  A term found in `memo` (id -> the term and its free atoms) is
-    not walked again; the memo holds the term, so its id is not reused."""
-    if memo:
-        hit = memo.get(id(x))
-        if hit is not None and hit[0] is x:
-            return hit[1]
+    unknown."""
     t = type(x)
     if t is AtomT:
         return frozenset((x.atom,))
     if t is Former:
-        return _ground_atoms(x.arg, memo)
+        return _ground_atoms(x.arg)
     if t is AbsT:
-        got = _ground_atoms(x.body, memo)
+        got = _ground_atoms(x.body)
         return got - {x.atom} if got is not None and x.atom in got else got
     if t is Tup:
         out = frozenset()
         for r in x.items:
-            got = _ground_atoms(r, memo)
+            got = _ground_atoms(r)
             if got is None:
                 return None
             out |= got
@@ -378,20 +376,20 @@ def _ground_atoms(x, memo) -> Optional[frozenset]:
     return None
 
 
-def _atoms_within(x, pmss: CofinAtomSet, memo) -> bool:
+def _atoms_within(x, pmss: CofinAtomSet) -> bool:
     """Whether the free atoms of x lie in the permission set."""
-    got = _ground_atoms(x, memo)
+    got = _ground_atoms(x)
     if got is None:
         return set_subset(free_atoms(x), pmss)
     return all(a in pmss for a in got)
 
 
-def _is_free_in(a: Atom, x, memo) -> bool:
-    got = _ground_atoms(x, memo)
+def _is_free_in(a: Atom, x) -> bool:
+    got = _ground_atoms(x)
     return a in (free_atoms(x) if got is None else got)
 
 
-def _pattern_test(p, slots: list, index: dict, memo) -> Callable:
+def _pattern_test(p, slots: list, index: dict) -> Callable:
     """The pattern p compiled into a test term -> bool, for first-order
     matching up to alpha.  The first occurrence of a pattern variable in
     preorder stores its binding in `slots` at the position `index` gives it;
@@ -412,7 +410,7 @@ def _pattern_test(p, slots: list, index: dict, memo) -> Callable:
         def bind(x) -> bool:
             if moved:
                 x = perm_act(inv, x)
-            if not _atoms_within(x, pmss, memo):
+            if not _atoms_within(x, pmss):
                 return False
             slots[k] = x
             return True
@@ -421,10 +419,10 @@ def _pattern_test(p, slots: list, index: dict, memo) -> Callable:
         a = p.atom
         return lambda x: type(x) is AtomT and x.atom == a
     if t is Former:
-        f, arg = p.name, _pattern_test(p.arg, slots, index, memo)
+        f, arg = p.name, _pattern_test(p.arg, slots, index)
         return lambda x: type(x) is Former and x.name == f and arg(x.arg)
     if t is Tup:
-        items = tuple(_pattern_test(q, slots, index, memo) for q in p.items)
+        items = tuple(_pattern_test(q, slots, index) for q in p.items)
         n = len(items)
 
         def tup(x) -> bool:
@@ -436,7 +434,7 @@ def _pattern_test(p, slots: list, index: dict, memo) -> Callable:
             return True
         return tup
     if t is AbsT:
-        a, body = p.atom, _pattern_test(p.body, slots, index, memo)
+        a, body = p.atom, _pattern_test(p.body, slots, index)
 
         def abst(x) -> bool:
             if type(x) is not AbsT:
@@ -444,7 +442,7 @@ def _pattern_test(p, slots: list, index: dict, memo) -> Callable:
             b = x.atom
             if a == b:
                 return body(x.body)
-            if a.sort != b.sort or _is_free_in(a, x.body, memo):
+            if a.sort != b.sort or _is_free_in(a, x.body):
                 return False
             return body(perm_act(Perm.swap(a, b), x.body))
         return abst
@@ -457,7 +455,7 @@ def compile_pattern(pattern) -> Callable:
     the term does not match up to alpha."""
     slots: list = []
     index: dict = {}
-    test = _pattern_test(pattern, slots, index, None)
+    test = _pattern_test(pattern, slots, index)
     unknowns = tuple(index)
 
     def match(term) -> Optional[dict]:
@@ -465,36 +463,14 @@ def compile_pattern(pattern) -> Callable:
     return match
 
 
-def _head(x):
-    """What a clause's pattern must agree with before it is tried: the class,
-    with a former's name or a tuple's arity."""
-    t = type(x)
-    if t is Former:
-        return t, x.name
-    if t is Tup:
-        return t, len(x.items)
-    return t
-
-
-def compile_spec(spec: "PredSpec", memo=None) -> Callable:
+def compile_spec(spec: "PredSpec") -> Callable:
     """The clause table compiled once: apply(term) is the value of the first
-    clause whose pattern matches, else the default.  Clauses are grouped by
-    the head they need (a pattern variable at the root needs none), so a
-    term is tried only against the clauses its head allows."""
-    clauses = []
-    for p, v in spec.clauses:
-        need = None if type(p) is Sus else _head(p)
-        clauses.append((need, _pattern_test(p, [], {}, memo), v))
-    by_head: dict = {}
+    clause whose pattern matches, else the default."""
+    clauses = [(_pattern_test(p, [], {}), v) for p, v in spec.clauses]
     default = spec.default
 
     def apply(x) -> int:
-        key = _head(x)
-        tests = by_head.get(key)
-        if tests is None:
-            tests = by_head[key] = [(test, v) for need, test, v in clauses
-                                    if need is None or need == key]
-        for test, v in tests:
+        for test, v in clauses:
             if test(x):
                 return v
         return default
@@ -716,16 +692,15 @@ _DONE = object()  # the end of a generator, for next()
 
 class _Pool:
     """The terms that make() generates, drawn when a walk first needs them
-    and recorded for the walks after it, with their free atoms in `memo`
-    when one is given.  Walks may be nested; each reads the recorded prefix
-    and draws past it.  Past POOL_LIMIT terms nothing more is recorded: the
-    first walk to get there goes on drawing, any other generates the rest
-    anew."""
+    and recorded for the walks after it.  Walks may be nested; each reads
+    the recorded prefix and draws past it.  Past POOL_LIMIT terms nothing
+    more is recorded: the first walk to get there goes on drawing, any other
+    generates the rest anew."""
 
-    __slots__ = ("make", "items", "source", "done", "memo")
+    __slots__ = ("make", "items", "source", "done")
 
-    def __init__(self, make: Callable, memo: Optional[dict] = None):
-        self.make, self.memo = make, memo
+    def __init__(self, make: Callable):
+        self.make = make
         self.items: list = []
         self.source = iter(make())
         self.done = False  # the recorded items are the whole pool
@@ -746,8 +721,6 @@ class _Pool:
                     self.done = True
                     return
                 items.append(t)
-                if self.memo is not None:
-                    self.memo[id(t)] = (t, _ground_atoms(t, None))
                 yield t
             else:
                 rest, self.source = self.source, None
@@ -757,18 +730,14 @@ class _Pool:
 
 
 class _Pools:
-    """The candidate pools of one evaluation, one per (sort, window, depth),
-    and the free atoms of every recorded candidate (`memo`, id -> the term
-    and its atoms), which the evaluation's matchers read instead of walking.
+    """The candidate pools of one evaluation, one per (sort, window, depth).
     `exact` drops to False once a quantifier is evaluated by bounded
     enumeration.  Nothing here refers back to the evaluation's closures, so
-    the pools are freed as soon as the evaluation is; a predicate value that
-    outlives it keeps only `memo`, which holds the terms it is keyed by."""
+    the pools are freed as soon as the evaluation is."""
 
     def __init__(self, sig: PnlSignature, depth: int):
         self.sig, self.depth = sig, depth
         self.table: dict = {}
-        self.memo: dict = {}
         self.exact = True
 
     def forall(self, sort, window: tuple, holds: Callable) -> int:
@@ -781,8 +750,7 @@ class _Pools:
         pool = self.table.get(key)
         if pool is None:
             sig = self.sig
-            pool = self.table[key] = _Pool(
-                lambda: enumerate_ground(sig, *key), self.memo)
+            pool = self.table[key] = _Pool(lambda: enumerate_ground(sig, *key))
         return int(all(map(holds, pool)))
 
 
@@ -866,7 +834,7 @@ class _PnlCompiler:
                     spec = self.model.spec(phi.name)
                 except SemanticsError as e:
                     return _raiser(e)
-                apply = self.specs[phi.name] = compile_spec(spec, self.pools.memo)
+                apply = self.specs[phi.name] = compile_spec(spec)
             arg, build = self.term(phi.arg, env)
             if build is None:
                 value = apply(arg)
@@ -1010,7 +978,7 @@ class HolEvaluator:
             if base in self.model.sig.prop_formers:
                 spec = self.model.spec(base)
                 support = spec.declared_support()
-                apply = compile_spec(spec, self._pools.memo)
+                apply = compile_spec(spec)
 
                 def pred(a: SemVal) -> SemVal:
                     return _BOOLS[apply(_strip_for(as_ren(a), support).val)]
@@ -1114,19 +1082,14 @@ class HolEvaluator:
         if image and isinstance(v, H.AtomVar):
             a = v.atom
             named = {w.atom for w in free if isinstance(w, H.AtomVar)}
-            renamed: dict = {}  # fresh atom -> the body compiled with it for a
 
             def abstraction(env, locs) -> SemVal:
-                b, go = a, run
+                # the body reads v by position, so a fresh atom may stand in
+                # for a when a is in the support of another variable's value;
+                # it avoids the atoms the body names, as substituting it would
                 taken = support_of(env, locs)
-                if a in taken:
-                    b = fresh_atoms([a.sort], taken | named)[0]
-                    go = renamed.get(b)
-                    if go is None:
-                        w = H.AtomVar(b)
-                        go = renamed[b] = self._compile(
-                            H.hol_subst_parallel(body, {v: H.Var(w)}), scope + (w,))
-                e = as_ren(go(env, (*locs, AtomV(b))))
+                b = fresh_atoms([a.sort], taken | named)[0] if a in taken else a
+                e = as_ren(run(env, (*locs, AtomV(b))))
                 rho = e.rho.restrict(supp(e.val) - {b})
                 return RenV(RenElem(rho, AbsT(b, e.val)))
             return abstraction

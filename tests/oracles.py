@@ -17,7 +17,9 @@ The tree-walking evaluators are the references for the compiled ones:
 `eval_pnl_term`/`eval_pnl_prop` for the nominal evaluator, and
 `HolEvaluator`/`eval_hol` for the higher-order one.  They walk the syntax
 at every candidate, draw every quantifier's candidates from the eager
-enumerator, and keep nothing between candidates.
+enumerator, and keep nothing between candidates.  `fn_apply` freshens an
+abstraction element's binder at every application that could clash, the
+reference for `semantics.fn_apply`, which freshens only a renamed binder.
 `flat` prints a reader node, the reference for `nomhol.sexpr`'s structural
 ids: two lists of one read share a sid exactly when they print the same.
 """
@@ -27,7 +29,8 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
-from nomhol.atoms import Atom, Perm, Renaming, fresh_atoms, set_subset
+from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
+                          set_subset)
 from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var,
                         beta_normalize, hol_type_of, var_type)
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
@@ -38,9 +41,9 @@ from nomhol import hol as H
 from nomhol import semantics as S
 from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV, RenElem,
                               RenV, SemanticsError, TupV, UnboundVariableError,
-                              abstract_atoms, as_bool, as_ren, default_window,
-                              fn_apply, merge_ren_tuple, pmss_window, supp,
-                              supp_sem)
+                              abstract_atoms, as_atom, as_bool, as_ren,
+                              default_window, merge_ren_tuple, mk_ren,
+                              pmss_window, supp, supp_sem)
 from nomhol.sexpr import SNode, Sym
 
 
@@ -181,6 +184,26 @@ def ren_eq_search(e1: RenElem, e2: RenElem) -> bool:
         if all(e1.rho(a) == e2.rho(f[a]) for a in s1):
             return True
     return False
+
+
+def fn_apply(f, a):
+    """Application that freshens an abstraction element's binder whenever it
+    is renamed or equals the argument atom, then re-canonicalises."""
+    match f:
+        case RenV(RenElem(rho, AbsT(bound, body))):
+            b = as_atom(a)
+            if bound in rho.nontriv or bound == b:
+                avoid = free_atoms(body).union(
+                    CofinAtomSet.finite(rho.nontriv | {b, bound}))
+                c = fresh_atoms([bound.sort], avoid)[0]
+                body = perm_act(Perm.swap(c, bound), body)
+                bound = c
+            return RenV(mk_ren(Renaming.atomic(bound, b).compose(rho), body))
+        case RenV(_):
+            raise SemanticsError(f"applying a non-abstraction element: {f!r}")
+        case FnV():
+            return f.apply(a)
+    raise SemanticsError(f"not a function value: {f!r}")
 
 
 def enumerate_ground(sig: PnlSignature, sort, atoms, depth: int):

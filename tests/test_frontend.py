@@ -176,7 +176,9 @@ def test_section_errors_exit_2(tmp_path, capsys):
 
 
 # A valuation entry or a renaming move given twice is an error at the second
-# entry, or at the renaming's token; neither replaces the first.
+# entry, or at the renaming's token; neither replaces the first.  A
+# suspension element's term must be ground: one with an unknown is an error
+# at the term.
 _U = "X{iota;perm(+{}-{});0}"
 ENTRY_ERRORS = [
     # (kind, text, message, line, col)
@@ -187,6 +189,8 @@ ENTRY_ERRORS = [
      "repeated (assign X{iota;perm(+{nu@0,nu@1}-{});0} ...)", 2, 3),
     ("renelem", "(ren\n  [nu@0:=nu@1,nu@0:=nu@2] (tup nu@0))", "repeated nu@0:=...", 2, 3),
     ("renelem", "(ren [nu@1:=nu@0,nu@1:=nu@0] (tup nu@1))", "repeated nu@1:=...", 1, 6),
+    ("renelem", f"(ren [nu@0:=nu@1] (tup nu@0 {_U}))",
+     "the term of (ren ...) must be ground", 1, 19),
 ]
 
 

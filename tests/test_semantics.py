@@ -444,6 +444,24 @@ def test_suspended_abstraction_application():
     assert ren_eq(got, RenElem(ID, app(var(3), var(2))))
 
 
+ABSTRACTIONS = list(enumerate_ground(SIG, AbsSort(NU, IOTA), WINDOW, 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, len(ABSTRACTIONS) - 1), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_application_freshens_only_a_renamed_binder(i, seed, own_atom):
+    # fn_apply keeps the binder unless the renaming touches it; the oracle
+    # freshens it also when the argument is the bound atom itself
+    rng = random.Random(seed)
+    x = ABSTRACTIONS[i]
+    atoms = WINDOW + [x.atom] if x.atom not in WINDOW else WINDOW
+    f = RenV(RenElem(rand_renaming(rng, atoms), x))
+    b = AtomV(x.atom if own_atom else rng.choice(atoms))
+    got, want = as_ren(fn_apply(f, b)), as_ren(oracles.fn_apply(f, b))
+    assert oracles.ren_eq_search(got, want), (f, b)
+
+
 def test_renaming_function_is_not_an_abstraction_element():
     # the function realizing [nu@0:=nu@1] on atoms differs from every
     # abstraction-of-an-atom element on at least one input
@@ -676,6 +694,40 @@ def test_eval_hol_lambda_at_image_type_builds_an_abstraction():
     got, exact = eval_hol(M_ISVAR, HolValuation(), t)
     assert exact
     assert ren_eq(as_ren(got), RenElem(ID, AbsT(a(0), var(0))))
+
+
+def test_lambda_over_an_atom_in_another_value_binds_a_fresh_atom():
+    # λnu@0 at image type, where the value of y has nu@0 in its support: the
+    # abstraction must bind a fresh atom, also in a nested λ that binds nu@0
+    # again, and in one whose body also reads the outer bound atom; the
+    # fresh atoms avoid the atoms the body names, as substituting would
+    n0, n1 = H.AtomVar(a(0)), H.AtomVar(a(1))
+    y = H.PlainVar(H.sort_to_type(IOTA), 0)
+    g_var, g_app, g_lam = (ENV.term_const(f) for f in ("var", "app", "lam"))
+
+    def gapp(s, t):
+        return H.App(g_app, H.HTup((s, t)))
+
+    def gvar(w):
+        return H.App(g_var, H.Var(w))
+
+    terms = [
+        H.Lam(n0, gapp(gvar(n0), H.Var(y))),
+        H.Lam(n0, gapp(gvar(n0), H.App(g_lam, H.Lam(n0, gapp(gvar(n0), H.Var(y)))))),
+        H.Lam(n0, H.App(g_lam, H.Lam(n1, gapp(gvar(n0), gapp(gvar(n1), H.Var(y)))))),
+        H.App(g_lam, H.Lam(n0, gapp(H.Var(y), H.App(g_lam, H.Lam(n0, gvar(n0)))))),
+        H.Lam(n1, gapp(H.Var(y), H.App(g_lam, H.Lam(n0, gvar(n1))))),
+    ]
+    values = [RenElem(ID, var(0)), RenElem(ID, app(var(0), var(1))),
+              RenElem(Renaming.atomic(a(2), a(0)), app(var(2), var(1))),
+              RenElem(Renaming.atomic(a(0), a(1)), app(var(0), var(2)))]
+    for t in terms:
+        for e in values:
+            env = HolValuation({y: RenV(e)})
+            got = eval_hol(M_ISVAR, env, t)
+            assert got == oracles.eval_hol(M_ISVAR, env, t), (t, e)
+            if type(t) is H.Lam and t.var.atom in supp_sem(RenV(e)):
+                assert got[0].elem.val.atom != t.var.atom, (t, e)
 
 
 def test_eval_hol_beta_agreement():
@@ -1081,18 +1133,6 @@ def test_depth_four_refutation_draws_few_candidates(monkeypatch):
 # compiled evaluation against the tree-walking oracles
 
 
-def _subterms(t):
-    yield t
-    match t:
-        case Tup(items):
-            for r in items:
-                yield from _subterms(r)
-        case Former(_, arg):
-            yield from _subterms(arg)
-        case AbsT(_, body):
-            yield from _subterms(body)
-
-
 @st.composite
 def pattern_and_term_st(draw):
     """A pattern from `gen.rand_term` (repeated pattern variables, suspensions
@@ -1117,16 +1157,16 @@ def test_compiled_matcher_agrees_with_the_oracle(case):
     pattern, term = case
     want = oracles.match_pattern(pattern, term)
     assert compile_pattern(pattern)(term) == want
-    # the same verdict, reading every subterm's free atoms from a memo
-    memo = {id(t): (t, supp(t)) for t in _subterms(term)}
+    # the same verdict from the compiled one-clause table
     spec = PredSpec(((pattern, 1),), 0)
-    assert compile_spec(spec, memo)(term) == spec.apply(term) == int(want is not None)
+    assert compile_spec(spec)(term) == oracles.spec_apply(spec, term) == \
+        int(want is not None)
 
 
 def test_predicate_values_outlive_their_evaluation():
-    # The g_equal value escapes the evaluation whose exhausted iota pool
-    # filled its free-atom memo.  Once that evaluation is freed, fresh terms
-    # take the pool terms' ids; the memo must not answer for them.
+    # The g_equal value escapes the evaluation whose iota pool it was applied
+    # to until exhausted.  Once that evaluation is freed, fresh terms take the
+    # pool terms' ids; nothing the value kept may answer for them.
     w = H.PlainVar(H.sort_to_type(IOTA), 0)
     gp = H.App(translate(ENV, (), Pred("P", var(0))).fn, H.Var(w))
     pair, _ = eval_hol(M_ISVAR, HolValuation(),
