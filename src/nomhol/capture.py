@@ -62,11 +62,15 @@ def capture_infer(x, abstracted: frozenset = frozenset()) -> frozenset:
 
 
 def capture_cover(sequents) -> CaptureContext:
-    """One context that capture-checks every proposition of every sequent."""
+    """One context that capture-checks every proposition of every sequent;
+    a proposition object that recurs is inferred once."""
     needed: set = set()
+    seen: dict = {}  # id -> proposition; holding it keeps its id unique
     for seq in sequents:
         for phi in (*seq.left, *seq.right):
-            needed |= capture_infer(phi)
+            if id(phi) not in seen:
+                seen[id(phi)] = phi
+                needed |= capture_infer(phi)
     return canonical_context(needed)
 
 

@@ -176,8 +176,7 @@ def _cmd_normalize(args) -> int:
     sig = _load_sig(args)
     hsig = translate_signature(sig).target
     t = F.parse_document(_read(args.file), "hol", sig, hsig)
-    H.hol_type_of(t, hsig)
-    out = F.render(H.beta_normalize(t))
+    out = F.render(H.beta_normalize(t, hsig))
     return _emit(args, {"ok": True, "term": out}, out)
 
 

@@ -37,10 +37,12 @@ Concrete syntax (all forms are s-expressions; see sexpr.py for the lexer):
                    digits 0-9, after a '-' where signed
 
 A derivation restates its context at every node, so its text repeats each
-formula many times.  `parse_document` reads a derivation with one memo for
-the call: a sequent formula is parsed once per distinct text, keyed by the
-reader's structural id (`sexpr.SList.sid`, which is per `parse_all` call)
-or by a symbol's text, and every copy is the same object.
+formula, and each subterm, many times.  `parse_document` reads a document
+with one memo for the call: `parse_term`, `parse_prop` and `parse_hol` parse
+each distinct form once, keyed by its category and the reader's structural
+id (`sexpr.SList.sid`, which is per `parse_all` call) or a symbol's text,
+and every copy is the same object.  A model that declares its own signature
+starts a fresh memo.  `render_derivation` prints each formula object once.
 """
 
 from __future__ import annotations
@@ -300,45 +302,69 @@ def parse_unknown(sig: P.PnlSignature, node: SNode) -> P.Unknown:
 # ---------------------------------------------------------------------------
 # nominal terms and propositions
 
-def parse_term(sig: P.PnlSignature, node: SNode) -> P.PnlTerm:
+# The parsers of terms, propositions and typed-lambda terms share a memo for
+# one reader call: (category, sid of a list or text of a symbol) -> the
+# parsed object.  Each looks its node up in its own body, since a wrapper
+# would add a stack frame per nesting level and lower the depth of input
+# that parses.
+
+def parse_term(sig: P.PnlSignature, node: SNode, memo: Optional[dict] = None) -> P.PnlTerm:
+    memo = {} if memo is None else memo
+    key = ("term", node.sid if isinstance(node, SList) else node.text)
+    t = memo.get(key)
+    if t is not None:
+        return t
     if isinstance(node, Sym):
         a = parse_atom_text(node.text)
         if a is not None:
-            return P.AtomT(_declared(sig, a, node))
-        if node.text.startswith("X{"):
-            return P.Sus.of(parse_unknown_text(sig, node.text, node))
-        _err(node, f"unrecognized term {node.text!r}")
+            t = P.AtomT(_declared(sig, a, node))
+        elif node.text.startswith("X{"):
+            t = P.Sus.of(parse_unknown_text(sig, node.text, node))
+        else:
+            _err(node, f"unrecognized term {node.text!r}")
+    else:
+        head = _head(node)
+        if head == "tup":
+            t = P.Tup(tuple(parse_term(sig, r, memo) for r in node.items[1:]))
+        elif head == "abs":
+            a, body = _args(node, 2, "abs")
+            t = P.AbsT(parse_atom(sig, a), parse_term(sig, body, memo))
+        elif head == "sus":
+            cycles, unk = _args(node, 2, "sus")
+            t = P.Sus(parse_perm(sig, cycles), parse_unknown(sig, unk))
+        elif head in sig.term_formers:
+            (arg,) = _args(node, 1, head)
+            t = P.Former(head, parse_term(sig, arg, memo))
+        else:
+            _err(node, f"unrecognized term form {head!r}")
+    memo[key] = t
+    return t
+
+
+def parse_prop(sig: P.PnlSignature, node: SNode, memo: Optional[dict] = None) -> P.PnlProp:
+    memo = {} if memo is None else memo
+    key = ("prop", node.sid if isinstance(node, SList) else node.text)
+    phi = memo.get(key)
+    if phi is not None:
+        return phi
     head = _head(node)
-    if head == "tup":
-        return P.Tup(tuple(parse_term(sig, t) for t in node.items[1:]))
-    if head == "abs":
-        a, body = _args(node, 2, "abs")
-        return P.AbsT(parse_atom(sig, a), parse_term(sig, body))
-    if head == "sus":
-        cycles, unk = _args(node, 2, "sus")
-        return P.Sus(parse_perm(sig, cycles), parse_unknown(sig, unk))
-    if head in sig.term_formers:
-        (arg,) = _args(node, 1, head)
-        return P.Former(head, parse_term(sig, arg))
-    _err(node, f"unrecognized term form {head!r}")
-
-
-def parse_prop(sig: P.PnlSignature, node: SNode) -> P.PnlProp:
     if isinstance(node, Sym) and node.text == "bot":
-        return P.Bot()
-    head = _head(node)
-    if head == "imp":
+        phi = P.Bot()
+    elif head == "imp":
         p, q = _args(node, 2, "imp")
-        return P.Imp(parse_prop(sig, p), parse_prop(sig, q))
-    if head == "pred":
+        phi = P.Imp(parse_prop(sig, p, memo), parse_prop(sig, q, memo))
+    elif head == "pred":
         name, arg = _args(node, 2, "pred")
         if not isinstance(name, Sym) or name.text not in sig.prop_formers:
             _err(node, f"undeclared proposition-former {name!r}")
-        return P.Pred(name.text, parse_term(sig, arg))
-    if head == "all":
+        phi = P.Pred(name.text, parse_term(sig, arg, memo))
+    elif head == "all":
         unk, body = _args(node, 2, "all")
-        return P.All(parse_unknown(sig, unk), parse_prop(sig, body))
-    _err(node, f"unrecognized proposition {node!r}")
+        phi = P.All(parse_unknown(sig, unk), parse_prop(sig, body, memo))
+    else:
+        _err(node, f"unrecognized proposition {node!r}")
+    memo[key] = phi
+    return phi
 
 
 def parse_pnl(sig: P.PnlSignature, node: SNode):
@@ -387,45 +413,55 @@ def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
     _err(node, f"expected a variable, got {node!r}")
 
 
-def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode) -> H.HolTerm:
+def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode,
+              memo: Optional[dict] = None) -> H.HolTerm:
+    memo = {} if memo is None else memo
+    key = ("hol", node.sid if isinstance(node, SList) else node.text)
+    t = memo.get(key)
+    if t is not None:
+        return t
     if isinstance(node, Sym):
         if node.text == "bot":
-            return H.BOT
-        if node.text == "imp":
-            return H.IMP
-        if node.text in hsig.constants:
-            return H.Const(node.text, hsig.constants[node.text])
-        a = parse_atom_text(node.text)
-        if a is not None:
-            return H.Var(H.AtomVar(_declared(sig, a, node)))
-        if node.text.startswith("X{"):
-            return H.Var(parse_hol_var(sig, node))
-        _err(node, f"unrecognized term {node.text!r}")
-    head = _head(node)
-    if head == "lam":
-        v, body = _args(node, 2, "lam")
-        return H.Lam(parse_hol_var(sig, v), parse_hol(sig, hsig, body))
-    if head == "app":
-        if len(node.items) < 3:
-            _err(node, "app takes at least two arguments")
-        parts = [parse_hol(sig, hsig, t) for t in node.items[1:]]
-        return H.apps(parts[0], *parts[1:])
-    if head == "tup":
-        return H.HTup(tuple(parse_hol(sig, hsig, t) for t in node.items[1:]))
-    if head == "imp":
-        p, q = _args(node, 2, "imp")
-        return H.imp(parse_hol(sig, hsig, p), parse_hol(sig, hsig, q))
-    if head in ("all", "forall"):
-        v, body = _args(node, 2, head)
-        return H.forall(parse_hol_var(sig, v), parse_hol(sig, hsig, body))
-    if head == "plain":
-        return H.Var(parse_hol_var(sig, node))
-    if head == "const":
-        name, ty = _args(node, 2, "const")
-        if not isinstance(name, Sym):
-            _err(node, "constant names are symbols")
-        return H.Const(name.text, parse_type(ty))
-    _err(node, f"unrecognized term form {head!r}")
+            t = H.BOT
+        elif node.text == "imp":
+            t = H.IMP
+        elif node.text in hsig.constants:
+            t = H.Const(node.text, hsig.constants[node.text])
+        elif (a := parse_atom_text(node.text)) is not None:
+            t = H.Var(H.AtomVar(_declared(sig, a, node)))
+        elif node.text.startswith("X{"):
+            t = H.Var(parse_hol_var(sig, node))
+        else:
+            _err(node, f"unrecognized term {node.text!r}")
+    else:
+        head = _head(node)
+        if head == "lam":
+            v, body = _args(node, 2, "lam")
+            t = H.Lam(parse_hol_var(sig, v), parse_hol(sig, hsig, body, memo))
+        elif head == "app":
+            if len(node.items) < 3:
+                _err(node, "app takes at least two arguments")
+            parts = [parse_hol(sig, hsig, r, memo) for r in node.items[1:]]
+            t = H.apps(parts[0], *parts[1:])
+        elif head == "tup":
+            t = H.HTup(tuple(parse_hol(sig, hsig, r, memo) for r in node.items[1:]))
+        elif head == "imp":
+            p, q = _args(node, 2, "imp")
+            t = H.imp(parse_hol(sig, hsig, p, memo), parse_hol(sig, hsig, q, memo))
+        elif head in ("all", "forall"):
+            v, body = _args(node, 2, head)
+            t = H.forall(parse_hol_var(sig, v), parse_hol(sig, hsig, body, memo))
+        elif head == "plain":
+            t = H.Var(parse_hol_var(sig, node))
+        elif head == "const":
+            name, ty = _args(node, 2, "const")
+            if not isinstance(name, Sym):
+                _err(node, "constant names are symbols")
+            t = H.Const(name.text, parse_type(ty))
+        else:
+            _err(node, f"unrecognized term form {head!r}")
+    memo[key] = t
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +592,8 @@ def render_signature(sig: P.PnlSignature) -> str:
 # sequents and derivations
 
 def parse_sequent(sig, hsig, node: SNode, memo: dict) -> K.Sequent:
-    """The sequent, HOL exactly when a higher-order signature is given.
-    Each distinct formula text is parsed once per memo: a list is keyed by
-    its sid (an int), a symbol by its text (a str)."""
+    """The sequent, HOL exactly when a higher-order signature is given; memo
+    is the parsers' memo for the reader call."""
     if _head(node) != "seq":
         _err(node, "expected (seq (left ...) (right ...))")
     sides, seen = {"left": [], "right": []}, set()
@@ -568,24 +603,21 @@ def parse_sequent(sig, hsig, node: SNode, memo: dict) -> K.Sequent:
             _err(sec, f"unrecognized sequent side {head!r}")
         _once(seen, sec, f"({head} ...)")
         for n in sec.items[1:]:
-            key = n.sid if isinstance(n, SList) else n.text
-            phi = memo.get(key)
-            if phi is None:
-                phi = memo[key] = parse_prop(sig, n) if hsig is None else parse_hol(sig, hsig, n)
-            sides[head].append(phi)
+            sides[head].append(parse_prop(sig, n, memo) if hsig is None
+                               else parse_hol(sig, hsig, n, memo))
     return K.Sequent(tuple(sides["left"]), tuple(sides["right"]))
 
 
-def render_sequent(seq: K.Sequent) -> str:
-    left = "".join(" " + render(p) for p in seq.left)
-    right = "".join(" " + render(p) for p in seq.right)
+def render_sequent(seq: K.Sequent, show=render) -> str:
+    """The sequent's text, each formula printed by `show`."""
+    left = "".join(" " + show(p) for p in seq.left)
+    right = "".join(" " + show(p) for p in seq.right)
     return f"(seq (left{left}) (right{right}))"
 
 
 def parse_derivation(sig, hsig, node: SNode, memo: dict) -> K.Node:
     """The derivation tree, higher-order exactly when `hsig` is given; memo
-    holds the sequent formulas parsed so far from the same `parse_one` call
-    (see `parse_sequent`)."""
+    is the parsers' memo for the reader call."""
     if _head(node) != "rule":
         _err(node, "expected (rule NAME (concl ...) ...)")
     if len(node.items) < 3 or not isinstance(node.items[1], Sym):
@@ -613,7 +645,7 @@ def parse_derivation(sig, hsig, node: SNode, memo: dict) -> K.Node:
             perm = parse_perm(sig, cyc)
         elif head == "witness":
             (w,) = _args(sec, 1, "witness")
-            witness = parse_term(sig, w) if hsig is None else parse_hol(sig, hsig, w)
+            witness = parse_term(sig, w, memo) if hsig is None else parse_hol(sig, hsig, w, memo)
         elif head == "rule":
             children.append(parse_derivation(sig, hsig, sec, memo))
         else:
@@ -623,10 +655,12 @@ def parse_derivation(sig, hsig, node: SNode, memo: dict) -> K.Node:
     return K.Node(rule, concl, tuple(children), perm, index["li"], index["ri"], witness)
 
 
-def render_derivation(node: K.Node, indent: int = 0) -> str:
+def render_derivation(node: K.Node, indent: int = 0, show=None) -> str:
+    """The derivation's text, each formula object printed once per call."""
+    show = show or K.by_object(render)
     pad = " " * indent
     parts = [f"{pad}(rule {node.rule}"]
-    parts.append(f"{pad}  (concl {render_sequent(node.concl)})")
+    parts.append(f"{pad}  (concl {render_sequent(node.concl, show)})")
     if node.li is not None:
         parts.append(f"{pad}  (li {node.li})")
     if node.ri is not None:
@@ -636,7 +670,7 @@ def render_derivation(node: K.Node, indent: int = 0) -> str:
     if node.witness is not None:
         parts.append(f"{pad}  (witness {render(node.witness)})")
     for c in node.children:
-        parts.append(render_derivation(c, indent + 2))
+        parts.append(render_derivation(c, indent + 2, show))
     return "\n".join(parts) + ")"
 
 
@@ -647,12 +681,12 @@ def parse_model(node: SNode, ambient_sig: Optional[P.PnlSignature] = None) -> He
     if _head(node) != "model":
         _err(node, "expected (model ...)")
     sig = ambient_sig
-    preds, seen = {}, set()
+    preds, seen, memo = {}, set(), {}
     for sec in node.items[1:]:
         head = _head(sec)
         if head == "sig":
             _once(seen, sec, "(sig ...)")
-            sig = parse_signature(sec)
+            sig, memo = parse_signature(sec), {}  # terms read anew under it
         elif head == "pred":
             if sig is None:
                 _err(sec, "a model needs a signature before its predicates")
@@ -669,7 +703,7 @@ def parse_model(node: SNode, ambient_sig: Optional[P.PnlSignature] = None) -> He
                     pat, v = _args(part, 2, "clause")
                     if not isinstance(v, Sym) or v.text not in ("0", "1"):
                         _err(part, "clause values are 0 or 1")
-                    clauses.append((parse_term(sig, pat), int(v.text)))
+                    clauses.append((parse_term(sig, pat, memo), int(v.text)))
                 elif phead == "default":
                     (v,) = _args(part, 1, "default")
                     if not isinstance(v, Sym) or v.text not in ("0", "1"):
@@ -705,17 +739,24 @@ def render_model(model: HerbrandModel) -> str:
     return "\n".join(parts) + ")"
 
 
+def _ground(t: P.PnlTerm, node: SNode, form: str) -> P.PnlTerm:
+    """t, parsed from node; a term with an unknown is an error there."""
+    if P.free_unknowns(t):
+        _err(node, f"the term of ({form} ...) must be ground")
+    return t
+
+
 def parse_valuation(sig: P.PnlSignature, node: SNode) -> Valuation:
     if _head(node) != "valuation":
         _err(node, "expected (valuation ...)")
-    assignments, seen = {}, set()
+    assignments, seen, memo = {}, set(), {}
     for sec in node.items[1:]:
         if _head(sec) != "assign":
             _err(sec, "valuation entries are (assign X{..} TERM)")
         unk, term = _args(sec, 2, "assign")
         x = parse_unknown(sig, unk)
         _once(seen, sec, f"(assign {render(x)} ...)")
-        assignments[x] = parse_term(sig, term)
+        assignments[x] = _ground(parse_term(sig, term, memo), term, "assign")
     return Valuation(assignments)
 
 
@@ -732,10 +773,8 @@ def parse_renelem(sig: P.PnlSignature, node: SNode) -> RenElem:
     rho, term = _args(node, 2, "ren")
     if not isinstance(rho, Sym):
         _err(node, "the renaming is a token like [nu@0:=nu@1]")
-    renaming, val = parse_renaming_text(sig, rho.text, rho), parse_term(sig, term)
-    if P.free_unknowns(val):
-        _err(term, "the term of (ren ...) must be ground")
-    return RenElem(renaming, val)
+    renaming = parse_renaming_text(sig, rho.text, rho)
+    return RenElem(renaming, _ground(parse_term(sig, term), term, "ren"))
 
 
 def render_renelem(e: RenElem) -> str:
@@ -767,8 +806,8 @@ def parse_document(text: str, kind: str,
                    hsig: Optional[H.HolSignature] = None):
     """The object of the given kind that the text holds.  Every kind but
     ``sig`` needs the signature; ``hol`` and ``deriv-hol`` translate it when
-    no higher-order signature is given.  In a derivation, sequent formulas
-    that read the same are one shared object."""
+    no higher-order signature is given.  Terms, propositions and formulas
+    that read the same are one shared object (see `parse_term`)."""
     if kind not in KINDS:
         raise ValueError(f"unknown document kind {kind!r}")
     node = parse_one(text)

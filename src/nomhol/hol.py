@@ -8,8 +8,9 @@ eta), decided by comparing canonical keys (`alphabeta_key`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .atoms import Atom, Perm, fresh_atoms
 from .pnl import (AbsSort, BaseSort, NameSort, PnlSignature, PnlSort,
@@ -353,23 +354,27 @@ def hol_perm_act(pi: Perm, t: HolTerm) -> HolTerm:
 
 # ---------------------------------------------------------------------------
 # beta-normalization (leftmost-outermost)
+#
+# Both return their argument itself, and each subterm itself, where nothing
+# reduces, so a term that is already normal keeps its identity and its
+# subterms stay shared with the terms they were shared with.
 
 def _whnf(t: HolTerm) -> HolTerm:
     while True:
         match t:
             case App(fn, arg):
-                fn = _whnf(fn)
-                match fn:
+                head = _whnf(fn)
+                match head:
                     case Lam(v, body):
                         t = hol_subst_parallel(body, {v: arg})
                     case _:
-                        return App(fn, arg)
+                        return t if head is fn else App(head, arg)
             case _:
                 return t
 
 
-def beta_normalize(t: HolTerm) -> HolTerm:
-    hol_type_of(t)  # simply-typed, hence strongly normalizing
+def beta_normalize(t: HolTerm, sig: Optional[HolSignature] = None) -> HolTerm:
+    hol_type_of(t, sig)  # simply-typed, hence strongly normalizing
     return _nf(t)
 
 
@@ -379,11 +384,14 @@ def _nf(t: HolTerm) -> HolTerm:
         case Var(_) | Const(_, _):
             return t
         case Lam(v, body):
-            return Lam(v, _nf(body))
+            nb = _nf(body)
+            return t if nb is body else Lam(v, nb)
         case App(fn, arg):
-            return App(_nf(fn), _nf(arg))
+            nfn, narg = _nf(fn), _nf(arg)
+            return t if nfn is fn and narg is arg else App(nfn, narg)
         case HTup(items):
-            return HTup(tuple(_nf(r) for r in items))
+            new = tuple(_nf(r) for r in items)
+            return t if all(map(operator.is_, new, items)) else HTup(new)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -430,9 +438,11 @@ def alphabeta_key(t: HolTerm) -> tuple:
     return normal_key(t)[0]
 
 
-def alphabeta_eq(t: HolTerm, u: HolTerm) -> bool:
-    kt = alphabeta_key(t)
-    ku = kt if u is t else alphabeta_key(u)
+def alphabeta_eq(t: HolTerm, u: HolTerm, key: Callable = alphabeta_key) -> bool:
+    """Whether t and u are alpha-beta equal; `key` may give alphabeta_key
+    from a caller's memo."""
+    kt = key(t)
+    ku = kt if u is t else key(u)
     if kt[0] != ku[0]:
         raise HolTypeError("comparing terms of different types")
     return kt == ku

@@ -14,7 +14,10 @@ formulas as written: `li` and `ri` index a side in that order, and a side
 may list a formula, or an alpha-equal copy of it, more than once.  The rules
 compare sides as sets of keys, so the copies count as one formula; a check
 keys and checks each formula object once, and the parser shares one object
-among the copies of a formula (`frontend.parse_document`).
+among the copies of a formula, and of each subformula
+(`frontend.parse_document`), so the subformulas a rule takes apart are
+keyed once too.  `hol._nf` keeps a normal formula's own subterms, so this
+holds for the higher-order calculus as well.
 """
 
 from __future__ import annotations
@@ -171,17 +174,18 @@ def _rule(L: _Logic, node: Node) -> None:
 # ---------------------------------------------------------------------------
 # the two calculi
 
-def _memo(fn) -> Callable:
-    """fn, computed once per argument object for the life of one check."""
+def by_object(fn) -> Callable:
+    """fn, computed once per argument object for the life of the returned
+    function: one check, translation or printing of a derivation."""
     seen: dict = {}  # id -> (object, value); holding the object keeps its id unique
     return lambda x: (seen.get(id(x)) or seen.setdefault(id(x), (x, fn(x))))[1]
 
 
 def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
     ids: dict = {}  # canonical key -> small int
-    key = _memo(lambda phi: ids.setdefault(P.alpha_key(phi), len(ids)))
+    key = by_object(lambda phi: ids.setdefault(P.alpha_key(phi), len(ids)))
 
-    @_memo
+    @by_object
     def check_formula(phi):
         try:
             P.check_prop(sig, phi)
@@ -217,7 +221,7 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
 
 
 def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
-    @_memo
+    @by_object
     def norm(phi):
         """(key, normal form) under sig, or (None, the typing error)."""
         try:
@@ -227,7 +231,7 @@ def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
     # A formula failing sig is keyed by itself, so it matches no typed
     # formula: a premise holding one is rejected at its own path.
     ids: dict = {}
-    key = _memo(lambda p: ids.setdefault(norm(p)[0] or p, len(ids)))
+    key = by_object(lambda p: ids.setdefault(norm(p)[0] or p, len(ids)))
 
     def check_formula(phi):
         k, got = norm(phi)
@@ -237,8 +241,8 @@ def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
             raise _Reject(f"formula is not a proposition: {phi!r}")
 
     def axiom(perm, phi, psi):
-        # on the normal forms already at hand: equal exactly when phi and psi are
-        if not H.alphabeta_eq(norm(phi)[1], norm(psi)[1]):
+        # on the keys already at hand: both formulas are typed propositions
+        if not H.alphabeta_eq(phi, psi, key=lambda p: norm(p)[0]):
             raise _Reject("axiom formulas not alpha-beta-equal")
 
     def as_imp(phi):

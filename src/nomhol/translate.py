@@ -118,7 +118,8 @@ def translate_derivation(env: TranslationEnv, node: K.Node,
         if n.rule == "alll" and n.witness is not None:
             needed |= set(capture_infer(n.witness))
     ctx_full = _merge_context(ctx, needed)
-    tree = _translate_node(env, ctx_full, node)
+    once = K.by_object(lambda x: translate(env, ctx_full, x))
+    tree = _translate_node(once, ctx_full, node)
     return TranslatedDerivation(tree, ctx, ctx_full)
 
 
@@ -133,15 +134,17 @@ def _reject_equivariant_axioms(node: K.Node):
                     "the principal formula) have no higher-order counterpart", path)
 
 
-def _translate_node(env, ctx, node: K.Node) -> K.Node:
-    concl = translate_sequent(env, ctx, node.concl)
+def _translate_node(once, ctx, node: K.Node) -> K.Node:
+    """The node translated under ctx; `once` translates a formula or witness
+    object, each object once per derivation."""
+    concl = K.Sequent(tuple(map(once, node.concl.left)),
+                      tuple(map(once, node.concl.right)))
     witness = None
     if node.rule == "alll":
         phi = node.concl.left[node.li]
         d_x = restrict_context(ctx, phi.unknown.pmss)
-        witness = H.lams([H.AtomVar(a) for a in d_x],
-                         translate(env, ctx, node.witness))
-    children = tuple(_translate_node(env, ctx, c) for c in node.children)
+        witness = H.lams([H.AtomVar(a) for a in d_x], once(node.witness))
+    children = tuple(_translate_node(once, ctx, c) for c in node.children)
     return K.Node(rule=node.rule, concl=concl, children=children,
                   li=node.li, ri=node.ri, witness=witness)
 

@@ -8,7 +8,11 @@ alpha-beta equality through both normal forms, and equality of suspended
 renamings by searching all support bijections.  Tests hold the key-based
 versions in `nomhol.pnl`, `nomhol.hol`, `nomhol.kernel` and
 `nomhol.semantics` to these.  `dedup` says what a sequent side that repeats
-a formula means: the side without the copies.
+a formula means: the side without the copies.  `nf` rebuilds every node of
+a beta-normal form, the reference for `hol._nf`, which keeps each subterm
+that is already normal; `render_derivation` prints every formula
+occurrence, the reference for `frontend.render_derivation`, which prints
+each formula object once.
 
 The eager, memoised ground-term enumerator is the reference for the lazy one
 in `nomhol.semantics`: the same terms in the same order, built as lists.
@@ -31,8 +35,9 @@ from typing import Mapping
 
 from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
                           set_subset)
-from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var,
-                        beta_normalize, hol_type_of, var_type)
+from nomhol.frontend import render
+from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var, hol_type_of,
+                        hol_subst_parallel, var_type)
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Perm2, PnlSignature, Pred, Sus, Tup,
                         TupleSort, free_atoms, free_unknowns, alpha_key,
@@ -119,11 +124,61 @@ def hol_alpha_eq(t, u) -> bool:
     return _alpha(t, u, {}, {}, 0)
 
 
+def whnf(t):
+    """The weak head normal form, leftmost-outermost."""
+    while True:
+        match t:
+            case App(fn, arg):
+                fn = whnf(fn)
+                match fn:
+                    case Lam(v, body):
+                        t = hol_subst_parallel(body, {v: arg})
+                    case _:
+                        return App(fn, arg)
+            case _:
+                return t
+
+
+def nf(t):
+    """The beta-normal form of a typed term, every node built anew."""
+    t = whnf(t)
+    match t:
+        case Var(_) | Const(_, _):
+            return t
+        case Lam(v, body):
+            return Lam(v, nf(body))
+        case App(fn, arg):
+            return App(nf(fn), nf(arg))
+        case HTup(items):
+            return HTup(tuple(nf(r) for r in items))
+    raise TypeError(f"not a term: {t!r}")
+
+
 def alphabeta_eq(t, u) -> bool:
     """Alpha-beta equality of typed-lambda terms of one type."""
     if hol_type_of(t) != hol_type_of(u):
         raise HolTypeError("comparing terms of different types")
-    return hol_alpha_eq(beta_normalize(t), beta_normalize(u))
+    return hol_alpha_eq(nf(t), nf(u))
+
+
+def render_derivation(node, indent: int = 0) -> str:
+    """A derivation's text, each formula occurrence printed by itself."""
+    pad = " " * indent
+    seq = node.concl
+    left = "".join(" " + render(p) for p in seq.left)
+    right = "".join(" " + render(p) for p in seq.right)
+    parts = [f"{pad}(rule {node.rule}", f"{pad}  (concl (seq (left{left}) (right{right})))"]
+    if node.li is not None:
+        parts.append(f"{pad}  (li {node.li})")
+    if node.ri is not None:
+        parts.append(f"{pad}  (ri {node.ri})")
+    if not node.perm.is_identity:
+        parts.append(f"{pad}  (perm {render(node.perm)})")
+    if node.witness is not None:
+        parts.append(f"{pad}  (witness {render(node.witness)})")
+    for c in node.children:
+        parts.append(render_derivation(c, indent + 2))
+    return "\n".join(parts) + ")"
 
 
 def dedup(props, eq) -> tuple:

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -14,12 +16,14 @@ from nomhol import frontend as F, sexpr
 from nomhol.cli import run_cli
 from nomhol.corpus import SIG
 from nomhol.hol import alphabeta_eq
+from nomhol.kernel import Node, Sequent
 from nomhol.pnl import alpha_eq
 from nomhol.semantics import mk_ren, ren_eq
 from nomhol.sexpr import SexprError, SList, parse_all, parse_one
-from nomhol.translate import translate, translate_signature
+from nomhol.translate import translate, translate_derivation, translate_signature
 
-from gen import rand_prop, rand_term
+import oracles
+from gen import rand_perm, rand_prop, rand_term
 from oracles import flat, hol_alpha_eq
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nomhol" / "corpus_files"
@@ -165,6 +169,20 @@ def test_section_errors(kind, text, message, line, col):
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
 
 
+def test_a_model_signature_reads_later_clauses_anew():
+    """A pattern read under the ambient signature and again after the
+    model's own (sig ...) is parsed anew: a former that signature lacks is
+    an error at the second copy."""
+    pat = "(app (tup (var nu@0) (var nu@0)))"
+    text = (f"(model (pred P (clause {pat} 1))\n"
+            "  (sig (name-sorts nu) (base-sorts iota) (term var nu iota) (pred P iota))\n"
+            f"  (pred Q (clause {pat} 1)))")
+    with pytest.raises(F.ParseError) as e:
+        F.parse_document(text, "model", SIG)
+    assert (e.value.message, e.value.line, e.value.col) == \
+        ("unrecognized term form 'app'", 3, 19)
+
+
 def test_section_errors_exit_2(tmp_path, capsys):
     f = tmp_path / "d.sexp"
     f.write_text(f"{_AX}\n  (li 0))")
@@ -176,9 +194,9 @@ def test_section_errors_exit_2(tmp_path, capsys):
 
 
 # A valuation entry or a renaming move given twice is an error at the second
-# entry, or at the renaming's token; neither replaces the first.  A
-# suspension element's term must be ground: one with an unknown is an error
-# at the term.
+# entry, or at the renaming's token; neither replaces the first.  The term of
+# a valuation entry or a suspension element must be ground: one with an
+# unknown is an error at the term.
 _U = "X{iota;perm(+{}-{});0}"
 ENTRY_ERRORS = [
     # (kind, text, message, line, col)
@@ -191,6 +209,8 @@ ENTRY_ERRORS = [
     ("renelem", "(ren [nu@1:=nu@0,nu@1:=nu@0] (tup nu@1))", "repeated nu@1:=...", 1, 6),
     ("renelem", f"(ren [nu@0:=nu@1] (tup nu@0 {_U}))",
      "the term of (ren ...) must be ground", 1, 19),
+    ("valuation", f"(valuation (assign X{{iota;perm(+{{nu@0}}-{{}});0}}\n  (tup nu@0 {_U})))",
+     "the term of (assign ...) must be ground", 2, 3),
 ]
 
 
@@ -209,6 +229,11 @@ def test_entry_and_context_errors_exit_2(tmp_path, capsys):
     assert cli("eval", "--model", p("model_basic.sexp"), "--valuation", str(f),
                p("eta.sexp")) == 2
     assert capsys.readouterr().err == f"error: 2:3: repeated (assign {_U} ...)\n"
+    f.write_text(ENTRY_ERRORS[-1][1])
+    assert cli("eval", "--model", p("model_basic.sexp"), "--valuation", str(f),
+               p("eta.sexp")) == 2
+    assert capsys.readouterr().err == \
+        "error: 2:3: the term of (assign ...) must be ground\n"
     assert cli("translate", "--context", "nu@0", p("term_basic.sexp")) == 2
     assert capsys.readouterr().err == \
         "error: --context: expected a bracketed atom list, got 'nu@0'\n"
@@ -381,28 +406,30 @@ def _sequent_formulas(tree):
 
 
 def _read_sharing(monkeypatch, text, kind):
-    """Parse a derivation, counting the formula parses parse_sequent starts
-    (not their recursive calls) by the formula's text."""
-    parsed = Counter()
-    depth = [0, 0]  # open parse_sequent calls, open formula parses
+    """Parse a derivation, recording every call of parse_term, parse_prop
+    and parse_hol by its form's memo key, (category, sid of a list or text
+    of a symbol): the ids of the objects returned, one per call, and how
+    often the form was parsed rather than found in the memo."""
+    returned, parsed, held = defaultdict(list), Counter(), []
 
-    def spy(real, i):
+    def spy(real, category):
         def counted(*args):
-            if i and depth == [1, 0]:
-                parsed[flat(args[-1])] += 1
-            depth[i] += 1
-            try:
-                return real(*args)
-            finally:
-                depth[i] -= 1
+            *_, node, memo = args
+            key = (category, node.sid if isinstance(node, SList) else node.text)
+            if key not in memo:
+                parsed[key] += 1
+            x = real(*args)
+            returned[key].append(id(x))
+            held.append(x)  # so no later object takes its id
+            return x
         return counted
 
     with monkeypatch.context() as m:
-        m.setattr(F, "parse_sequent", spy(F.parse_sequent, 0))
-        m.setattr(F, "parse_prop", spy(F.parse_prop, 1))
-        m.setattr(F, "parse_hol", spy(F.parse_hol, 1))
+        for category in ("term", "prop", "hol"):
+            name = f"parse_{category}"
+            m.setattr(F, name, spy(getattr(F, name), category))
         tree = F.parse_document(text, kind, SIG)
-    return tree, parsed
+    return tree, returned, parsed
 
 
 def _proof_document(monkeypatch):
@@ -415,7 +442,7 @@ def _proof_document(monkeypatch):
 def test_repeated_formulas_are_one_object(monkeypatch, tmp_path, capsys):
     """On every corpus derivation and one benchmark proof document, read as
     deriv-pnl and, through translate --derivation, as deriv-hol: formulas
-    that render equal are one object, parsed once."""
+    that render equal are one object, and each form is parsed once."""
     texts = [f.read_text() for f in sorted(CORPUS.glob("deriv_*.sexp"))]
     texts.append(_proof_document(monkeypatch))
     copies = 0
@@ -428,16 +455,34 @@ def test_repeated_formulas_are_one_object(monkeypatch, tmp_path, capsys):
         if code == 0:
             docs.append((out["derivation"], "deriv-hol", F.render))
         for doc, kind, render_formula in docs:
-            tree, parsed = _read_sharing(monkeypatch, doc, kind)
+            tree, returned, parsed = _read_sharing(monkeypatch, doc, kind)
             objects = defaultdict(set)
             for phi in _sequent_formulas(tree):
                 objects[render_formula(phi)].add(id(phi))
                 copies += 1
             assert all(len(ids) == 1 for ids in objects.values()), (i, kind)
             assert parsed and set(parsed.values()) == {1}, (i, kind)
-            assert len(parsed) == len(objects), (i, kind)
+            assert parsed.keys() == returned.keys(), (i, kind)
             copies -= len(objects)
     assert copies > 100  # the documents do repeat their formulas
+
+
+def test_each_distinct_form_is_one_object(monkeypatch):
+    """A benchmark proof document, as deriv-pnl and translated as deriv-hol:
+    every call of the term, proposition and formula parsers returns one
+    object per (category, sid), each parsed once; the document holds more
+    than three lists per list parsed."""
+    text = _proof_document(monkeypatch)
+    translated = translate_derivation(ENV, F.parse_document(text, "deriv-pnl", SIG))
+    docs = [(text, "deriv-pnl"), (F.render_derivation(translated.tree), "deriv-hol")]
+    for doc, kind in docs:
+        tree, returned, parsed = _read_sharing(monkeypatch, doc, kind)
+        assert all(len(set(ids)) == 1 for ids in returned.values()), kind
+        assert set(parsed.values()) == {1} and parsed.keys() == returned.keys(), kind
+        lists = [key for key in parsed if isinstance(key[1], int)]
+        assert len(_slists([parse_one(doc)])) > 3 * len(lists), kind
+        formulas = {id(phi) for phi in _sequent_formulas(tree)}
+        assert len(lists) > 2 * len(formulas), kind  # subterms are shared too
 
 
 def _at(text, needle, nth=0):
@@ -516,6 +561,32 @@ def test_document_kind_errors():
         if kind != "sig":
             with pytest.raises(ValueError, match="needs a signature"):
                 F.parse_document(text, kind)
+
+
+def _random_derivation(rng, pool, witness, depth):
+    """A derivation-shaped tree, not a proof, whose sides draw their formulas
+    from pool, so that formula objects recur; witness(rng) gives a witness."""
+    def side():
+        return tuple(rng.choice(pool) for _ in range(rng.randrange(4)))
+    children = tuple(_random_derivation(rng, pool, witness, depth - 1)
+                     for _ in range(rng.randrange(3) if depth else 0))
+    return Node(rng.choice(("ax", "impl", "alll")), Sequent(side(), side()), children,
+                rand_perm(rng), rng.choice((None, 0, 2)), rng.choice((None, 1)),
+                rng.choice((None, witness(rng))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_derivations_print_as_every_occurrence_printed(seed, hol):
+    """render_derivation, which prints each formula object once, prints what
+    printing every occurrence prints, on nominal and higher-order trees
+    whose formulas recur as one object and as equal copies."""
+    rng = random.Random(seed)
+    conv = (lambda x: translate(ENV, (), x)) if hol else (lambda x: x)
+    pool = [conv(rand_prop(rng)) for _ in range(4)]
+    pool += [dataclasses.replace(phi) for phi in pool]
+    d = _random_derivation(rng, pool, lambda rng: conv(rand_term(rng, 2)), 3)
+    assert F.render_derivation(d) == oracles.render_derivation(d)
 
 
 def test_every_document_kind_round_trips():
@@ -763,6 +834,44 @@ def test_cli_normalize(capsys, tmp_path):
     f.write_text("(app (lam (plain o 0) (plain o 0)) bot)")
     assert cli("normalize", str(f)) == 0
     assert capsys.readouterr().out.strip() == "bot"
+
+
+# Binder nesting that each command must answer at the default recursion
+# limit, a few levels below where it gives out today (alpha and infer-d at
+# 195, translate at 163 levels of the benchmark's binder_tower).
+CEILINGS = {"alpha": 190, "infer-d": 190, "translate": 160}
+_RUN_ALL = """import contextlib, io, json, sys
+from nomhol.cli import run_cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run_cli(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_deep_binders_answer_at_the_default_recursion_limit(monkeypatch, tmp_path):
+    """Each command answers on a binder tower at its ceiling, in a fresh
+    interpreter calling run_cli a few frames deep, as the benchmark does (a
+    test runs too deep in the stack to measure this).  A stack frame added
+    per nesting level, as a memoising wrapper around a parser adds, fails."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+    runs = []
+    for cmd, n in CEILINGS.items():
+        term, renamed, _, _ = workloads.binder_tower(random.Random(5), n)
+        files = []
+        for name, text in ((f"{cmd}.sexp", term), (f"{cmd}.renamed.sexp", renamed)):
+            (tmp_path / name).write_text(text)
+            files.append(str(tmp_path / name))
+        runs.append([cmd] + (files if cmd == "alpha" else files[:1]))
+    src = str(Path(F.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(runs)],
+                          env={**env, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert json.loads(proc.stdout) == [0, 0, 0]
 
 
 def test_cli_eval_and_depth(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nomhol import hol as H
 from nomhol.atoms import Atom, Perm
 from nomhol.hol import (App, ArrowT, AtomVar, BASE_SIGNATURE, BOT, BaseT,
                         Const, HTup, HolTypeError, IMP, Lam, O, PlainVar,
@@ -335,3 +336,15 @@ def test_alphabeta_key_matches_pairwise_oracle(pair):
     same = hol_alpha_eq(beta_normalize(t), beta_normalize(u))
     assert (alphabeta_key(t) == alphabeta_key(u)) == same
     assert alphabeta_eq(t, u) == same == oracles.alphabeta_eq(t, u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TYPES).flatmap(hol_st))
+def test_normal_form_keeps_what_is_already_normal(t):
+    """_nf gives the normal form the rebuilding oracle gives; on a normal
+    term it gives the term itself, so no subterm was rebuilt."""
+    n = H._nf(t)
+    assert n == oracles.nf(t)
+    assert H._nf(n) is n
+    if n == t:
+        assert n is t

@@ -493,6 +493,9 @@ def test_cli_keys_each_formula_object_at_most_once(monkeypatch, tmp_path, capsys
 
 
 def test_check_hol_types_and_normalizes_each_formula_once(monkeypatch):
+    """The translated impr chain holds one object per distinct formula (40
+    hypotheses and 40 right-hand sides in 861 occurrences); check_hol types
+    and normalises each object once."""
     tree = translate_derivation(ENV, impr_chain(40)).tree
     formulas, stack = {}, [tree]
     while stack:
@@ -507,7 +510,7 @@ def test_check_hol_types_and_normalizes_each_formula_once(monkeypatch):
             return real(t, *args)
         monkeypatch.setattr(H, name, spy)
     assert check_hol(tree, ENV.target)
-    assert len(formulas) == 41 * 42 // 2  # sequent k holds k formulas
+    assert len(formulas) == 80
     assert Counter(name for name, _ in calls) == {"hol_type_of": len(formulas),
                                                   "_nf": len(formulas)}
     assert set(calls.values()) == {1}

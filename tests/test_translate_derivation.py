@@ -1,5 +1,9 @@
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+from nomhol import frontend as F, translate as T
 from nomhol.atoms import Perm, permission_set
 from nomhol.capture import apply_reindex, capture_cover
 from nomhol.corpus import SIG, full_only_derivation, restricted_derivations
@@ -15,6 +19,7 @@ from nomhol.translate import (TranslationError, erase_pi, translate,
 from gen import atom, var
 
 ENV = translate_signature(SIG)
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def test_corpus_translates_end_to_end():
@@ -31,6 +36,43 @@ def test_translated_endsequent_reindexes_to_caller_context():
         assert len(got.left) == len(want.left) and len(got.right) == len(want.right)
         for g, w in zip(got.left + got.right, want.left + want.right):
             assert alphabeta_eq(apply_reindex(out.ctx_full, out.ctx, g), w), name
+
+
+def test_each_formula_object_is_translated_once(monkeypatch):
+    """On the corpus and the intact benchmark proof documents of one pass:
+    translate_derivation calls translate once per distinct formula or
+    witness object, and gives each occurrence what translating it alone
+    gives."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+    files = workloads.build("proof", 5).files
+    ds = [d for _, d in restricted_derivations()]
+    ds += [F.parse_document(files[f"p0-d{i}.sexp"], "deriv-pnl", SIG) for i in (0, 2, 4, 6)]
+    real, depth, calls = T.translate, [0], Counter()
+
+    def spy(env, ctx, x):
+        if not depth[0]:
+            calls[id(x)] += 1
+        depth[0] += 1
+        try:
+            return real(env, ctx, x)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(T, "translate", spy)
+    for d in ds:
+        calls.clear()
+        out = translate_derivation(ENV, d)
+        counted = dict(calls)
+        objects, pairs = set(), [(d, out.tree)]
+        while pairs:
+            n, h = pairs.pop()
+            objects.update(map(id, n.concl.left + n.concl.right))
+            if n.witness is not None:
+                objects.add(id(n.witness))
+            assert h.concl == translate_sequent(ENV, out.ctx_full, n.concl)
+            pairs.extend(zip(n.children, h.children))
+        assert counted.keys() == objects and set(counted.values()) == {1}
 
 
 def test_full_axiom_rejected_with_location():
