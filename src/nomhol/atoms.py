@@ -271,16 +271,3 @@ def fresh_atoms(sorts: Sequence[str], avoid) -> list:
         taken.add(a)
         out.append(a)
     return out
-
-
-def freshening_pair(atoms: Iterable[Atom], permitted: CofinAtomSet,
-                    avoid: Iterable[Atom] = ()):
-    """A pair (r1, r2) moving `atoms` clear of `permitted` ∪ `atoms` ∪ `avoid`
-    and back: dom(r1) = atoms, dom(r2) = img(r1), r2∘r1 fixes every input atom.
-    """
-    atoms = sorted(set(atoms))
-    blocked = permitted.union(CofinAtomSet.finite(set(atoms) | set(avoid)))
-    targets = fresh_atoms([a.sort for a in atoms], blocked)
-    r1 = Renaming(dict(zip(atoms, targets)))
-    r2 = Renaming(dict(zip(targets, atoms)))
-    return r1, r2

@@ -7,13 +7,10 @@ accumulates the atoms abstracted above the current position.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable
 
 from .atoms import Atom, CofinAtomSet
-from . import hol as H
-from .hol import AtomVar, HolTerm, HolVar, UnkVar, Var, apps, lams
-from .pnl import (AbsT, All, AtomT, Bot, Former, Imp, Pred, Sus, Tup,
-                  Unknown)
+from .pnl import AbsT, All, AtomT, Bot, Former, Imp, Pred, Sus, Tup
 
 CaptureContext = tuple  # of distinct Atoms, order significant
 
@@ -72,60 +69,3 @@ def capture_cover(sequents) -> CaptureContext:
                 seen[id(phi)] = phi
                 needed |= capture_infer(phi)
     return canonical_context(needed)
-
-
-def reindex_subst(ctx_from: CaptureContext, ctx_to: CaptureContext,
-                  unknowns: Iterable[Unknown]) -> Mapping[HolVar, HolTerm]:
-    """For each unknown X, map its ctx_from-indexed variable to the
-    abstraction over ctx_from's restricted atoms whose body applies the
-    ctx_to-indexed variable to ctx_to's restricted atoms."""
-    out = {}
-    for x in set(unknowns):
-        d_from = restrict_context(ctx_from, x.pmss)
-        d_to = restrict_context(ctx_to, x.pmss)
-        v_from = UnkVar(x, d_from)
-        v_to = UnkVar(x, d_to)
-        body = apps(Var(v_to), *(Var(AtomVar(a)) for a in d_to))
-        out[v_from] = lams([AtomVar(a) for a in d_from], body)
-    return out
-
-
-def _reindexed_var(ctx_from: CaptureContext, ctx_to: CaptureContext,
-                   v: HolVar) -> Optional[UnkVar]:
-    if isinstance(v, UnkVar) and v.ctx == restrict_context(ctx_from, v.unknown.pmss):
-        return UnkVar(v.unknown, restrict_context(ctx_to, v.unknown.pmss))
-    return None
-
-
-def apply_reindex(ctx_from: CaptureContext, ctx_to: CaptureContext,
-                  t: HolTerm) -> HolTerm:
-    """Carry a ctx_from-translation to a ctx_to-translation.
-
-    Free occurrences of a ctx_from-indexed unknown-variable are replaced by
-    the reindex_subst entry; a binder over such a variable is itself rebound
-    at ctx_to.  Atom variables in the replacement are deliberately capturable:
-    the atoms of a translation context refer to whatever abstraction (if any)
-    encloses the occurrence, exactly as in the translation itself."""
-    match t:
-        case H.Var(v):
-            w = _reindexed_var(ctx_from, ctx_to, v)
-            if w is None:
-                return t
-            d_from = v.ctx
-            body = apps(Var(w), *(Var(AtomVar(a)) for a in w.ctx))
-            return lams([AtomVar(a) for a in d_from], body)
-        case H.Lam(v, body):
-            w = _reindexed_var(ctx_from, ctx_to, v)
-            return H.Lam(w if w is not None else v,
-                         apply_reindex(ctx_from, ctx_to, body))
-        case H.App(H.Const("forall", _), H.Lam(_, _) as lam):
-            new_lam = apply_reindex(ctx_from, ctx_to, lam)
-            return H.App(H.forall_const(H.var_type(new_lam.var)), new_lam)
-        case H.App(fn, arg):
-            return H.App(apply_reindex(ctx_from, ctx_to, fn),
-                         apply_reindex(ctx_from, ctx_to, arg))
-        case H.HTup(items):
-            return H.HTup(tuple(apply_reindex(ctx_from, ctx_to, r) for r in items))
-        case H.Const(_, _):
-            return t
-    raise TypeError(f"not a term: {t!r}")

@@ -60,6 +60,17 @@ def _load_pnl(path: str, sig):
     return F.parse_document(_read(path), "pnl", sig)
 
 
+def _load_sorted(path: str, sig):
+    """A nominal input to translate, sort-checked first: the translation of
+    an ill-sorted term or proposition would not typecheck."""
+    x = _load_pnl(path, sig)
+    if isinstance(x, P.PnlProp):
+        P.check_prop(sig, x)
+    else:
+        P.sort_of(sig, x)
+    return x
+
+
 def _depth_value(raw: str) -> int:
     """A depth bound, for both `--depth` and NOMHOL_DEPTH: ASCII digits with
     an optional leading '-', as the frontend reads integers (int() alone
@@ -134,7 +145,7 @@ def _cmd_translate(args) -> int:
                    "derivation": text}
         return _emit(args, payload,
                      f"; context {F.render_context(out.ctx_full)}\n{text}")
-    x = _load_pnl(args.file, sig)
+    x = _load_sorted(args.file, sig)
     ctx = _given_context(args, sig)
     if ctx is None:  # the least context, which capture-checks by construction
         ctx, captured = canonical_context(capture_infer(x)), True
@@ -163,7 +174,8 @@ def _cmd_alpha(args) -> int:
         hsig = translate_signature(sig).target
         t = F.parse_document(_read(args.file), "hol", sig, hsig)
         u = F.parse_document(_read(args.file2), "hol", sig, hsig)
-        same = H.alphabeta_eq(t, u)
+        # typed against the signature, as `normalize` and `check` type theirs
+        same = H.alphabeta_eq(t, u, key=lambda x: H.normal_key(x, hsig)[0])
     else:
         t = _load_pnl(args.file, sig)
         u = _load_pnl(args.file2, sig)
@@ -199,7 +211,7 @@ def _cmd_square(args) -> int:
     env = translate_signature(sig)
     model = _load_model(args, sig)
     val = _load_valuation(args, sig)
-    x = _load_pnl(args.file, sig)
+    x = _load_sorted(args.file, sig)
     v = square_check(env, model, _given_context(args, sig), val, x, _depth(args))
     payload = {"ok": v.ok, "exact": v.exact, "kind": v.kind,
                "message": v.message}

@@ -816,7 +816,3 @@ def parse_document(text: str, kind: str,
     if kind in ("hol", "deriv-hol") and hsig is None:
         hsig = translate_signature(sig).target
     return KINDS[kind][0](sig, hsig, node)
-
-
-def render_document(kind: str, value) -> str:
-    return KINDS[kind][1](value)

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .atoms import Atom, Perm, fresh_atoms
+from .atoms import Atom, fresh_atoms
 from .pnl import (AbsSort, BaseSort, NameSort, PnlSignature, PnlSort,
                   TupleSort, Unknown, fresh_unknown_like)
 
@@ -326,30 +326,6 @@ def hol_subst_parallel(t: HolTerm, mapping: Mapping[HolVar, HolTerm]) -> HolTerm
         raise TypeError(f"not a term: {t!r}")
 
     return go(t, mapping)
-
-
-def hol_subst(t: HolTerm, v: HolVar, u: HolTerm) -> HolTerm:
-    if hol_type_of(u) != var_type(v):
-        raise HolTypeError(f"substituting {u!r} of wrong type for {v!r}")
-    return hol_subst_parallel(t, {v: u})
-
-
-def hol_perm_act(pi: Perm, t: HolTerm) -> HolTerm:
-    """Permutation of atom-variables, bound and free alike."""
-    match t:
-        case Var(AtomVar(a)):
-            return Var(AtomVar(pi(a)))
-        case Var(_) | Const(_, _):
-            return t
-        case Lam(AtomVar(a), body):
-            return Lam(AtomVar(pi(a)), hol_perm_act(pi, body))
-        case Lam(v, body):
-            return Lam(v, hol_perm_act(pi, body))
-        case App(fn, arg):
-            return App(hol_perm_act(pi, fn), hol_perm_act(pi, arg))
-        case HTup(items):
-            return HTup(tuple(hol_perm_act(pi, r) for r in items))
-    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------

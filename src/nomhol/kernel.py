@@ -13,11 +13,13 @@ quantifier witnesses), so checking is search-free.  A sequent keeps its
 formulas as written: `li` and `ri` index a side in that order, and a side
 may list a formula, or an alpha-equal copy of it, more than once.  The rules
 compare sides as sets of keys, so the copies count as one formula; a check
-keys and checks each formula object once, and the parser shares one object
-among the copies of a formula, and of each subformula
-(`frontend.parse_document`), so the subformulas a rule takes apart are
-keyed once too.  `hol._nf` keeps a normal formula's own subterms, so this
-holds for the higher-order calculus as well.
+keys and checks each formula object once, and builds each side's key set
+once, though a premise's sides are compared both by its own rule and by
+the rule below it.  The parser shares one object among the copies of a
+formula, and of each subformula (`frontend.parse_document`), so the
+subformulas a rule takes apart are keyed once too.  `hol._nf` keeps a
+normal formula's own subterms, so this holds for the higher-order calculus
+as well.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ class _Reject(Exception):
 @dataclass(frozen=True)
 class _Logic:
     """What one calculus supplies to the shared rule table."""
-    key: Callable            # formula -> canonical key; equal keys are equal formulas
+    key: Callable            # formula -> small int; equal ints are equal formulas
+    side: Callable           # sequent side (a tuple) -> its formulas' key set
     check_formula: Callable  # formula -> None; raises _Reject if ill-formed
     axiom: Callable          # (perm, left, right) -> None; raises _Reject
     is_bot: Callable         # formula -> bool
@@ -88,7 +91,8 @@ class _Logic:
 
     def keys(self, props, *new) -> frozenset:
         """The key set of the formulas props and new: a sequent side as a set."""
-        return frozenset(map(self.key, props + new))
+        got = self.side(props)
+        return got.union(map(self.key, new)) if new else got
 
 
 def _pick(seq: Sequent, side: str, i):
@@ -98,15 +102,16 @@ def _pick(seq: Sequent, side: str, i):
     return props[i]
 
 
-def _fits(ks, premise: Node, lefts, rights) -> bool:
+def _fits(L: _Logic, premise: Node, lefts, rights) -> bool:
     """Each side of the premise has one of its candidate key sets."""
-    return ks(premise.concl.left) in lefts and ks(premise.concl.right) in rights
+    return L.side(premise.concl.left) in lefts and L.side(premise.concl.right) in rights
 
 
-def _principal(ks, props, i, *new) -> list:
+def _principal(L: _Logic, props, i, *new) -> list:
     """Key sets of props without or keeping principal formula props[i], plus
     new.  Without it means without every copy of it: the side is a set."""
-    return [ks(props) - ks(props[i:i + 1]) | ks(new), ks(props, *new)]
+    return [(L.side(props) - {L.key(props[i])}).union(map(L.key, new)),
+            L.keys(props, *new)]
 
 
 def _check(L: _Logic, node: Node, path) -> Verdict:
@@ -148,26 +153,26 @@ def _rule(L: _Logic, node: Node) -> None:
                 raise _Reject("botl principal formula is not the false constant")
         case "impl":
             p, q = _parts(L.as_imp(phi), "impl", "an implication")
-            if not _fits(ks, kids[0], _principal(ks, C.left, i), [ks(C.right, p)]):
+            if not _fits(L, kids[0], _principal(L, C.left, i), [ks(C.right, p)]):
                 raise _Reject("first premise does not match impl", 0)
-            if not _fits(ks, kids[1], _principal(ks, C.left, i, q), [ks(C.right)]):
+            if not _fits(L, kids[1], _principal(L, C.left, i, q), [ks(C.right)]):
                 raise _Reject("second premise does not match impl", 1)
         case "impr":
             p, q = _parts(L.as_imp(phi), "impr", "an implication")
-            if not _fits(ks, kids[0], [ks(C.left, p)], _principal(ks, C.right, i, q)):
+            if not _fits(L, kids[0], [ks(C.left, p)], _principal(L, C.right, i, q)):
                 raise _Reject("premise does not match impr", 0)
         case "alll":
             x, body = _parts(L.as_all(phi), "alll", "a quantifier")
             if node.witness is None:
                 raise _Reject("alll needs a witness term")
             inst = L.instance(x, body, node.witness)
-            if not _fits(ks, kids[0], _principal(ks, C.left, i, inst), [ks(C.right)]):
+            if not _fits(L, kids[0], _principal(L, C.left, i, inst), [ks(C.right)]):
                 raise _Reject("premise does not match alll instance", 0)
         case "allr":
             x, body = _parts(L.as_all(phi), "allr", "a quantifier")
             if any(L.occurs(x, p) for p in C.left + _without(C.right, i)):
                 raise _Reject("allr eigenvariable occurs free in the sequent")
-            if not _fits(ks, kids[0], [ks(C.left)], _principal(ks, C.right, i, body)):
+            if not _fits(L, kids[0], [ks(C.left)], _principal(L, C.right, i, body)):
                 raise _Reject("premise does not match allr", 0)
 
 
@@ -181,9 +186,17 @@ def by_object(fn) -> Callable:
     return lambda x: (seen.get(id(x)) or seen.setdefault(id(x), (x, fn(x))))[1]
 
 
-def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
+def _interned(canonical: Callable) -> tuple:
+    """(key, side) for one check: key gives a formula a small int, the same
+    for formulas with equal canonical keys, and side gives a sequent side
+    its formulas' key set; each is computed once per object."""
     ids: dict = {}  # canonical key -> small int
-    key = by_object(lambda phi: ids.setdefault(P.alpha_key(phi), len(ids)))
+    key = by_object(lambda phi: ids.setdefault(canonical(phi), len(ids)))
+    return key, by_object(lambda props: frozenset(map(key, props)))
+
+
+def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
+    key, side = _interned(P.alpha_key)
 
     @by_object
     def check_formula(phi):
@@ -212,7 +225,7 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
         return P.subst_one(body, x, r)
 
     return _check(_Logic(
-        key, check_formula, axiom,
+        key, side, check_formula, axiom,
         is_bot=lambda phi: isinstance(phi, P.Bot),
         as_imp=lambda phi: (phi.left, phi.right) if isinstance(phi, P.Imp) else None,
         as_all=lambda phi: (phi.unknown, phi.body) if isinstance(phi, P.All) else None,
@@ -230,8 +243,7 @@ def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
             return None, e
     # A formula failing sig is keyed by itself, so it matches no typed
     # formula: a premise holding one is rejected at its own path.
-    ids: dict = {}
-    key = by_object(lambda p: ids.setdefault(norm(p)[0] or p, len(ids)))
+    key, side = _interned(lambda p: norm(p)[0] or p)
 
     def check_formula(phi):
         k, got = norm(phi)
@@ -260,37 +272,9 @@ def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
         return H.App(H.Lam(v, body), t)
 
     return _check(_Logic(
-        key, check_formula, axiom,
+        key, side, check_formula, axiom,
         is_bot=lambda phi: key(phi) == key(H.BOT),
         as_imp=as_imp,
         as_all=lambda phi: H.forall_parts(norm(phi)[1]),
         instance=instance,
         occurs=lambda v, phi: v in H.fv(phi)), node, ())
-
-
-# ---------------------------------------------------------------------------
-# decidable fragment
-
-def _hol_atomic(phi) -> bool:
-    """No logical constants anywhere: only axiom steps could apply."""
-    match phi:
-        case H.Const(name, _):
-            return name not in ("bot", "imp", "forall")
-        case H.Var(_):
-            return True
-        case H.App(f, a):
-            return _hol_atomic(f) and _hol_atomic(a)
-        case H.Lam(_, b):
-            return _hol_atomic(b)
-        case H.HTup(items):
-            return all(_hol_atomic(r) for r in items)
-    return False
-
-
-def hol_atomic_derivable(seq: Sequent) -> Optional[bool]:
-    """Exact derivability for sequents of purely atomic formulas; None when
-    a logical constant makes the question proof-search-shaped."""
-    left, right = ([H.normal_key(p) for p in side] for side in (seq.left, seq.right))
-    if not all(_hol_atomic(nf) for _, nf in left + right):
-        return None
-    return not {k for k, _ in left}.isdisjoint(k for k, _ in right)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Union
 
-from .atoms import Atom, CofinAtomSet, Perm, perm_image_set, set_subset
+from .atoms import Atom, CofinAtomSet, Perm, perm_image_set
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +444,6 @@ class PnlSubst:
     def __call__(self, x: Unknown) -> PnlTerm:
         return self._map.get(x, Sus.of(x))
 
-    def mapped(self) -> dict:
-        return dict(self._map)
-
-    def validate(self, sig: PnlSignature):
-        for x, t in self._map.items():
-            if sort_of(sig, t) != x.sort:
-                raise SortError(f"substituting {t!r} of wrong sort for {x!r}", t)
-            if not set_subset(free_atoms(t), x.pmss):
-                raise ValueError(f"free atoms of {t!r} escape the permission set of {x!r}")
-
     @property
     def nontriv(self) -> frozenset:
         produced = frozenset().union(
@@ -497,42 +487,3 @@ def subst_apply(theta: PnlSubst, x):
 def subst_one(x, unk: Unknown, t: PnlTerm):
     """x[unk := t]."""
     return subst_apply(PnlSubst({unk: t}), x)
-
-
-# ---------------------------------------------------------------------------
-# signature saturation: tag every predicate with a guard argument
-
-def saturate_signature(sig: PnlSignature, guard_sort: str) -> PnlSignature:
-    if guard_sort in sig.base_sorts or guard_sort in sig.name_sorts:
-        raise SignatureError(f"guard sort {guard_sort} already declared")
-    props = {p: TupleSort((BaseSort(guard_sort), arg))
-             for p, arg in sig.prop_formers.items()}
-    return PnlSignature(sig.name_sorts, sig.base_sorts | {guard_sort},
-                        dict(sig.term_formers), props)
-
-
-def pi_translate(sig: PnlSignature, phi: PnlProp, guard: Unknown):
-    """Saturated signature plus the proposition with every predicate guarded
-    by the distinguished unknown."""
-    match guard.sort:
-        case BaseSort(name) if name not in sig.base_sorts:
-            guard_sort = name
-        case _:
-            raise SortError("guard unknown must have a fresh base sort", guard)
-    if not set_subset(free_atoms(phi), guard.pmss):
-        raise ValueError("free atoms of the proposition escape the guard's permission set")
-    new_sig = saturate_signature(sig, guard_sort)
-
-    def go(p):
-        match p:
-            case Bot():
-                return p
-            case Imp(a, b):
-                return Imp(go(a), go(b))
-            case Pred(name, arg):
-                return Pred(name, Tup((Sus.of(guard), arg)))
-            case All(unk, body):
-                return All(unk, go(body))
-        raise TypeError(f"not a proposition: {p!r}")
-
-    return new_sig, go(phi)

@@ -1,12 +1,11 @@
 """Executable desk-scale models.
 
 Ground nominal terms serve as carriers (term-formers act syntactically, so
-support and the permutation action are computable); renamings act on them by
-capture-avoiding atom replacement.  The free extension to renaming sets is
-represented by suspended pairs (renaming, ground term), with equivalence by
-canonical key (`ren_key`), and higher-order values are a small tagged union
-in which every function value is one closure type, `FnV`: a host callable
-with the finite support the function is equivariant outside of.
+support and the permutation action are computable).  The free extension to
+renaming sets is represented by suspended pairs (renaming, ground term), with
+equivalence by canonical key (`ren_key`), and higher-order values are a small
+tagged union in which every function value is one closure type, `FnV`: a host
+callable with the finite support the function is equivariant outside of.
 
 The module provides evaluators for both syntaxes and a checker for the
 commuting square relating a nominal term/proposition's direct value to the
@@ -26,8 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Mapping, Optional, Union
 
-from .atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
-                    freshening_pair, set_subset)
+from .atoms import Atom, CofinAtomSet, Perm, Renaming, fresh_atoms, set_subset
 from .capture import (CaptureContext, canonical_context, capture_check,
                       capture_infer)
 from . import hol as H
@@ -35,7 +33,7 @@ from . import pnl as P
 from .pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                   NameSort, PnlSignature, Pred, Sus, TupleSort, Tup, Unknown,
                   alpha_eq, alpha_key, free_atoms, free_unknowns, perm_act,
-                  sort_of, subst_apply)
+                  sort_of)
 from .translate import TranslationEnv, translate
 
 
@@ -58,27 +56,6 @@ def supp(x) -> frozenset:
     """Support of a ground element: its free atoms, always a finite set."""
     got = _ground_atoms(x)
     return free_atoms(x).as_finite() if got is None else got
-
-
-def ground_renaming_action(rho: Renaming, x):
-    """Apply a renaming to a ground term, freshening binders that clash."""
-    if rho.is_identity:
-        return x
-    match x:
-        case AtomT(a):
-            return AtomT(rho(a))
-        case Tup(items):
-            return Tup(tuple(ground_renaming_action(rho, r) for r in items))
-        case Former(f, arg):
-            return Former(f, ground_renaming_action(rho, arg))
-        case AbsT(a, body):
-            if a in rho.nontriv:
-                avoid = free_atoms(body).union(CofinAtomSet.finite(rho.nontriv))
-                c = fresh_atoms([a.sort], avoid)[0]
-                body = perm_act(Perm.swap(c, a), body)
-                a = c
-            return AbsT(a, ground_renaming_action(rho, body))
-    raise TypeError(f"not a ground term: {x!r}")
 
 
 def abstract_atoms(atoms, x):
@@ -261,42 +238,6 @@ def as_ren(v: SemVal) -> RenElem:
     raise SemanticsError(f"value has no suspension form: {v!r}")
 
 
-def sem_eq(v1: SemVal, v2: SemVal) -> bool:
-    """Equality of semantic values.  Tuple values (the componentwise product)
-    are compared componentwise; a tuple value is compared against a merged
-    suspension only by coercion through the natural map."""
-    match (v1, v2):
-        case (BoolV(a), BoolV(b)):
-            return a == b
-        case (TupV(xs), TupV(ys)):
-            return len(xs) == len(ys) and all(
-                sem_eq(a, b) for a, b in zip(xs, ys))
-        case (FnV(), _) | (_, FnV()):
-            raise SemanticsError("function values are not comparable")
-    return ren_eq(as_ren(v1), as_ren(v2))
-
-
-def ren_act_sem(rho: Renaming, v: SemVal) -> SemVal:
-    if rho.is_identity:
-        return v
-    match v:
-        case BoolV(_):
-            return v
-        case AtomV(a):
-            return AtomV(rho(a))
-        case RenV(e):
-            return RenV(mk_ren(rho.compose(e.rho), e.val))
-        case TupV(items):
-            return TupV(tuple(ren_act_sem(rho, r) for r in items))
-        case FnV(f, support):
-            def renamed(a: SemVal) -> SemVal:
-                blocked = CofinAtomSet.finite(supp_sem(a) | support)
-                r1, r2 = freshening_pair(rho.nontriv, blocked)
-                return ren_act_sem(r2.compose(rho), f(ren_act_sem(r1, a)))
-            return FnV(renamed, rho.nontriv | support)
-    raise TypeError(f"not a semantic value: {v!r}")
-
-
 def _relabel(e: RenElem, moved, avoid) -> RenElem:
     """An equivalent representative in which the renaming-domain atoms
     `moved` are swapped with the least fresh atoms outside `avoid`, which
@@ -449,20 +390,6 @@ def _pattern_test(p, slots: list, index: dict) -> Callable:
     return lambda x: False
 
 
-def compile_pattern(pattern) -> Callable:
-    """The pattern (with unknowns as pattern variables) compiled once into a
-    matcher for ground terms: match(term) returns the bindings, or None when
-    the term does not match up to alpha."""
-    slots: list = []
-    index: dict = {}
-    test = _pattern_test(pattern, slots, index)
-    unknowns = tuple(index)
-
-    def match(term) -> Optional[dict]:
-        return dict(zip(unknowns, slots)) if test(term) else None
-    return match
-
-
 def compile_spec(spec: "PredSpec") -> Callable:
     """The clause table compiled once: apply(term) is the value of the first
     clause whose pattern matches, else the default."""
@@ -497,9 +424,6 @@ class PredSpec:
         for p, _ in self.clauses:
             out |= pattern_atoms(p)
         return out
-
-    def apply(self, x) -> int:
-        return compile_spec(self)(x)
 
 
 @dataclass(frozen=True)
@@ -592,11 +516,6 @@ class Valuation:
         if x in self.assignments:
             return self.assignments[x]
         return canonical_ground(sig, x.sort, x.pmss)
-
-    def updated(self, x: Unknown, t) -> "Valuation":
-        out = dict(self.assignments)
-        out[x] = t
-        return Valuation(out)
 
     def validate(self, sig: PnlSignature):
         for x, t in self.assignments.items():
@@ -887,9 +806,6 @@ class HolValuation:
             return self.mapping[v]
         return self.base(v)
 
-    def extend(self, v, value: SemVal) -> "HolValuation":
-        return HolValuation({v: value}, self.get)
-
 
 def lift_valuation(val: Valuation, sig: PnlSignature) -> HolValuation:
     """The valuation induced by a nominal valuation at a translation context:
@@ -905,18 +821,6 @@ def lift_valuation(val: Valuation, sig: PnlSignature) -> HolValuation:
                 body = abstract_atoms(d, val.get(sig, x))
                 return RenV(RenElem(Renaming.identity(), body))
         return None
-
-    return HolValuation({}, base)
-
-
-def rename_valuation(rho: Renaming, parent: HolValuation) -> HolValuation:
-    """Pointwise renaming of the unknown-variable entries of a valuation."""
-
-    def base(v):
-        got = parent.get(v)
-        if got is not None and isinstance(v, H.UnkVar):
-            return ren_act_sem(rho, got)
-        return got
 
     return HolValuation({}, base)
 
@@ -1173,43 +1077,3 @@ def square_check(tenv: TranslationEnv, model: HerbrandModel,
     ok = ren_eq(as_ren(hv), rhs)
     return SquareVerdict(ok, True, "term", hv, rhs,
                          "" if ok else "suspension elements differ")
-
-
-# ---------------------------------------------------------------------------
-# partial application of a model at a distinguished first slot
-
-def convert_model(model_pi: HerbrandModel, z) -> HerbrandModel:
-    """Fix the first tuple slot of every predicate to the ground term z:
-    clauses whose first slot cannot match z are pruned, the rest are
-    instantiated, and the declared support grows by the free atoms of z."""
-    sig = model_pi.sig
-    if free_unknowns(z):
-        raise SemanticsError("the distinguished argument must be ground")
-    z_sort = sort_of(sig, z)
-    new_props = {}
-    for p, arg in sig.prop_formers.items():
-        match arg:
-            case TupleSort((first, rest)):
-                if first != z_sort:
-                    raise SemanticsError(
-                        f"{p}: first slot has sort {first!r}, expected {z_sort!r}")
-                new_props[p] = rest
-            case _:
-                raise SemanticsError(f"{p}: argument sort is not a pair")
-    new_sig = PnlSignature(sig.name_sorts, sig.base_sorts,
-                           dict(sig.term_formers), new_props)
-    new_preds = {}
-    for p, spec in model_pi.preds.items():
-        clauses = []
-        for pattern, v in spec.clauses:
-            match pattern:
-                case Tup((pz, pr)):
-                    binds = compile_pattern(pz)(z)
-                    if binds is None:
-                        continue
-                    clauses.append((subst_apply(P.PnlSubst(binds), pr), v))
-                case _:
-                    raise SemanticsError(f"{p}: clause pattern is not a pair")
-        extra = spec.extra_support | supp(z)
-        new_preds[p] = PredSpec(tuple(clauses), spec.default, extra)
-    return HerbrandModel(new_sig, new_preds)

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .atoms import Perm, set_subset
 from .capture import (CaptureContext, capture_cover, capture_infer,
                       make_context, restrict_context)
 from . import hol as H
@@ -99,11 +98,6 @@ class TranslatedDerivation:
     ctx_full: CaptureContext   # the possibly-larger context actually used
 
 
-def translate_sequent(env, ctx, seq: K.Sequent) -> K.Sequent:
-    return K.Sequent(tuple(translate(env, ctx, p) for p in seq.left),
-                     tuple(translate(env, ctx, p) for p in seq.right))
-
-
 def translate_derivation(env: TranslationEnv, node: K.Node,
                          ctx: CaptureContext = ()) -> TranslatedDerivation:
     _reject_equivariant_axioms(node)
@@ -147,49 +141,3 @@ def _translate_node(once, ctx, node: K.Node) -> K.Node:
     children = tuple(_translate_node(once, ctx, c) for c in node.children)
     return K.Node(rule=node.rule, concl=concl, children=children,
                   li=node.li, ri=node.ri, witness=witness)
-
-
-# ---------------------------------------------------------------------------
-# erasing the guard argument added by signature saturation
-
-def erase_pi(sig_pi: P.PnlSignature, node: K.Node, guard: P.Unknown) -> K.Node:
-    """Strip the guard slot from every predicate and demote every axiom to the
-    permutation-free rule, checking the permutation is invisible on the
-    guard's permission set."""
-    for _, n in _nodes(node):
-        for phi in n.concl.left + n.concl.right:
-            if not set_subset(P.free_atoms(phi), guard.pmss):
-                raise TranslationError(
-                    "sequent formula mentions atoms outside the guard's "
-                    "permission set")
-    return _erase_node(node, guard, ())
-
-
-def _strip_guard(phi):
-    match phi:
-        case P.Bot():
-            return phi
-        case P.Imp(p, q):
-            return P.Imp(_strip_guard(p), _strip_guard(q))
-        case P.Pred(name, P.Tup(items)) if len(items) == 2:
-            return P.Pred(name, items[1])
-        case P.All(unk, body):
-            return P.All(unk, _strip_guard(body))
-    raise TranslationError(f"formula lacks the guard slot: {phi!r}")
-
-
-def _erase_node(node: K.Node, guard, path) -> K.Node:
-    perm = node.perm
-    if node.rule == "ax" and not perm.is_identity:
-        moved = [a for a in perm.nontriv if a in guard.pmss and perm(a) != a]
-        if moved:
-            raise TranslationError(
-                f"axiom permutation moves permitted atoms {sorted(moved)}; "
-                "erasure would change the sequent", path)
-        perm = Perm.identity()
-    concl = K.Sequent(tuple(_strip_guard(p) for p in node.concl.left),
-                      tuple(_strip_guard(p) for p in node.concl.right))
-    children = tuple(_erase_node(c, guard, path + (i,))
-                     for i, c in enumerate(node.children))
-    return K.Node(rule=node.rule, concl=concl, children=children, perm=perm,
-                  li=node.li, ri=node.ri, witness=node.witness)

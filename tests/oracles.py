@@ -17,7 +17,7 @@ each formula object once.
 The eager, memoised ground-term enumerator is the reference for the lazy one
 in `nomhol.semantics`: the same terms in the same order, built as lists.
 The tree-walking evaluators are the references for the compiled ones:
-`match_pattern` for `semantics.compile_pattern` and `compile_spec`,
+`match_pattern` for `spec.compile_pattern` and `semantics.compile_spec`,
 `eval_pnl_term`/`eval_pnl_prop` for the nominal evaluator, and
 `HolEvaluator`/`eval_hol` for the higher-order one.  They walk the syntax
 at every candidate, draw every quantifier's candidates from the eager
@@ -50,6 +50,8 @@ from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV, RenElem,
                               default_window, merge_ren_tuple, mk_ren,
                               pmss_window, supp, supp_sem)
 from nomhol.sexpr import SNode, Sym
+
+from spec import extend, updated
 
 
 def _perms_agree_on_pmss(p1: Perm, p2: Perm, pmss) -> bool:
@@ -388,7 +390,7 @@ def eval_pnl_prop(model, val, phi, depth: int = 0):
             window = pmss_window(x.pmss, model.sig.name_sorts)
             return _forall_ground(
                 model.sig, x.sort, window, depth,
-                lambda t: eval_pnl_prop(model, val.updated(x, t), body, depth)[0]
+                lambda t: eval_pnl_prop(model, updated(val, x, t), body, depth)[0]
             ), False
     raise TypeError(f"not a proposition: {phi!r}")
 
@@ -461,7 +463,7 @@ class HolEvaluator:
 
         def holds(t):
             cand = RenV(RenElem(Renaming.identity(), abstract_atoms(v.ctx, t)))
-            return as_bool(self.eval(body, env.extend(v, cand)))
+            return as_bool(self.eval(body, extend(env, v, cand)))
 
         return BoolV(_forall_ground(self.model.sig, x.sort, window,
                                     self.depth, holds))
@@ -513,14 +515,14 @@ class HolEvaluator:
                 c = fresh_atoms([a.sort], avoid)[0]
                 body = H.hol_subst_parallel(body, {v: H.Var(H.AtomVar(c))})
                 a = c
-            inner = env.extend(H.AtomVar(a), AtomV(a))
+            inner = extend(env, H.AtomVar(a), AtomV(a))
             e = as_ren(self.eval(body, inner))
             rho = e.rho.restrict(supp(e.val) - {a})
             return RenV(RenElem(rho, AbsT(a, e.val)))
         support = frozenset()
         for w in H.fv(body) - {v}:
             support |= supp_sem(self._lookup(env, w))
-        return FnV(lambda a: self.eval(body, env.extend(v, a)), support)
+        return FnV(lambda a: self.eval(body, extend(env, v, a)), support)
 
 
 def eval_hol(model, env, t, depth: int = 0):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, permission_set,
-                          fresh_atoms, freshening_pair, perm_image_set,
-                          set_subset)
+                          fresh_atoms, perm_image_set, set_subset)
+
+from spec import freshening_pair
 
 NU = "nu"
 

@@ -545,11 +545,11 @@ def test_corpus_round_trip():
         kind = kind_of(f.name)
         text = f.read_text()
         doc = F.parse_document(text, kind, SIG)
-        back = F.render_document(kind, doc)
+        back = F.KINDS[kind][1](doc)
         doc2 = F.parse_document(back, kind, SIG)
         if kind in ("pnl", "term", "prop"):
             assert alpha_eq(doc, doc2), f.name
-        assert F.render_document(kind, doc2) == back, f.name
+        assert F.KINDS[kind][1](doc2) == back, f.name
 
 
 def test_document_kind_errors():
@@ -604,8 +604,8 @@ def test_every_document_kind_round_trips():
     texts["deriv-hol"] = F.render_derivation(translate_derivation(ENV, deriv).tree)
     assert texts.keys() == F.KINDS.keys()
     for kind, text in texts.items():
-        back = F.render_document(kind, F.parse_document(text, kind, SIG))
-        assert F.render_document(kind, F.parse_document(back, kind, SIG)) == back, kind
+        back = F.KINDS[kind][1](F.parse_document(text, kind, SIG))
+        assert F.KINDS[kind][1](F.parse_document(back, kind, SIG)) == back, kind
 
 
 def _printable_rows():
@@ -665,7 +665,7 @@ def test_every_printable_class_round_trips():
     case in `render` (a general application before imp or all, say)
     changes the text."""
     for kind, value, text in _printable_rows():
-        assert F.render_document(kind, value) == text, text
+        assert F.KINDS[kind][1](value) == text, text
         assert F.parse_document(text, kind, SIG) == value, text
 
 
@@ -685,7 +685,7 @@ def test_loaded_fixtures_render_as_their_files():
     assert len(loaded) == 22
     for name, kind, value in loaded:
         text = (CORPUS / name).read_text()
-        assert F.render_document(kind, value) + "\n" == text, name
+        assert F.KINDS[kind][1](value) + "\n" == text, name
 
 
 @pytest.mark.parametrize("name,argv", [
@@ -720,7 +720,7 @@ def test_rendering_deterministic():
     for f in corpus_files():
         kind = kind_of(f.name)
         doc = F.parse_document(f.read_text(), kind, SIG)
-        assert F.render_document(kind, doc) == F.render_document(kind, doc)
+        assert F.KINDS[kind][1](doc) == F.KINDS[kind][1](doc)
 
 
 def test_translated_derivations_round_trip_and_recheck():
@@ -834,6 +834,33 @@ def test_cli_normalize(capsys, tmp_path):
     f.write_text("(app (lam (plain o 0) (plain o 0)) bot)")
     assert cli("normalize", str(f)) == 0
     assert capsys.readouterr().out.strip() == "bot"
+
+
+def test_cli_alpha_hol_types_against_the_signature(capsys, tmp_path):
+    """`alpha --hol` rejects, with exit 2, a constant that `normalize`
+    rejects: one the signature does not declare, or one used at another
+    type than declared."""
+    for text, message in (("(const foo o)", "unknown constant foo"),
+                          ("(const imp o)", "constant imp declared")):
+        f = tmp_path / "t.sexp"
+        f.write_text(text)
+        for argv in (["alpha", "--hol", str(f), str(f)], ["normalize", str(f)]):
+            assert cli(*argv) == 2, argv
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith(f"error: {message}"), argv
+
+
+def test_cli_translating_commands_reject_ill_sorted_input(capsys, tmp_path):
+    """`translate` and `square` sort-check the term or proposition they
+    translate: `var` takes a name, not a pair of names."""
+    for text in ("(var (tup nu@0 nu@1))", "(pred P (var (tup nu@0 nu@1)))"):
+        f = tmp_path / "x.sexp"
+        f.write_text(text)
+        for argv in (["translate", str(f)],
+                     ["square", "--model", p("model_basic.sexp"), str(f)]):
+            assert cli(*argv) == 2, (argv, text)
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", "error: var expects nu, got <nu,nu>\n")
 
 
 # Binder nesting that each command must answer at the default recursion

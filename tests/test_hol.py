@@ -9,12 +9,12 @@ from nomhol.hol import (App, ArrowT, AtomVar, BASE_SIGNATURE, BOT, BaseT,
                         Const, HTup, HolTypeError, IMP, Lam, O, PlainVar,
                         TupleT, UnkVar, Var, alphabeta_eq, alphabeta_key, apps,
                         beta_normalize, forall, forall_const, fv,
-                        hol_perm_act, hol_subst,
                         hol_subst_parallel, hol_type_of, imp, lams, name_sort_type,
                         sort_to_type, type_to_sort, var_type)
 from nomhol.pnl import AbsSort, BaseSort, NameSort, TupleSort, Unknown
 
 from gen import IOTA, NSORT, NU, PMSS_ALL, SIG, X0
+from spec import hol_perm_act, hol_subst
 import oracles
 from oracles import hol_alpha_eq
 

@@ -15,14 +15,15 @@ from nomhol.corpus import (SIG, alpha_pair, eta_axiom, full_only_derivation,
                            restricted_derivations)
 from nomhol.hol import (App, AtomVar, BOT, Const, Lam, O, PlainVar, UnkVar,
                         Var, apps, forall, imp)
-from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, _Logic, check_hol,
-                           check_pnl, hol_atomic_derivable)
+from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, _interned, check_hol,
+                           check_pnl)
 from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, Pred, Sus,
                         Tup, Unknown, alpha_key, perm2_act, perm_act)
 from nomhol.translate import translate, translate_derivation, translate_signature
 
 import oracles
 from gen import PMSS_ALL, X0, atom, rand_perm, rand_prop, var
+from spec import hol_atomic_derivable
 
 ENV = translate_signature(SIG)
 
@@ -347,7 +348,7 @@ def rand_side(rng, n):
 
 
 def keys_of(key):
-    return _Logic(key, *[None] * 7).keys
+    return _interned(key)[1]
 
 
 def test_keyed_sides_match_pairwise():

@@ -8,11 +8,12 @@ from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Perm2, PnlSubst, Pred, SortError, Sus, Tup,
                         TupleSort, Unknown, alpha_eq, alpha_key, check_prop,
                         free_atoms, free_unknowns, perm2_act, perm_act,
-                        pi_translate, sort_of, subst_apply, subst_one)
+                        sort_of, subst_apply, subst_one)
 
 import oracles
 from gen import (IOTA, NSORT, NU, PMSS_ALL, PMSS_HALF, SIG, WINDOW, X0, X1,
                  rand_perm, rand_prop, rand_term)
+from spec import pi_translate, subst_map, subst_validate
 
 
 def a(i):
@@ -345,14 +346,14 @@ def test_bare_suspension_bindings_are_dropped():
         t = Sus(rand_perm(rng), rng.choice([X0, X1])) if rng.random() < 0.7 \
             else rand_term(rng, 2)
         x = rng.choice([X0, X1])
-        kept = PnlSubst({x: t}).mapped()
+        kept = subst_map(PnlSubst({x: t}))
         assert (x not in kept) == oracles.alpha_eq(t, Sus.of(x)), (x, t)
 
 
 def test_subst_validation():
     theta = PnlSubst({X1: var(1)})  # nu@1 not permitted for X1
     with pytest.raises(ValueError):
-        theta.validate(SIG)
+        subst_validate(theta, SIG)
 
 
 def test_subst_respects_alpha():
@@ -364,7 +365,7 @@ def test_subst_respects_alpha():
         assert alpha_eq(subst_apply(theta, x), subst_apply(theta, y))
         # pointwise alpha-equal substitutions agree
         theta2 = PnlSubst({u: perm_act(Perm.identity(), t)
-                           for u, t in theta.mapped().items()})
+                           for u, t in subst_map(theta).items()})
         assert alpha_eq(subst_apply(theta, x), subst_apply(theta2, x))
 
 

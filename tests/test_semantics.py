@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, freshening_pair,
-                          permission_set, set_subset)
+from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, permission_set,
+                          set_subset)
 from nomhol.capture import canonical_context, capture_check, capture_infer
 from nomhol import frontend as F, hol as H, semantics
 from nomhol.corpus import beta_axioms, eta_axiom, restricted_derivations
@@ -19,18 +19,18 @@ from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV,
                               TupV, UnboundVariableError,
                               Valuation, abstract_atoms, as_atom, as_bool,
                               as_ren, canonical_ground, canonicalize,
-                              compile_pattern, compile_spec,
-                              convert_model, default_window, enumerate_ground,
+                              compile_spec, default_window, enumerate_ground,
                               eval_hol, eval_pnl_prop, eval_pnl_term, fn_apply,
-                              ground_renaming_action, lift_valuation,
-                              merge_ren_tuple, mk_ren, pmss_window,
-                              ren_act_sem, ren_eq, rename_valuation, sem_eq,
-                              square_check, supp, supp_sem)
+                              lift_valuation, merge_ren_tuple, mk_ren,
+                              pmss_window, ren_eq, square_check, supp, supp_sem)
 from nomhol.translate import translate, translate_derivation, translate_signature
 
 import oracles
 from gen import (IOTA, NSORT, NU, PMSS_ALL, PMSS_DOWN, PMSS_HALF, SIG, WINDOW,
                  X0, X1, rand_ground_term, rand_perm, rand_prop, rand_term)
+from spec import (compile_pattern, convert_model, extend, freshening_pair,
+                  ground_renaming_action, ren_act_sem, rename_valuation,
+                  sem_eq, updated)
 
 ENV = translate_signature(SIG)
 ID = Renaming.identity()
@@ -544,16 +544,16 @@ def test_pred_spec_validation():
 
 def test_pred_spec_first_match_and_support():
     spec = PredSpec(((var(0), 1), (Sus.of(W1), 0)), 1)
-    assert spec.apply(var(0)) == 1
-    assert spec.apply(var(1)) == 0
+    assert compile_spec(spec)(var(0)) == 1
+    assert compile_spec(spec)(var(1)) == 0
     assert spec.declared_support() == frozenset([a(0)])
     assert ISVAR_SPEC.declared_support() == frozenset()
 
 
 def test_pred_spec_matching_is_alpha_aware():
     islam = PredSpec(((Former("lam", AbsT(a(0), Sus.of(W1))), 1),), 0)
-    assert islam.apply(Former("lam", AbsT(a(3), var(3)))) == 1
-    assert islam.apply(var(0)) == 0
+    assert compile_spec(islam)(Former("lam", AbsT(a(3), var(3)))) == 1
+    assert compile_spec(islam)(var(0)) == 0
 
 
 def test_valuation_defaults_are_canonical_and_permitted():
@@ -633,7 +633,7 @@ def test_substitution_lemma():
         if not set_subset(free_atoms(vrp), X0.pmss):
             continue
         checked += 1
-        val2 = val.updated(X0, vrp)
+        val2 = updated(val, X0, vrp)
         r = rand_term(rng)
         assert alpha_eq(eval_pnl_term(M_ISVAR, val2, r),
                         eval_pnl_term(M_ISVAR, val, subst_one(r, X0, rp)))
@@ -649,13 +649,13 @@ def test_valuation_relevance():
         val = rand_val(rng)
         x = rand_term(rng)
         trimmed = Valuation({u: val.get(SIG, u) for u in free_unknowns(x)})
-        noisy = trimmed.updated(junk, var(2))
+        noisy = updated(trimmed, junk, var(2))
         assert alpha_eq(eval_pnl_term(M_ISVAR, val, x),
                         eval_pnl_term(M_ISVAR, noisy, x))
         phi = rand_prop(rng, quantifiers=False)
         trimmed = Valuation({u: val.get(SIG, u) for u in free_unknowns(phi)})
         assert eval_pnl_prop(M_ISVAR, val, phi) == \
-            eval_pnl_prop(M_ISVAR, trimmed.updated(junk, var(2)), phi)
+            eval_pnl_prop(M_ISVAR, updated(trimmed, junk, var(2)), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +746,7 @@ def test_eval_hol_beta_agreement():
         env = lift_valuation(rand_val(rng), SIG)
         lhs, _ = eval_hol(M_ISVAR, env, H.App(H.Lam(v, t), u))
         uval, _ = eval_hol(M_ISVAR, env, u)
-        rhs, _ = eval_hol(M_ISVAR, env.extend(v, uval), t)
+        rhs, _ = eval_hol(M_ISVAR, extend(env, v, uval), t)
         assert sem_eq(lhs, rhs), (x, rp, ctx)
 
 
@@ -764,7 +764,7 @@ def test_hol_valuation_relevance():
         t = translate(ENV, ctx, x)
         env1 = lift_valuation(rand_val(rng), SIG)
         env2 = HolValuation({v: env1.get(v) for v in H.fv(t)})
-        env2 = env2.extend(junk, RenV(RenElem(ID, var(2))))
+        env2 = extend(env2, junk, RenV(RenElem(ID, var(2))))
         v1, _ = eval_hol(M_ISVAR, env1, t)
         v2, _ = eval_hol(M_ISVAR, env2, t)
         assert sem_eq(v1, v2), x
@@ -788,8 +788,8 @@ def test_renamed_lifted_valuation_layers():
     assert not sem_eq(r.get(u), lifted.get(u))
     assert r.get(H.AtomVar(a(0))) == AtomV(a(0))
     x = RenV(RenElem(ID, var(3)))
-    assert r.extend(u, x).get(u) == x
-    assert r.extend(u, x).get(H.AtomVar(a(0))) == AtomV(a(0))
+    assert extend(r, u, x).get(u) == x
+    assert extend(r, u, x).get(H.AtomVar(a(0))) == AtomV(a(0))
     y = RenV(RenElem(ID, var(0)))
     assert rename_valuation(rho, HolValuation({u: y})).get(u) == ren_act_sem(rho, y)
     assert HolValuation().get(u) is None
@@ -807,9 +807,9 @@ def test_lifted_predicates_constant_across_representatives():
             x = Tup((rand_ground_term(rng, 2), rand_ground_term(rng, 2)))
             g, _ = eval_hol(M_ISVAR, HolValuation(), ENV.pred_const("equal"))
         got = as_bool(fn_apply(g, ren_act_sem(rho, RenV(RenElem(ID, x)))))
-        assert got == spec.apply(x), (rho, x)
+        assert got == compile_spec(spec)(x), (rho, x)
         # in particular a true instance stays true under every renaming
-        if spec.apply(x) == 1:
+        if compile_spec(spec)(x) == 1:
             assert got == 1
 
 
@@ -904,8 +904,8 @@ def test_fresh_atom_reassignment_commutes_with_renaming():
             x = perm_act(Perm.swap(fresh_a, rng.choice(WINDOW)), x)
         t = translate(ENV, (), x)
         base = HolValuation()
-        v1, _ = eval_hol(M_ISVAR, base.extend(H.AtomVar(fresh_a),
-                                                   AtomV(fresh_b)), t)
+        v1, _ = eval_hol(M_ISVAR, extend(base, H.AtomVar(fresh_a),
+                                         AtomV(fresh_b)), t)
         v0, _ = eval_hol(M_ISVAR, base, t)
         assert sem_eq(v1, ren_act_sem(Renaming.atomic(fresh_a, fresh_b), v0)), x
 
@@ -916,7 +916,7 @@ def test_reassignment_fails_when_the_atom_supports_another_value():
     u = H.UnkVar(X0, ())
     t = H.HTup((H.App(ENV.term_const("var"), H.Var(H.AtomVar(a(0)))), H.Var(u)))
     env = HolValuation({u: RenV(RenElem(ID, var(0)))})
-    lhs, _ = eval_hol(M_ISVAR, env.extend(H.AtomVar(a(0)), AtomV(a(1))), t)
+    lhs, _ = eval_hol(M_ISVAR, extend(env, H.AtomVar(a(0)), AtomV(a(1))), t)
     rhs0, _ = eval_hol(M_ISVAR, env, t)
     rhs = ren_act_sem(Renaming.atomic(a(0), a(1)), rhs0)
     assert not sem_eq(lhs, rhs)
@@ -1197,7 +1197,7 @@ def test_compiled_clause_tables_agree_with_the_oracle():
             x = rand_ground_term(rng, rng.randrange(1, 4))
             if clauses and rng.random() < 0.5:
                 x = oracles.eval_pnl_term(M_ISVAR, rand_val(rng), rng.choice(clauses)[0])
-            got = spec.apply(x)
+            got = compile_spec(spec)(x)
             assert got == oracles.spec_apply(spec, x), (clauses, x)
             matched += any(oracles.match_pattern(p, x) is not None for p, _ in clauses)
     assert matched > 100
@@ -1324,7 +1324,7 @@ def test_convert_model_agrees_with_direct_evaluation():
         assert m.preds["Q"].extra_support >= supp(z)
         for _ in range(60):
             r = rand_ground_term(rng)
-            assert m.spec("Q").apply(r) == PAIR_SPEC.apply(Tup((z, r))), (z, r)
+            assert compile_spec(m.spec("Q"))(r) == compile_spec(PAIR_SPEC)(Tup((z, r))), (z, r)
 
 
 def test_convert_model_default_only_and_pruning():
@@ -1332,7 +1332,7 @@ def test_convert_model_default_only_and_pruning():
     assert m.spec("Q").clauses == () and m.spec("Q").default == 1
     only = PredSpec(((Tup((var(5), Sus.of(W1))), 1),), 0)
     m = convert_model(HerbrandModel(SIG2, {"Q": only}), var(0))
-    assert m.spec("Q").clauses == () and m.spec("Q").apply(var(5)) == 0
+    assert m.spec("Q").clauses == () and compile_spec(m.spec("Q"))(var(5)) == 0
 
 
 def test_convert_model_sort_mismatch():

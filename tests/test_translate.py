@@ -6,8 +6,7 @@ from nomhol.atoms import Atom, Perm
 from nomhol.capture import canonical_context, capture_check, capture_infer
 from nomhol.hol import (App, ArrowT, AtomVar, Const, HTup, Lam, O, UnkVar,
                         Var, alphabeta_eq, apps, beta_normalize, forall, fv,
-                        hol_perm_act, hol_subst, hol_type_of,
-                        lams, name_sort_type, sort_to_type)
+                        hol_type_of, lams, name_sort_type, sort_to_type)
 from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, PnlSubst,
                         Pred, Sus, Tup, Unknown, alpha_eq, free_atoms,
                         perm_act, perm2_act, sort_of, subst_apply, subst_one)
@@ -16,6 +15,7 @@ from nomhol.translate import translate, translate_signature
 from gen import (IOTA, NU, PMSS_ALL, PMSS_HALF, SIG, WINDOW, X0, X1,
                  rand_perm, rand_prop, rand_term)
 from oracles import hol_alpha_eq
+from spec import hol_perm_act, hol_subst
 
 
 def a(i):

@@ -5,18 +5,17 @@ import pytest
 
 from nomhol import frontend as F, translate as T
 from nomhol.atoms import Perm, permission_set
-from nomhol.capture import apply_reindex, capture_cover
+from nomhol.capture import capture_cover
 from nomhol.corpus import SIG, full_only_derivation, restricted_derivations
 from nomhol.hol import alphabeta_eq
 from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, check_hol,
-                           check_pnl, hol_atomic_derivable)
-from nomhol.pnl import (All, BaseSort, Imp, Pred, Sus, Tup, Unknown,
-                        pi_translate)
-from nomhol.translate import (TranslationError, erase_pi, translate,
-                              translate_derivation, translate_sequent,
-                              translate_signature)
+                           check_pnl)
+from nomhol.pnl import All, BaseSort, Imp, Pred, Sus, Tup, Unknown
+from nomhol.translate import (TranslationError, translate,
+                              translate_derivation, translate_signature)
 
 from gen import atom, var
+from spec import apply_reindex, erase_pi, hol_atomic_derivable, pi_translate
 
 ENV = translate_signature(SIG)
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -31,7 +30,8 @@ def test_corpus_translates_end_to_end():
 def test_translated_endsequent_reindexes_to_caller_context():
     for name, d in restricted_derivations():
         out = translate_derivation(ENV, d)
-        want = translate_sequent(ENV, out.ctx, d.concl)
+        want = Sequent(tuple(translate(ENV, out.ctx, p) for p in d.concl.left),
+                       tuple(translate(ENV, out.ctx, p) for p in d.concl.right))
         got = out.tree.concl
         assert len(got.left) == len(want.left) and len(got.right) == len(want.right)
         for g, w in zip(got.left + got.right, want.left + want.right):
@@ -70,7 +70,9 @@ def test_each_formula_object_is_translated_once(monkeypatch):
             objects.update(map(id, n.concl.left + n.concl.right))
             if n.witness is not None:
                 objects.add(id(n.witness))
-            assert h.concl == translate_sequent(ENV, out.ctx_full, n.concl)
+            assert h.concl == Sequent(
+                tuple(translate(ENV, out.ctx_full, p) for p in n.concl.left),
+                tuple(translate(ENV, out.ctx_full, p) for p in n.concl.right))
             pairs.extend(zip(n.children, h.children))
         assert counted.keys() == objects and set(counted.values()) == {1}
 
@@ -84,7 +86,8 @@ def test_full_axiom_rejected_with_location():
 def test_rejected_target_fails_atomic_probe():
     d = full_only_derivation()
     assert check_pnl(SIG, d, FULL)
-    seq = translate_sequent(ENV, (), d.concl)
+    seq = Sequent(tuple(translate(ENV, (), p) for p in d.concl.left),
+                  tuple(translate(ENV, (), p) for p in d.concl.right))
     assert hol_atomic_derivable(seq) is False
 
 
