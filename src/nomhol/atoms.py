@@ -141,9 +141,18 @@ class _AtomMap:
     def __hash__(self) -> int:
         return hash((type(self).__name__, frozenset(self._map.items())))
 
+    @classmethod
+    def identity(cls):
+        return cls({})
+
     @property
     def is_identity(self) -> bool:
         return not self._map
+
+    def compose(self, other):
+        """self ∘ other: apply `other` first."""
+        keys = frozenset(self._map) | frozenset(other._map)
+        return type(self)({a: self(other(a)) for a in keys})
 
     def moves(self) -> dict:
         return dict(self._map)
@@ -157,10 +166,6 @@ class Perm(_AtomMap):
         if len(set(self._map.values())) != len(self._map) or \
                 set(self._map.values()) != set(self._map):
             raise ValueError("permutation must be a bijection on its nontrivial atoms")
-
-    @staticmethod
-    def identity() -> "Perm":
-        return Perm({})
 
     @staticmethod
     def swap(a: Atom, b: Atom) -> "Perm":
@@ -177,11 +182,6 @@ class Perm(_AtomMap):
     @property
     def nontriv(self) -> frozenset:
         return frozenset(self._map)
-
-    def compose(self, other: "Perm") -> "Perm":
-        """self ∘ other: apply `other` first."""
-        keys = self.nontriv | other.nontriv
-        return Perm({a: self(other(a)) for a in keys})
 
     def inverse(self) -> "Perm":
         return Perm({b: a for a, b in self._map.items()})
@@ -208,10 +208,6 @@ class Renaming(_AtomMap):
     """Finitely-nontrivial, possibly non-injective sort-preserving atom map."""
 
     @staticmethod
-    def identity() -> "Renaming":
-        return Renaming({})
-
-    @staticmethod
     def atomic(a: Atom, b: Atom) -> "Renaming":
         return Renaming({a: b})
 
@@ -226,11 +222,6 @@ class Renaming(_AtomMap):
     @property
     def nontriv(self) -> frozenset:
         return self.dom | self.img
-
-    def compose(self, other: "Renaming") -> "Renaming":
-        """self ∘ other: apply `other` first."""
-        keys = self.dom | other.dom
-        return Renaming({a: self(other(a)) for a in keys})
 
     def restrict(self, atoms: Iterable[Atom]) -> "Renaming":
         keep = set(atoms)

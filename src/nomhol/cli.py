@@ -57,13 +57,9 @@ def _load_sig(args) -> P.PnlSignature:
 
 
 def _load_pnl(path: str, sig):
-    return F.parse_document(_read(path), "pnl", sig)
-
-
-def _load_sorted(path: str, sig):
-    """A nominal input to translate, sort-checked first: the translation of
-    an ill-sorted term or proposition would not typecheck."""
-    x = _load_pnl(path, sig)
+    """A nominal term or proposition, sort-checked: no command gives a
+    verdict on an ill-sorted input, whose translation would not typecheck."""
+    x = F.parse_document(_read(path), "pnl", sig)
     if isinstance(x, P.PnlProp):
         P.check_prop(sig, x)
     else:
@@ -145,7 +141,7 @@ def _cmd_translate(args) -> int:
                    "derivation": text}
         return _emit(args, payload,
                      f"; context {F.render_context(out.ctx_full)}\n{text}")
-    x = _load_sorted(args.file, sig)
+    x = _load_pnl(args.file, sig)
     ctx = _given_context(args, sig)
     if ctx is None:  # the least context, which capture-checks by construction
         ctx, captured = canonical_context(capture_infer(x)), True
@@ -211,7 +207,7 @@ def _cmd_square(args) -> int:
     env = translate_signature(sig)
     model = _load_model(args, sig)
     val = _load_valuation(args, sig)
-    x = _load_sorted(args.file, sig)
+    x = _load_pnl(args.file, sig)
     v = square_check(env, model, _given_context(args, sig), val, x, _depth(args))
     payload = {"ok": v.ok, "exact": v.exact, "kind": v.kind,
                "message": v.message}

@@ -792,26 +792,12 @@ def eval_pnl_prop(model: HerbrandModel, val: Valuation, phi, depth: int = 0):
 # ---------------------------------------------------------------------------
 # higher-order valuations
 
-class HolValuation:
-    """Finite map from higher-order variables to semantic values over a
-    fallback, `base(v)`, for the variables outside the map (None: unbound)."""
-
-    def __init__(self, mapping: Optional[Mapping] = None,
-                 base: Callable = lambda v: None):
-        self.mapping = dict(mapping or {})
-        self.base = base
-
-    def get(self, v) -> Optional[SemVal]:
-        if v in self.mapping:
-            return self.mapping[v]
-        return self.base(v)
-
-
-def lift_valuation(val: Valuation, sig: PnlSignature) -> HolValuation:
+def lift_valuation(val: Valuation, sig: PnlSignature) -> Callable:
     """The valuation induced by a nominal valuation at a translation context:
     each context-indexed unknown-variable receives the identity suspension of
     its value abstracted over its own context, and each atom-variable
-    receives that atom."""
+    receives that atom.  A higher-order valuation is a function from a
+    variable to its value, or None where the variable is unbound."""
 
     def base(v):
         match v:
@@ -822,7 +808,7 @@ def lift_valuation(val: Valuation, sig: PnlSignature) -> HolValuation:
                 return RenV(RenElem(Renaming.identity(), body))
         return None
 
-    return HolValuation({}, base)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +834,8 @@ class HolEvaluator:
 
     # -- helpers ------------------------------------------------------------
 
-    def _lookup(self, env: HolValuation, v) -> SemVal:
-        got = env.get(v)
+    def _lookup(self, env: Callable, v) -> SemVal:
+        got = env(v)
         if got is not None:
             return got
         if isinstance(v, H.AtomVar):
@@ -904,7 +890,7 @@ class HolEvaluator:
     # variables bound around the node, outermost first, so that a bound
     # variable is read by its position, found once at compile time.
 
-    def eval(self, t, env: HolValuation) -> SemVal:
+    def eval(self, t, env: Callable) -> SemVal:
         return self._compile(t, ())(env, ())
 
     def _reader(self, v, scope: tuple) -> Callable:
@@ -1030,7 +1016,7 @@ def _imp(x: SemVal) -> SemVal:
     return FnV(lambda y: _BOOLS[max(1 - bx, as_bool(y))])
 
 
-def eval_hol(model: HerbrandModel, env: HolValuation, t, depth: int = 0):
+def eval_hol(model: HerbrandModel, env: Callable, t, depth: int = 0):
     """Returns (value, exact)."""
     ev = HolEvaluator(model, depth)
     out = ev.eval(t, env)

@@ -9,10 +9,10 @@ character.
 
 `parse_all` reads with one compiled pattern (`_TOKEN`) that splits the text
 into blanks, comments, parentheses, symbols whose brace groups nest at most
-two deep, and stray braces.  It raises nothing itself: on a stray brace, an
-unmatched ``)``, an unclosed ``(`` or an empty text it hands the text to
-`_parse_chars`, the character-by-character reader, which raises the located
-error or, for brace groups nested three or more deep, returns the tree.
+two deep, and stray braces, and it raises every located error itself.  A
+stray brace, which no grammar form makes, sends the one symbol holding it
+to `_symbol_end`, which reads it a character at a time, with groups nested
+to any depth, or raises the brace's error.
 
 A node stores its character offset and the text it was read from; ``line``
 and ``col`` are computed from them when asked, in practice only when an
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, List, Union
+from typing import List, Union
 
 
 class SexprError(Exception):
@@ -87,6 +87,32 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
+def _error(message: str, text: str, pos: int) -> SexprError:
+    """The error at offset `pos`, located as a node read there would be."""
+    where = Sym("", pos, text)
+    return SexprError(message, where.line, where.col)
+
+
+def _symbol_end(text: str, start: int) -> int:
+    """The end of the symbol at offset `start`, read a character at a time:
+    its brace groups may nest to any depth and hold any character."""
+    i, depth = start, 0
+    while i < len(text):
+        c = text[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            if depth == 0:
+                raise _error("unbalanced '}' in symbol", text, i)
+            depth -= 1
+        elif depth == 0 and c in "() \t\r\n;":
+            break
+        i += 1
+    if depth:
+        raise _error("unterminated '{' in symbol", text, start)
+    return i
+
+
 def parse_all(text: str) -> List[SNode]:
     """All top-level forms in the text, each list with its ``sid``."""
     stack: List[tuple] = []  # enclosing lists: (items, keys, offset of '(')
@@ -94,29 +120,45 @@ def parse_all(text: str) -> List[SNode]:
     keys: list = []          # their keys: a symbol's text, a list's sid
     sids: dict = {}          # tuple of children's keys -> sid
     pos = start = 0
-    for tok in _TOKEN.findall(text):
-        c = tok[0]
-        if c == "(":
-            stack.append((items, keys, start))
-            items, keys, start = [], [], pos
-        elif c == ")":
-            if not stack:
-                return _parse_chars(text)
-            sid = sids.setdefault(tuple(keys), len(sids))
-            node = SList(tuple(items), start, text, sid)
-            items, keys, start = stack.pop()
-            items.append(node)
-            keys.append(sid)
-        elif c in " \t\r\n;":
-            pass
-        elif c in "{}" and len(tok) == 1:
-            return _parse_chars(text)
+    tokens = _TOKEN.findall(text)
+    while tokens:
+        for tok in tokens:
+            c = tok[0]
+            if c == "(":
+                stack.append((items, keys, start))
+                items, keys, start = [], [], pos
+            elif c == ")":
+                if not stack:
+                    raise _error("unmatched ')'", text, pos)
+                sid = sids.setdefault(tuple(keys), len(sids))
+                node = SList(tuple(items), start, text, sid)
+                items, keys, start = stack.pop()
+                items.append(node)
+                keys.append(sid)
+            elif c in " \t\r\n;":
+                pass
+            elif c in "{}" and len(tok) == 1:
+                break
+            else:
+                items.append(Sym(tok, pos, text))
+                keys.append(tok)
+            pos += len(tok)
         else:
-            items.append(Sym(tok, pos, text))
-            keys.append(tok)
+            break
+        # A stray brace: the symbol that holds it, from the prefix the
+        # pattern read up to the brace, is read a character at a time.
+        if items and type(items[-1]) is Sym and items[-1].pos + len(keys[-1]) == pos:
+            pos = items.pop().pos
+            keys.pop()
+        tok = text[pos:_symbol_end(text, pos)]
+        items.append(Sym(tok, pos, text))
+        keys.append(tok)
         pos += len(tok)
-    if stack or not items:
-        return _parse_chars(text)
+        tokens = _TOKEN.findall(text, pos)
+    if stack:
+        raise _error("unclosed '('", text, start)
+    if not items:
+        raise _error("empty input", text, 0)
     return items
 
 
@@ -125,74 +167,3 @@ def parse_one(text: str) -> SNode:
     if len(forms) != 1:
         raise SexprError("expected exactly one form", forms[1].line, forms[1].col)
     return forms[0]
-
-
-# ---------------------------------------------------------------------------
-# the character-by-character reader, for what the pattern does not cover
-
-def _error(message: str, text: str, pos: int) -> SexprError:
-    """The error at offset `pos`, located as a node read there would be."""
-    where = Sym("", pos, text)
-    return SexprError(message, where.line, where.col)
-
-
-def _tokens(text: str) -> Iterator[tuple]:
-    """(kind, token, offset) of each parenthesis and symbol."""
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c, c, i
-            i += 1
-        else:
-            start, depth = i, 0
-            while i < n:
-                c = text[i]
-                if c == "{":
-                    depth += 1
-                elif c == "}":
-                    if depth == 0:
-                        raise _error("unbalanced '}' in symbol", text, i)
-                    depth -= 1
-                elif depth == 0 and (c in "() \t\r\n;"):
-                    break
-                i += 1
-            if depth != 0:
-                raise _error("unterminated '{' in symbol", text, start)
-            yield "sym", text[start:i], start
-
-
-def _parse_chars(text: str) -> List[SNode]:
-    """`parse_all`, one character at a time: the same trees, and the located
-    error for text that is not a sequence of forms."""
-    stack: List[tuple] = []  # open lists: (items, keys of items, offset)
-    sids: dict = {}
-    out: List[SNode] = []
-    for kind, tok, pos in _tokens(text):
-        if kind == "(":
-            stack.append(([], [], pos))
-            continue
-        if kind == ")":
-            if not stack:
-                raise _error("unmatched ')'", text, pos)
-            items, keys, start = stack.pop()
-            key = sids.setdefault(tuple(keys), len(sids))
-            node = SList(tuple(items), start, text, key)
-        else:
-            key = tok
-            node = Sym(tok, pos, text)
-        if stack:
-            stack[-1][0].append(node)
-            stack[-1][1].append(key)
-        else:
-            out.append(node)
-    if stack:
-        raise _error("unclosed '('", text, stack[-1][2])
-    if not out:
-        raise _error("empty input", text, 0)
-    return out

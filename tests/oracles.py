@@ -26,12 +26,14 @@ abstraction element's binder at every application that could clash, the
 reference for `semantics.fn_apply`, which freshens only a renamed binder.
 `flat` prints a reader node, the reference for `nomhol.sexpr`'s structural
 ids: two lists of one read share a sid exactly when they print the same.
+`_parse_chars` reads a text one character at a time, the reference for
+`sexpr.parse_all`: the same trees, sids, and located errors.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+from typing import Iterator, List, Mapping
 
 from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
                           set_subset)
@@ -49,7 +51,7 @@ from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV, RenElem,
                               abstract_atoms, as_atom, as_bool, as_ren,
                               default_window, merge_ren_tuple, mk_ren,
                               pmss_window, supp, supp_sem)
-from nomhol.sexpr import SNode, Sym
+from nomhol.sexpr import SList, SNode, Sym, _error
 
 from spec import extend, updated
 
@@ -306,6 +308,68 @@ def flat(node: SNode) -> str:
     return "(" + " ".join(flat(x) for x in node.items) + ")"
 
 
+def _tokens(text: str) -> Iterator[tuple]:
+    """(kind, token, offset) of each parenthesis and symbol."""
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            yield c, c, i
+            i += 1
+        else:
+            start, depth = i, 0
+            while i < n:
+                c = text[i]
+                if c == "{":
+                    depth += 1
+                elif c == "}":
+                    if depth == 0:
+                        raise _error("unbalanced '}' in symbol", text, i)
+                    depth -= 1
+                elif depth == 0 and (c in "() \t\r\n;"):
+                    break
+                i += 1
+            if depth != 0:
+                raise _error("unterminated '{' in symbol", text, start)
+            yield "sym", text[start:i], start
+
+
+def _parse_chars(text: str) -> List[SNode]:
+    """`parse_all`, one character at a time: the same trees, and the located
+    error for text that is not a sequence of forms."""
+    stack: List[tuple] = []  # open lists: (items, keys of items, offset)
+    sids: dict = {}
+    out: List[SNode] = []
+    for kind, tok, pos in _tokens(text):
+        if kind == "(":
+            stack.append(([], [], pos))
+            continue
+        if kind == ")":
+            if not stack:
+                raise _error("unmatched ')'", text, pos)
+            items, keys, start = stack.pop()
+            key = sids.setdefault(tuple(keys), len(sids))
+            node = SList(tuple(items), start, text, key)
+        else:
+            key = tok
+            node = Sym(tok, pos, text)
+        if stack:
+            stack[-1][0].append(node)
+            stack[-1][1].append(key)
+        else:
+            out.append(node)
+    if stack:
+        raise _error("unclosed '('", text, stack[-1][2])
+    if not out:
+        raise _error("empty input", text, 0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the tree-walking evaluators
 
@@ -411,7 +475,7 @@ class HolEvaluator:
         self.exact = True
 
     def _lookup(self, env, v):
-        got = env.get(v)
+        got = env(v)
         if got is not None:
             return got
         if isinstance(v, H.AtomVar):

@@ -56,10 +56,10 @@ from nomhol.pnl import (AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         PnlSignature, PnlSubst, PnlProp, Pred, SignatureError,
                         SortError, Sus, Tup, TupleSort, Unknown, free_atoms,
                         free_unknowns, perm_act, sort_of, subst_apply)
-from nomhol.semantics import (AtomV, BoolV, FnV, HerbrandModel, HolValuation,
-                              PredSpec, RenV, SemanticsError, SemVal, TupV,
-                              Valuation, _pattern_test, as_ren, mk_ren, ren_eq,
-                              supp, supp_sem)
+from nomhol.semantics import (AtomV, BoolV, FnV, HerbrandModel, PredSpec,
+                              RenV, SemanticsError, SemVal, TupV, Valuation,
+                              _pattern_test, as_ren, mk_ren, ren_eq, supp,
+                              supp_sem)
 from nomhol.translate import TranslationError, _nodes
 
 
@@ -254,11 +254,11 @@ def ren_act_sem(rho: Renaming, v: SemVal) -> SemVal:
     raise TypeError(f"not a semantic value: {v!r}")
 
 
-def rename_valuation(rho: Renaming, parent: HolValuation) -> HolValuation:
+def rename_valuation(rho: Renaming, parent: Callable) -> HolValuation:
     """Pointwise renaming of the unknown-variable entries of a valuation."""
 
     def base(v):
-        got = parent.get(v)
+        got = parent(v)
         if got is not None and isinstance(v, H.UnkVar):
             return ren_act_sem(rho, got)
         return got
@@ -269,6 +269,22 @@ def rename_valuation(rho: Renaming, parent: HolValuation) -> HolValuation:
 # ---------------------------------------------------------------------------
 # valuations and substitutions as maps
 
+class HolValuation:
+    """Finite map from higher-order variables to semantic values over a
+    fallback, `base(v)`, for the variables outside the map (None: unbound).
+    Called with a variable, it is a valuation as the evaluator reads one."""
+
+    def __init__(self, mapping: Optional[Mapping] = None,
+                 base: Callable = lambda v: None):
+        self.mapping = dict(mapping or {})
+        self.base = base
+
+    def __call__(self, v) -> Optional[SemVal]:
+        if v in self.mapping:
+            return self.mapping[v]
+        return self.base(v)
+
+
 def updated(val: Valuation, x: Unknown, t) -> Valuation:
     """val with x assigned t."""
     out = dict(val.assignments)
@@ -276,9 +292,9 @@ def updated(val: Valuation, x: Unknown, t) -> Valuation:
     return Valuation(out)
 
 
-def extend(env: HolValuation, v, value: SemVal) -> HolValuation:
+def extend(env: Callable, v, value: SemVal) -> HolValuation:
     """env with v bound to value."""
-    return HolValuation({v: value}, env.get)
+    return HolValuation({v: value}, env)
 
 
 def subst_map(theta: PnlSubst) -> dict:

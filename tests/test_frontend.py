@@ -88,6 +88,9 @@ READER_ERRORS = [
     ("; nothing but a comment\n", "empty input", 1, 1),
     ("nu@0\n nu@1", "expected exactly one form", 2, 2),
     ("(a X{iota;\nperm(+{}-{});0}\n  ))", "unmatched ')'", 3, 4),
+    ("(a\n (b", "unclosed '('", 2, 2),                  # the innermost open list
+    ("(a X{iota;0}{nu", "unterminated '{' in symbol", 1, 4),  # at the symbol's start
+    ("(a X{iota;0}} b)", "unbalanced '}' in symbol", 1, 13),
     ("(all X{iota;perm(+{}-{});0\n}\n  (pred Q bot))",
      "undeclared proposition-former Q", 3, 3),
 ]
@@ -288,7 +291,7 @@ def test_atoms_of_undeclared_sorts_exit_2(tmp_path, capsys):
 
 # Blanks are space, tab, CR and LF only: form feed, vertical tab and NBSP are
 # symbol characters.  Brace groups nest one to four deep; the pattern covers
-# two, and the character loop reads the rest.
+# two, and the per-symbol scan reads the rest.
 _ODD_SYMS = ["a", "nu@0", "nu@0\fnu@1", "a\vb", "a\xa0b", "X{a}", "X{a{b}}",
              "X{a{b{c}}}", "X{a{b{c{d}}}}", "{p\nq}", "X{(x);\r\ny}", "{}"]
 _ODD_GAPS = st.sampled_from([" ", "\n", "\r\n", "\t", " ; c (\n", "\n;)\n "])
@@ -332,12 +335,12 @@ def _reading(parse, text):
 @example("(a X{b{c{d}}})")
 @example("nu@0\x0cnu@1 ; end")
 def test_pattern_reader_agrees_with_character_loop(text):
-    assert _reading(parse_all, text) == _reading(sexpr._parse_chars, text)
+    assert _reading(parse_all, text) == _reading(oracles._parse_chars, text)
 
 
 def test_documents_take_the_pattern_path(monkeypatch):
     """Every corpus file, and every document that one pass of each benchmark
-    workload reads, is read by the pattern without the character loop."""
+    workload reads, is read by the pattern without the per-symbol scan."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     import workloads
     texts = [f.read_text() for f in corpus_files()]
@@ -346,13 +349,14 @@ def test_documents_take_the_pattern_path(monkeypatch):
         texts += [w.files[a] for a in {a for c in w.passes[0] for a in c.argv}
                   if a in w.files]
     slow = []
-    loop = sexpr._parse_chars
-    monkeypatch.setattr(sexpr, "_parse_chars", lambda text: slow.append(text) or loop(text))
+    scan = sexpr._symbol_end
+    monkeypatch.setattr(sexpr, "_symbol_end",
+                        lambda text, i: slow.append(text[i:]) or scan(text, i))
     for text in texts:
         parse_all(text)
     assert slow == [] and len(texts) > 100
-    parse_all("(a X{b{c{d}}})")   # three deep: the loop reads it
-    assert slow == ["(a X{b{c{d}}})"]
+    parse_all("(a X{b{c{d}}})")   # three deep: the scan reads the symbol
+    assert slow == ["X{b{c{d}}})"]
 
 
 # --- structural ids ----------------------------------------------------------
@@ -850,14 +854,16 @@ def test_cli_alpha_hol_types_against_the_signature(capsys, tmp_path):
             assert out.out == "" and out.err.startswith(f"error: {message}"), argv
 
 
-def test_cli_translating_commands_reject_ill_sorted_input(capsys, tmp_path):
-    """`translate` and `square` sort-check the term or proposition they
-    translate: `var` takes a name, not a pair of names."""
+def test_cli_nominal_commands_reject_ill_sorted_input(capsys, tmp_path):
+    """Every command that reads a nominal term or proposition sort-checks
+    it: `var` takes a name, not a pair of names."""
     for text in ("(var (tup nu@0 nu@1))", "(pred P (var (tup nu@0 nu@1)))"):
         f = tmp_path / "x.sexp"
         f.write_text(text)
         for argv in (["translate", str(f)],
-                     ["square", "--model", p("model_basic.sexp"), str(f)]):
+                     ["square", "--model", p("model_basic.sexp"), str(f)],
+                     ["eval", "--model", p("model_basic.sexp"), str(f)],
+                     ["infer-d", str(f)], ["alpha", str(f), str(f)]):
             assert cli(*argv) == 2, (argv, text)
             out = capsys.readouterr()
             assert (out.out, out.err) == ("", "error: var expects nu, got <nu,nu>\n")

@@ -14,7 +14,7 @@ from nomhol.pnl import (AbsSort, AbsT, All, AtomT, Bot, Former, Imp, Pred,
                         PnlSignature, Sus, Tup, TupleSort, Unknown, alpha_eq,
                         free_atoms, free_unknowns, perm_act, subst_one)
 from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV,
-                              HerbrandModel, HolValuation, PredSpec, RenElem,
+                              HerbrandModel, PredSpec, RenElem,
                               RenV, SemanticsError,
                               TupV, UnboundVariableError,
                               Valuation, abstract_atoms, as_atom, as_bool,
@@ -28,9 +28,9 @@ from nomhol.translate import translate, translate_derivation, translate_signatur
 import oracles
 from gen import (IOTA, NSORT, NU, PMSS_ALL, PMSS_DOWN, PMSS_HALF, SIG, WINDOW,
                  X0, X1, rand_ground_term, rand_perm, rand_prop, rand_term)
-from spec import (compile_pattern, convert_model, extend, freshening_pair,
-                  ground_renaming_action, ren_act_sem, rename_valuation,
-                  sem_eq, updated)
+from spec import (HolValuation, compile_pattern, convert_model, extend,
+                  freshening_pair, ground_renaming_action, ren_act_sem,
+                  rename_valuation, sem_eq, updated)
 
 ENV = translate_signature(SIG)
 ID = Renaming.identity()
@@ -763,7 +763,7 @@ def test_hol_valuation_relevance():
         checked += 1
         t = translate(ENV, ctx, x)
         env1 = lift_valuation(rand_val(rng), SIG)
-        env2 = HolValuation({v: env1.get(v) for v in H.fv(t)})
+        env2 = HolValuation({v: env1(v) for v in H.fv(t)})
         env2 = extend(env2, junk, RenV(RenElem(ID, var(2))))
         v1, _ = eval_hol(M_ISVAR, env1, t)
         v2, _ = eval_hol(M_ISVAR, env2, t)
@@ -773,10 +773,10 @@ def test_hol_valuation_relevance():
 def test_lifted_valuation_examples():
     val = Valuation({X0: var(0)})
     env = lift_valuation(val, SIG)
-    got = env.get(H.UnkVar(X0, (a(0),)))
+    got = env(H.UnkVar(X0, (a(0),)))
     assert got == RenV(RenElem(ID, AbsT(a(0), var(0))))
-    assert env.get(H.UnkVar(X0, ())) == RenV(RenElem(ID, var(0)))
-    assert env.get(H.AtomVar(a(1))) == AtomV(a(1))
+    assert env(H.UnkVar(X0, ())) == RenV(RenElem(ID, var(0)))
+    assert env(H.AtomVar(a(1))) == AtomV(a(1))
 
 
 def test_renamed_lifted_valuation_layers():
@@ -784,15 +784,15 @@ def test_renamed_lifted_valuation_layers():
     lifted = lift_valuation(Valuation({X0: app(var(0), var(2))}), SIG)
     r = rename_valuation(rho, lifted)
     u = H.UnkVar(X0, (a(2),))
-    assert r.get(u) == ren_act_sem(rho, lifted.get(u))
-    assert not sem_eq(r.get(u), lifted.get(u))
-    assert r.get(H.AtomVar(a(0))) == AtomV(a(0))
+    assert r(u) == ren_act_sem(rho, lifted(u))
+    assert not sem_eq(r(u), lifted(u))
+    assert r(H.AtomVar(a(0))) == AtomV(a(0))
     x = RenV(RenElem(ID, var(3)))
-    assert extend(r, u, x).get(u) == x
-    assert extend(r, u, x).get(H.AtomVar(a(0))) == AtomV(a(0))
+    assert extend(r, u, x)(u) == x
+    assert extend(r, u, x)(H.AtomVar(a(0))) == AtomV(a(0))
     y = RenV(RenElem(ID, var(0)))
-    assert rename_valuation(rho, HolValuation({u: y})).get(u) == ren_act_sem(rho, y)
-    assert HolValuation().get(u) is None
+    assert rename_valuation(rho, HolValuation({u: y}))(u) == ren_act_sem(rho, y)
+    assert HolValuation()(u) is None
 
 
 def test_lifted_predicates_constant_across_representatives():

@@ -12,7 +12,8 @@ SHA-256 over (argv, exit status or escaped exception, stdout, stderr) of
 each call in order, with the temporary directory and the checkout path
 written as placeholders.  A second line does the same for the malformed
 half: every corpus file under the same commands after each of a fixed set
-of corruptions (`CORRUPTIONS`), so it covers the located reader errors.
+of corruptions (`CORRUPTIONS`), so it covers the located reader errors
+and the reader's per-symbol scan of deeply nested brace groups.
 Run it in two checkouts: the same lines mean the CLI printed the same
 bytes.  It uses the `nomhol` beside it, not an installed one, and writes
 only to temporary directories.
@@ -78,6 +79,17 @@ def _stray_brace(text: str) -> str:
     return text[:at] + "}" + text[at:]
 
 
+# a brace group with no group inside it
+_INNER_GROUP = re.compile(r"\{([^{}]*)\}")
+
+
+def _deep_braces(text: str):
+    """The first innermost brace group's contents wrapped in two more brace
+    levels, deeper than the reader's pattern covers."""
+    deep, n = _INNER_GROUP.subn(r"{{{\1}}}", text, count=1)
+    return deep if n else None
+
+
 # name -> the corrupted text, or None where the corruption does not apply
 CORRUPTIONS = {
     "drop-last-close": lambda t: t[:t.rindex(")")] + t[t.rindex(")") + 1:],
@@ -85,6 +97,7 @@ CORRUPTIONS = {
     "stray-brace": _stray_brace,
     "cut-in-braces": lambda t: t[:t.index("{") + 1] if "{" in t else None,
     "second-form": lambda t: t + "\nnu@0\n",
+    "deep-braces": _deep_braces,
 }
 
 
