@@ -40,9 +40,13 @@ A derivation restates its context at every node, so its text repeats each
 formula, and each subterm, many times.  `parse_document` reads a document
 with one memo for the call: `parse_term`, `parse_prop` and `parse_hol` parse
 each distinct form once, keyed by its category and the reader's structural
-id (`sexpr.SList.sid`, which is per `parse_all` call) or a symbol's text,
-and every copy is the same object.  A model that declares its own signature
+id (`sexpr.SList.sid`, which is per reading) or a symbol's text, and every
+copy is the same object.  A model that declares its own signature
 starts a fresh memo.  `render_derivation` prints each formula object once.
+
+A document is read without locations (`sexpr.parse_one`).  An error there
+raises `_Unlocated` in `_err`; `parse_document` reads the text again with
+`sexpr.parse_all` and parses it again, which raises the same error, located.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ from . import kernel as K
 from . import pnl as P
 from .atoms import Atom, CofinAtomSet, Perm, Renaming, permission_set
 from .semantics import HerbrandModel, PredSpec, RenElem, Valuation
-from .sexpr import SexprError, SList, SNode, Sym, parse_one
+from . import sexpr
+from .sexpr import SexprError, SList, SNode, parse_one
 from .translate import translate_signature
 
 
@@ -63,13 +68,19 @@ class ParseError(SexprError):
     pass
 
 
+class _Unlocated(Exception):
+    """An error at a node read without locations."""
+
+
 def _err(node: SNode, message: str):
+    if getattr(node, "pos", None) is None:
+        raise _Unlocated
     raise ParseError(message, node.line, node.col)
 
 
 def _head(node: SNode) -> Optional[str]:
-    if isinstance(node, SList) and node.items and isinstance(node.items[0], Sym):
-        return node.items[0].text
+    if isinstance(node, SList) and node.items and isinstance(node.items[0], str):
+        return str(node.items[0])
     return None
 
 
@@ -118,8 +129,8 @@ def _declared(sig: P.PnlSignature, a: Atom, where) -> Atom:
 
 
 def parse_atom(sig: P.PnlSignature, node: SNode) -> Atom:
-    if isinstance(node, Sym):
-        a = parse_atom_text(node.text)
+    if isinstance(node, str):
+        a = parse_atom_text(node)
         if a is not None:
             return _declared(sig, a, node)
     _err(node, f"expected an atom like nu@0, got {node!r}")
@@ -229,9 +240,9 @@ def parse_sort_text(sig: P.PnlSignature, text: str, where) -> P.PnlSort:
         parts = _split_top(inner, ",", where) if inner else []  # <> is empty
         return P.TupleSort(tuple(parse_sort_text(sig, p, where) for p in parts))
     if text in sig.name_sorts:
-        return P.NameSort(text)
+        return P.named_sort(P.NameSort, text)
     if text in sig.base_sorts:
-        return P.BaseSort(text)
+        return P.named_sort(P.BaseSort, text)
     _err(where, f"undeclared sort {text!r}")
 
 
@@ -248,14 +259,14 @@ def render_sort(sort: P.PnlSort) -> str:
 
 def parse_sort_node(sig: P.PnlSignature, node: SNode) -> P.PnlSort:
     """Sorts in signature files: SYMBOL | (abs N SORT) | (tup SORT ...)."""
-    if isinstance(node, Sym):
-        return parse_sort_text(sig, node.text, node)
+    if isinstance(node, str):
+        return parse_sort_text(sig, node, node)
     head = _head(node)
     if head == "abs":
         name, body = _args(node, 2, "abs")
-        if not isinstance(name, Sym) or name.text not in sig.name_sorts:
+        if not isinstance(name, str) or name not in sig.name_sorts:
             _err(node, "abstraction sorts bind a declared name sort")
-        return P.AbsSort(name.text, parse_sort_node(sig, body))
+        return P.AbsSort(str(name), parse_sort_node(sig, body))
     if head == "tup":
         return P.TupleSort(tuple(parse_sort_node(sig, s) for s in node.items[1:]))
     _err(node, f"expected a sort, got {node!r}")
@@ -294,9 +305,9 @@ def parse_unknown_text(sig: P.PnlSignature, text: str, where) -> P.Unknown:
 
 
 def parse_unknown(sig: P.PnlSignature, node: SNode) -> P.Unknown:
-    if not isinstance(node, Sym):
+    if not isinstance(node, str):
         _err(node, "expected an unknown")
-    return parse_unknown_text(sig, node.text, node)
+    return parse_unknown_text(sig, str(node), node)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +321,18 @@ def parse_unknown(sig: P.PnlSignature, node: SNode) -> P.Unknown:
 
 def parse_term(sig: P.PnlSignature, node: SNode, memo: Optional[dict] = None) -> P.PnlTerm:
     memo = {} if memo is None else memo
-    key = ("term", node.sid if isinstance(node, SList) else node.text)
+    key = ("term", node.sid if isinstance(node, SList) else node)
     t = memo.get(key)
     if t is not None:
         return t
-    if isinstance(node, Sym):
-        a = parse_atom_text(node.text)
+    if isinstance(node, str):
+        a = parse_atom_text(node)
         if a is not None:
             t = P.AtomT(_declared(sig, a, node))
-        elif node.text.startswith("X{"):
-            t = P.Sus.of(parse_unknown_text(sig, node.text, node))
+        elif node.startswith("X{"):
+            t = P.Sus.of(parse_unknown_text(sig, str(node), node))
         else:
-            _err(node, f"unrecognized term {node.text!r}")
+            _err(node, f"unrecognized term {str(node)!r}")
     else:
         head = _head(node)
         if head == "tup":
@@ -343,21 +354,21 @@ def parse_term(sig: P.PnlSignature, node: SNode, memo: Optional[dict] = None) ->
 
 def parse_prop(sig: P.PnlSignature, node: SNode, memo: Optional[dict] = None) -> P.PnlProp:
     memo = {} if memo is None else memo
-    key = ("prop", node.sid if isinstance(node, SList) else node.text)
+    key = ("prop", node.sid if isinstance(node, SList) else node)
     phi = memo.get(key)
     if phi is not None:
         return phi
     head = _head(node)
-    if isinstance(node, Sym) and node.text == "bot":
+    if isinstance(node, str) and node == "bot":
         phi = P.Bot()
     elif head == "imp":
         p, q = _args(node, 2, "imp")
         phi = P.Imp(parse_prop(sig, p, memo), parse_prop(sig, q, memo))
     elif head == "pred":
         name, arg = _args(node, 2, "pred")
-        if not isinstance(name, Sym) or name.text not in sig.prop_formers:
+        if not isinstance(name, str) or name not in sig.prop_formers:
             _err(node, f"undeclared proposition-former {name!r}")
-        phi = P.Pred(name.text, parse_term(sig, arg, memo))
+        phi = P.Pred(str(name), parse_term(sig, arg, memo))
     elif head == "all":
         unk, body = _args(node, 2, "all")
         phi = P.All(parse_unknown(sig, unk), parse_prop(sig, body, memo))
@@ -369,7 +380,7 @@ def parse_prop(sig: P.PnlSignature, node: SNode, memo: Optional[dict] = None) ->
 
 def parse_pnl(sig: P.PnlSignature, node: SNode):
     """A proposition if it reads as one, otherwise a term."""
-    if (isinstance(node, Sym) and node.text == "bot") or \
+    if (isinstance(node, str) and node == "bot") or \
             _head(node) in ("imp", "pred", "all"):
         return parse_prop(sig, node)
     return parse_term(sig, node)
@@ -379,8 +390,8 @@ def parse_pnl(sig: P.PnlSignature, node: SNode):
 # typed-lambda types, variables, terms
 
 def parse_type(node: SNode) -> H.HolType:
-    if isinstance(node, Sym):
-        return H.BaseT(node.text)
+    if isinstance(node, str):
+        return H.BaseT(str(node))
     head = _head(node)
     if head == "->":
         a, b = _args(node, 2, "->")
@@ -391,15 +402,15 @@ def parse_type(node: SNode) -> H.HolType:
 
 
 def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
-    if isinstance(node, Sym):
-        a = parse_atom_text(node.text)
+    if isinstance(node, str):
+        a = parse_atom_text(node)
         if a is not None:
             return H.AtomVar(_declared(sig, a, node))
-        if node.text.startswith("X{"):
-            parts = _split_top(node.text, "_", node)
+        if node.startswith("X{"):
+            parts = _split_top(str(node), "_", node)
             ctx = parts[1] if len(parts) == 2 else "[]"
             if len(parts) > 2 or not (ctx.startswith("[") and ctx.endswith("]")):
-                _err(node, f"bad context suffix in {node.text!r}")
+                _err(node, f"bad context suffix in {str(node)!r}")
             unk = parse_unknown_text(sig, parts[0], node)
             try:
                 return H.UnkVar(unk, _atom_list_text(sig, ctx[1:-1], node))
@@ -407,32 +418,32 @@ def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
                 _err(node, str(e))
     if _head(node) == "plain":
         ty, idx = _args(node, 2, "plain")
-        if not isinstance(idx, Sym) or not INT_RE.match(idx.text):
+        if not isinstance(idx, str) or not INT_RE.match(idx):
             _err(node, "a plain variable carries an integer index")
-        return H.PlainVar(parse_type(ty), int(idx.text))
+        return H.PlainVar(parse_type(ty), int(idx))
     _err(node, f"expected a variable, got {node!r}")
 
 
 def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode,
               memo: Optional[dict] = None) -> H.HolTerm:
     memo = {} if memo is None else memo
-    key = ("hol", node.sid if isinstance(node, SList) else node.text)
+    key = ("hol", node.sid if isinstance(node, SList) else node)
     t = memo.get(key)
     if t is not None:
         return t
-    if isinstance(node, Sym):
-        if node.text == "bot":
+    if isinstance(node, str):
+        if node == "bot":
             t = H.BOT
-        elif node.text == "imp":
+        elif node == "imp":
             t = H.IMP
-        elif node.text in hsig.constants:
-            t = H.Const(node.text, hsig.constants[node.text])
-        elif (a := parse_atom_text(node.text)) is not None:
+        elif node in hsig.constants:
+            t = H.Const(str(node), hsig.constants[node])
+        elif (a := parse_atom_text(node)) is not None:
             t = H.Var(H.AtomVar(_declared(sig, a, node)))
-        elif node.text.startswith("X{"):
+        elif node.startswith("X{"):
             t = H.Var(parse_hol_var(sig, node))
         else:
-            _err(node, f"unrecognized term {node.text!r}")
+            _err(node, f"unrecognized term {str(node)!r}")
     else:
         head = _head(node)
         if head == "lam":
@@ -455,9 +466,9 @@ def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode,
             t = H.Var(parse_hol_var(sig, node))
         elif head == "const":
             name, ty = _args(node, 2, "const")
-            if not isinstance(name, Sym):
+            if not isinstance(name, str):
                 _err(node, "constant names are symbols")
-            t = H.Const(name.text, parse_type(ty))
+            t = H.Const(str(name), parse_type(ty))
         else:
             _err(node, f"unrecognized term form {head!r}")
     memo[key] = t
@@ -549,9 +560,9 @@ def parse_signature(node: SNode) -> P.PnlSignature:
         head = _head(sec)
         if head in ("name-sorts", "base-sorts"):
             for s in sec.items[1:]:
-                if not (isinstance(s, Sym) and _NAME_RE.fullmatch(s.text)):
+                if not (isinstance(s, str) and _NAME_RE.fullmatch(s)):
                     _err(s, f"bad sort name {s!r}")
-                (name_sorts if head == "name-sorts" else base_sorts).add(s.text)
+                (name_sorts if head == "name-sorts" else base_sorts).add(str(s))
         elif head not in ("term", "pred"):
             _err(sec, f"unrecognized signature section {head!r}")
     probe = P.PnlSignature(frozenset(name_sorts), frozenset(base_sorts), {}, {})
@@ -559,16 +570,16 @@ def parse_signature(node: SNode) -> P.PnlSignature:
         head = _head(sec)
         if head == "term":
             name, arg, res = _args(sec, 3, "term")
-            if not isinstance(name, Sym) or not isinstance(res, Sym):
+            if not isinstance(name, str) or not isinstance(res, str):
                 _err(sec, "term-former declarations are (term NAME ARGSORT RESULT)")
-            _once(seen, sec, f"(term {name.text} ...)")
-            terms[name.text] = (parse_sort_node(probe, arg), res.text)
+            _once(seen, sec, f"(term {name} ...)")
+            terms[str(name)] = (parse_sort_node(probe, arg), str(res))
         elif head == "pred":
             name, arg = _args(sec, 2, "pred")
-            if not isinstance(name, Sym):
+            if not isinstance(name, str):
                 _err(sec, "proposition-former declarations are (pred NAME ARGSORT)")
-            _once(seen, sec, f"(pred {name.text} ...)")
-            preds[name.text] = parse_sort_node(probe, arg)
+            _once(seen, sec, f"(pred {name} ...)")
+            preds[str(name)] = parse_sort_node(probe, arg)
     try:
         return P.PnlSignature(frozenset(name_sorts), frozenset(base_sorts),
                               terms, preds)
@@ -620,9 +631,9 @@ def parse_derivation(sig, hsig, node: SNode, memo: dict) -> K.Node:
     is the parsers' memo for the reader call."""
     if _head(node) != "rule":
         _err(node, "expected (rule NAME (concl ...) ...)")
-    if len(node.items) < 3 or not isinstance(node.items[1], Sym):
+    if len(node.items) < 3 or not isinstance(node.items[1], str):
         _err(node, "a rule node names its rule and gives a conclusion")
-    rule = node.items[1].text
+    rule = str(node.items[1])
     concl = None
     perm = Perm.identity()
     index = {"li": None, "ri": None}
@@ -637,9 +648,9 @@ def parse_derivation(sig, hsig, node: SNode, memo: dict) -> K.Node:
             concl = parse_sequent(sig, hsig, s, memo)
         elif head in ("li", "ri"):
             (n,) = _args(sec, 1, head)
-            if not isinstance(n, Sym) or not _NAT_RE.match(n.text):
+            if not isinstance(n, str) or not _NAT_RE.match(n):
                 _err(sec, f"{head} takes a non-negative index")
-            index[head] = int(n.text)
+            index[head] = int(n)
         elif head == "perm":
             (cyc,) = _args(sec, 1, "perm")
             perm = parse_perm(sig, cyc)
@@ -690,9 +701,9 @@ def parse_model(node: SNode, ambient_sig: Optional[P.PnlSignature] = None) -> He
         elif head == "pred":
             if sig is None:
                 _err(sec, "a model needs a signature before its predicates")
-            if len(sec.items) < 2 or not isinstance(sec.items[1], Sym):
+            if len(sec.items) < 2 or not isinstance(sec.items[1], str):
                 _err(sec, "predicate interpretations name their predicate")
-            name = sec.items[1].text
+            name = str(sec.items[1])
             _once(seen, sec, f"(pred {name} ...)")
             clauses, default, support, parts = [], 0, frozenset(), set()
             for part in sec.items[2:]:
@@ -701,14 +712,14 @@ def parse_model(node: SNode, ambient_sig: Optional[P.PnlSignature] = None) -> He
                     _once(parts, part, f"({phead} ...)")
                 if phead == "clause":
                     pat, v = _args(part, 2, "clause")
-                    if not isinstance(v, Sym) or v.text not in ("0", "1"):
+                    if not isinstance(v, str) or v not in ("0", "1"):
                         _err(part, "clause values are 0 or 1")
-                    clauses.append((parse_term(sig, pat, memo), int(v.text)))
+                    clauses.append((parse_term(sig, pat, memo), int(v)))
                 elif phead == "default":
                     (v,) = _args(part, 1, "default")
-                    if not isinstance(v, Sym) or v.text not in ("0", "1"):
+                    if not isinstance(v, str) or v not in ("0", "1"):
                         _err(part, "the default value is 0 or 1")
-                    default = int(v.text)
+                    default = int(v)
                 elif phead == "support":
                     support = frozenset(parse_atom(sig, a) for a in part.items[1:])
                 else:
@@ -771,9 +782,9 @@ def parse_renelem(sig: P.PnlSignature, node: SNode) -> RenElem:
     if _head(node) != "ren":
         _err(node, "expected (ren RENAMING TERM)")
     rho, term = _args(node, 2, "ren")
-    if not isinstance(rho, Sym):
+    if not isinstance(rho, str):
         _err(node, "the renaming is a token like [nu@0:=nu@1]")
-    renaming = parse_renaming_text(sig, rho.text, rho)
+    renaming = parse_renaming_text(sig, str(rho), rho)
     return RenElem(renaming, _ground(parse_term(sig, term), term, "ren"))
 
 
@@ -815,4 +826,8 @@ def parse_document(text: str, kind: str,
         raise ValueError("this document kind needs a signature")
     if kind in ("hol", "deriv-hol") and hsig is None:
         hsig = translate_signature(sig).target
-    return KINDS[kind][0](sig, hsig, node)
+    try:
+        return KINDS[kind][0](sig, hsig, node)
+    except _Unlocated:   # caught here, so the second parse has the whole stack
+        pass
+    return KINDS[kind][0](sig, hsig, sexpr.parse_all(text)[0])   # parse_one's one form

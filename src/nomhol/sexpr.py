@@ -1,4 +1,4 @@
-"""A small s-expression reader with source locations.
+"""A small s-expression reader: fast without source locations, or with them.
 
 Tokens are parentheses and symbols.  A symbol may carry balanced ``{}``
 groups (used for the compact unknown-variable syntax) whose contents —
@@ -7,30 +7,31 @@ including parentheses — are consumed as part of the token, so forms like
 CR and LF only; any other character (form feed, NBSP, ...) is a symbol
 character.
 
-`parse_all` reads with one compiled pattern (`_TOKEN`) that splits the text
-into blanks, comments, parentheses, symbols whose brace groups nest at most
-two deep, and stray braces, and it raises every located error itself.  A
-stray brace, which no grammar form makes, sends the one symbol holding it
-to `_symbol_end`, which reads it a character at a time, with groups nested
-to any depth, or raises the brace's error.
+`parse_one` reads a document without locations: a symbol is its `str`, a
+list an `SList` with no ``pos``.  Each match of `_FAST` is one token (a
+parenthesis, a symbol whose brace groups nest at most two deep, or a stray
+brace) with the blanks and comments after it.  Text that is not one form,
+or holds a stray brace, it reads again with `parse_all`.
 
-A node stores its character offset and the text it was read from; ``line``
-and ``col`` are computed from them when asked, in practice only when an
-error is raised.
+`parse_all` reads with locations and raises every located error itself.  A
+symbol is a `Sym`, a `str` with its offset ``pos`` in the text ``src``, and
+a list has both set; ``line`` and ``col`` are computed from them when asked,
+in practice only when an error is raised.  A stray brace sends the one
+symbol holding it to `_symbol_end`, which reads it a character at a time,
+with groups nested to any depth, or raises the brace's error.
 
-`parse_all` gives every list a structural id, ``sid``: a small int, interned
-per call from the tuple of its children's keys (a symbol's text, a list's
-``sid``).  Two lists read by one call share a ``sid`` exactly when they print
-the same, so a consumer can parse each distinct form once.  Ids from
-different calls are unrelated, and ``sid`` takes no part in ``==`` or
-``hash``.
+Both give every list a structural id, ``sid``: a small int, interned per
+reading from the tuple of its children's keys (a symbol's text, a list's
+``sid``), the same for one text in both.  Two lists of one reading share a
+``sid`` exactly when they print the same, so a consumer can parse each
+distinct form once.  ``sid`` takes no part in ``==`` or ``hash``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Union
+from typing import List, Optional, Union
 
 
 class SexprError(Exception):
@@ -44,47 +45,42 @@ class SexprError(Exception):
 class _Located:
     """``line`` and ``col`` of a node, from its offset ``pos`` in ``src``."""
     __slots__ = ()
-
-    @property
-    def line(self) -> int:
-        return self.src.count("\n", 0, self.pos) + 1
-
-    @property
-    def col(self) -> int:
-        return self.pos - self.src.rfind("\n", 0, self.pos)
+    line = property(lambda self: self.src.count("\n", 0, self.pos) + 1)
+    col = property(lambda self: self.pos - self.src.rfind("\n", 0, self.pos))
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Sym(_Located):
-    text: str
-    pos: int = 0
-    src: str = field(default="", compare=False, repr=False)
+class Sym(_Located, str):
+    """A symbol read with its location: its text, at offset `pos` in `src`."""
+    def __new__(cls, text: str, pos: int, src: str):
+        self = str.__new__(cls, text)
+        self.pos, self.src = pos, src
+        return self
 
-    def __repr__(self):
-        return self.text
+    __repr__ = str.__str__
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class SList(_Located):
     items: tuple
-    pos: int = 0                                       # the offset of its '('
-    src: str = field(default="", compare=False, repr=False)
-    sid: int = field(default=0, compare=False, repr=False)
+    sid: int = field(compare=False)
+    pos: Optional[int] = None             # the offset of its '(', if located
+    src: Optional[str] = field(default=None, compare=False)
 
     def __repr__(self):
-        return "(" + " ".join(map(repr, self.items)) + ")"
+        return "(" + " ".join(map(str, self.items)) + ")"
 
 
-SNode = Union[Sym, SList]
+SNode = Union[str, SList]
 
-# One alternative per token kind; together they match every character once.
-_TOKEN = re.compile(r"""
-    [ \t\r\n]+                                          # blanks
-  | ;[^\n]*                                             # a comment
-  | [()]
-  | (?:[^ \t\r\n();{}] | \{(?:[^{}] | \{[^{}]*\})*\})+  # a symbol
-  | [{}]                                                # a stray brace
-""", re.VERBOSE)
+# Blanks and comments, possessive: a match never ends inside a comment.
+_SKIP = re.compile(r"(?:[ \t\r\n]+ | ;[^\n]*)*+", re.VERBOSE)
+# A token, a parenthesis, a symbol or a stray brace, and the blanks and
+# comments after it up to the next token.
+_FAST = re.compile(r"""
+    ( [()]
+    | (?:[^ \t\r\n();{}] | \{(?:[^{}] | \{[^{}]*\})*\})+  # a symbol
+    | [{}] )                                            # a stray brace
+""" + _SKIP.pattern, re.VERBOSE)
 
 
 def _error(message: str, text: str, pos: int) -> SexprError:
@@ -119,10 +115,10 @@ def parse_all(text: str) -> List[SNode]:
     items: list = []         # the open list's nodes; the forms at top level
     keys: list = []          # their keys: a symbol's text, a list's sid
     sids: dict = {}          # tuple of children's keys -> sid
-    pos = start = 0
-    tokens = _TOKEN.findall(text)
-    while tokens:
-        for tok in tokens:
+    start, at = 0, _SKIP.match(text).end()
+    while True:
+        for m in _FAST.finditer(text, at):
+            tok, pos = m[1], m.start()
             c = tok[0]
             if c == "(":
                 stack.append((items, keys, start))
@@ -131,18 +127,15 @@ def parse_all(text: str) -> List[SNode]:
                 if not stack:
                     raise _error("unmatched ')'", text, pos)
                 sid = sids.setdefault(tuple(keys), len(sids))
-                node = SList(tuple(items), start, text, sid)
+                node = SList(tuple(items), sid, start, text)
                 items, keys, start = stack.pop()
                 items.append(node)
                 keys.append(sid)
-            elif c in " \t\r\n;":
-                pass
             elif c in "{}" and len(tok) == 1:
                 break
             else:
                 items.append(Sym(tok, pos, text))
                 keys.append(tok)
-            pos += len(tok)
         else:
             break
         # A stray brace: the symbol that holds it, from the prefix the
@@ -150,11 +143,10 @@ def parse_all(text: str) -> List[SNode]:
         if items and type(items[-1]) is Sym and items[-1].pos + len(keys[-1]) == pos:
             pos = items.pop().pos
             keys.pop()
-        tok = text[pos:_symbol_end(text, pos)]
-        items.append(Sym(tok, pos, text))
-        keys.append(tok)
-        pos += len(tok)
-        tokens = _TOKEN.findall(text, pos)
+        at = _symbol_end(text, pos)
+        items.append(Sym(text[pos:at], pos, text))
+        keys.append(text[pos:at])
+        at = _SKIP.match(text, at).end()
     if stack:
         raise _error("unclosed '('", text, start)
     if not items:
@@ -163,6 +155,31 @@ def parse_all(text: str) -> List[SNode]:
 
 
 def parse_one(text: str) -> SNode:
+    """The one form in the text, read without locations; text that is not
+    one form, or holds a stray brace, is read again by `parse_all`."""
+    stack: List[tuple] = []  # enclosing lists: (items, keys)
+    items, keys, sids = [], [], {}
+    for tok in _FAST.findall(text, _SKIP.match(text).end()):
+        c = tok[0]
+        if c == "(":
+            stack.append((items, keys))
+            items, keys = [], []
+        elif c == ")":
+            if not stack:
+                break
+            sid = sids.setdefault(tuple(keys), len(sids))
+            node = SList(tuple(items), sid)
+            items, keys = stack.pop()
+            items.append(node)
+            keys.append(sid)
+        elif c in "{}" and len(tok) == 1:
+            break
+        else:
+            items.append(tok)
+            keys.append(tok)
+    else:
+        if not stack and len(items) == 1:
+            return items[0]
     forms = parse_all(text)
     if len(forms) != 1:
         raise SexprError("expected exactly one form", forms[1].line, forms[1].col)

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -19,7 +21,7 @@ from nomhol.hol import alphabeta_eq
 from nomhol.kernel import Node, Sequent
 from nomhol.pnl import alpha_eq
 from nomhol.semantics import mk_ren, ren_eq
-from nomhol.sexpr import SexprError, SList, parse_all, parse_one
+from nomhol.sexpr import SexprError, SList, Sym, parse_all, parse_one
 from nomhol.translate import translate, translate_derivation, translate_signature
 
 import oracles
@@ -71,12 +73,13 @@ def test_reader_reports_locations():
 
 def test_reader_brace_tokens():
     node = parse_one("(all X{iota;perm(+{nu@0}-{});3} bot)")
-    assert node.items[1].text == "X{iota;perm(+{nu@0}-{});3}"
+    assert node.items[1] == "X{iota;perm(+{nu@0}-{});3}" and type(node.items[1]) is str
 
 
 def test_reader_comments_and_multiple_forms():
     forms = parse_all("; a comment\nnu@0 nu@1 ; trailing\n")
-    assert [f.text for f in forms] == ["nu@0", "nu@1"]
+    assert forms == ["nu@0", "nu@1"] and all(type(f) is Sym for f in forms)
+    assert [(f.line, f.col) for f in forms] == [(2, 1), (2, 6)]
 
 
 READER_ERRORS = [
@@ -271,6 +274,25 @@ def test_atoms_of_undeclared_sorts_are_located_errors(kind, text, message, line,
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
 
 
+def _located_reads(monkeypatch) -> list:
+    """The texts that `sexpr.parse_all` reads from now on, in order."""
+    reads, read = [], sexpr.parse_all
+    monkeypatch.setattr(sexpr, "parse_all", lambda text: reads.append(text) or read(text))
+    return reads
+
+
+@pytest.mark.parametrize("kind,text,message,line,col", ENTRY_ERRORS + SORT_ERRORS)
+def test_a_frontend_error_reads_the_text_again_once(monkeypatch, kind, text, message,
+                                                    line, col):
+    """The text is read without locations, the frontend finds the error, and
+    one reading with locations places it."""
+    reads = _located_reads(monkeypatch)
+    with pytest.raises(F.ParseError) as e:
+        F.parse_document(text, kind, SIG)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+    assert reads == [text]
+
+
 def test_atoms_of_undeclared_sorts_exit_2(tmp_path, capsys):
     f = tmp_path / "t.sexp"
     for text in ("(tup zz@0 X{iota;perm(+{zz@1}-{});0})", "(tup iota@0)"):
@@ -326,7 +348,7 @@ def _reading(parse, text):
             out.append(("list", n.sid, n.line, n.col))
             stack.extend(reversed(n.items))
         else:
-            out.append(("sym", n.text, n.line, n.col))
+            out.append(("sym", str(n), n.line, n.col))
     return out
 
 
@@ -395,8 +417,99 @@ def test_sid_is_the_printed_form(text):
     pairs = {(n.sid, flat(n)) for n in lists}
     assert len(pairs) == len({s for s, _ in pairs}) == len({f for _, f in pairs})
     for n in lists:
-        other = dataclasses.replace(n, sid=n.sid + 1)
+        other = SList(n.items, n.sid + 1, n.pos, n.src)
         assert other == n and hash(other) == hash(n) and repr(other) == repr(n)
+
+
+# --- the reader without locations -------------------------------------------
+
+def _tree(node):
+    """A node's symbols as their text and its lists as (sid, items)."""
+    if isinstance(node, str):
+        return str(node)
+    return node.sid, tuple(map(_tree, node.items))
+
+
+def _unlocated(node) -> bool:
+    if isinstance(node, str):
+        return type(node) is str
+    return node.pos is None and node.src is None and all(map(_unlocated, node.items))
+
+
+def _read_or_error(parse, text):
+    try:
+        return parse(text)
+    except SexprError as e:
+        return e
+
+
+@settings(max_examples=400, deadline=None)
+@given(_WELL_FORMED | _MALFORMED | _TEXTS)
+@example("(a X{b{c{d}}})")
+@example("; nu@0")
+@example("(a) ; b")
+@example("(a) ;)\n")
+def test_parse_one_agrees_with_parse_all(text):
+    """parse_one reads one form as parse_all does: the same shape, symbols
+    and sids, with no locations.  It reads the text again with parse_all
+    exactly where parse_all raises, reads a deep-brace symbol or finds other
+    than one form, and then gives parse_all's form or error."""
+    scans, reads = [], []
+    with pytest.MonkeyPatch.context() as m:
+        scan, read = sexpr._symbol_end, sexpr.parse_all
+        m.setattr(sexpr, "_symbol_end", lambda t, i: scans.append(i) or scan(t, i))
+        forms = _read_or_error(parse_all, text)
+        again = isinstance(forms, SexprError) or bool(scans) or len(forms) != 1
+        m.setattr(sexpr, "parse_all", lambda t: reads.append(t) or read(t))
+        fast = _read_or_error(parse_one, text)
+    assert reads == ([text] if again else [])
+    if not again:
+        assert _tree(fast) == _tree(forms[0]) and _unlocated(fast)
+    elif isinstance(forms, SexprError):
+        assert (fast.message, fast.line, fast.col) == (forms.message, forms.line, forms.col)
+    elif len(forms) > 1:
+        assert (fast.message, fast.line, fast.col) == \
+            ("expected exactly one form", forms[1].line, forms[1].col)
+    else:
+        assert _reading(lambda t: [fast], text) == _reading(lambda t: forms, text)
+
+
+def _replay(calls, files, work):
+    """Runs the CLI calls in `work`, each call's fed derivation written for
+    the calls that need it; the exit statuses, or the exceptions' names."""
+    for name, text in files.items():
+        (work / name).write_text(text)
+    out = []
+    for c in calls:
+        if c.needs and not (work / c.needs).exists():
+            continue
+        buf = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                out.append(run_cli(list(c.argv)))
+        except Exception as e:   # the recursion-tagged calls raise RecursionError
+            out.append(type(e).__name__)
+        if c.feeds and out[-1] == 0:
+            (work / c.feeds).write_text(json.loads(buf.getvalue())["derivation"])
+    return out
+
+
+def test_documents_are_read_without_locations(monkeypatch, tmp_path):
+    """No corpus file, parsed as its kind, and no call of one pass of each
+    benchmark workload reads its text with locations."""
+    reads = _located_reads(monkeypatch)
+    for f in corpus_files():
+        F.parse_document(f.read_text(), kind_of(f.name), SIG)
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+    codes = []
+    for name in ("proof", "square", "syntax"):
+        w = workloads.build(name, 5)
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        codes += _replay(w.passes[0], w.files, work)
+    assert reads == [] and len(codes) > 100 and 0 in codes
 
 
 # --- one object per distinct formula ----------------------------------------
@@ -419,7 +532,7 @@ def _read_sharing(monkeypatch, text, kind):
     def spy(real, category):
         def counted(*args):
             *_, node, memo = args
-            key = (category, node.sid if isinstance(node, SList) else node.text)
+            key = (category, node.sid if isinstance(node, SList) else node)
             if key not in memo:
                 parsed[key] += 1
             x = real(*args)

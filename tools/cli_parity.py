@@ -12,8 +12,9 @@ SHA-256 over (argv, exit status or escaped exception, stdout, stderr) of
 each call in order, with the temporary directory and the checkout path
 written as placeholders.  A second line does the same for the malformed
 half: every corpus file under the same commands after each of a fixed set
-of corruptions (`CORRUPTIONS`), so it covers the located reader errors
-and the reader's per-symbol scan of deeply nested brace groups.
+of corruptions (`CORRUPTIONS`), so it covers the located reader errors,
+the reader's per-symbol scan of deeply nested brace groups, and frontend
+errors, which are located by reading the text a second time.
 Run it in two checkouts: the same lines mean the CLI printed the same
 bytes.  It uses the `nomhol` beside it, not an installed one, and writes
 only to temporary directories.
@@ -90,6 +91,13 @@ def _deep_braces(text: str):
     return deep if n else None
 
 
+def _bad_last_index(text: str):
+    """The text's last ``@0`` as ``@x``: a frontend error late in the text,
+    often inside a subterm the text repeats."""
+    at = text.rfind("@0")
+    return text[:at] + "@x" + text[at + 2:] if at >= 0 else None
+
+
 # name -> the corrupted text, or None where the corruption does not apply
 CORRUPTIONS = {
     "drop-last-close": lambda t: t[:t.rindex(")")] + t[t.rindex(")") + 1:],
@@ -98,6 +106,7 @@ CORRUPTIONS = {
     "cut-in-braces": lambda t: t[:t.index("{") + 1] if "{" in t else None,
     "second-form": lambda t: t + "\nnu@0\n",
     "deep-braces": _deep_braces,
+    "bad-last-index": _bad_last_index,
 }
 
 
