@@ -240,9 +240,9 @@ def parse_sort_text(sig: P.PnlSignature, text: str, where) -> P.PnlSort:
         parts = _split_top(inner, ",", where) if inner else []  # <> is empty
         return P.TupleSort(tuple(parse_sort_text(sig, p, where) for p in parts))
     if text in sig.name_sorts:
-        return P.named_sort(P.NameSort, text)
+        return P.NameSort(text)
     if text in sig.base_sorts:
-        return P.named_sort(P.BaseSort, text)
+        return P.BaseSort(text)
     _err(where, f"undeclared sort {text!r}")
 
 

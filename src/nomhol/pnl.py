@@ -175,36 +175,29 @@ class SortError(Exception):
         self.subterm = subterm
 
 
-_NAMED: dict = {}   # (NameSort or BaseSort, name) -> the one such sort
-
-
-def named_sort(cls, name: str):
-    """The one `NameSort` or `BaseSort` (`cls`) of the name: checks meet it by `is`."""
-    return _NAMED.get((cls, name)) or _NAMED.setdefault((cls, name), cls(name))
-
-
 def sort_of(sig: PnlSignature, t: PnlTerm) -> PnlSort:
-    kind = type(t)
-    if kind is Former:
-        f = t.name
-        if f not in sig.term_formers:
-            raise SortError(f"unknown term-former {f}", t)
-        want, res = sig.term_formers[f]
-        got = sort_of(sig, t.arg)
-        if got is not want and got != want:
-            raise SortError(f"{f} expects {want!r}, got {got!r}", t)
-        return named_sort(BaseSort, res)
-    if kind is Sus:
-        sig._check_sort(t.unknown.sort, "unknown")
-        return t.unknown.sort
-    if kind is AtomT or kind is AbsT:
-        if t.atom.sort not in sig.name_sorts:
-            raise SortError(f"undeclared name sort {t.atom.sort}", t)
-        if kind is AtomT:
-            return named_sort(NameSort, t.atom.sort)
-        return AbsSort(t.atom.sort, sort_of(sig, t.body))
-    if kind is Tup:
-        return TupleSort(tuple([sort_of(sig, r) for r in t.items]))
+    match t:
+        case AtomT(a):
+            if a.sort not in sig.name_sorts:
+                raise SortError(f"undeclared name sort {a.sort}", t)
+            return NameSort(a.sort)
+        case Tup(items):
+            return TupleSort(tuple(sort_of(sig, r) for r in items))
+        case Former(f, arg):
+            if f not in sig.term_formers:
+                raise SortError(f"unknown term-former {f}", t)
+            want, res = sig.term_formers[f]
+            got = sort_of(sig, arg)
+            if got != want:
+                raise SortError(f"{f} expects {want!r}, got {got!r}", t)
+            return BaseSort(res)
+        case AbsT(a, body):
+            if a.sort not in sig.name_sorts:
+                raise SortError(f"undeclared name sort {a.sort}", t)
+            return AbsSort(a.sort, sort_of(sig, body))
+        case Sus(_, x):
+            sig._check_sort(x.sort, "unknown")
+            return x.sort
     raise SortError(f"not a term: {t!r}", t)
 
 
@@ -218,7 +211,7 @@ def check_prop(sig: PnlSignature, phi: PnlProp) -> bool:
             if p not in sig.prop_formers:
                 raise SortError(f"unknown proposition-former {p}", phi)
             got = sort_of(sig, arg)
-            if got is not sig.prop_formers[p] and got != sig.prop_formers[p]:
+            if got != sig.prop_formers[p]:
                 raise SortError(f"{p} expects {sig.prop_formers[p]!r}, got {got!r}", phi)
             return True
         case All(_, body):

@@ -45,8 +45,14 @@ class SexprError(Exception):
 class _Located:
     """``line`` and ``col`` of a node, from its offset ``pos`` in ``src``."""
     __slots__ = ()
-    line = property(lambda self: self.src.count("\n", 0, self.pos) + 1)
-    col = property(lambda self: self.pos - self.src.rfind("\n", 0, self.pos))
+
+    @property
+    def line(self) -> int:
+        return self.src.count("\n", 0, self.pos) + 1
+
+    @property
+    def col(self) -> int:
+        return self.pos - self.src.rfind("\n", 0, self.pos)
 
 
 class Sym(_Located, str):
@@ -72,8 +78,9 @@ class SList(_Located):
 
 SNode = Union[str, SList]
 
-# Blanks and comments, possessive: a match never ends inside a comment.
-_SKIP = re.compile(r"(?:[ \t\r\n]+ | ;[^\n]*)*+", re.VERBOSE)
+# Blanks and comments.  Nothing follows it in a pattern, so its greedy match
+# is the longest and never ends inside a comment.
+_SKIP = re.compile(r"[ \t\r\n]* (?:;[^\n]* [ \t\r\n]*)*", re.VERBOSE)
 # A token, a parenthesis, a symbol or a stray brace, and the blanks and
 # comments after it up to the next token.
 _FAST = re.compile(r"""

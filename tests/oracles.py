@@ -27,10 +27,7 @@ reference for `semantics.fn_apply`, which freshens only a renamed binder.
 `flat` prints a reader node, the reference for `nomhol.sexpr`'s structural
 ids: two lists of one read share a sid exactly when they print the same.
 `_parse_chars` reads a text one character at a time, the reference for
-`sexpr.parse_all`: the same trees, sids, and located errors.  `sort_of`
-matches class patterns and builds a new sort at every node, the reference
-for `pnl.sort_of`, which dispatches on the node's type and shares one sort
-object per name.
+`sexpr.parse_all`: the same trees, sids, and located errors.
 """
 
 from __future__ import annotations
@@ -44,8 +41,8 @@ from nomhol.frontend import render
 from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var, hol_type_of,
                         hol_subst_parallel, var_type)
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
-                        NameSort, Perm2, PnlSignature, Pred, SortError, Sus,
-                        Tup, TupleSort, free_atoms, free_unknowns, alpha_key,
+                        NameSort, Perm2, PnlSignature, Pred, Sus, Tup,
+                        TupleSort, free_atoms, free_unknowns, alpha_key,
                         perm2_act, perm_act)
 from nomhol import hol as H
 from nomhol import semantics as S
@@ -64,32 +61,6 @@ def _perms_agree_on_pmss(p1: Perm, p2: Perm, pmss) -> bool:
         if a in pmss and p1(a) != p2(a):
             return False
     return True
-
-
-def sort_of(sig: PnlSignature, t):
-    match t:
-        case AtomT(a):
-            if a.sort not in sig.name_sorts:
-                raise SortError(f"undeclared name sort {a.sort}", t)
-            return NameSort(a.sort)
-        case Tup(items):
-            return TupleSort(tuple(sort_of(sig, r) for r in items))
-        case Former(f, arg):
-            if f not in sig.term_formers:
-                raise SortError(f"unknown term-former {f}", t)
-            want, res = sig.term_formers[f]
-            got = sort_of(sig, arg)
-            if got != want:
-                raise SortError(f"{f} expects {want!r}, got {got!r}", t)
-            return BaseSort(res)
-        case AbsT(a, body):
-            if a.sort not in sig.name_sorts:
-                raise SortError(f"undeclared name sort {a.sort}", t)
-            return AbsSort(a.sort, sort_of(sig, body))
-        case Sus(_, x):
-            sig._check_sort(x.sort, "unknown")
-            return x.sort
-    raise SortError(f"not a term: {t!r}", t)
 
 
 def alpha_eq(x, y) -> bool:

@@ -1,6 +1,4 @@
-import contextlib
 import dataclasses
-import io
 import json
 import os
 import random
@@ -30,6 +28,7 @@ from oracles import flat, hol_alpha_eq
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nomhol" / "corpus_files"
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 README = Path(__file__).resolve().parents[1] / "README.md"
 ENV = translate_signature(SIG)
 
@@ -474,26 +473,6 @@ def test_parse_one_agrees_with_parse_all(text):
         assert _reading(lambda t: [fast], text) == _reading(lambda t: forms, text)
 
 
-def _replay(calls, files, work):
-    """Runs the CLI calls in `work`, each call's fed derivation written for
-    the calls that need it; the exit statuses, or the exceptions' names."""
-    for name, text in files.items():
-        (work / name).write_text(text)
-    out = []
-    for c in calls:
-        if c.needs and not (work / c.needs).exists():
-            continue
-        buf = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-                out.append(run_cli(list(c.argv)))
-        except Exception as e:   # the recursion-tagged calls raise RecursionError
-            out.append(type(e).__name__)
-        if c.feeds and out[-1] == 0:
-            (work / c.feeds).write_text(json.loads(buf.getvalue())["derivation"])
-    return out
-
-
 def test_documents_are_read_without_locations(monkeypatch, tmp_path):
     """No corpus file, parsed as its kind, and no call of one pass of each
     benchmark workload reads its text with locations."""
@@ -501,14 +480,17 @@ def test_documents_are_read_without_locations(monkeypatch, tmp_path):
     for f in corpus_files():
         F.parse_document(f.read_text(), kind_of(f.name), SIG)
     monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import cli_parity
     import workloads
     codes = []
     for name in ("proof", "square", "syntax"):
         w = workloads.build(name, 5)
-        work = tmp_path / name
-        work.mkdir()
-        monkeypatch.chdir(work)
-        codes += _replay(w.passes[0], w.files, work)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        for f, text in w.files.items():
+            Path(f).write_text(text, encoding="utf-8")
+        codes += [cli_parity.run(c)[1] for c in w.passes[0]]
     assert reads == [] and len(codes) > 100 and 0 in codes
 
 

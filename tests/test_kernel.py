@@ -1,4 +1,3 @@
-import json
 import random
 import sys
 from collections import Counter
@@ -10,7 +9,6 @@ import pytest
 from nomhol import hol as H
 from nomhol import pnl as PNL
 from nomhol.atoms import Atom, Perm
-from nomhol.cli import run_cli
 from nomhol.corpus import (SIG, alpha_pair, eta_axiom, full_only_derivation,
                            restricted_derivations)
 from nomhol.hol import (App, AtomVar, BOT, Const, Lam, O, PlainVar, UnkVar,
@@ -453,12 +451,14 @@ def test_copies_never_change_a_verdict(logic):
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def test_cli_keys_each_formula_object_at_most_once(monkeypatch, tmp_path, capsys):
+def test_cli_keys_each_formula_object_at_most_once(monkeypatch, tmp_path):
     """On one pass of the benchmark's proof derivations: check --logic hol
     calls hol.normal_key at most once per formula object, translate
     --derivation never, and check --logic pnl-* calls pnl.alpha_key at most
     once per formula object."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.syspath_prepend(str(BENCHMARKS.parent / "tools"))
+    import cli_parity
     import workloads
     w = workloads.build("proof", 71)
     monkeypatch.chdir(tmp_path)
@@ -478,10 +478,7 @@ def test_cli_keys_each_formula_object_at_most_once(monkeypatch, tmp_path, capsys
     for call in w.passes[0]:
         calls.clear()
         held.clear()
-        assert run_cli(list(call.argv)) == call.exit, call.argv
-        out = capsys.readouterr().out
-        if call.feeds:
-            Path(call.feeds).write_text(json.loads(out)["derivation"], encoding="utf-8")
+        assert cli_parity.run(call)[1] == call.exit, call.argv
         most = Counter()
         for (name, _), k in calls.items():
             most[name] = max(most[name], k)
