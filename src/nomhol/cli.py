@@ -21,8 +21,8 @@ from . import hol as H
 from . import kernel as K
 from . import pnl as P
 from .capture import canonical_context, capture_check, capture_infer
-from .semantics import (EnumerationError, SemanticsError, Valuation,
-                        eval_pnl_prop, eval_pnl_term, square_check)
+from .semantics import (SemanticsError, Valuation, eval_pnl_prop, eval_pnl_term,
+                        square_check)
 from .sexpr import SexprError
 from .translate import TranslationError, translate, translate_derivation, \
     translate_signature
@@ -97,9 +97,7 @@ def _load_model(args, sig):
 def _load_valuation(args, sig) -> Valuation:
     if args.valuation is None:
         return Valuation()
-    val = F.parse_document(_read(args.valuation), "valuation", sig)
-    val.validate(sig)
-    return val
+    return F.parse_document(_read(args.valuation), "valuation", sig)
 
 
 def _given_context(args, sig) -> Optional[tuple]:
@@ -112,9 +110,7 @@ def _given_context(args, sig) -> Optional[tuple]:
 def _cmd_check(args) -> int:
     sig = _load_sig(args)
     if args.logic == "hol":
-        hsig = translate_signature(sig).target
-        d = F.parse_document(_read(args.file), "deriv-hol", sig, hsig)
-        v = K.check_hol(d, hsig)
+        v = K.check_hol(F.parse_document(_read(args.file), "deriv-hol", sig))
     else:
         d = F.parse_document(_read(args.file), "deriv-pnl", sig)
         mode = K.FULL if args.logic == "pnl-full" else K.RESTRICTED
@@ -167,11 +163,9 @@ def _cmd_infer_d(args) -> int:
 def _cmd_alpha(args) -> int:
     sig = _load_sig(args)
     if args.hol:
-        hsig = translate_signature(sig).target
-        t = F.parse_document(_read(args.file), "hol", sig, hsig)
-        u = F.parse_document(_read(args.file2), "hol", sig, hsig)
-        # typed against the signature, as `normalize` and `check` type theirs
-        same = H.alphabeta_eq(t, u, key=lambda x: H.normal_key(x, hsig)[0])
+        t = F.parse_document(_read(args.file), "hol", sig)
+        u = F.parse_document(_read(args.file2), "hol", sig)
+        same = H.alphabeta_eq(t, u)
     else:
         t = _load_pnl(args.file, sig)
         u = _load_pnl(args.file2, sig)
@@ -182,9 +176,8 @@ def _cmd_alpha(args) -> int:
 
 def _cmd_normalize(args) -> int:
     sig = _load_sig(args)
-    hsig = translate_signature(sig).target
-    t = F.parse_document(_read(args.file), "hol", sig, hsig)
-    out = F.render(H.beta_normalize(t, hsig))
+    t = F.parse_document(_read(args.file), "hol", sig)
+    out = F.render(H.beta_normalize(t))
     return _emit(args, {"ok": True, "term": out}, out)
 
 
@@ -296,8 +289,8 @@ def run_cli(argv=None) -> int:
     try:
         return args.fn(args)
     except (_Usage, SexprError, P.SortError, P.SignatureError,
-            H.HolTypeError, EnumerationError, SemanticsError,
-            TranslationError, ValueError, TypeError) as e:
+            H.HolTypeError, SemanticsError, TranslationError, ValueError,
+            TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

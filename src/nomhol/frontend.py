@@ -44,9 +44,12 @@ id (`sexpr.SList.sid`, which is per reading) or a symbol's text, and every
 copy is the same object.  A model that declares its own signature
 starts a fresh memo.  `render_derivation` prints each formula object once.
 
-A document is read without locations (`sexpr.parse_one`).  An error there
-raises `_Unlocated` in `_err`; `parse_document` reads the text again with
-`sexpr.parse_all` and parses it again, which raises the same error, located.
+The reader checks a document against its signature once, with located
+errors: atoms, sorts, formers, each `(const NAME TYPE)`, and each valuation
+value's sort and permission set.  A document is read without locations
+(`sexpr.parse_one`).  An error there raises `_Unlocated` in `_err`;
+`parse_document` reads the text again with `sexpr.parse_all` and parses it
+again, which raises the same error, located.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import Optional
 from . import hol as H
 from . import kernel as K
 from . import pnl as P
-from .atoms import Atom, CofinAtomSet, Perm, Renaming, permission_set
+from .atoms import Atom, CofinAtomSet, Perm, Renaming, permission_set, set_subset
 from .semantics import HerbrandModel, PredSpec, RenElem, Valuation
 from . import sexpr
 from .sexpr import SexprError, SList, SNode, parse_one
@@ -197,7 +200,7 @@ def parse_renaming_text(sig: P.PnlSignature, text: str, where) -> Renaming:
 
 
 def parse_context_text(sig: P.PnlSignature, text: str) -> tuple:
-    """A bracketed atom list like [nu@0,nu@1], as `--context` gives it.  The
+    """A bracketed list of distinct atoms like [nu@0,nu@1] (`--context`): the
     text is no document, so an error names the option and no place in it."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -210,6 +213,8 @@ def parse_context_text(sig: P.PnlSignature, text: str) -> tuple:
         problem = _undeclared(sig, a)
         if problem:
             raise ValueError(f"--context: {problem}")
+        if a in out:
+            raise ValueError(f"--context: repeated atom {render(a)}")
         out.append(a)
     return tuple(out)
 
@@ -469,6 +474,10 @@ def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode,
             if not isinstance(name, str):
                 _err(node, "constant names are symbols")
             t = H.Const(str(name), parse_type(ty))
+            try:
+                hsig.check_const(t)
+            except H.HolTypeError as e:
+                _err(node, str(e))
         else:
             _err(node, f"unrecognized term form {head!r}")
     memo[key] = t
@@ -760,7 +769,7 @@ def _ground(t: P.PnlTerm, node: SNode, form: str) -> P.PnlTerm:
 def parse_valuation(sig: P.PnlSignature, node: SNode) -> Valuation:
     if _head(node) != "valuation":
         _err(node, "expected (valuation ...)")
-    assignments, seen, memo = {}, set(), {}
+    assignments, nodes, seen, memo = {}, [], set(), {}
     for sec in node.items[1:]:
         if _head(sec) != "assign":
             _err(sec, "valuation entries are (assign X{..} TERM)")
@@ -768,6 +777,17 @@ def parse_valuation(sig: P.PnlSignature, node: SNode) -> Valuation:
         x = parse_unknown(sig, unk)
         _once(seen, sec, f"(assign {render(x)} ...)")
         assignments[x] = _ground(parse_term(sig, term, memo), term, "assign")
+        nodes.append((x, term))
+    for x, term in nodes:   # after every entry, so a repeat is reported first
+        t = assignments[x]
+        try:
+            sort = P.sort_of(sig, t)
+        except P.SortError as e:
+            _err(term, str(e))
+        if sort != x.sort:
+            _err(term, f"valuation value for {render(x)} has the wrong sort")
+        if not set_subset(P.free_atoms(t), x.pmss):
+            _err(term, f"valuation value for {render(x)} escapes its permission set")
     return Valuation(assignments)
 
 
@@ -812,20 +832,17 @@ KINDS = {
 }
 
 
-def parse_document(text: str, kind: str,
-                   sig: Optional[P.PnlSignature] = None,
-                   hsig: Optional[H.HolSignature] = None):
+def parse_document(text: str, kind: str, sig: Optional[P.PnlSignature] = None):
     """The object of the given kind that the text holds.  Every kind but
-    ``sig`` needs the signature; ``hol`` and ``deriv-hol`` translate it when
-    no higher-order signature is given.  Terms, propositions and formulas
-    that read the same are one shared object (see `parse_term`)."""
+    ``sig`` needs the signature; ``hol`` and ``deriv-hol`` read constants
+    under its translation.  Terms, propositions and formulas that read the
+    same are one shared object (see `parse_term`)."""
     if kind not in KINDS:
         raise ValueError(f"unknown document kind {kind!r}")
     node = parse_one(text)
     if kind != "sig" and sig is None:
         raise ValueError("this document kind needs a signature")
-    if kind in ("hol", "deriv-hol") and hsig is None:
-        hsig = translate_signature(sig).target
+    hsig = translate_signature(sig).target if kind in ("hol", "deriv-hol") else None
     try:
         return KINDS[kind][0](sig, hsig, node)
     except _Unlocated:   # caught here, so the second parse has the whole stack

@@ -1,9 +1,11 @@
 """Simply-typed higher-order logic: types, terms, typing, capture-avoiding
 substitution, beta-normalization, and alpha-beta equality.
 
-Constants carry their own types; the quantifier constant is generated on
-demand per domain type.  Equality everywhere downstream is alpha-beta (no
-eta), decided by comparing canonical keys (`alphabeta_key`).
+Constants carry their own types, so typing needs no signature; the reader
+checks each written constant against one (`HolSignature.check_const`).  The
+quantifier constant is generated on demand per domain type.  Equality
+everywhere downstream is alpha-beta (no eta), decided by comparing
+canonical keys (`alphabeta_key`).
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ class HolSignature:
             match c.type:
                 case ArrowT(ArrowT(_, res_o), out_o) if res_o == O and out_o == O:
                     return
-            raise HolTypeError(f"malformed quantifier constant {c!r}")
+            raise HolTypeError(f"malformed quantifier constant at type {c.type!r}")
         want = self.constants.get(c.name)
         if want is None:
             raise HolTypeError(f"unknown constant {c.name}")
@@ -232,15 +234,14 @@ class HolTypeError(Exception):
     pass
 
 
-def hol_type_of(t: HolTerm, sig: Optional[HolSignature] = None) -> HolType:
+def hol_type_of(t: HolTerm) -> HolType:
     match t:
         case Var(v):
             return var_type(v)
         case Lam(v, body):
-            return ArrowT(var_type(v), hol_type_of(body, sig))
+            return ArrowT(var_type(v), hol_type_of(body))
         case App(fn, arg):
-            fty = hol_type_of(fn, sig)
-            aty = hol_type_of(arg, sig)
+            fty, aty = hol_type_of(fn), hol_type_of(arg)
             match fty:
                 case ArrowT(want, res):
                     if want != aty:
@@ -249,10 +250,8 @@ def hol_type_of(t: HolTerm, sig: Optional[HolSignature] = None) -> HolType:
                     return res
             raise HolTypeError(f"applying a non-function of type {fty!r}")
         case HTup(items):
-            return TupleT(tuple(hol_type_of(r, sig) for r in items))
+            return TupleT(tuple(hol_type_of(r) for r in items))
         case Const(_, ty):
-            if sig is not None:
-                sig.check_const(t)
             return ty
     raise HolTypeError(f"not a term: {t!r}")
 
@@ -349,8 +348,8 @@ def _whnf(t: HolTerm) -> HolTerm:
                 return t
 
 
-def beta_normalize(t: HolTerm, sig: Optional[HolSignature] = None) -> HolTerm:
-    hol_type_of(t, sig)  # simply-typed, hence strongly normalizing
+def beta_normalize(t: HolTerm) -> HolTerm:
+    hol_type_of(t)  # simply-typed, hence strongly normalizing
     return _nf(t)
 
 
@@ -400,10 +399,10 @@ def _debruijn(t: HolTerm, env: dict, level: int):
     raise TypeError(f"not a term: {t!r}")
 
 
-def normal_key(t: HolTerm, sig: Optional[HolSignature] = None) -> tuple:
-    """(alphabeta_key(t), beta-normal form of t), typechecking t (against
-    sig, if given) and normalising it once."""
-    ty = hol_type_of(t, sig)
+def normal_key(t: HolTerm) -> tuple:
+    """(alphabeta_key(t), beta-normal form of t), typechecking t and
+    normalising it once."""
+    ty = hol_type_of(t)
     nf = _nf(t)
     return (ty, _debruijn(nf, {}, 0)), nf
 

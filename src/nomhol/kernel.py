@@ -233,15 +233,15 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
         occurs=lambda x, phi: x in P.free_unknowns(phi)), node, ())
 
 
-def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
+def check_hol(node: Node) -> Verdict:
     @by_object
     def norm(phi):
-        """(key, normal form) under sig, or (None, the typing error)."""
+        """(key, normal form), or (None, the typing error)."""
         try:
-            return H.normal_key(phi, sig)
+            return H.normal_key(phi)
         except H.HolTypeError as e:
             return None, e
-    # A formula failing sig is keyed by itself, so it matches no typed
+    # An untypable formula is keyed by itself, so it matches no typed
     # formula: a premise holding one is rejected at its own path.
     key, side = _interned(lambda p: norm(p)[0] or p)
 
@@ -265,7 +265,7 @@ def check_hol(node: Node, sig: Optional[H.HolSignature] = None) -> Verdict:
 
     def instance(v, body, t):
         try:
-            if H.hol_type_of(t, sig) != H.var_type(v):
+            if H.hol_type_of(t) != H.var_type(v):
                 raise _Reject("witness has the wrong type")
         except H.HolTypeError as e:
             raise _Reject(f"untypable witness: {e}")

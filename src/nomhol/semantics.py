@@ -32,8 +32,7 @@ from . import hol as H
 from . import pnl as P
 from .pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                   NameSort, PnlSignature, Pred, Sus, TupleSort, Tup, Unknown,
-                  alpha_eq, alpha_key, free_atoms, free_unknowns, perm_act,
-                  sort_of)
+                  alpha_eq, alpha_key, free_atoms, perm_act, sort_of)
 from .translate import TranslationEnv, translate
 
 
@@ -517,16 +516,6 @@ class Valuation:
             return self.assignments[x]
         return canonical_ground(sig, x.sort, x.pmss)
 
-    def validate(self, sig: PnlSignature):
-        for x, t in self.assignments.items():
-            if free_unknowns(t):
-                raise SemanticsError(f"valuation value for {x!r} is not ground")
-            if sort_of(sig, t) != x.sort:
-                raise SemanticsError(f"valuation value for {x!r} has the wrong sort")
-            if not set_subset(free_atoms(t), x.pmss):
-                raise SemanticsError(
-                    f"valuation value for {x!r} escapes its permission set")
-
 
 # ---------------------------------------------------------------------------
 # quantifier candidates
@@ -824,7 +813,6 @@ class HolEvaluator:
 
     def __init__(self, model: HerbrandModel, depth: int = 0):
         self.model = model
-        self.depth = depth
         self._pools = _Pools(model.sig, depth)
         self._consts: dict = {}  # Const -> its value
 

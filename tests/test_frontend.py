@@ -246,6 +246,18 @@ def test_entry_and_context_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --context: bad atom 'x'\n"
 
 
+def test_repeated_context_atom_exits_2(tmp_path, capsys):
+    """A capture context lists distinct atoms: every command that takes
+    --context rejects a repeated one, naming the option."""
+    f = tmp_path / "p.sexp"
+    f.write_text("(pred P (var nu@0))")
+    for argv in (["translate", str(f)], ["translate", "--derivation", p("deriv_modus-ponens.sexp")],
+                 ["square", "--model", p("model_basic.sexp"), str(f)]):
+        assert cli(argv[0], "--context", "[nu@0,nu@0]", *argv[1:]) == 2, argv
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: --context: repeated atom nu@0\n"), argv
+
+
 # An atom whose sort is not a declared name sort (an unknown sort, or a base
 # sort) is an error at the node or token that holds it, wherever it occurs.
 SORT_ERRORS = [
@@ -763,9 +775,16 @@ def test_every_printable_class_round_trips():
     """Each class prints as written and reads back equal; a mis-ordered
     case in `render` (a general application before imp or all, say)
     changes the text."""
+    from nomhol import hol as H
     for kind, value, text in _printable_rows():
         assert F.KINDS[kind][1](value) == text, text
-        assert F.parse_document(text, kind, SIG) == value, text
+        if isinstance(value, H.Const) and value.name == "k":
+            # k is no constant of the signature's translation: read it
+            # under a signature that declares it as well
+            hsig = H.HolSignature({**ENV.target.constants, "k": value.type})
+            assert F.KINDS[kind][0](SIG, hsig, parse_one(text)) == value, text
+        else:
+            assert F.parse_document(text, kind, SIG) == value, text
 
 
 def test_loaded_fixtures_render_as_their_files():
@@ -830,7 +849,7 @@ def test_translated_derivations_round_trip_and_recheck():
         out = translate_derivation(ENV, d)
         text = F.render_derivation(out.tree)
         back = F.parse_document(text, "deriv-hol", SIG)
-        assert check_hol(back, ENV.target), name
+        assert check_hol(back), name
 
 
 # --- suspension-element fixtures --------------------------------------------
@@ -885,7 +904,7 @@ def test_cli_sides_as_written(capsys, tmp_path):
     capsys.readouterr()
     assert cli("translate", "--derivation", "--json", str(f)) == 0
     text = json.loads(capsys.readouterr().out)["derivation"]
-    left = F.parse_document(text, "deriv-hol", SIG, ENV.target).concl.left
+    left = F.parse_document(text, "deriv-hol", SIG).concl.left
     assert len(left) == 3 and left[0] == left[1]
     h = tmp_path / "d.hol.sexp"
     h.write_text(text)
@@ -938,7 +957,7 @@ def test_cli_normalize(capsys, tmp_path):
 def test_cli_alpha_hol_types_against_the_signature(capsys, tmp_path):
     """`alpha --hol` rejects, with exit 2, a constant that `normalize`
     rejects: one the signature does not declare, or one used at another
-    type than declared."""
+    type than declared.  The reader finds it, at the constant."""
     for text, message in (("(const foo o)", "unknown constant foo"),
                           ("(const imp o)", "constant imp declared")):
         f = tmp_path / "t.sexp"
@@ -946,7 +965,25 @@ def test_cli_alpha_hol_types_against_the_signature(capsys, tmp_path):
         for argv in (["alpha", "--hol", str(f), str(f)], ["normalize", str(f)]):
             assert cli(*argv) == 2, argv
             out = capsys.readouterr()
-            assert out.out == "" and out.err.startswith(f"error: {message}"), argv
+            assert out.out == "" and out.err.startswith(f"error: 1:1: {message}"), argv
+
+
+def test_cli_check_hol_reads_constants_against_the_signature(capsys, tmp_path):
+    """A written constant that the signature does not declare, declares at
+    another type, or a quantifier constant at a type that is no quantifier's,
+    is an error at the constant, exit 2, not a rejected derivation."""
+    text = (CORPUS / "derivhol_modus-ponens.sexp").read_text()
+    assert text.splitlines()[2].find("g_P") == 30   # line 3, column 31
+    for const, message in (
+            ("(const foo (-> mu_iota o))", "unknown constant foo"),
+            ("(const g_P (-> mu_nu o))",
+             "constant g_P declared (mu_iota -> o), used at (mu_nu -> o)"),
+            ("(const forall o)", "malformed quantifier constant at type o")):
+        f = tmp_path / "d.sexp"
+        f.write_text(text.replace("g_P", const, 1))
+        assert cli("check", "--logic", "hol", str(f)) == 2, const
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: 3:31: {message}\n"), const
 
 
 def test_cli_nominal_commands_reject_ill_sorted_input(capsys, tmp_path):

@@ -52,7 +52,7 @@ def test_unkvar_type_is_curried():
 # --- typing --------------------------------------------------------------------
 
 def test_type_of_bot():
-    assert hol_type_of(BOT, BASE_SIGNATURE) == O
+    assert hol_type_of(BOT) == O
 
 
 def test_type_of_lambda_application():
@@ -70,8 +70,10 @@ def test_ill_typed_application():
 
 
 def test_unknown_constant_rejected():
-    with pytest.raises(HolTypeError):
-        hol_type_of(Const("mystery", O), BASE_SIGNATURE)
+    with pytest.raises(HolTypeError, match="^unknown constant mystery$"):
+        BASE_SIGNATURE.check_const(Const("mystery", O))
+    with pytest.raises(HolTypeError, match="^malformed quantifier constant at type o$"):
+        BASE_SIGNATURE.check_const(Const("forall", O))
 
 
 # --- substitution ---------------------------------------------------------------

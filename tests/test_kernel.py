@@ -129,12 +129,12 @@ def ha(i):
 
 def test_hax():
     d = Node("ax", sequent([hP(ha(0))], [hP(ha(0))]), li=0, ri=0)
-    assert check_hol(d, ENV.target)
+    assert check_hol(d)
 
 
 def test_hax_rejects_distinct_atoms():
     d = Node("ax", sequent([hP(ha(0))], [hP(ha(1))]), li=0, ri=0)
-    assert not check_hol(d, ENV.target)
+    assert not check_hol(d)
 
 
 def test_h_forall_left():
@@ -157,11 +157,11 @@ def test_h_imp_rules():
     p, q = hP(ha(0)), hP(ha(1))
     d = Node("impr", sequent([q], [imp(p, p)]), ri=0,
              children=(Node("ax", sequent([p, q], [p]), li=0, ri=0),))
-    assert check_hol(d, ENV.target)
+    assert check_hol(d)
     d2 = Node("impl", sequent([imp(p, q), p], [q]), li=0,
               children=(Node("ax", sequent([p], [p, q]), li=0, ri=0),
                         Node("ax", sequent([q, p], [q]), li=0, ri=0)))
-    assert check_hol(d2, ENV.target)
+    assert check_hol(d2)
 
 
 def test_h_membership_up_to_beta():
@@ -169,7 +169,7 @@ def test_h_membership_up_to_beta():
     p = hP(ha(0))
     redex = App(Lam(PlainVar(O, 0), Var(PlainVar(O, 0))), p)
     d = Node("ax", sequent([redex], [p]), li=0, ri=0)
-    assert check_hol(d, ENV.target)
+    assert check_hol(d)
 
 
 def test_untypable_formula_rejected():
@@ -195,7 +195,7 @@ def test_atomic_probe():
 LOGICS = {
     "pnl-restricted": (lambda d: check_pnl(SIG, d, RESTRICTED), lambda x: x),
     "pnl-full": (lambda d: check_pnl(SIG, d, FULL), lambda x: x),
-    "hol": (lambda d: check_hol(d, ENV.target), lambda x: translate(ENV, (), x)),
+    "hol": (lambda d: check_hol(d), lambda x: translate(ENV, (), x)),
 }
 
 p, q, r = P(var(0)), P(var(1)), P(var(2))
@@ -507,7 +507,7 @@ def test_check_hol_types_and_normalizes_each_formula_once(monkeypatch):
                 calls[name, id(t)] += 1
             return real(t, *args)
         monkeypatch.setattr(H, name, spy)
-    assert check_hol(tree, ENV.target)
+    assert check_hol(tree)
     assert len(formulas) == 80
     assert Counter(name for name, _ in calls) == {"hol_type_of": len(formulas),
                                                   "_nf": len(formulas)}

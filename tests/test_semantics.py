@@ -566,13 +566,21 @@ def test_valuation_defaults_are_canonical_and_permitted():
 
 
 def test_valuation_validation():
-    Valuation({X0: var(0)}).validate(SIG)
-    with pytest.raises(SemanticsError):
-        Valuation({X0: Sus.of(X1)}).validate(SIG)
-    with pytest.raises(SemanticsError):
-        Valuation({X0: AtomT(a(0))}).validate(SIG)
-    with pytest.raises(SemanticsError):
-        Valuation({X1: var(3)}).validate(SIG)  # nu@3 is not permitted for X1
+    """The reader rejects a value with an unknown, of the wrong sort, or
+    outside its unknown's permission set, at the value."""
+    def read(x, value):
+        text = f"(valuation\n  (assign {F.render(x)} {value}))"
+        return F.parse_document(text, "valuation", SIG)
+    assert read(X0, "(var nu@0)").assignments == {X0: var(0)}
+    for x, value, message in (
+            (X0, F.render(X1), "the term of (assign ...) must be ground"),
+            (X0, "nu@0", f"valuation value for {F.render(X0)} has the wrong sort"),
+            # nu@3 is not permitted for X1
+            (X1, "(var nu@3)", f"valuation value for {F.render(X1)} escapes its permission set")):
+        with pytest.raises(F.ParseError) as e:
+            read(x, value)
+        at = len("  (assign ") + len(F.render(x)) + 2
+        assert (e.value.message, e.value.line, e.value.col) == (message, 2, at)
 
 
 def test_eval_term_examples():

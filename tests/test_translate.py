@@ -175,16 +175,32 @@ def test_translation_well_defined_on_alpha_classes():
         assert hol_alpha_eq(translate(ENV, d, x), translate(ENV, d, y))
 
 
+def check_constants(t):
+    """Each constant of t is declared in the target signature, at its type."""
+    stack = [t]
+    while stack:
+        match stack.pop():
+            case Const() as c:
+                ENV.target.check_const(c)
+            case App(fn, arg):
+                stack += [fn, arg]
+            case Lam(_, body):
+                stack.append(body)
+            case HTup(items):
+                stack.extend(items)
+
+
 def test_typability():
     rng = random.Random(73)
     for _ in range(300):
         x = rand_syntax(rng)
         d = d_for(x)
         t = translate(ENV, d, x)
+        check_constants(t)
         if isinstance(x, (Bot, Imp, Pred, All)):
-            assert hol_type_of(t, ENV.target) == O
+            assert hol_type_of(t) == O
         else:
-            assert hol_type_of(t, ENV.target) == sort_to_type(sort_of(SIG, x))
+            assert hol_type_of(t) == sort_to_type(sort_of(SIG, x))
 
 
 def test_injectivity_on_captured_pairs():

@@ -24,7 +24,7 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 def test_corpus_translates_end_to_end():
     for name, d in restricted_derivations():
         out = translate_derivation(ENV, d)
-        assert check_hol(out.tree, ENV.target), name
+        assert check_hol(out.tree), name
 
 
 def test_translated_endsequent_reindexes_to_caller_context():

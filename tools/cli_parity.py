@@ -14,7 +14,8 @@ written as placeholders.  A second line does the same for the malformed
 half: every corpus file under the same commands after each of a fixed set
 of corruptions (`CORRUPTIONS`), so it covers the located reader errors,
 the reader's per-symbol scan of deeply nested brace groups, and frontend
-errors, which are located by reading the text a second time.
+errors, which are located by reading the text a second time, a constant
+written at a type the signature does not give it among them.
 Run it in two checkouts: the same lines mean the CLI printed the same
 bytes.  It uses the `nomhol` beside it, not an installed one, and writes
 only to temporary directories.
@@ -98,6 +99,17 @@ def _bad_last_index(text: str):
     return text[:at] + "@x" + text[at + 2:] if at >= 0 else None
 
 
+# a constant symbol g_NAME, as the printer writes a translated former
+_CONST_SYMBOL = re.compile(r"(?<![^\s()])g_[A-Za-z0-9_]+(?![^\s()])")
+
+
+def _const_type(text: str):
+    """The text's first g_NAME symbol as (const g_NAME o): a constant the
+    reader checks against the signature and finds at another type."""
+    m = _CONST_SYMBOL.search(text)
+    return text[:m.start()] + f"(const {m.group()} o)" + text[m.end():] if m else None
+
+
 # name -> the corrupted text, or None where the corruption does not apply
 CORRUPTIONS = {
     "drop-last-close": lambda t: t[:t.rindex(")")] + t[t.rindex(")") + 1:],
@@ -107,6 +119,7 @@ CORRUPTIONS = {
     "second-form": lambda t: t + "\nnu@0\n",
     "deep-braces": _deep_braces,
     "bad-last-index": _bad_last_index,
+    "const-type": _const_type,
 }
 
 
