@@ -37,19 +37,20 @@ Concrete syntax (all forms are s-expressions; see sexpr.py for the lexer):
                    digits 0-9, after a '-' where signed
 
 A derivation restates its context at every node, so its text repeats each
-formula, and each subterm, many times.  `parse_document` reads a document
-with one memo for the call: `parse_term`, `parse_prop` and `parse_hol` parse
-each distinct form once, keyed by its category and the reader's structural
-id (`sexpr.SList.sid`, which is per reading) or a symbol's text, and every
-copy is the same object.  A model that declares its own signature
-starts a fresh memo.  `render_derivation` prints each formula object once.
+formula, and each subterm, many times.  A document is read without
+locations (`sexpr.parse_one`) into a table that holds each distinct list
+once, as a row.  Every parser of a node takes the `Reading`: the table, the
+signatures, and a memo for the call in each category, so `parse_term`,
+`parse_prop` and `parse_hol` parse each node, a symbol or a row, once, and
+every copy is the same object.  A model's own signature starts a fresh
+reading.  `render_derivation` prints each formula object once.
 
 The reader checks a document against its signature once, with located
 errors: atoms, sorts, formers, each `(const NAME TYPE)`, and each valuation
-value's sort and permission set.  A document is read without locations
-(`sexpr.parse_one`).  An error there raises `_Unlocated` in `_err`;
-`parse_document` reads the text again with `sexpr.parse_all` and parses it
-again, which raises the same error, located.
+value's sort and permission set.  An error in the reading without locations
+raises `_Unlocated` in `_err`; `parse_document` reads the text again with
+`sexpr.parse_all`, which gives each list written its own located row, and
+parses it again, which raises the same error, located.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from . import pnl as P
 from .atoms import Atom, CofinAtomSet, Perm, Renaming, permission_set, set_subset
 from .semantics import HerbrandModel, PredSpec, RenElem, Valuation
 from . import sexpr
-from .sexpr import SexprError, SList, SNode, parse_one
+from .sexpr import SexprError, parse_one
 from .translate import translate_signature
 
 
@@ -75,29 +76,46 @@ class _Unlocated(Exception):
     """An error at a node read without locations."""
 
 
-def _err(node: SNode, message: str):
+class Reading:
+    """What every parser of a node takes: the table (see `sexpr`), the
+    signatures, and a memo for each category, keyed by the node."""
+    __slots__ = ("rows", "sig", "hsig", "term", "prop", "hol")
+
+    def __init__(self, rows: list, sig=None, hsig=None):
+        self.rows, self.sig, self.hsig = rows, sig, hsig
+        self.term, self.prop, self.hol = {}, {}, {}
+
+
+def _err(node, message: str):
     if getattr(node, "pos", None) is None:
         raise _Unlocated
     raise ParseError(message, node.line, node.col)
 
 
-def _head(node: SNode) -> Optional[str]:
-    if isinstance(node, SList) and node.items and isinstance(node.items[0], str):
-        return str(node.items[0])
-    return None
+def _text(r: Reading, node) -> str:
+    """The node as a message quotes it: its symbols, single-spaced."""
+    if isinstance(node, str):
+        return str(node)
+    return "(" + " ".join(_text(r, x) for x in r.rows[node]) + ")"
 
 
-def _once(seen: set, node: SNode, what: str):
+def _head(r: Reading, node) -> Optional[str]:
+    items = r.rows[node] if isinstance(node, int) else None
+    return str(items[0]) if items and isinstance(items[0], str) else None
+
+
+def _once(seen: set, node, what: str):
     """Records `what`; a section or declaration given twice is an error."""
     if what in seen:
         _err(node, f"repeated {what}")
     seen.add(what)
 
 
-def _args(node: SList, n: int, what: str) -> tuple:
-    if len(node.items) != n + 1:
-        _err(node, f"{what} takes {n} argument(s), got {len(node.items) - 1}")
-    return node.items[1:]
+def _args(r: Reading, node, n: int, what: str) -> tuple:
+    items = r.rows[node]
+    if len(items) != n + 1:
+        _err(node, f"{what} takes {n} argument(s), got {len(items) - 1}")
+    return items[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +149,12 @@ def _declared(sig: P.PnlSignature, a: Atom, where) -> Atom:
     return a
 
 
-def parse_atom(sig: P.PnlSignature, node: SNode) -> Atom:
+def parse_atom(r: Reading, node) -> Atom:
     if isinstance(node, str):
         a = parse_atom_text(node)
         if a is not None:
-            return _declared(sig, a, node)
-    _err(node, f"expected an atom like nu@0, got {node!r}")
+            return _declared(r.sig, a, node)
+    _err(node, f"expected an atom like nu@0, got {_text(r, node)}")
 
 
 _PMSS_RE = re.compile(r"^perm\(\+\{([^{}]*)\}-\{([^{}]*)\}\)$")
@@ -163,14 +181,14 @@ def parse_pmss_text(sig: P.PnlSignature, text: str, where) -> CofinAtomSet:
         _err(where, str(e))
 
 
-def parse_perm(sig: P.PnlSignature, node: SNode) -> Perm:
-    if not isinstance(node, SList):
+def parse_perm(r: Reading, node) -> Perm:
+    if isinstance(node, str):
         _err(node, "expected a cycle list like ((nu@0 nu@1))")
     cycles = []
-    for cyc in node.items:
-        if not isinstance(cyc, SList) or not cyc.items:
+    for cyc in r.rows[node]:
+        if isinstance(cyc, str) or not r.rows[cyc]:
             _err(node, "each cycle is a non-empty atom list")
-        cycles.append(tuple(parse_atom(sig, a) for a in cyc.items))
+        cycles.append(tuple(parse_atom(r, a) for a in r.rows[cyc]))
     try:
         return Perm.from_cycles(cycles)
     except ValueError as e:
@@ -262,19 +280,19 @@ def render_sort(sort: P.PnlSort) -> str:
     raise TypeError(f"not a sort: {sort!r}")
 
 
-def parse_sort_node(sig: P.PnlSignature, node: SNode) -> P.PnlSort:
+def parse_sort_node(r: Reading, node) -> P.PnlSort:
     """Sorts in signature files: SYMBOL | (abs N SORT) | (tup SORT ...)."""
     if isinstance(node, str):
-        return parse_sort_text(sig, node, node)
-    head = _head(node)
+        return parse_sort_text(r.sig, node, node)
+    head = _head(r, node)
     if head == "abs":
-        name, body = _args(node, 2, "abs")
-        if not isinstance(name, str) or name not in sig.name_sorts:
+        name, body = _args(r, node, 2, "abs")
+        if not isinstance(name, str) or name not in r.sig.name_sorts:
             _err(node, "abstraction sorts bind a declared name sort")
-        return P.AbsSort(str(name), parse_sort_node(sig, body))
+        return P.AbsSort(str(name), parse_sort_node(r, body))
     if head == "tup":
-        return P.TupleSort(tuple(parse_sort_node(sig, s) for s in node.items[1:]))
-    _err(node, f"expected a sort, got {node!r}")
+        return P.TupleSort(tuple(parse_sort_node(r, s) for s in r.rows[node][1:]))
+    _err(node, f"expected a sort, got {_text(r, node)}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,131 +327,122 @@ def parse_unknown_text(sig: P.PnlSignature, text: str, where) -> P.Unknown:
     return P.Unknown(sort, pmss, int(parts[2]))
 
 
-def parse_unknown(sig: P.PnlSignature, node: SNode) -> P.Unknown:
+def parse_unknown(r: Reading, node) -> P.Unknown:
     if not isinstance(node, str):
         _err(node, "expected an unknown")
-    return parse_unknown_text(sig, str(node), node)
+    return parse_unknown_text(r.sig, str(node), node)
 
 
 # ---------------------------------------------------------------------------
 # nominal terms and propositions
 
-# The parsers of terms, propositions and typed-lambda terms share a memo for
-# one reader call: (category, sid of a list or text of a symbol) -> the
-# parsed object.  Each looks its node up in its own body, since a wrapper
-# would add a stack frame per nesting level and lower the depth of input
-# that parses.
+# The parsers of terms, propositions and typed-lambda terms memoise in the
+# reading: a node, a symbol or a row, is parsed once in each category.  Each
+# looks its node up in its own body, since a wrapper would add a stack frame
+# per nesting level and lower the depth of input that parses.
 
-def parse_term(sig: P.PnlSignature, node: SNode, memo: Optional[dict] = None) -> P.PnlTerm:
-    memo = {} if memo is None else memo
-    key = ("term", node.sid if isinstance(node, SList) else node)
-    t = memo.get(key)
+def parse_term(r: Reading, node) -> P.PnlTerm:
+    t = r.term.get(node)
     if t is not None:
         return t
     if isinstance(node, str):
         a = parse_atom_text(node)
         if a is not None:
-            t = P.AtomT(_declared(sig, a, node))
+            t = P.AtomT(_declared(r.sig, a, node))
         elif node.startswith("X{"):
-            t = P.Sus.of(parse_unknown_text(sig, str(node), node))
+            t = P.Sus.of(parse_unknown_text(r.sig, str(node), node))
         else:
             _err(node, f"unrecognized term {str(node)!r}")
     else:
-        head = _head(node)
+        head = _head(r, node)
         if head == "tup":
-            t = P.Tup(tuple(parse_term(sig, r, memo) for r in node.items[1:]))
+            t = P.Tup(tuple(parse_term(r, x) for x in r.rows[node][1:]))
         elif head == "abs":
-            a, body = _args(node, 2, "abs")
-            t = P.AbsT(parse_atom(sig, a), parse_term(sig, body, memo))
+            a, body = _args(r, node, 2, "abs")
+            t = P.AbsT(parse_atom(r, a), parse_term(r, body))
         elif head == "sus":
-            cycles, unk = _args(node, 2, "sus")
-            t = P.Sus(parse_perm(sig, cycles), parse_unknown(sig, unk))
-        elif head in sig.term_formers:
-            (arg,) = _args(node, 1, head)
-            t = P.Former(head, parse_term(sig, arg, memo))
+            cycles, unk = _args(r, node, 2, "sus")
+            t = P.Sus(parse_perm(r, cycles), parse_unknown(r, unk))
+        elif head in r.sig.term_formers:
+            (arg,) = _args(r, node, 1, head)
+            t = P.Former(head, parse_term(r, arg))
         else:
             _err(node, f"unrecognized term form {head!r}")
-    memo[key] = t
+    r.term[node] = t
     return t
 
 
-def parse_prop(sig: P.PnlSignature, node: SNode, memo: Optional[dict] = None) -> P.PnlProp:
-    memo = {} if memo is None else memo
-    key = ("prop", node.sid if isinstance(node, SList) else node)
-    phi = memo.get(key)
+def parse_prop(r: Reading, node) -> P.PnlProp:
+    phi = r.prop.get(node)
     if phi is not None:
         return phi
-    head = _head(node)
-    if isinstance(node, str) and node == "bot":
+    head = _head(r, node)
+    if node == "bot":
         phi = P.Bot()
     elif head == "imp":
-        p, q = _args(node, 2, "imp")
-        phi = P.Imp(parse_prop(sig, p, memo), parse_prop(sig, q, memo))
+        p, q = _args(r, node, 2, "imp")
+        phi = P.Imp(parse_prop(r, p), parse_prop(r, q))
     elif head == "pred":
-        name, arg = _args(node, 2, "pred")
-        if not isinstance(name, str) or name not in sig.prop_formers:
-            _err(node, f"undeclared proposition-former {name!r}")
-        phi = P.Pred(str(name), parse_term(sig, arg, memo))
+        name, arg = _args(r, node, 2, "pred")
+        if not isinstance(name, str) or name not in r.sig.prop_formers:
+            _err(node, f"undeclared proposition-former {_text(r, name)}")
+        phi = P.Pred(str(name), parse_term(r, arg))
     elif head == "all":
-        unk, body = _args(node, 2, "all")
-        phi = P.All(parse_unknown(sig, unk), parse_prop(sig, body, memo))
+        unk, body = _args(r, node, 2, "all")
+        phi = P.All(parse_unknown(r, unk), parse_prop(r, body))
     else:
-        _err(node, f"unrecognized proposition {node!r}")
-    memo[key] = phi
+        _err(node, f"unrecognized proposition {_text(r, node)}")
+    r.prop[node] = phi
     return phi
 
 
-def parse_pnl(sig: P.PnlSignature, node: SNode):
+def parse_pnl(r: Reading, node):
     """A proposition if it reads as one, otherwise a term."""
-    if (isinstance(node, str) and node == "bot") or \
-            _head(node) in ("imp", "pred", "all"):
-        return parse_prop(sig, node)
-    return parse_term(sig, node)
+    if node == "bot" or _head(r, node) in ("imp", "pred", "all"):
+        return parse_prop(r, node)
+    return parse_term(r, node)
 
 
 # ---------------------------------------------------------------------------
 # typed-lambda types, variables, terms
 
-def parse_type(node: SNode) -> H.HolType:
+def parse_type(r: Reading, node) -> H.HolType:
     if isinstance(node, str):
         return H.BaseT(str(node))
-    head = _head(node)
+    head = _head(r, node)
     if head == "->":
-        a, b = _args(node, 2, "->")
-        return H.ArrowT(parse_type(a), parse_type(b))
+        a, b = _args(r, node, 2, "->")
+        return H.ArrowT(parse_type(r, a), parse_type(r, b))
     if head == "tupt":
-        return H.TupleT(tuple(parse_type(t) for t in node.items[1:]))
-    _err(node, f"expected a type, got {node!r}")
+        return H.TupleT(tuple(parse_type(r, t) for t in r.rows[node][1:]))
+    _err(node, f"expected a type, got {_text(r, node)}")
 
 
-def parse_hol_var(sig: P.PnlSignature, node: SNode) -> H.HolVar:
+def parse_hol_var(r: Reading, node) -> H.HolVar:
     if isinstance(node, str):
         a = parse_atom_text(node)
         if a is not None:
-            return H.AtomVar(_declared(sig, a, node))
+            return H.AtomVar(_declared(r.sig, a, node))
         if node.startswith("X{"):
             parts = _split_top(str(node), "_", node)
             ctx = parts[1] if len(parts) == 2 else "[]"
             if len(parts) > 2 or not (ctx.startswith("[") and ctx.endswith("]")):
                 _err(node, f"bad context suffix in {str(node)!r}")
-            unk = parse_unknown_text(sig, parts[0], node)
+            unk = parse_unknown_text(r.sig, parts[0], node)
             try:
-                return H.UnkVar(unk, _atom_list_text(sig, ctx[1:-1], node))
+                return H.UnkVar(unk, _atom_list_text(r.sig, ctx[1:-1], node))
             except ValueError as e:
                 _err(node, str(e))
-    if _head(node) == "plain":
-        ty, idx = _args(node, 2, "plain")
+    if _head(r, node) == "plain":
+        ty, idx = _args(r, node, 2, "plain")
         if not isinstance(idx, str) or not INT_RE.match(idx):
             _err(node, "a plain variable carries an integer index")
-        return H.PlainVar(parse_type(ty), int(idx))
-    _err(node, f"expected a variable, got {node!r}")
+        return H.PlainVar(parse_type(r, ty), int(idx))
+    _err(node, f"expected a variable, got {_text(r, node)}")
 
 
-def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode,
-              memo: Optional[dict] = None) -> H.HolTerm:
-    memo = {} if memo is None else memo
-    key = ("hol", node.sid if isinstance(node, SList) else node)
-    t = memo.get(key)
+def parse_hol(r: Reading, node) -> H.HolTerm:
+    t = r.hol.get(node)
     if t is not None:
         return t
     if isinstance(node, str):
@@ -441,46 +450,46 @@ def parse_hol(sig: P.PnlSignature, hsig: H.HolSignature, node: SNode,
             t = H.BOT
         elif node == "imp":
             t = H.IMP
-        elif node in hsig.constants:
-            t = H.Const(str(node), hsig.constants[node])
+        elif node in r.hsig.constants:
+            t = H.Const(str(node), r.hsig.constants[node])
         elif (a := parse_atom_text(node)) is not None:
-            t = H.Var(H.AtomVar(_declared(sig, a, node)))
+            t = H.Var(H.AtomVar(_declared(r.sig, a, node)))
         elif node.startswith("X{"):
-            t = H.Var(parse_hol_var(sig, node))
+            t = H.Var(parse_hol_var(r, node))
         else:
             _err(node, f"unrecognized term {str(node)!r}")
     else:
-        head = _head(node)
+        head = _head(r, node)
         if head == "lam":
-            v, body = _args(node, 2, "lam")
-            t = H.Lam(parse_hol_var(sig, v), parse_hol(sig, hsig, body, memo))
+            v, body = _args(r, node, 2, "lam")
+            t = H.Lam(parse_hol_var(r, v), parse_hol(r, body))
         elif head == "app":
-            if len(node.items) < 3:
+            if len(r.rows[node]) < 3:
                 _err(node, "app takes at least two arguments")
-            parts = [parse_hol(sig, hsig, r, memo) for r in node.items[1:]]
+            parts = [parse_hol(r, x) for x in r.rows[node][1:]]
             t = H.apps(parts[0], *parts[1:])
         elif head == "tup":
-            t = H.HTup(tuple(parse_hol(sig, hsig, r, memo) for r in node.items[1:]))
+            t = H.HTup(tuple(parse_hol(r, x) for x in r.rows[node][1:]))
         elif head == "imp":
-            p, q = _args(node, 2, "imp")
-            t = H.imp(parse_hol(sig, hsig, p, memo), parse_hol(sig, hsig, q, memo))
+            p, q = _args(r, node, 2, "imp")
+            t = H.imp(parse_hol(r, p), parse_hol(r, q))
         elif head in ("all", "forall"):
-            v, body = _args(node, 2, head)
-            t = H.forall(parse_hol_var(sig, v), parse_hol(sig, hsig, body, memo))
+            v, body = _args(r, node, 2, head)
+            t = H.forall(parse_hol_var(r, v), parse_hol(r, body))
         elif head == "plain":
-            t = H.Var(parse_hol_var(sig, node))
+            t = H.Var(parse_hol_var(r, node))
         elif head == "const":
-            name, ty = _args(node, 2, "const")
+            name, ty = _args(r, node, 2, "const")
             if not isinstance(name, str):
                 _err(node, "constant names are symbols")
-            t = H.Const(str(name), parse_type(ty))
+            t = H.Const(str(name), parse_type(r, ty))
             try:
-                hsig.check_const(t)
+                r.hsig.check_const(t)
             except H.HolTypeError as e:
                 _err(node, str(e))
         else:
             _err(node, f"unrecognized term form {head!r}")
-    memo[key] = t
+    r.hol[node] = t
     return t
 
 
@@ -558,33 +567,34 @@ render_term = render_hol = render  # names benchmarks/tracing.py wraps
 # ---------------------------------------------------------------------------
 # signatures
 
-def parse_signature(node: SNode) -> P.PnlSignature:
-    if _head(node) != "sig":
+def parse_signature(r: Reading, node) -> P.PnlSignature:
+    if _head(r, node) != "sig":
         _err(node, "expected (sig ...)")
     name_sorts, base_sorts = set(), set()
     terms, preds, seen = {}, {}, set()
-    sections = node.items[1:]
+    sections = r.rows[node][1:]
     # sorts first so the formers can resolve them
     for sec in sections:
-        head = _head(sec)
+        head = _head(r, sec)
         if head in ("name-sorts", "base-sorts"):
-            for s in sec.items[1:]:
+            for s in r.rows[sec][1:]:
                 if not (isinstance(s, str) and _NAME_RE.fullmatch(s)):
-                    _err(s, f"bad sort name {s!r}")
+                    _err(s, f"bad sort name {_text(r, s)}")
                 (name_sorts if head == "name-sorts" else base_sorts).add(str(s))
         elif head not in ("term", "pred"):
             _err(sec, f"unrecognized signature section {head!r}")
-    probe = P.PnlSignature(frozenset(name_sorts), frozenset(base_sorts), {}, {})
+    sorts = P.PnlSignature(frozenset(name_sorts), frozenset(base_sorts), {}, {})
+    probe = Reading(r.rows, sorts)
     for sec in sections:
-        head = _head(sec)
+        head = _head(r, sec)
         if head == "term":
-            name, arg, res = _args(sec, 3, "term")
+            name, arg, res = _args(r, sec, 3, "term")
             if not isinstance(name, str) or not isinstance(res, str):
                 _err(sec, "term-former declarations are (term NAME ARGSORT RESULT)")
             _once(seen, sec, f"(term {name} ...)")
             terms[str(name)] = (parse_sort_node(probe, arg), str(res))
         elif head == "pred":
-            name, arg = _args(sec, 2, "pred")
+            name, arg = _args(r, sec, 2, "pred")
             if not isinstance(name, str):
                 _err(sec, "proposition-former declarations are (pred NAME ARGSORT)")
             _once(seen, sec, f"(pred {name} ...)")
@@ -611,20 +621,19 @@ def render_signature(sig: P.PnlSignature) -> str:
 # ---------------------------------------------------------------------------
 # sequents and derivations
 
-def parse_sequent(sig, hsig, node: SNode, memo: dict) -> K.Sequent:
-    """The sequent, HOL exactly when a higher-order signature is given; memo
-    is the parsers' memo for the reader call."""
-    if _head(node) != "seq":
+def parse_sequent(r: Reading, node) -> K.Sequent:
+    """The sequent, HOL exactly when the reading has a higher-order
+    signature."""
+    if _head(r, node) != "seq":
         _err(node, "expected (seq (left ...) (right ...))")
+    parse = parse_prop if r.hsig is None else parse_hol
     sides, seen = {"left": [], "right": []}, set()
-    for sec in node.items[1:]:
-        head = _head(sec)
+    for sec in r.rows[node][1:]:
+        head = _head(r, sec)
         if head not in sides:
             _err(sec, f"unrecognized sequent side {head!r}")
         _once(seen, sec, f"({head} ...)")
-        for n in sec.items[1:]:
-            sides[head].append(parse_prop(sig, n, memo) if hsig is None
-                               else parse_hol(sig, hsig, n, memo))
+        sides[head] += [parse(r, x) for x in r.rows[sec][1:]]
     return K.Sequent(tuple(sides["left"]), tuple(sides["right"]))
 
 
@@ -635,39 +644,40 @@ def render_sequent(seq: K.Sequent, show=render) -> str:
     return f"(seq (left{left}) (right{right}))"
 
 
-def parse_derivation(sig, hsig, node: SNode, memo: dict) -> K.Node:
-    """The derivation tree, higher-order exactly when `hsig` is given; memo
-    is the parsers' memo for the reader call."""
-    if _head(node) != "rule":
+def parse_derivation(r: Reading, node) -> K.Node:
+    """The derivation tree, higher-order exactly when the reading has a
+    higher-order signature."""
+    if _head(r, node) != "rule":
         _err(node, "expected (rule NAME (concl ...) ...)")
-    if len(node.items) < 3 or not isinstance(node.items[1], str):
+    items = r.rows[node]
+    if len(items) < 3 or not isinstance(items[1], str):
         _err(node, "a rule node names its rule and gives a conclusion")
-    rule = str(node.items[1])
+    rule = str(items[1])
     concl = None
     perm = Perm.identity()
     index = {"li": None, "ri": None}
     witness = None
     children, seen = [], set()
-    for sec in node.items[2:]:
-        head = _head(sec)
+    for sec in items[2:]:
+        head = _head(r, sec)
         if head != "rule":
             _once(seen, sec, f"({head} ...)")
         if head == "concl":
-            (s,) = _args(sec, 1, "concl")
-            concl = parse_sequent(sig, hsig, s, memo)
+            (s,) = _args(r, sec, 1, "concl")
+            concl = parse_sequent(r, s)
         elif head in ("li", "ri"):
-            (n,) = _args(sec, 1, head)
+            (n,) = _args(r, sec, 1, head)
             if not isinstance(n, str) or not _NAT_RE.match(n):
                 _err(sec, f"{head} takes a non-negative index")
             index[head] = int(n)
         elif head == "perm":
-            (cyc,) = _args(sec, 1, "perm")
-            perm = parse_perm(sig, cyc)
+            (cyc,) = _args(r, sec, 1, "perm")
+            perm = parse_perm(r, cyc)
         elif head == "witness":
-            (w,) = _args(sec, 1, "witness")
-            witness = parse_term(sig, w, memo) if hsig is None else parse_hol(sig, hsig, w, memo)
+            (w,) = _args(r, sec, 1, "witness")
+            witness = parse_term(r, w) if r.hsig is None else parse_hol(r, w)
         elif head == "rule":
-            children.append(parse_derivation(sig, hsig, sec, memo))
+            children.append(parse_derivation(r, sec))
         else:
             _err(sec, f"unrecognized rule section {head!r}")
     if concl is None:
@@ -697,49 +707,50 @@ def render_derivation(node: K.Node, indent: int = 0, show=None) -> str:
 # ---------------------------------------------------------------------------
 # models and valuations
 
-def parse_model(node: SNode, ambient_sig: Optional[P.PnlSignature] = None) -> HerbrandModel:
-    if _head(node) != "model":
+def parse_model(r: Reading, node) -> HerbrandModel:
+    """The model, under the reading's signature until it gives its own."""
+    if _head(r, node) != "model":
         _err(node, "expected (model ...)")
-    sig = ambient_sig
-    preds, seen, memo = {}, set(), {}
-    for sec in node.items[1:]:
-        head = _head(sec)
+    preds, seen = {}, set()
+    for sec in r.rows[node][1:]:
+        head = _head(r, sec)
         if head == "sig":
             _once(seen, sec, "(sig ...)")
-            sig, memo = parse_signature(sec), {}  # terms read anew under it
+            r = Reading(r.rows, parse_signature(r, sec))  # terms read anew under it
         elif head == "pred":
-            if sig is None:
+            if r.sig is None:
                 _err(sec, "a model needs a signature before its predicates")
-            if len(sec.items) < 2 or not isinstance(sec.items[1], str):
+            items = r.rows[sec]
+            if len(items) < 2 or not isinstance(items[1], str):
                 _err(sec, "predicate interpretations name their predicate")
-            name = str(sec.items[1])
+            name = str(items[1])
             _once(seen, sec, f"(pred {name} ...)")
             clauses, default, support, parts = [], 0, frozenset(), set()
-            for part in sec.items[2:]:
-                phead = _head(part)
+            for part in items[2:]:
+                phead = _head(r, part)
                 if phead in ("default", "support"):
                     _once(parts, part, f"({phead} ...)")
                 if phead == "clause":
-                    pat, v = _args(part, 2, "clause")
+                    pat, v = _args(r, part, 2, "clause")
                     if not isinstance(v, str) or v not in ("0", "1"):
                         _err(part, "clause values are 0 or 1")
-                    clauses.append((parse_term(sig, pat, memo), int(v)))
+                    clauses.append((parse_term(r, pat), int(v)))
                 elif phead == "default":
-                    (v,) = _args(part, 1, "default")
+                    (v,) = _args(r, part, 1, "default")
                     if not isinstance(v, str) or v not in ("0", "1"):
                         _err(part, "the default value is 0 or 1")
                     default = int(v)
                 elif phead == "support":
-                    support = frozenset(parse_atom(sig, a) for a in part.items[1:])
+                    support = frozenset(parse_atom(r, a) for a in r.rows[part][1:])
                 else:
                     _err(part, f"unrecognized predicate section {phead!r}")
             preds[name] = PredSpec(tuple(clauses), default, support)
         else:
             _err(sec, f"unrecognized model section {head!r}")
-    if sig is None:
+    if r.sig is None:
         _err(node, "a model needs a signature")
     try:
-        return HerbrandModel(sig, preds)
+        return HerbrandModel(r.sig, preds)
     except Exception as e:
         _err(node, str(e))
 
@@ -759,29 +770,29 @@ def render_model(model: HerbrandModel) -> str:
     return "\n".join(parts) + ")"
 
 
-def _ground(t: P.PnlTerm, node: SNode, form: str) -> P.PnlTerm:
+def _ground(t: P.PnlTerm, node, form: str) -> P.PnlTerm:
     """t, parsed from node; a term with an unknown is an error there."""
     if P.free_unknowns(t):
         _err(node, f"the term of ({form} ...) must be ground")
     return t
 
 
-def parse_valuation(sig: P.PnlSignature, node: SNode) -> Valuation:
-    if _head(node) != "valuation":
+def parse_valuation(r: Reading, node) -> Valuation:
+    if _head(r, node) != "valuation":
         _err(node, "expected (valuation ...)")
-    assignments, nodes, seen, memo = {}, [], set(), {}
-    for sec in node.items[1:]:
-        if _head(sec) != "assign":
+    assignments, nodes, seen = {}, [], set()
+    for sec in r.rows[node][1:]:
+        if _head(r, sec) != "assign":
             _err(sec, "valuation entries are (assign X{..} TERM)")
-        unk, term = _args(sec, 2, "assign")
-        x = parse_unknown(sig, unk)
+        unk, term = _args(r, sec, 2, "assign")
+        x = parse_unknown(r, unk)
         _once(seen, sec, f"(assign {render(x)} ...)")
-        assignments[x] = _ground(parse_term(sig, term, memo), term, "assign")
+        assignments[x] = _ground(parse_term(r, term), term, "assign")
         nodes.append((x, term))
     for x, term in nodes:   # after every entry, so a repeat is reported first
         t = assignments[x]
         try:
-            sort = P.sort_of(sig, t)
+            sort = P.sort_of(r.sig, t)
         except P.SortError as e:
             _err(term, str(e))
         if sort != x.sort:
@@ -798,14 +809,14 @@ def render_valuation(val: Valuation) -> str:
     return "\n".join(parts) + ")"
 
 
-def parse_renelem(sig: P.PnlSignature, node: SNode) -> RenElem:
-    if _head(node) != "ren":
+def parse_renelem(r: Reading, node) -> RenElem:
+    if _head(r, node) != "ren":
         _err(node, "expected (ren RENAMING TERM)")
-    rho, term = _args(node, 2, "ren")
+    rho, term = _args(r, node, 2, "ren")
     if not isinstance(rho, str):
         _err(node, "the renaming is a token like [nu@0:=nu@1]")
-    renaming = parse_renaming_text(sig, str(rho), rho)
-    return RenElem(renaming, _ground(parse_term(sig, term), term, "ren"))
+    renaming = parse_renaming_text(r.sig, str(rho), rho)
+    return RenElem(renaming, _ground(parse_term(r, term), term, "ren"))
 
 
 def render_renelem(e: RenElem) -> str:
@@ -815,20 +826,18 @@ def render_renelem(e: RenElem) -> str:
 # ---------------------------------------------------------------------------
 # documents
 
-# kind -> (parse(sig, hsig, node), render(value))
+# kind -> (parse(reading, node), render(value))
 KINDS = {
-    "sig": (lambda sig, hsig, node: parse_signature(node), render_signature),
-    "term": (lambda sig, hsig, node: parse_term(sig, node), render),
-    "prop": (lambda sig, hsig, node: parse_prop(sig, node), render),
-    "pnl": (lambda sig, hsig, node: parse_pnl(sig, node), render),
+    "sig": (parse_signature, render_signature),
+    "term": (parse_term, render),
+    "prop": (parse_prop, render),
+    "pnl": (parse_pnl, render),
     "hol": (parse_hol, render),
-    "deriv-pnl": (lambda sig, hsig, node: parse_derivation(sig, None, node, {}),
-                  render_derivation),
-    "deriv-hol": (lambda sig, hsig, node: parse_derivation(sig, hsig, node, {}),
-                  render_derivation),
-    "model": (lambda sig, hsig, node: parse_model(node, sig), render_model),
-    "valuation": (lambda sig, hsig, node: parse_valuation(sig, node), render_valuation),
-    "renelem": (lambda sig, hsig, node: parse_renelem(sig, node), render_renelem),
+    "deriv-pnl": (parse_derivation, render_derivation),
+    "deriv-hol": (parse_derivation, render_derivation),
+    "model": (parse_model, render_model),
+    "valuation": (parse_valuation, render_valuation),
+    "renelem": (parse_renelem, render_renelem),
 }
 
 
@@ -839,12 +848,13 @@ def parse_document(text: str, kind: str, sig: Optional[P.PnlSignature] = None):
     same are one shared object (see `parse_term`)."""
     if kind not in KINDS:
         raise ValueError(f"unknown document kind {kind!r}")
-    node = parse_one(text)
+    rows, node = parse_one(text)
     if kind != "sig" and sig is None:
         raise ValueError("this document kind needs a signature")
     hsig = translate_signature(sig).target if kind in ("hol", "deriv-hol") else None
     try:
-        return KINDS[kind][0](sig, hsig, node)
+        return KINDS[kind][0](Reading(rows, sig, hsig), node)
     except _Unlocated:   # caught here, so the second parse has the whole stack
         pass
-    return KINDS[kind][0](sig, hsig, sexpr.parse_all(text)[0])   # parse_one's one form
+    rows, forms = sexpr.parse_all(text)
+    return KINDS[kind][0](Reading(rows, sig, hsig), forms[0])   # parse_one's one form

@@ -7,31 +7,33 @@ including parentheses — are consumed as part of the token, so forms like
 CR and LF only; any other character (form feed, NBSP, ...) is a symbol
 character.
 
-`parse_one` reads a document without locations: a symbol is its `str`, a
-list an `SList` with no ``pos``.  Each match of `_FAST` is one token (a
+Both readers, `parse_one` and `parse_all`, give a table and its forms.
+Row ``i`` of the table is the tuple of one list's children, each a symbol
+or the row of a list that closes before it: the table is the tree, and no
+list is an object of its own.
+
+`parse_one` reads a document without locations: a symbol is its `str` and a
+list its row, an `int`.  Its table is a hash-consing table (Filliâtre and
+Conchon, "Type-safe modular hash-consing", 2006): the keys, in order, of the
+dict that interns each list's children, so two lists share a row exactly
+when they print the same.  Each match of `_FAST` is one token (a
 parenthesis, a symbol whose brace groups nest at most two deep, or a stray
 brace) with the blanks and comments after it.  Text that is not one form,
 or holds a stray brace, it reads again with `parse_all`.
 
-`parse_all` reads with locations and raises every located error itself.  A
-symbol is a `Sym`, a `str` with its offset ``pos`` in the text ``src``, and
-a list has both set; ``line`` and ``col`` are computed from them when asked,
-in practice only when an error is raised.  A stray brace sends the one
-symbol holding it to `_symbol_end`, which reads it a character at a time,
-with groups nested to any depth, or raises the brace's error.
-
-Both give every list a structural id, ``sid``: a small int, interned per
-reading from the tuple of its children's keys (a symbol's text, a list's
-``sid``), the same for one text in both.  Two lists of one reading share a
-``sid`` exactly when they print the same, so a consumer can parse each
-distinct form once.  ``sid`` takes no part in ``==`` or ``hash``.
+`parse_all` reads with locations and raises every located error itself.  It
+gives each list written its own row.  A symbol is a `Sym`, a `str` with its
+offset ``pos`` in the text ``src``, and a list a `Row`, an `int` with both;
+``line`` and ``col`` are computed from them when asked, in practice only
+when an error is raised.  A stray brace sends the one symbol holding it to
+`_symbol_end`, which reads it a character at a time, with groups nested to
+any depth, or raises the brace's error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List
 
 
 class SexprError(Exception):
@@ -43,8 +45,14 @@ class SexprError(Exception):
 
 
 class _Located:
-    """``line`` and ``col`` of a node, from its offset ``pos`` in ``src``."""
+    """A node read with its location: its value, at offset ``pos`` in the
+    text ``src``; ``line`` and ``col`` are computed from them when asked."""
     __slots__ = ()
+
+    def __new__(cls, value, pos: int, src: str):
+        self = super().__new__(cls, value)
+        self.pos, self.src = pos, src
+        return self
 
     @property
     def line(self) -> int:
@@ -56,27 +64,13 @@ class _Located:
 
 
 class Sym(_Located, str):
-    """A symbol read with its location: its text, at offset `pos` in `src`."""
-    def __new__(cls, text: str, pos: int, src: str):
-        self = str.__new__(cls, text)
-        self.pos, self.src = pos, src
-        return self
-
+    """A symbol read with its location: its text."""
     __repr__ = str.__str__
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SList(_Located):
-    items: tuple
-    sid: int = field(compare=False)
-    pos: Optional[int] = None             # the offset of its '(', if located
-    src: Optional[str] = field(default=None, compare=False)
+class Row(_Located, int):
+    """A list read with its location, at its '(': its row in the table."""
 
-    def __repr__(self):
-        return "(" + " ".join(map(str, self.items)) + ")"
-
-
-SNode = Union[str, SList]
 
 # Blanks and comments.  Nothing follows it in a pattern, so its greedy match
 # is the longest and never ends inside a comment.
@@ -116,78 +110,72 @@ def _symbol_end(text: str, start: int) -> int:
     return i
 
 
-def parse_all(text: str) -> List[SNode]:
-    """All top-level forms in the text, each list with its ``sid``."""
-    stack: List[tuple] = []  # enclosing lists: (items, keys, offset of '(')
-    items: list = []         # the open list's nodes; the forms at top level
-    keys: list = []          # their keys: a symbol's text, a list's sid
-    sids: dict = {}          # tuple of children's keys -> sid
+def parse_all(text: str) -> tuple:
+    """The table and the top-level forms of the text: one row for each list
+    written, and every node located."""
+    stack: List[tuple] = []  # enclosing lists: (children, offset of '(')
+    items: list = []         # the open list's children; the forms at top level
+    rows: list = []
     start, at = 0, _SKIP.match(text).end()
     while True:
         for m in _FAST.finditer(text, at):
             tok, pos = m[1], m.start()
             c = tok[0]
             if c == "(":
-                stack.append((items, keys, start))
-                items, keys, start = [], [], pos
+                stack.append((items, start))
+                items, start = [], pos
             elif c == ")":
                 if not stack:
                     raise _error("unmatched ')'", text, pos)
-                sid = sids.setdefault(tuple(keys), len(sids))
-                node = SList(tuple(items), sid, start, text)
-                items, keys, start = stack.pop()
-                items.append(node)
-                keys.append(sid)
+                row = Row(len(rows), start, text)
+                rows.append(tuple(items))
+                items, start = stack.pop()
+                items.append(row)
             elif c in "{}" and len(tok) == 1:
                 break
             else:
                 items.append(Sym(tok, pos, text))
-                keys.append(tok)
         else:
             break
         # A stray brace: the symbol that holds it, from the prefix the
         # pattern read up to the brace, is read a character at a time.
-        if items and type(items[-1]) is Sym and items[-1].pos + len(keys[-1]) == pos:
+        if items and type(items[-1]) is Sym and items[-1].pos + len(items[-1]) == pos:
             pos = items.pop().pos
-            keys.pop()
         at = _symbol_end(text, pos)
         items.append(Sym(text[pos:at], pos, text))
-        keys.append(text[pos:at])
         at = _SKIP.match(text, at).end()
     if stack:
         raise _error("unclosed '('", text, start)
     if not items:
         raise _error("empty input", text, 0)
-    return items
+    return rows, items
 
 
-def parse_one(text: str) -> SNode:
-    """The one form in the text, read without locations; text that is not
-    one form, or holds a stray brace, is read again by `parse_all`."""
-    stack: List[tuple] = []  # enclosing lists: (items, keys)
-    items, keys, sids = [], [], {}
+def parse_one(text: str) -> tuple:
+    """The table and the root of the one form in the text, read without
+    locations: one row for each distinct list.  Text that is not one form,
+    or holds a stray brace, is read again by `parse_all`."""
+    stack: List[list] = []   # the enclosing lists' children
+    items: list = []         # the open list's children; the forms at top level
+    sids: dict = {}          # a distinct list's children -> its row
     for tok in _FAST.findall(text, _SKIP.match(text).end()):
-        c = tok[0]
-        if c == "(":
-            stack.append((items, keys))
-            items, keys = [], []
-        elif c == ")":
+        if tok == "(":
+            stack.append(items)
+            items = []
+        elif tok == ")":
             if not stack:
                 break
-            sid = sids.setdefault(tuple(keys), len(sids))
-            node = SList(tuple(items), sid)
-            items, keys = stack.pop()
-            items.append(node)
-            keys.append(sid)
-        elif c in "{}" and len(tok) == 1:
+            sid = sids.setdefault(tuple(items), len(sids))
+            items = stack.pop()
+            items.append(sid)
+        elif tok == "{" or tok == "}":
             break
         else:
             items.append(tok)
-            keys.append(tok)
     else:
         if not stack and len(items) == 1:
-            return items[0]
-    forms = parse_all(text)
+            return list(sids), items[0]
+    rows, forms = parse_all(text)
     if len(forms) != 1:
         raise SexprError("expected exactly one form", forms[1].line, forms[1].col)
-    return forms[0]
+    return rows, forms[0]

@@ -24,10 +24,11 @@ at every candidate, draw every quantifier's candidates from the eager
 enumerator, and keep nothing between candidates.  `fn_apply` freshens an
 abstraction element's binder at every application that could clash, the
 reference for `semantics.fn_apply`, which freshens only a renamed binder.
-`flat` prints a reader node, the reference for `nomhol.sexpr`'s structural
-ids: two lists of one read share a sid exactly when they print the same.
-`_parse_chars` reads a text one character at a time, the reference for
-`sexpr.parse_all`: the same trees, sids, and located errors.
+`flat` prints a reader node through its table, the reference for the table
+of `sexpr.parse_one`: no two of its rows print the same.  `_parse_chars`
+reads a text one character at a time, the reference for `sexpr.parse_all`:
+the same table of one row per list written, the same located nodes, and
+the same located errors.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV, RenElem,
                               abstract_atoms, as_atom, as_bool, as_ren,
                               default_window, merge_ren_tuple, mk_ren,
                               pmss_window, supp, supp_sem)
-from nomhol.sexpr import SList, SNode, Sym, _error
+from nomhol.sexpr import Row, Sym, _error
 
 from spec import extend, updated
 
@@ -301,11 +302,12 @@ def enumerate_ground(sig: PnlSignature, sort, atoms, depth: int):
     return go(sort, depth)
 
 
-def flat(node: SNode) -> str:
-    """A reader node printed on one line, single spaces between items."""
+def flat(rows: list, node) -> str:
+    """A reader node printed on one line through its table `rows`, single
+    spaces between items."""
     if isinstance(node, str):
         return str(node)
-    return "(" + " ".join(flat(x) for x in node.items) + ")"
+    return "(" + " ".join(flat(rows, x) for x in rows[node]) + ")"
 
 
 def _tokens(text: str) -> Iterator[tuple]:
@@ -339,35 +341,30 @@ def _tokens(text: str) -> Iterator[tuple]:
             yield "sym", text[start:i], start
 
 
-def _parse_chars(text: str) -> List[SNode]:
-    """`parse_all`, one character at a time: the same trees, and the located
-    error for text that is not a sequence of forms."""
-    stack: List[tuple] = []  # open lists: (items, keys of items, offset)
-    sids: dict = {}
-    out: List[SNode] = []
+def _parse_chars(text: str) -> tuple:
+    """`parse_all`, one character at a time: the same table and forms, and
+    the located error for text that is not a sequence of forms."""
+    stack: List[tuple] = []  # open lists: (items, offset)
+    rows: list = []
+    out: list = []
     for kind, tok, pos in _tokens(text):
         if kind == "(":
-            stack.append(([], [], pos))
+            stack.append(([], pos))
             continue
         if kind == ")":
             if not stack:
                 raise _error("unmatched ')'", text, pos)
-            items, keys, start = stack.pop()
-            key = sids.setdefault(tuple(keys), len(sids))
-            node = SList(tuple(items), key, start, text)
+            items, start = stack.pop()
+            rows.append(tuple(items))
+            node = Row(len(rows) - 1, start, text)
         else:
-            key = tok
             node = Sym(tok, pos, text)
-        if stack:
-            stack[-1][0].append(node)
-            stack[-1][1].append(key)
-        else:
-            out.append(node)
+        (stack[-1][0] if stack else out).append(node)
     if stack:
-        raise _error("unclosed '('", text, stack[-1][2])
+        raise _error("unclosed '('", text, stack[-1][1])
     if not out:
         raise _error("empty input", text, 0)
-    return out
+    return rows, out
 
 
 # ---------------------------------------------------------------------------

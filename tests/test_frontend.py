@@ -18,8 +18,8 @@ from nomhol.corpus import SIG
 from nomhol.hol import alphabeta_eq
 from nomhol.kernel import Node, Sequent
 from nomhol.pnl import alpha_eq
-from nomhol.semantics import mk_ren, ren_eq
-from nomhol.sexpr import SexprError, SList, Sym, parse_all, parse_one
+from nomhol.semantics import Valuation, mk_ren, ren_eq
+from nomhol.sexpr import SexprError, Row, Sym, parse_all, parse_one
 from nomhol.translate import translate, translate_derivation, translate_signature
 
 import oracles
@@ -71,12 +71,12 @@ def test_reader_reports_locations():
 
 
 def test_reader_brace_tokens():
-    node = parse_one("(all X{iota;perm(+{nu@0}-{});3} bot)")
-    assert node.items[1] == "X{iota;perm(+{nu@0}-{});3}" and type(node.items[1]) is str
+    rows, node = parse_one("(all X{iota;perm(+{nu@0}-{});3} bot)")
+    assert rows[node][1] == "X{iota;perm(+{nu@0}-{});3}" and type(rows[node][1]) is str
 
 
 def test_reader_comments_and_multiple_forms():
-    forms = parse_all("; a comment\nnu@0 nu@1 ; trailing\n")
+    _, forms = parse_all("; a comment\nnu@0 nu@1 ; trailing\n")
     assert forms == ["nu@0", "nu@1"] and all(type(f) is Sym for f in forms)
     assert [(f.line, f.col) for f in forms] == [(2, 1), (2, 6)]
 
@@ -196,6 +196,30 @@ def test_section_errors_exit_2(tmp_path, capsys):
     f.write_text("(sig (name-sorts nu\n  7) (base-sorts iota))")
     assert cli("infer-d", "--sig", str(f), p("term_basic.sexp")) == 2
     assert capsys.readouterr().err == "error: 2:3: bad sort name 7\n"
+
+
+# A message that quotes a list prints its text as written, single-spaced:
+# never the row that stands for the list in the reader's table.
+QUOTE_ERRORS = [
+    # (argv before the file, text, stderr)
+    (["translate"], "(imp bot (foo (bar  baz) qux))",
+     "error: 1:10: unrecognized proposition (foo (bar baz) qux)\n"),
+    (["normalize"], "(app (lam ((x y)) bot) bot)",
+     "error: 1:11: expected a variable, got ((x y))\n"),
+    (["infer-d", "--sig"], f"{_SIG}\n  (term var (foo  (nu)) iota))",
+     "error: 2:13: expected a sort, got (foo (nu))\n"),
+    (["normalize"], "(const g_P (-> (foo  bar) o))",
+     "error: 1:16: expected a type, got (foo bar)\n"),
+]
+
+
+@pytest.mark.parametrize("argv,text,err", QUOTE_ERRORS)
+def test_messages_quote_a_list_as_written(tmp_path, capsys, argv, text, err):
+    f = tmp_path / "x.sexp"
+    f.write_text(text)
+    files = [str(f), p("term_basic.sexp")] if argv[-1] == "--sig" else [str(f)]
+    assert cli(*argv, *files) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 # A valuation entry or a renaming move given twice is an error at the second
@@ -347,20 +371,21 @@ _MALFORMED = st.builds(
 
 
 def _reading(parse, text):
-    """(kind, text or sid, line, col) of every node in preorder, or the
-    error's (message, line, col)."""
+    """(kind, text or row, line, col) of every node in preorder, and the
+    size of the table, or the error's (message, line, col)."""
     try:
-        stack, out = list(reversed(parse(text))), []
+        rows, forms = parse(text)
     except SexprError as e:
         return e.message, e.line, e.col
+    stack, out = list(reversed(forms)), []
     while stack:
         n = stack.pop()
-        if isinstance(n, SList):
-            out.append(("list", n.sid, n.line, n.col))
-            stack.extend(reversed(n.items))
+        if type(n) is Row:
+            out.append(("list", int(n), n.line, n.col))
+            stack.extend(reversed(rows[n]))
         else:
             out.append(("sym", str(n), n.line, n.col))
-    return out
+    return out, len(rows)
 
 
 @settings(max_examples=400, deadline=None)
@@ -409,42 +434,32 @@ _TEXTS = st.builds(lambda forms, gap: gap.join(forms),
                             max_size=3), _GAPS)
 
 
-def _slists(forms):
-    stack, out = list(forms), []
-    while stack:
-        n = stack.pop()
-        if isinstance(n, SList):
-            out.append(n)
-            stack.extend(n.items)
-    return out
-
-
 @settings(max_examples=300, deadline=None)
 @given(_TEXTS)
 def test_sid_is_the_printed_form(text):
-    """Two lists of one parse_all share a sid exactly when they print the
-    same; equality and hashing ignore the sid."""
-    lists = _slists(parse_all(text))
-    pairs = {(n.sid, flat(n)) for n in lists}
-    assert len(pairs) == len({s for s, _ in pairs}) == len({f for _, f in pairs})
-    for n in lists:
-        other = SList(n.items, n.sid + 1, n.pos, n.src)
-        assert other == n and hash(other) == hash(n) and repr(other) == repr(n)
+    """parse_one's table holds each list that the text writes, and no two of
+    its rows print the same; a row's lists are rows that close before it."""
+    text = f"(top {text}\n)"
+    rows, _ = parse_one(text)
+    prints = [flat(rows, i) for i in range(len(rows))]
+    assert len(set(prints)) == len(prints)
+    written, _ = parse_all(text)
+    assert set(prints) == {flat(written, i) for i in range(len(written))}
+    assert all(type(x) is str or x < i for i, row in enumerate(rows) for x in row)
 
 
 # --- the reader without locations -------------------------------------------
 
-def _tree(node):
-    """A node's symbols as their text and its lists as (sid, items)."""
+def _tree(rows, node):
+    """A node expanded through its table: a symbol as its text, a list as
+    the tuple of its children."""
     if isinstance(node, str):
         return str(node)
-    return node.sid, tuple(map(_tree, node.items))
+    return tuple(_tree(rows, x) for x in rows[node])
 
 
-def _unlocated(node) -> bool:
-    if isinstance(node, str):
-        return type(node) is str
-    return node.pos is None and node.src is None and all(map(_unlocated, node.items))
+def _unlocated(rows, node) -> bool:
+    return all(type(x) in (str, int) for row in [(node,), *rows] for x in row)
 
 
 def _read_or_error(parse, text):
@@ -461,28 +476,54 @@ def _read_or_error(parse, text):
 @example("(a) ; b")
 @example("(a) ;)\n")
 def test_parse_one_agrees_with_parse_all(text):
-    """parse_one reads one form as parse_all does: the same shape, symbols
-    and sids, with no locations.  It reads the text again with parse_all
-    exactly where parse_all raises, reads a deep-brace symbol or finds other
-    than one form, and then gives parse_all's form or error."""
+    """parse_one reads one form as parse_all does: the same tree, expanded
+    through each table, with no locations.  It reads the text again with
+    parse_all exactly where parse_all raises, reads a deep-brace symbol or
+    finds other than one form, and then gives parse_all's form or error."""
     scans, reads = [], []
     with pytest.MonkeyPatch.context() as m:
         scan, read = sexpr._symbol_end, sexpr.parse_all
         m.setattr(sexpr, "_symbol_end", lambda t, i: scans.append(i) or scan(t, i))
         forms = _read_or_error(parse_all, text)
-        again = isinstance(forms, SexprError) or bool(scans) or len(forms) != 1
+        again = isinstance(forms, SexprError) or bool(scans) or len(forms[1]) != 1
         m.setattr(sexpr, "parse_all", lambda t: reads.append(t) or read(t))
         fast = _read_or_error(parse_one, text)
     assert reads == ([text] if again else [])
     if not again:
-        assert _tree(fast) == _tree(forms[0]) and _unlocated(fast)
+        (rows, root), (written, (form,)) = fast, forms
+        assert _tree(rows, root) == _tree(written, form) and _unlocated(rows, root)
     elif isinstance(forms, SexprError):
         assert (fast.message, fast.line, fast.col) == (forms.message, forms.line, forms.col)
-    elif len(forms) > 1:
+    elif len(forms[1]) > 1:
         assert (fast.message, fast.line, fast.col) == \
-            ("expected exactly one form", forms[1].line, forms[1].col)
+            ("expected exactly one form", forms[1][1].line, forms[1][1].col)
     else:
-        assert _reading(lambda t: [fast], text) == _reading(lambda t: forms, text)
+        assert _reading(lambda t: (fast[0], [fast[1]]), text) == _reading(lambda t: forms, text)
+
+
+def _pass_documents(monkeypatch, tmp_path) -> tuple:
+    """Runs one pass of each benchmark workload: the (text, kind, signature)
+    of every document it parses, and the calls' exit statuses."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import cli_parity
+    import workloads
+    docs, codes, parse = [], [], F.parse_document
+
+    def recorded(text, kind, sig=None):
+        docs.append((text, kind, sig))
+        return parse(text, kind, sig)
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "parse_document", recorded)
+        for name in ("proof", "square", "syntax"):
+            w = workloads.build(name, 5)
+            (tmp_path / name).mkdir()
+            m.chdir(tmp_path / name)
+            for f, text in w.files.items():
+                Path(f).write_text(text, encoding="utf-8")
+            codes += [cli_parity.run(c)[1] for c in w.passes[0]]
+    return docs, codes
 
 
 def test_documents_are_read_without_locations(monkeypatch, tmp_path):
@@ -491,19 +532,41 @@ def test_documents_are_read_without_locations(monkeypatch, tmp_path):
     reads = _located_reads(monkeypatch)
     for f in corpus_files():
         F.parse_document(f.read_text(), kind_of(f.name), SIG)
-    monkeypatch.syspath_prepend(str(BENCHMARKS))
-    monkeypatch.syspath_prepend(str(TOOLS))
-    import cli_parity
-    import workloads
-    codes = []
-    for name in ("proof", "square", "syntax"):
-        w = workloads.build(name, 5)
-        (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)
-        for f, text in w.files.items():
-            Path(f).write_text(text, encoding="utf-8")
-        codes += [cli_parity.run(c)[1] for c in w.passes[0]]
+    _, codes = _pass_documents(monkeypatch, tmp_path)
     assert reads == [] and len(codes) > 100 and 0 in codes
+
+
+def _parsed(kind, sig, rows, node):
+    """The value of the given kind parsed from a reading, or "error"."""
+    hsig = translate_signature(sig).target if kind in ("hol", "deriv-hol") else None
+    try:
+        value = F.KINDS[kind][0](F.Reading(rows, sig, hsig), node)
+    except (F._Unlocated, F.ParseError):
+        return "error"
+    return value.assignments if isinstance(value, Valuation) else value
+
+
+def test_the_located_reading_is_the_fast_readings_oracle(monkeypatch, tmp_path):
+    """Every corpus file, read as its kind, a proposition, and every document
+    that one pass of each benchmark workload parses, every kind among them:
+    the value parsed from parse_all's reading, one row per list written,
+    equals the value parsed from parse_one's, one row per distinct list."""
+    docs = [(f.read_text(), kind_of(f.name), SIG) for f in corpus_files()]
+    docs += [((CORPUS / "prop_basic.sexp").read_text(), "prop", SIG)]
+    docs += _pass_documents(monkeypatch, tmp_path)[0]
+    values, old = 0, sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)   # == on the deepest syntax terms takes frames per level
+    try:
+        for text, kind, sig in docs:
+            rows, root = parse_one(text)
+            written, forms = parse_all(text)
+            assert len(forms) == 1 and len(written) >= len(rows), text
+            value = _parsed(kind, sig, rows, root)
+            assert _parsed(kind, sig, written, forms[0]) == value, text
+            values += value != "error"
+    finally:
+        sys.setrecursionlimit(old)
+    assert values > 200 and {k for _, k, _ in docs} == F.KINDS.keys()
 
 
 # --- one object per distinct formula ----------------------------------------
@@ -518,16 +581,16 @@ def _sequent_formulas(tree):
 
 def _read_sharing(monkeypatch, text, kind):
     """Parse a derivation, recording every call of parse_term, parse_prop
-    and parse_hol by its form's memo key, (category, sid of a list or text
-    of a symbol): the ids of the objects returned, one per call, and how
-    often the form was parsed rather than found in the memo."""
+    and parse_hol by (category, node), the node a row or a symbol's text:
+    the ids of the objects returned, one per call, and how often the form
+    was parsed rather than found in the category's memo."""
     returned, parsed, held = defaultdict(list), Counter(), []
 
     def spy(real, category):
         def counted(*args):
-            *_, node, memo = args
-            key = (category, node.sid if isinstance(node, SList) else node)
-            if key not in memo:
+            r, node = args
+            key = (category, node)
+            if node not in getattr(r, category):
                 parsed[key] += 1
             x = real(*args)
             returned[key].append(id(x))
@@ -581,8 +644,8 @@ def test_repeated_formulas_are_one_object(monkeypatch, tmp_path, capsys):
 def test_each_distinct_form_is_one_object(monkeypatch):
     """A benchmark proof document, as deriv-pnl and translated as deriv-hol:
     every call of the term, proposition and formula parsers returns one
-    object per (category, sid), each parsed once; the document holds more
-    than three lists per list parsed."""
+    object per (category, node), each parsed once; the document writes
+    more than three lists, rows of parse_all's table, per list parsed."""
     text = _proof_document(monkeypatch)
     translated = translate_derivation(ENV, F.parse_document(text, "deriv-pnl", SIG))
     docs = [(text, "deriv-pnl"), (F.render_derivation(translated.tree), "deriv-hol")]
@@ -591,7 +654,7 @@ def test_each_distinct_form_is_one_object(monkeypatch):
         assert all(len(set(ids)) == 1 for ids in returned.values()), kind
         assert set(parsed.values()) == {1} and parsed.keys() == returned.keys(), kind
         lists = [key for key in parsed if isinstance(key[1], int)]
-        assert len(_slists([parse_one(doc)])) > 3 * len(lists), kind
+        assert len(parse_all(doc)[0]) > 3 * len(lists), kind
         formulas = {id(phi) for phi in _sequent_formulas(tree)}
         assert len(lists) > 2 * len(formulas), kind  # subterms are shared too
 
@@ -782,7 +845,8 @@ def test_every_printable_class_round_trips():
             # k is no constant of the signature's translation: read it
             # under a signature that declares it as well
             hsig = H.HolSignature({**ENV.target.constants, "k": value.type})
-            assert F.KINDS[kind][0](SIG, hsig, parse_one(text)) == value, text
+            rows, node = parse_one(text)
+            assert F.KINDS[kind][0](F.Reading(rows, SIG, hsig), node) == value, text
         else:
             assert F.parse_document(text, kind, SIG) == value, text
 

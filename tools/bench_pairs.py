@@ -12,8 +12,11 @@ run it prints one line; at the end, for every end-to-end metric that
 the pairs the change wins (ties count for neither), the change's gain
 (positive when better) as a share of the parent's median, and whether the
 change's median is worse than the parent's by more than the metric's
-`bound`, as the same share.  Failed calls are reported as a share of the
-calls attempted.  Exits 1 if any run is not `correct: true` or prints no
+`bound`, as the same share.  The last column says whether the pairs bear
+a claimed gain (`claim_holds`): the change wins at least 9 of 10 pairs, and
+its median is better than the parent's by more than the parent's
+interquartile range.  Failed calls are reported as a share of the calls
+attempted.  Exits 1 if any run is not `correct: true` or prints no
 result.  Standard library only.
 """
 
@@ -51,6 +54,16 @@ def quartiles(xs: list) -> tuple:
     return q1, q2, q3
 
 
+def claim_holds(pairs: list, higher: bool) -> bool:
+    """Whether (parent, change) pairs of a metric bear a claimed gain: the
+    change wins at least nine in ten pairs, and its median is better than
+    the parent's by more than the distance between the parent's quartiles."""
+    p, c = (quartiles([pair[k] for pair in pairs]) for k in (0, 1))
+    wins = sum((y > x) if higher else (y < x) for x, y in pairs)
+    gain = c[1] - p[1] if higher else p[1] - c[1]
+    return 10 * wins >= 9 * len(pairs) and gain > p[2] - p[0]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
@@ -84,7 +97,8 @@ def main() -> int:
         attempted = sum(r.get("attempted", 0) for r in results[side])
         print(f"  {side}: failed {failed}/{attempted} calls")
     print(f"  {'metric':<16} {'parent median (q1-q3)':>28} "
-          f"{'change median (q1-q3)':>28} {'wins':>6} {'gain':>8} {'bound':>6}")
+          f"{'change median (q1-q3)':>28} {'wins':>6} {'gain':>8} {'bound':>6} "
+          f"{'':>5} claim")
     for d in declared:
         name, higher = d["name"], d["better"] == "higher"
         pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
@@ -98,9 +112,10 @@ def main() -> int:
         worse = (p[1] - c[1] if higher else c[1] - p[1]) / p[1] if p[1] else 0.0
         flag = "WORSE" if worse > d["bound"] else "ok"
         spread = [f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})" for q in (p, c)]
+        claim = "yes" if claim_holds(pairs, higher) else "no"
         print(f"  {name:<16} {spread[0]:>28} {spread[1]:>28} "
               f"{wins:>3}/{len(pairs):<2} {-worse:>+8.1%} "
-              f"{d['bound']:>6g} {flag}")
+              f"{d['bound']:>6g} {flag:<5} {claim}")
     if not correct:
         print("  a run was not correct", file=sys.stderr)
     return 0 if correct else 1
