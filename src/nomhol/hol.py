@@ -297,34 +297,32 @@ def _fresh_var_like(v: HolVar, avoid: frozenset) -> HolVar:
 
 def hol_subst_parallel(t: HolTerm, mapping: Mapping[HolVar, HolTerm]) -> HolTerm:
     mapping = {v: u for v, u in mapping.items() if u != Var(v)}
-    if not mapping:
-        return t
+    return _subst(t, mapping) if mapping else t
 
-    def go(t, mapping):
-        match t:
-            case Var(v):
-                return mapping.get(v, t)
-            case Const(_, _):
+
+def _subst(t: HolTerm, mapping: dict) -> HolTerm:
+    match t:
+        case Var(v):
+            return mapping.get(v, t)
+        case Const(_, _):
+            return t
+        case App(fn, arg):
+            return App(_subst(fn, mapping), _subst(arg, mapping))
+        case HTup(items):
+            return HTup(tuple(_subst(r, mapping) for r in items))
+        case Lam(v, body):
+            inner = {w: u for w, u in mapping.items() if w != v}
+            inner = {w: u for w, u in inner.items() if w in fv(body)}
+            if not inner:
                 return t
-            case App(fn, arg):
-                return App(go(fn, mapping), go(arg, mapping))
-            case HTup(items):
-                return HTup(tuple(go(r, mapping) for r in items))
-            case Lam(v, body):
-                inner = {w: u for w, u in mapping.items() if w != v}
-                inner = {w: u for w, u in inner.items() if w in fv(body)}
-                if not inner:
-                    return t
-                danger = frozenset().union(*(fv(u) for u in inner.values()))
-                if v in danger:
-                    avoid = danger | fv(body) | frozenset(inner)
-                    v2 = _fresh_var_like(v, avoid)
-                    inner[v] = Var(v2)
-                    return Lam(v2, go(body, inner))
-                return Lam(v, go(body, inner))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, mapping)
+            danger = frozenset().union(*(fv(u) for u in inner.values()))
+            if v in danger:
+                avoid = danger | fv(body) | frozenset(inner)
+                v2 = _fresh_var_like(v, avoid)
+                inner[v] = Var(v2)
+                return Lam(v2, _subst(body, inner))
+            return Lam(v, _subst(body, inner))
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------

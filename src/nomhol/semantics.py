@@ -13,10 +13,10 @@ value of its translation under the lifted valuation.  Each evaluation call
 compiles its input once into closures and then runs them for every
 quantifier candidate: clause tables become matchers that try their clauses
 in order, quantified unknowns become slots, lambda bodies read their bound
-variables by position, and each (sort, window, depth) pool of candidates is
-drawn once per call and replayed.  A matcher keeps nothing about a
-candidate: it walks the candidate's free atoms whenever it tests a
-permission set.
+variables by position, and each (sort, window, depth) pool of candidates,
+one term per alpha-class, is drawn once per call and replayed.  A matcher
+keeps nothing about a candidate: it walks the candidate's free atoms
+whenever it tests a permission set.
 """
 
 from __future__ import annotations
@@ -560,39 +560,53 @@ def _tuples(pools):
 
 
 def enumerate_ground(sig: PnlSignature, sort, atoms, depth: int):
-    """All ground terms of the sort over the atom window, with former nesting
-    bounded by depth (abstraction binders may use one extra fresh atom),
-    generated one at a time in a fixed order.  The sub-pools walked once per
-    term of an enclosing slot (a tuple's later slots, an abstraction's body)
-    are recorded as `_Pool`s."""
-    atoms = list(atoms)
+    """One ground term per alpha-class of the sort over the atom window, with
+    former nesting bounded by depth (abstraction binders may use one extra
+    fresh atom), generated one at a time in a fixed order.  A tuple's later
+    slots, walked once per term of the slots before them, are recorded as
+    `_Pool`s.
 
-    def go(s, d):
-        match s:
-            case NameSort(n):
-                yield from (AtomT(a) for a in atoms if a.sort == n)
-            case BaseSort(b):
-                if d > 0:
-                    for f in sorted(sig.term_formers):
-                        arg, res = sig.term_formers[f]
-                        if res == b:
-                            for t in go(arg, d - 1):
-                                yield Former(f, t)
-            case TupleSort(items):
-                pools = [go(r, d) for r in items[:1]]
-                pools += [_Pool(lambda r=r: go(r, d)) for r in items[1:]]
-                yield from map(Tup, _tuples(pools))
-            case AbsSort(n, body):
-                binders = [a for a in atoms if a.sort == n]
-                binders += fresh_atoms([n], binders)
-                bodies = _Pool(lambda: go(body, d))
+    Formers and tuples of representatives are representatives.  For a
+    window atom a, the window terms alpha-equal to [a]t are the [b](a b).t
+    with b = a or b a window atom not free in t, and which of them to keep
+    depends only on the free atoms of t, so no term is keyed.  Each body t
+    yields [f]t for the fresh atom f, which stands for every binder not
+    free in t, and [a]t for each window atom a free in t that no window
+    atom before it is missing from.  Dropping the other members is sound in any model, equivariant or
+    not: the matchers compare up to alpha (`_pattern_test`), so alpha-equal
+    candidates get one value."""
+    return _ground(sig, list(atoms), sort, depth)
+
+
+def _ground(sig: PnlSignature, atoms: list, s, d: int):
+    """`enumerate_ground`'s generator, at module level: a recursive closure
+    would leave a function-cell cycle for the collector on every call."""
+    match s:
+        case NameSort(n):
+            yield from (AtomT(a) for a in atoms if a.sort == n)
+        case BaseSort(b):
+            if d > 0:
+                for f in sorted(sig.term_formers):
+                    arg, res = sig.term_formers[f]
+                    if res == b:
+                        for t in _ground(sig, atoms, arg, d - 1):
+                            yield Former(f, t)
+        case TupleSort(items):
+            pools = [_ground(sig, atoms, r, d) for r in items[:1]]
+            pools += [_Pool(lambda r=r: _ground(sig, atoms, r, d)) for r in items[1:]]
+            yield from map(Tup, _tuples(pools))
+        case AbsSort(n, body):
+            binders = [a for a in atoms if a.sort == n]
+            fresh, = fresh_atoms([n], binders)
+            for t in _ground(sig, atoms, body, d):
+                yield AbsT(fresh, t)
+                free = _ground_atoms(t)
                 for a in binders:
-                    for t in bodies:
-                        yield AbsT(a, t)
-            case _:
-                raise TypeError(f"not a sort: {s!r}")
-
-    return go(sort, depth)
+                    if a not in free:
+                        break
+                    yield AbsT(a, t)
+        case _:
+            raise TypeError(f"not a sort: {s!r}")
 
 
 _DONE = object()  # the end of a generator, for next()
@@ -600,9 +614,10 @@ _DONE = object()  # the end of a generator, for next()
 
 class _Pool:
     """The terms that make() generates, drawn when a walk first needs them
-    and recorded for the walks after it.  Walks may be nested; each reads
-    the recorded prefix and draws past it.  Past POOL_LIMIT terms nothing
-    more is recorded: the first walk to get there goes on drawing, any other
+    and recorded for the walks after it.  When make() is `enumerate_ground`,
+    they are one term per alpha-class.  Walks may be nested; each reads the
+    recorded prefix and draws past it.  Past POOL_LIMIT terms nothing more
+    is recorded: the first walk to get there goes on drawing, any other
     generates the rest anew."""
 
     __slots__ = ("make", "items", "source", "done")
@@ -638,10 +653,14 @@ class _Pool:
 
 
 class _Pools:
-    """The candidate pools of one evaluation, one per (sort, window, depth).
-    `exact` drops to False once a quantifier is evaluated by bounded
-    enumeration.  Nothing here refers back to the evaluation's closures, so
-    the pools are freed as soon as the evaluation is."""
+    """The candidate pools of one evaluation, one per (sort, window, depth),
+    each holding one term per alpha-class (`enumerate_ground`).  A
+    quantifier that tries one member of a class has tried them all, in any
+    model: the matchers compare candidates up to alpha, so alpha-equal
+    candidates get one value, and no equivariance is assumed.  `exact`
+    drops to False once a quantifier is evaluated by bounded enumeration.
+    Nothing here refers back to the evaluation's closures, so the pools are
+    freed as soon as the evaluation is."""
 
     def __init__(self, sig: PnlSignature, depth: int):
         self.sig, self.depth = sig, depth

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -100,6 +101,22 @@ def test_subst_identity():
     t = Lam(a(0), App(Var(F), Var(a(0))))
     X = PlainVar(MU_NU, 0)
     assert hol_alpha_eq(hol_subst(t, X, Var(X)), t)
+
+
+def test_substitution_leaves_no_cycle_to_collect():
+    # a substituting call that renames a binder and walks a tuple must leave
+    # nothing for the cycle collector
+    X = PlainVar(MU_NU, 3)
+    t = Lam(a(0), HTup((App(Var(F), Var(X)), Var(a(0)))))
+    gc.collect()
+    gc.disable()
+    try:
+        got = hol_subst_parallel(t, {X: Var(a(0))})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert got.var != a(0) and hol_alpha_eq(got, Lam(a(1), HTup((
+        App(Var(F), Var(a(0))), Var(a(1))))))
 
 
 def test_subst_type_mismatch():

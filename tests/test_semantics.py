@@ -12,7 +12,8 @@ from nomhol import frontend as F, hol as H, semantics
 from nomhol.corpus import beta_axioms, eta_axiom, restricted_derivations
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, Bot, Former, Imp, Pred,
                         PnlSignature, Sus, Tup, TupleSort, Unknown, alpha_eq,
-                        free_atoms, free_unknowns, perm_act, subst_one)
+                        alpha_key, free_atoms, free_unknowns, perm_act,
+                        subst_one)
 from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV,
                               HerbrandModel, PredSpec, RenElem,
                               RenV, SemanticsError,
@@ -64,8 +65,10 @@ M_NONEQ = HerbrandModel(SIG, {"P": NONEQ_SPEC, "equal": EQ_SPEC})
 M_NEG = HerbrandModel(SIG, {"P": PredSpec((), 1), "equal": NEG_EQ_SPEC})
 MODELS = [M_ISVAR, M_NONEQ, M_NEG]
 
-GROUND_ALL = list(enumerate_ground(SIG, IOTA, [a(0), a(1), a(2)], 2))
-GROUND_HALF = list(enumerate_ground(SIG, IOTA, [a(0), a(-1), a(-2)], 2))
+# every term of the windows, alpha-variants included (enumerate_ground
+# yields one per alpha-class)
+GROUND_ALL = oracles.enumerate_ground(SIG, IOTA, [a(0), a(1), a(2)], 2)
+GROUND_HALF = oracles.enumerate_ground(SIG, IOTA, [a(0), a(-1), a(-2)], 2)
 
 
 def rand_val(rng):
@@ -444,7 +447,7 @@ def test_suspended_abstraction_application():
     assert ren_eq(got, RenElem(ID, app(var(3), var(2))))
 
 
-ABSTRACTIONS = list(enumerate_ground(SIG, AbsSort(NU, IOTA), WINDOW, 2))
+ABSTRACTIONS = oracles.enumerate_ground(SIG, AbsSort(NU, IOTA), WINDOW, 2)
 
 
 @settings(max_examples=400, deadline=None)
@@ -839,7 +842,7 @@ def test_term_former_constants_push_suspensions_through():
 # the proposition's own atoms; an irrelevant collapse is thrown in to
 # exercise the non-injective part of the renaming harmlessly.
 DEEP = [a(-5), a(-6), a(-7), a(-8)]
-GROUND_DEEP = list(enumerate_ground(SIG, IOTA, DEEP, 2))
+GROUND_DEEP = oracles.enumerate_ground(SIG, IOTA, DEEP, 2)
 
 
 def deep_val(rng):
@@ -1061,20 +1064,109 @@ WINDOWS = [pmss_window(p, SIG.name_sorts) for p in (PMSS_ALL, PMSS_HALF, PMSS_DO
 WINDOWS.append(default_window(SIG))
 
 
-def test_lazy_enumeration_matches_the_eager_oracle():
+def _enumeration_cases(windows):
+    """(sort, window, depth) at depth <= 3.  The eager pool of pairs at
+    depth 3 holds 0.46M-15.7M terms on windows of three or more atoms; it
+    is compared on the two-atom window only."""
     for sort in SIG_SORTS:
-        for window in WINDOWS:
+        for window in windows:
             for depth in range(4):
-                # the eager pool of pairs at depth 3 holds 0.46M-15.7M terms
-                # on windows of three or more atoms; it is compared on the
-                # two-atom window only
-                if sort == TupleSort((IOTA, IOTA)) and depth == 3 \
-                        and len(window) > 2:
-                    continue
-                got = enumerate_ground(SIG, sort, window, depth)
-                assert iter(got) is got, "not lazy"
-                assert list(got) == oracles.enumerate_ground(
-                    SIG, sort, window, depth), (sort, window, depth)
+                if sort != TupleSort((IOTA, IOTA)) or depth < 3 or len(window) <= 2:
+                    yield sort, window, depth
+
+
+def assert_one_per_class(got, sort, window, depth):
+    """The terms got hold one term of each alpha-class of the eager
+    oracle's terms, and no other."""
+    keys = [alpha_key(t) for t in got]
+    assert len(set(keys)) == len(keys), ("a class repeats", sort, window, depth)
+    want = {alpha_key(t) for t in oracles.enumerate_ground(SIG, sort, window, depth)}
+    assert set(keys) == want, (sort, window, depth)
+
+
+def test_lazy_enumeration_matches_the_eager_oracle():
+    for sort, window, depth in _enumeration_cases(WINDOWS):
+        got = enumerate_ground(SIG, sort, window, depth)
+        assert iter(got) is got, "not lazy"
+        assert_one_per_class(list(got), sort, window, depth)
+
+
+def test_enumeration_counts_the_alpha_classes():
+    window = default_window(SIG)
+    assert [sum(1 for _ in enumerate_ground(SIG, IOTA, window, depth))
+            for depth in (1, 2, 3)] == [5, 36, 1350]
+    # the terms they stand for
+    assert [len(oracles.enumerate_ground(SIG, IOTA, window, depth))
+            for depth in (1, 2, 3)] == [5, 60, 3965]
+
+
+def test_enumeration_leaves_no_cycle_to_collect():
+    sort = TupleSort((IOTA, AbsSort(NU, IOTA)))
+    gc.collect()
+    gc.disable()
+    try:
+        drawn = sum(1 for _ in enumerate_ground(SIG, sort, WINDOW, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert drawn == 36 * 49
+
+
+def rename_binders(rng, x, atoms=(*WINDOW, a(3), a(7))):
+    """An alpha-variant of the ground term x: each binder, innermost first,
+    moved to a random atom of `atoms` that is not free in its abstraction."""
+    t = type(x)
+    if t is Former:
+        return Former(x.name, rename_binders(rng, x.arg, atoms))
+    if t is Tup:
+        return Tup(tuple(rename_binders(rng, r, atoms) for r in x.items))
+    if t is AbsT:
+        body = rename_binders(rng, x.body, atoms)
+        free = supp(AbsT(x.atom, body))
+        b = rng.choice([c for c in atoms if c not in free])
+        return AbsT(b, body if b == x.atom else perm_act(Perm.swap(x.atom, b), body))
+    return x
+
+
+# every term of depth 3 inside X0's permission set (GROUND_HALF: of depth
+# 2 inside X1's)
+VARIANTS_ALL = oracles.enumerate_ground(SIG, IOTA, WINDOW, 3)
+Y0 = Unknown(IOTA, PMSS_ALL, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(VARIANTS_ALL) - 1), st.integers(0, len(VARIANTS_ALL) - 1),
+       st.booleans(), st.integers(0, len(GROUND_HALF) - 1),
+       st.integers(0, 2**32 - 1))
+def test_alpha_equal_candidates_get_one_value(i, j, same, k, seed):
+    # enumerate_ground drops every alpha-variant of the candidates it
+    # yields: sound only if no model tells alpha-variants apart.  A term is
+    # often paired with itself, so that the two sides of a pair are
+    # renamed apart.
+    rng = random.Random(seed)
+    x, y, z = VARIANTS_ALL[i], VARIANTS_ALL[i if same else j], GROUND_HALF[k]
+    x2, y2, z2 = (rename_binders(rng, r) for r in (x, y, z))
+    assert alpha_eq(x, x2) and alpha_eq(y, y2) and alpha_eq(z, z2)
+    for model in MODELS:
+        for name, spec in model.preds.items():
+            arg, arg2 = (x, x2) if name == "P" else (Tup((x, y)), Tup((x2, y2)))
+            apply = compile_spec(spec)
+            assert apply(arg) == apply(arg2), (name, arg, arg2)
+    val = Valuation({X0: x, Y0: y, X1: z})
+    val2 = Valuation({X0: x2, Y0: y2, X1: z2})
+    eq = lambda s, t: Pred("equal", Tup((s, t)))
+    phis = [Pred("P", Sus(rand_perm(rng), X0)), eq(Sus.of(X0), Sus.of(Y0)),
+            eq(Sus(rand_perm(rng), X0), Sus.of(X1)),
+            *(rand_prop(rng, 3) for _ in range(2))]
+    for model in MODELS:
+        for phi in phis:
+            assert eval_pnl_prop(model, val, phi, 1) == \
+                eval_pnl_prop(model, val2, phi, 1), (phi, x2, y2, z2)
+            ctx = d_for(phi)
+            if capture_check(ctx, phi):
+                t = translate(ENV, ctx, phi)
+                assert eval_hol(model, lift_valuation(val, SIG), t, 1) == \
+                    eval_hol(model, lift_valuation(val2, SIG), t, 1), (phi, x2, y2, z2)
 
 
 def _quantified_cases(rng):
@@ -1184,7 +1276,7 @@ def test_predicate_values_outlive_their_evaluation():
     gc.collect()
     # atoms outside WIDE: a pair of fresh terms is an instance of EQ_SPEC
     # only when the term is closed
-    fresh = list(enumerate_ground(SIG, IOTA, [Atom(NU, i) for i in range(50, 53)], 3))
+    fresh = oracles.enumerate_ground(SIG, IOTA, [Atom(NU, i) for i in range(50, 53)], 3)
     verdicts = []
     for x in fresh:
         y = Tup((x, x))
@@ -1287,13 +1379,13 @@ def test_pools_and_supports_are_built_once_per_evaluation(monkeypatch):
 
 
 def test_pools_past_the_limit_are_drawn_anew(monkeypatch):
-    # past depth 1 the pools of the oracle cases, and the sub-pools that
-    # enumerate_ground replays at depth 2, outgrow a limit of 7 terms
+    # past depth 1 the pools of the oracle cases, and the later slots of
+    # pairs that enumerate_ground replays from depth 2, outgrow a limit of
+    # 7 terms
     monkeypatch.setattr(semantics, "POOL_LIMIT", 7)
-    for sort in SIG_SORTS:
-        for depth in range(3):
-            assert list(enumerate_ground(SIG, sort, WINDOWS[0], depth)) == \
-                oracles.enumerate_ground(SIG, sort, WINDOWS[0], depth)
+    for sort, window, depth in _enumeration_cases(WINDOWS[:1]):
+        assert_one_per_class(list(enumerate_ground(SIG, sort, window, depth)),
+                             sort, window, depth)
     for model in MODELS:
         for phi, val, depth in _oracle_cases()[::3]:
             assert eval_pnl_prop(model, val, phi, depth) == \

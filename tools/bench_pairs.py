@@ -16,8 +16,17 @@ change's median is worse than the parent's by more than the metric's
 a claimed gain (`claim_holds`): the change wins at least 9 of 10 pairs, and
 its median is better than the parent's by more than the parent's
 interquartile range.  Failed calls are reported as a share of the calls
-attempted.  Exits 1 if any run is not `correct: true` or prints no
-result.  Standard library only.
+attempted.
+
+run.py divides every time by the host's speed, which it measures with a
+probe during the run (`host_speed` in its `details:` line).  A change in
+that scale moves every time-based metric alike, whatever the code does, so
+each run's line also gives its `host_speed`, and a second table gives the
+medians, wins and gains of `host_speed` (lower is faster) and of the raw
+metrics, the times as measured.
+
+Exits 1 if any run is not `correct: true` or prints no result.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -30,21 +39,33 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+DETAILS = "details: "
+
+
+def read_run(stdout: str) -> dict:
+    """The JSON object that the last line of run.py's stdout holds, with
+    the one its `details:` line holds under "details" ({} when there is no
+    such line); {"correct": False, "details": {}} when there is no
+    last-line object."""
+    lines = stdout.strip().splitlines()
+    try:
+        got = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"correct": False, "details": {}}
+    got["details"] = next((json.loads(line[len(DETAILS):]) for line in lines
+                           if line.startswith(DETAILS)), {})
+    return got
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON object that the last line of run.py's stdout holds, or
-    {"correct": False} when there is none."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+    got = read_run(proc.stdout)
+    if "metrics" not in got:
         sys.stderr.write(proc.stdout + proc.stderr)
-        return {"correct": False}
+    return got
 
 
 def quartiles(xs: list) -> tuple:
@@ -62,6 +83,22 @@ def claim_holds(pairs: list, higher: bool) -> bool:
     wins = sum((y > x) if higher else (y < x) for x, y in pairs)
     gain = c[1] - p[1] if higher else p[1] - c[1]
     return 10 * wins >= 9 * len(pairs) and gain > p[2] - p[0]
+
+
+def paired(results: dict, value) -> list:
+    """(parent, change) pairs of value(run), where both runs have one."""
+    return [(x, y) for x, y in ((value(a), value(b)) for a, b in
+                                zip(results["parent"], results["change"]))
+            if x is not None and y is not None]
+
+
+def compare(pairs: list, higher: bool) -> tuple:
+    """Each side's median (q1-q3) as text, the pairs the change wins, and
+    how much worse the change's median is, as a share of the parent's."""
+    p, c = (quartiles([pair[k] for pair in pairs]) for k in (0, 1))
+    wins = sum((y > x) if higher else (y < x) for x, y in pairs)
+    worse = (p[1] - c[1] if higher else c[1] - p[1]) / p[1] if p[1] else 0.0
+    return [f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})" for q in (p, c)], wins, worse
 
 
 def main() -> int:
@@ -87,6 +124,7 @@ def main() -> int:
             m = got.get("metrics", {})
             print(f"pair {i + 1} seed {seed} {side}: correct {got.get('correct')}, "
                   f"failed {got.get('failed')}/{got.get('attempted')}, "
+                  f"host_speed {got['details'].get('host_speed', float('nan')):.4f}, "
                   + ", ".join(f"{d['name']} {m[d['name']]['value']:.4g}"
                               for d in declared if d["name"] in m), flush=True)
 
@@ -101,21 +139,28 @@ def main() -> int:
           f"{'':>5} claim")
     for d in declared:
         name, higher = d["name"], d["better"] == "higher"
-        pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
-                 for a, b in zip(results["parent"], results["change"])
-                 if name in a.get("metrics", {}) and name in b.get("metrics", {})]
+        pairs = paired(results, lambda r: r.get("metrics", {}).get(name, {}).get("value"))
         if not pairs:
             print(f"  {name:<16} missing")
             continue
-        p, c = (quartiles([pair[k] for pair in pairs]) for k in (0, 1))
-        wins = sum((y > x) if higher else (y < x) for x, y in pairs)
-        worse = (p[1] - c[1] if higher else c[1] - p[1]) / p[1] if p[1] else 0.0
+        spread, wins, worse = compare(pairs, higher)
         flag = "WORSE" if worse > d["bound"] else "ok"
-        spread = [f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})" for q in (p, c)]
         claim = "yes" if claim_holds(pairs, higher) else "no"
         print(f"  {name:<16} {spread[0]:>28} {spread[1]:>28} "
               f"{wins:>3}/{len(pairs):<2} {-worse:>+8.1%} "
               f"{d['bound']:>6g} {flag:<5} {claim}")
+    print("  raw, not divided by host_speed (how many times slower than the "
+          "reference the host ran):")
+    rows = [("host_speed", False, lambda r: r["details"].get("host_speed"))]
+    rows += [(d["name"], d["better"] == "higher",
+              lambda r, name=d["name"]: r["details"].get("raw", {}).get(name))
+             for d in declared]
+    for name, higher, value in rows:
+        pairs = paired(results, value)
+        if pairs:
+            spread, wins, worse = compare(pairs, higher)
+            print(f"  {name:<16} {spread[0]:>28} {spread[1]:>28} "
+                  f"{wins:>3}/{len(pairs):<2} {-worse:>+8.1%}")
     if not correct:
         print("  a run was not correct", file=sys.stderr)
     return 0 if correct else 1
