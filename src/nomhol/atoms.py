@@ -4,6 +4,8 @@ Atoms are pure values (name-sort, integer index); negative indices form the
 downward half of the atom universe, non-negative indices the upward half.
 A permission set (downward half ∪ plus) \\ minus is the co-infinite atom set
 with excluded = minus and included = plus; `permission_set` builds one.
+Each value prints as the reader writes it (see `frontend`); a finite atom
+set, which no document writes, prints as {nu@0,nu@1}.
 """
 
 from __future__ import annotations
@@ -81,17 +83,12 @@ class CofinAtomSet:
         exc = self.excluded | {a for a in removed if a.index < 0}
         return CofinAtomSet.cofin(exc, self.included - removed)
 
-    def as_finite(self) -> frozenset:
-        if self.cofinite:
-            raise ValueError("co-infinite atom set has no finite enumeration")
-        return self.included
-
     def __repr__(self) -> str:
         if not self.cofinite:
             return "{" + ",".join(map(repr, sorted(self.included))) + "}"
         e = ",".join(map(repr, sorted(self.excluded)))
         i = ",".join(map(repr, sorted(self.included)))
-        return f"perm(+{{{i}}} -{{{e}}})"
+        return f"perm(+{{{i}}}-{{{e}}})"
 
 
 def permission_set(plus: Iterable[Atom] = (), minus: Iterable[Atom] = ()) -> CofinAtomSet:
@@ -129,7 +126,7 @@ class _AtomMap:
         cleaned = {a: b for a, b in moves.items() if a != b}
         for a, b in cleaned.items():
             if a.sort != b.sort:
-                raise ValueError(f"sort-violating move {a} -> {b}")
+                raise ValueError(f"sort-violating move of {a} to {b}")
         self._map = cleaned
 
     def __call__(self, a: Atom) -> Atom:
@@ -228,7 +225,7 @@ class Renaming(_AtomMap):
         return Renaming({a: b for a, b in self._map.items() if a in keep})
 
     def __repr__(self) -> str:
-        items = ", ".join(f"{a}:={b}" for a, b in sorted(self._map.items()))
+        items = ",".join(f"{a}:={b}" for a, b in sorted(self._map.items()))
         return f"[{items}]"
 
 

@@ -36,6 +36,11 @@ Concrete syntax (all forms are s-expressions; see sexpr.py for the lexer):
   indices          (atoms, unknowns, plain variables, li, ri) are the
                    digits 0-9, after a '-' where signed
 
+Every value prints in this syntax: a term or proposition of either calculus
+through `render`, and any other value, a leaf of a term among them, through
+its own `__repr__` (in `atoms`, `pnl` and `hol`).  Sorts print in the compact
+form of unknown tokens, except in a signature, which writes them as lists.
+
 A derivation restates its context at every node, so its text repeats each
 formula, and each subterm, many times.  A document is read without
 locations (`sexpr.parse_one`) into a table that holds each distinct list
@@ -209,7 +214,7 @@ def parse_renaming_text(sig: P.PnlSignature, text: str, where) -> Renaming:
             _err(where, f"bad renaming move {part!r}")
         _declared(sig, sa, where)
         _declared(sig, ta, where)
-        _once(seen, where, f"{render(sa)}:=...")
+        _once(seen, where, f"{sa!r}:=...")
         moves[sa] = ta
     try:
         return Renaming(moves)
@@ -232,13 +237,13 @@ def parse_context_text(sig: P.PnlSignature, text: str) -> tuple:
         if problem:
             raise ValueError(f"--context: {problem}")
         if a in out:
-            raise ValueError(f"--context: repeated atom {render(a)}")
+            raise ValueError(f"--context: repeated atom {a!r}")
         out.append(a)
     return tuple(out)
 
 
 def render_context(ctx) -> str:
-    return "[" + ",".join(map(render, ctx)) + "]"
+    return "[" + ",".join(map(repr, ctx)) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +272,6 @@ def parse_sort_text(sig: P.PnlSignature, text: str, where) -> P.PnlSort:
     if text in sig.base_sorts:
         return P.BaseSort(text)
     _err(where, f"undeclared sort {text!r}")
-
-
-def render_sort(sort: P.PnlSort) -> str:
-    match sort:
-        case P.NameSort(n) | P.BaseSort(n):
-            return n
-        case P.TupleSort(items):
-            return "<" + ",".join(render_sort(s) for s in items) + ">"
-        case P.AbsSort(n, body):
-            return f"[{n}]{render_sort(body)}"
-    raise TypeError(f"not a sort: {sort!r}")
 
 
 def parse_sort_node(r: Reading, node) -> P.PnlSort:
@@ -497,68 +491,48 @@ def parse_hol(r: Reading, node) -> H.HolTerm:
 # the printer
 
 def render(x) -> str:
-    """The text of a sort (signature form), type, PNL term or proposition,
-    HOL variable or term, atom, permission set, permutation, renaming or
-    unknown.  Cases run from the most frequent in a printed derivation (HOL
-    applications and constants, then variables) to the leaves: a match tests
-    them in turn, and with the leaves first printing took a third longer."""
+    """The text of a PNL term or proposition or a HOL term, as the reader
+    reads it.  Each leaf, and each other value of the reader's syntax (an
+    atom, permission set, permutation, renaming, sort, unknown, type or
+    variable), prints as its repr, which writes that same syntax; anything
+    else is refused.  Terms print here and not through `__repr__`, since a
+    repr() call costs a recursion level besides the method's own frame and
+    would lower the nesting that prints.  Cases run from the most frequent
+    in a printed derivation (HOL applications and constants, then
+    variables) to the rarest: a match tests them in turn."""
     match x:
         case H.App(H.App(H.Const("imp", _), p), q):
             return f"(imp {render(p)} {render(q)})"
         case H.App(H.Const("forall", _), H.Lam(v, body)):
-            return f"(all {render(v)} {render(body)})"
+            return f"(all {v!r} {render(body)})"
         case H.App(fn, arg):
             return f"(app {render(fn)} {render(arg)})"
-        case H.Const("bot", _) | P.Bot():
-            return "bot"
-        case H.Const(name, ty):
-            return name if name.startswith("g_") else f"(const {name} {render(ty)})"
-        case (H.Var(H.AtomVar(Atom(sort, index))) | H.AtomVar(Atom(sort, index))
-              | P.AtomT(Atom(sort, index)) | Atom(sort, index)):
-            return f"{sort}@{index}"
+        case H.Const() | P.AtomT() | P.Bot():
+            return repr(x)
         case H.Var(v):
-            return render(v)
+            return repr(v)
         case H.Lam(v, body):
-            return f"(lam {render(v)} {render(body)})"
-        case H.UnkVar(unk, ctx):
-            return f"{render(unk)}_{render_context(ctx)}"
+            return f"(lam {v!r} {render(body)})"
         case H.HTup(items) | P.Tup(items):
             return "(tup" + "".join(" " + render(r) for r in items) + ")"
         case P.Former(f, arg):
             return f"({f} {render(arg)})"
         case P.AbsT(a, body):
-            return f"(abs {render(a)} {render(body)})"
+            return f"(abs {a!r} {render(body)})"
         case P.Sus(pi, unk):
-            return render(unk) if pi.is_identity else f"(sus {render(pi)} {render(unk)})"
+            return repr(unk) if pi.is_identity else f"(sus {pi!r} {unk!r})"
         case P.Pred(name, arg):
             return f"(pred {name} {render(arg)})"
         case P.Imp(p, q):
             return f"(imp {render(p)} {render(q)})"
         case P.All(unk, body):
-            return f"(all {render(unk)} {render(body)})"
-        case P.Unknown(sort, pmss, index):
-            return f"X{{{render_sort(sort)};{render(pmss)};{index}}}"
-        case H.PlainVar(ty, index):
-            return f"(plain {render(ty)} {index})"
-        case H.BaseT(n) | P.NameSort(n) | P.BaseSort(n):
-            return n
-        case H.ArrowT(a, b):
-            return f"(-> {render(a)} {render(b)})"
-        case H.TupleT(items):
-            return "(tupt" + "".join(" " + render(t) for t in items) + ")"
-        case P.TupleSort(items):
-            return "(tup " + " ".join(map(render, items)) + ")"
-        case P.AbsSort(n, body):
-            return f"(abs {n} {render(body)})"
-        case CofinAtomSet(_, excluded, included):
-            plus, minus = (",".join(map(render, sorted(s))) for s in (included, excluded))
-            return f"perm(+{{{plus}}}-{{{minus}}})"
-        case Perm():
-            return "(" + "".join(f"({' '.join(map(render, c))})" for c in x.cycles()) + ")"
-        case Renaming():
-            return "[" + ",".join(f"{render(a)}:={render(b)}"
-                                  for a, b in sorted(x.moves().items())) + "]"
-    raise TypeError(f"cannot render {x!r}")
+            return f"(all {unk!r} {render(body)})"
+        case (Atom() | CofinAtomSet() | Perm() | Renaming() | P.Unknown()
+              | P.NameSort() | P.BaseSort() | P.TupleSort() | P.AbsSort()
+              | H.BaseT() | H.TupleT() | H.ArrowT()
+              | H.AtomVar() | H.UnkVar() | H.PlainVar()):
+            return repr(x)
+    raise TypeError(f"cannot render {type(x).__name__}")
 
 
 render_term = render_hol = render  # names benchmarks/tracing.py wraps
@@ -612,10 +586,20 @@ def render_signature(sig: P.PnlSignature) -> str:
     parts.append("  (base-sorts " + " ".join(sorted(sig.base_sorts)) + ")")
     for f in sorted(sig.term_formers):
         arg, res = sig.term_formers[f]
-        parts.append(f"  (term {f} {render(arg)} {res})")
+        parts.append(f"  (term {f} {_sort_node(arg)} {res})")
     for p in sorted(sig.prop_formers):
-        parts.append(f"  (pred {p} {render(sig.prop_formers[p])})")
+        parts.append(f"  (pred {p} {_sort_node(sig.prop_formers[p])})")
     return "\n".join(parts) + ")"
+
+
+def _sort_node(sort: P.PnlSort) -> str:
+    """A sort as a signature writes it (`parse_sort_node`)."""
+    match sort:
+        case P.TupleSort(items):
+            return "(tup " + " ".join(map(_sort_node, items)) + ")"
+        case P.AbsSort(n, body):
+            return f"(abs {n} {_sort_node(body)})"
+    return repr(sort)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +680,7 @@ def render_derivation(node: K.Node, indent: int = 0, show=None) -> str:
     if node.ri is not None:
         parts.append(f"{pad}  (ri {node.ri})")
     if not node.perm.is_identity:
-        parts.append(f"{pad}  (perm {render(node.perm)})")
+        parts.append(f"{pad}  (perm {node.perm!r})")
     if node.witness is not None:
         parts.append(f"{pad}  (witness {render(node.witness)})")
     for c in node.children:
@@ -765,7 +749,7 @@ def render_model(model: HerbrandModel) -> str:
         body.append(f"    (default {spec.default})")
         if spec.extra_support:
             body.append("    (support " + " ".join(
-                map(render, sorted(spec.extra_support))) + ")")
+                map(repr, sorted(spec.extra_support))) + ")")
         parts.append("\n".join(body) + ")")
     return "\n".join(parts) + ")"
 
@@ -786,7 +770,7 @@ def parse_valuation(r: Reading, node) -> Valuation:
             _err(sec, "valuation entries are (assign X{..} TERM)")
         unk, term = _args(r, sec, 2, "assign")
         x = parse_unknown(r, unk)
-        _once(seen, sec, f"(assign {render(x)} ...)")
+        _once(seen, sec, f"(assign {x!r} ...)")
         assignments[x] = _ground(parse_term(r, term), term, "assign")
         nodes.append((x, term))
     for x, term in nodes:   # after every entry, so a repeat is reported first
@@ -796,16 +780,16 @@ def parse_valuation(r: Reading, node) -> Valuation:
         except P.SortError as e:
             _err(term, str(e))
         if sort != x.sort:
-            _err(term, f"valuation value for {render(x)} has the wrong sort")
+            _err(term, f"valuation value for {x!r} has the wrong sort")
         if not set_subset(P.free_atoms(t), x.pmss):
-            _err(term, f"valuation value for {render(x)} escapes its permission set")
+            _err(term, f"valuation value for {x!r} escapes its permission set")
     return Valuation(assignments)
 
 
 def render_valuation(val: Valuation) -> str:
     parts = ["(valuation"]
-    for unk in sorted(val.assignments, key=render):
-        parts.append(f"  (assign {render(unk)} {render(val.assignments[unk])})")
+    for unk in sorted(val.assignments, key=repr):
+        parts.append(f"  (assign {unk!r} {render(val.assignments[unk])})")
     return "\n".join(parts) + ")"
 
 
@@ -820,7 +804,7 @@ def parse_renelem(r: Reading, node) -> RenElem:
 
 
 def render_renelem(e: RenElem) -> str:
-    return f"(ren {render(e.rho)} {render(e.val)})"
+    return f"(ren {e.rho!r} {render(e.val)})"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Constants carry their own types, so typing needs no signature; the reader
 checks each written constant against one (`HolSignature.check_const`).  The
 quantifier constant is generated on demand per domain type.  Equality
 everywhere downstream is alpha-beta (no eta), decided by comparing
-canonical keys (`alphabeta_key`).
+canonical keys (`alphabeta_key`).  Types, variables and constants print as
+the reader writes them; terms print through `frontend.render`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class TupleT:
     items: tuple
 
     def __repr__(self):
-        return "<" + ",".join(map(repr, self.items)) + ">"
+        return "(tupt" + "".join(" " + repr(t) for t in self.items) + ")"
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +45,7 @@ class ArrowT:
     res: "HolType"
 
     def __repr__(self):
-        return f"({self.arg!r} -> {self.res!r})"
+        return f"(-> {self.arg!r} {self.res!r})"
 
 
 HolType = Union[BaseT, TupleT, ArrowT]
@@ -64,7 +65,7 @@ def sort_to_type(sort: PnlSort) -> HolType:
             return TupleT(tuple(sort_to_type(s) for s in items))
         case AbsSort(n, body):
             return ArrowT(name_sort_type(n), sort_to_type(body))
-    raise TypeError(f"not a sort: {sort!r}")
+    raise TypeError(f"not a sort: {type(sort).__name__}")
 
 
 def type_to_sort(sig: PnlSignature, ty: HolType) -> Optional[PnlSort]:
@@ -119,7 +120,7 @@ class PlainVar:
     index: int
 
     def __repr__(self):
-        return f"v{self.index}:{self.type!r}"
+        return f"(plain {self.type!r} {self.index})"
 
 
 HolVar = Union[AtomVar, UnkVar, PlainVar]
@@ -136,7 +137,7 @@ def var_type(v: HolVar) -> HolType:
             return ty
         case PlainVar(ty, _):
             return ty
-    raise TypeError(f"not a variable: {v!r}")
+    raise TypeError(f"not a variable: {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +169,11 @@ class HTup:
 class Const:
     name: str
     type: HolType
+
+    def __repr__(self):
+        if self.name == "bot" or self.name.startswith("g_"):
+            return self.name
+        return f"(const {self.name} {self.type!r})"
 
 
 HolTerm = Union[Var, Lam, App, HTup, Const]
@@ -231,7 +237,12 @@ BASE_SIGNATURE = HolSignature({"bot": O, "imp": IMP.type})
 
 
 class HolTypeError(Exception):
-    pass
+    """A term that does not typecheck; `term` is the offending subterm, or
+    None where the error concerns no one term (a constant's declaration)."""
+
+    def __init__(self, message: str, term: Optional[HolTerm] = None):
+        super().__init__(message)
+        self.term = term
 
 
 def hol_type_of(t: HolTerm) -> HolType:
@@ -245,15 +256,14 @@ def hol_type_of(t: HolTerm) -> HolType:
             match fty:
                 case ArrowT(want, res):
                     if want != aty:
-                        raise HolTypeError(
-                            f"application expects {want!r}, got {aty!r} in {t!r}")
+                        raise HolTypeError(f"application expects {want!r}, got {aty!r}", t)
                     return res
-            raise HolTypeError(f"applying a non-function of type {fty!r}")
+            raise HolTypeError(f"applying a non-function of type {fty!r}", t)
         case HTup(items):
             return TupleT(tuple(hol_type_of(r) for r in items))
         case Const(_, ty):
             return ty
-    raise HolTypeError(f"not a term: {t!r}")
+    raise HolTypeError(f"not a term: {type(t).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +281,7 @@ def fv(t: HolTerm) -> frozenset:
             return frozenset().union(*map(fv, items)) if items else frozenset()
         case Const(_, _):
             return frozenset()
-    raise TypeError(f"not a term: {t!r}")
+    raise TypeError(f"not a term: {type(t).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +302,7 @@ def _fresh_var_like(v: HolVar, avoid: frozenset) -> HolVar:
             while i in taken:
                 i += 1
             return PlainVar(ty, i)
-    raise TypeError(f"not a variable: {v!r}")
+    raise TypeError(f"not a variable: {type(v).__name__}")
 
 
 def hol_subst_parallel(t: HolTerm, mapping: Mapping[HolVar, HolTerm]) -> HolTerm:
@@ -322,7 +332,7 @@ def _subst(t: HolTerm, mapping: dict) -> HolTerm:
                 inner[v] = Var(v2)
                 return Lam(v2, _subst(body, inner))
             return Lam(v, _subst(body, inner))
-    raise TypeError(f"not a term: {t!r}")
+    raise TypeError(f"not a term: {type(t).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +375,7 @@ def _nf(t: HolTerm) -> HolTerm:
         case HTup(items):
             new = tuple(_nf(r) for r in items)
             return t if all(map(operator.is_, new, items)) else HTup(new)
-    raise TypeError(f"not a term: {t!r}")
+    raise TypeError(f"not a term: {type(t).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +404,7 @@ def _debruijn(t: HolTerm, env: dict, level: int):
             return tuple(out)
         case Const(_, _):
             return t
-    raise TypeError(f"not a term: {t!r}")
+    raise TypeError(f"not a term: {type(t).__name__}")
 
 
 def normal_key(t: HolTerm) -> tuple:

@@ -250,7 +250,7 @@ def check_hol(node: Node) -> Verdict:
         if k is None:
             raise _Reject(f"untypable formula: {got}")
         if k[0] != H.O:
-            raise _Reject(f"formula is not a proposition: {phi!r}")
+            raise _Reject(f"formula is not a proposition: it has type {k[0]!r}")
 
     def axiom(perm, phi, psi):
         # on the keys already at hand: both formulas are typed propositions

@@ -1,7 +1,10 @@
 """Permissive-nominal terms and propositions.
 
 Terms carry permutation-suspended unknowns; equality used everywhere
-downstream is the decidable alpha-equivalence implemented here.
+downstream is the decidable alpha-equivalence implemented here.  Sorts (in
+the compact form of unknown tokens), unknowns, atom terms and `Bot` print as
+the reader writes them; other terms and propositions print through
+`frontend.render`.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class PnlSignature:
                     raise SignatureError(f"{owner}: undeclared name sort {n}")
                 self._check_sort(body, owner)
             case _:
-                raise SignatureError(f"{owner}: not a sort: {sort!r}")
+                raise SignatureError(f"{owner}: not a sort: {type(sort).__name__}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +114,9 @@ class Unknown:
 @dataclass(frozen=True, slots=True)
 class AtomT:
     atom: Atom
+
+    def __repr__(self):
+        return repr(self.atom)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +151,8 @@ PnlTerm = Union[AtomT, Tup, Former, AbsT, Sus]
 
 @dataclass(frozen=True, slots=True)
 class Bot:
-    pass
+    def __repr__(self):
+        return "bot"
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +205,7 @@ def sort_of(sig: PnlSignature, t: PnlTerm) -> PnlSort:
         case Sus(_, x):
             sig._check_sort(x.sort, "unknown")
             return x.sort
-    raise SortError(f"not a term: {t!r}", t)
+    raise SortError(f"not a term: {type(t).__name__}", t)
 
 
 def check_prop(sig: PnlSignature, phi: PnlProp) -> bool:
@@ -216,7 +223,7 @@ def check_prop(sig: PnlSignature, phi: PnlProp) -> bool:
             return True
         case All(_, body):
             return check_prop(sig, body)
-    raise SortError(f"not a proposition: {phi!r}", phi)
+    raise SortError("not a proposition", phi)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +251,7 @@ def perm_act(pi: Perm, x):
             return Pred(p, perm_act(pi, arg))
         case All(unk, body):
             return All(unk, perm_act(pi, body))
-    raise TypeError(f"not PNL syntax: {x!r}")
+    raise TypeError(f"not PNL syntax: {type(x).__name__}")
 
 
 class Perm2:
@@ -256,7 +263,7 @@ class Perm2:
         cleaned = {x: y for x, y in moves.items() if x != y}
         for x, y in cleaned.items():
             if x.sort != y.sort or x.pmss != y.pmss:
-                raise ValueError(f"level-2 move {x!r} -> {y!r} changes sort or permission set")
+                raise ValueError(f"level-2 move of {x!r} to {y!r} changes sort or permission set")
         if set(cleaned.values()) != set(cleaned):
             raise ValueError("level-2 permutation must be a bijection")
         self._map = cleaned
@@ -289,7 +296,7 @@ def perm2_act(big_pi: Perm2, x):
             return Pred(p, perm2_act(big_pi, arg))
         case All(unk, body):
             return All(big_pi(unk), perm2_act(big_pi, body))
-    raise TypeError(f"not PNL syntax: {x!r}")
+    raise TypeError(f"not PNL syntax: {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +323,7 @@ def free_atoms(x) -> CofinAtomSet:
             return free_atoms(a).union(free_atoms(b))
         case All(_, body):
             return free_atoms(body)
-    raise TypeError(f"not PNL syntax: {x!r}")
+    raise TypeError(f"not PNL syntax: {type(x).__name__}")
 
 
 def free_unknowns(x) -> frozenset:
@@ -335,7 +342,7 @@ def free_unknowns(x) -> frozenset:
             return free_unknowns(a) | free_unknowns(b)
         case All(unk, body):
             return free_unknowns(body) - {unk}
-    raise TypeError(f"not PNL syntax: {x!r}")
+    raise TypeError(f"not PNL syntax: {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +420,7 @@ def _key_tokens(x):
         elif t is Bot:
             yield t
         else:
-            raise TypeError(f"not PNL syntax: {x!r}")
+            raise TypeError(f"not PNL syntax: {type(x).__name__}")
 
 
 _END = object()  # pads the shorter key when alpha_eq compares two
@@ -481,7 +488,7 @@ def subst_apply(theta: PnlSubst, x):
                 body = perm2_act(Perm2.swap(fresh, unk), body)
                 unk = fresh
             return All(unk, subst_apply(theta, body))
-    raise TypeError(f"not PNL syntax: {x!r}")
+    raise TypeError(f"not PNL syntax: {type(x).__name__}")
 
 
 def subst_one(x, unk: Unknown, t: PnlTerm):

@@ -25,14 +25,14 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Mapping, Optional, Union
 
-from .atoms import Atom, CofinAtomSet, Perm, Renaming, fresh_atoms, set_subset
+from .atoms import Atom, CofinAtomSet, Perm, Renaming, fresh_atoms
 from .capture import (CaptureContext, canonical_context, capture_check,
                       capture_infer)
 from . import hol as H
 from . import pnl as P
 from .pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                   NameSort, PnlSignature, Pred, Sus, TupleSort, Tup, Unknown,
-                  alpha_eq, alpha_key, free_atoms, perm_act, sort_of)
+                  alpha_eq, alpha_key, perm_act, sort_of)
 from .translate import TranslationEnv, translate
 
 
@@ -52,9 +52,22 @@ class UnboundVariableError(SemanticsError):
 # ground elements
 
 def supp(x) -> frozenset:
-    """Support of a ground element: its free atoms, always a finite set."""
-    got = _ground_atoms(x)
-    return free_atoms(x).as_finite() if got is None else got
+    """Support of a ground element: its free atoms, a finite set.  Every
+    term this module meets is ground; a suspension raises TypeError."""
+    t = type(x)
+    if t is AtomT:
+        return frozenset((x.atom,))
+    if t is Former:
+        return supp(x.arg)
+    if t is AbsT:
+        got = supp(x.body)
+        return got - {x.atom} if x.atom in got else got
+    if t is Tup:
+        out = frozenset()
+        for r in x.items:
+            out |= supp(r)
+        return out
+    raise TypeError(f"not a ground term: {type(x).__name__}")
 
 
 def abstract_atoms(atoms, x):
@@ -261,8 +274,7 @@ def fn_apply(f: SemVal, a: SemVal) -> SemVal:
         case RenV(RenElem(rho, AbsT(bound, body))):
             b = as_atom(a)
             if bound in rho.nontriv:
-                avoid = free_atoms(body).union(
-                    CofinAtomSet.finite(rho.nontriv | {b, bound}))
+                avoid = supp(body) | rho.nontriv | {b, bound}
                 c = fresh_atoms([bound.sort], avoid)[0]
                 body = perm_act(Perm.swap(c, bound), body)
                 bound = c
@@ -294,41 +306,6 @@ def pattern_atoms(p) -> frozenset:
     raise TypeError(f"not a pattern: {p!r}")
 
 
-def _ground_atoms(x) -> Optional[frozenset]:
-    """The free atoms of x as a finite set, or None when x suspends an
-    unknown."""
-    t = type(x)
-    if t is AtomT:
-        return frozenset((x.atom,))
-    if t is Former:
-        return _ground_atoms(x.arg)
-    if t is AbsT:
-        got = _ground_atoms(x.body)
-        return got - {x.atom} if got is not None and x.atom in got else got
-    if t is Tup:
-        out = frozenset()
-        for r in x.items:
-            got = _ground_atoms(r)
-            if got is None:
-                return None
-            out |= got
-        return out
-    return None
-
-
-def _atoms_within(x, pmss: CofinAtomSet) -> bool:
-    """Whether the free atoms of x lie in the permission set."""
-    got = _ground_atoms(x)
-    if got is None:
-        return set_subset(free_atoms(x), pmss)
-    return all(a in pmss for a in got)
-
-
-def _is_free_in(a: Atom, x) -> bool:
-    got = _ground_atoms(x)
-    return a in (free_atoms(x) if got is None else got)
-
-
 def _pattern_test(p, slots: list, index: dict) -> Callable:
     """The pattern p compiled into a test term -> bool, for first-order
     matching up to alpha.  The first occurrence of a pattern variable in
@@ -350,7 +327,7 @@ def _pattern_test(p, slots: list, index: dict) -> Callable:
         def bind(x) -> bool:
             if moved:
                 x = perm_act(inv, x)
-            if not _atoms_within(x, pmss):
+            if not all(a in pmss for a in supp(x)):
                 return False
             slots[k] = x
             return True
@@ -382,7 +359,7 @@ def _pattern_test(p, slots: list, index: dict) -> Callable:
             b = x.atom
             if a == b:
                 return body(x.body)
-            if a.sort != b.sort or _is_free_in(a, x.body):
+            if a.sort != b.sort or a in supp(x.body):
                 return False
             return body(perm_act(Perm.swap(a, b), x.body))
         return abst
@@ -600,7 +577,7 @@ def _ground(sig: PnlSignature, atoms: list, s, d: int):
             fresh, = fresh_atoms([n], binders)
             for t in _ground(sig, atoms, body, d):
                 yield AbsT(fresh, t)
-                free = _ground_atoms(t)
+                free = supp(t)
                 for a in binders:
                     if a not in free:
                         break

@@ -792,6 +792,7 @@ def _printable_rows():
     iota, nu = P.BaseSort("iota"), P.NameSort("nu")
     unk = P.Unknown(iota, permission_set(plus=(a0, a1), minus=(Atom("nu", -2),)), 4)
     u = "X{iota;perm(+{nu@0,nu@1}-{nu@-2});4}"
+    compound = P.Unknown(P.AbsSort("nu", P.TupleSort((iota, nu))), permission_set(plus=(a0,)), 0)
     x0, p0 = H.Var(H.AtomVar(a0)), H.Var(H.PlainVar(H.O, 0))
     g_var = H.Const("g_var", ENV.target.constants["g_var"])
     sig = P.PnlSignature(frozenset({"nu"}), frozenset({"iota"}),
@@ -803,6 +804,7 @@ def _printable_rows():
          f"(lam (abs nu@1 (tup nu@1 {u})))"),
         ("term", P.Sus(Perm.from_cycles([(a0, a2, a1)]), unk), f"(sus ((nu@0 nu@2 nu@1)) {u})"),
         ("term", P.Tup(()), "(tup)"),
+        ("term", P.Tup((P.Sus.of(compound),)), "(tup X{[nu]<iota,nu>;perm(+{nu@0}-{});0})"),
         ("prop", P.Bot(), "bot"),
         ("prop", P.All(unk, P.Imp(P.Pred("P", P.Sus.of(unk)), P.Bot())),
          f"(all {u} (imp (pred P {u}) bot))"),
@@ -815,6 +817,8 @@ def _printable_rows():
         ("hol", H.Var(H.UnkVar(unk, (a1, a0))), f"{u}_[nu@1,nu@0]"),
         ("hol", H.Var(H.UnkVar(unk, ())), f"{u}_[]"),
         ("hol", H.forall(H.PlainVar(H.O, 0), p0), "(all (plain o 0) (plain o 0))"),
+        ("hol", H.Var(H.PlainVar(H.TupleT((H.O, H.BaseT("mu_nu"))), 1)),
+         "(plain (tupt o mu_nu) 1)"),
         ("hol", H.Const("k", H.ArrowT(H.TupleT((H.O, H.BaseT("mu_nu"), H.TupleT(()))), H.O)),
          "(const k (-> (tupt o mu_nu (tupt)) o))"),
         ("hol", H.IMP, "(const imp (-> o (-> o o)))"),
@@ -1041,7 +1045,7 @@ def test_cli_check_hol_reads_constants_against_the_signature(capsys, tmp_path):
     for const, message in (
             ("(const foo (-> mu_iota o))", "unknown constant foo"),
             ("(const g_P (-> mu_nu o))",
-             "constant g_P declared (mu_iota -> o), used at (mu_nu -> o)"),
+             "constant g_P declared (-> mu_iota o), used at (-> mu_nu o)"),
             ("(const forall o)", "malformed quantifier constant at type o")):
         f = tmp_path / "d.sexp"
         f.write_text(text.replace("g_P", const, 1))
@@ -1150,10 +1154,55 @@ def test_cli_type_error_prints_the_permission_set(capsys, tmp_path):
     assert cli("normalize", str(f)) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == (
-        "error: application expects mu_nu, got mu_iota in "
-        "App(fn=Const(name='g_var', type=(mu_nu -> mu_iota)), "
-        "arg=Var(var=X{iota;perm(+{nu@0} -{nu@-1});0}_[]))\n")
+    assert out.err == ("error: application expects mu_nu, got mu_iota in "
+                       "(app g_var X{iota;perm(+{nu@0}-{nu@-1});0}_[])\n")
+
+
+def test_cli_messages_quote_terms_that_read_back(capsys, tmp_path):
+    """A type error quotes the offending subterm as a document writes it,
+    so the quoted text reads back to that subterm; the kernel quotes only
+    a formula's type."""
+    from nomhol import hol as H
+    f = tmp_path / "t.sexp"
+    for text, message in (
+            ("(app g_P bot)", "application expects mu_iota, got o in (app g_P bot)"),
+            ("(lam nu@0 (imp (app g_P nu@0) bot))",
+             "application expects mu_iota, got mu_nu in (app g_P nu@0)")):
+        f.write_text(text)
+        assert cli("normalize", str(f)) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+        with pytest.raises(H.HolTypeError) as e:
+            H.hol_type_of(F.parse_document(text, "hol", SIG))
+        quoted = message.split(" in ", 1)[1]
+        assert F.parse_document(quoted, "hol", SIG) == e.value.term
+    f.write_text("(rule ax (concl (seq (left (app g_var nu@0)) (right (app g_var nu@0))))"
+                 " (li 0) (ri 0))")
+    assert cli("check", "--logic", "hol", str(f)) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "rejected at root: formula is not a proposition: it has type mu_iota\n", "")
+
+
+# field syntax (name=...), a term's class name, or an arrow type written infix
+DATACLASS_TEXT = re.compile(r"\w=|App\(|Const\(|Var\(|Former\(|AtomT\(| -> ")
+
+
+def test_no_message_prints_dataclass_text(monkeypatch, tmp_path):
+    """No error message of the malformed calls of tools/cli_parity.py (every
+    corpus file after each corruption, under every command) quotes a value
+    in a form the reader does not read."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import cli_parity
+    files, calls = cli_parity.malformed_group()
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    errors = [(call.argv, cli_parity.run(call)[3]) for call in calls]
+    assert sum(bool(err) for _, err in errors) > len(errors) // 2
+    for argv, err in errors:
+        assert not DATACLASS_TEXT.search(err), (argv, err)
 
 
 def readme_cli_examples():

@@ -252,10 +252,7 @@ REJECTIONS = [
                  witness=Former("var", var(0))), (),
      {"pnl-restricted": "ill-sorted witness: var expects nu, got iota",
       "pnl-full": "ill-sorted witness: var expects nu, got iota",
-      "hol": "untypable witness: application expects mu_nu, got mu_iota in "
-             "App(fn=Const(name='g_var', type=(mu_nu -> mu_iota)), "
-             "arg=App(fn=Const(name='g_var', type=(mu_nu -> mu_iota)), "
-             "arg=Var(var=nu@0)))"}),
+      "hol": "untypable witness: application expects mu_nu, got mu_iota"}),
     # X0 permits nu@0..nu@2; the translation carries no permission sets
     ("alll-witness-permission",
      lambda n: n("alll", [UNIV], [P(var(3))], _ax(n, [P(var(3))], [P(var(3))]),
@@ -276,15 +273,11 @@ REJECTIONS = [
     ("ill-sorted-formula", lambda n: _ax(n, [P(AtomT(atom(0)))], [p]), (),
      {"pnl-restricted": "ill-sorted formula: P expects iota, got nu",
       "pnl-full": "ill-sorted formula: P expects iota, got nu",
-      "hol": "untypable formula: application expects mu_iota, got mu_nu in "
-             "App(fn=Const(name='g_P', type=(mu_iota -> o)), arg=Var(var=nu@0))"}),
+      "hol": "untypable formula: application expects mu_iota, got mu_nu"}),
     ("term-as-formula", lambda n: _ax(n, [var(0)], [p]), (),
-     {"pnl-restricted": "ill-sorted formula: not a proposition: "
-                        "Former(name='var', arg=AtomT(atom=nu@0))",
-      "pnl-full": "ill-sorted formula: not a proposition: "
-                  "Former(name='var', arg=AtomT(atom=nu@0))",
-      "hol": "formula is not a proposition: App(fn=Const(name='g_var', "
-             "type=(mu_nu -> mu_iota)), arg=Var(var=nu@0))"}),
+     {"pnl-restricted": "ill-sorted formula: not a proposition",
+      "pnl-full": "ill-sorted formula: not a proposition",
+      "hol": "formula is not a proposition: it has type mu_iota"}),
     # P(nu@0) is ill-sorted, and its translation untypable, alone on a side
     # of the premise: a formula that fails matches no formula of its parent
     ("ill-sorted-premise-formula",
