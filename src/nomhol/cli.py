@@ -4,7 +4,8 @@ Exit codes: 0 = success/accepted/equal, 1 = rejected/unequal, 2 = usage,
 parse, or type error.  ``--json`` switches every subcommand to a single
 machine-readable verdict object on stdout.  The environment variable
 ``NOMHOL_DEPTH`` supplies the default quantifier bound.  Messages quote
-syntax as a document writes it: a type error ends with its offending term.
+syntax as a document writes it: a type error is located at the list that
+builds the ill-typed term, and ends with that list.
 """
 
 from __future__ import annotations
@@ -292,10 +293,7 @@ def run_cli(argv=None) -> int:
     except (_Usage, SexprError, P.SortError, P.SignatureError,
             H.HolTypeError, SemanticsError, TranslationError, ValueError,
             TypeError) as e:
-        message = f"error: {e}"
-        if isinstance(e, H.HolTypeError) and e.term is not None:
-            message += f" in {F.render(e.term)}"
-        print(message, file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -52,10 +52,12 @@ reading.  `render_derivation` prints each formula object once.
 
 The reader checks a document against its signature once, with located
 errors: atoms, sorts, formers, each `(const NAME TYPE)`, and each valuation
-value's sort and permission set.  An error in the reading without locations
-raises `_Unlocated` in `_err`; `parse_document` reads the text again with
-`sexpr.parse_all`, which gives each list written its own located row, and
-parses it again, which raises the same error, located.
+value's sort and permission set.  Each HOL row is typed as it is read, since
+a term is typed when it is built: an ill-typed one is an error at its row.
+An error in the reading without locations raises `_Unlocated` in `_err`;
+`parse_document` reads the text again with `sexpr.parse_all`, which gives
+each list written its own located row, and parses it again, which raises
+the same error, located.
 """
 
 from __future__ import annotations
@@ -439,50 +441,52 @@ def parse_hol(r: Reading, node) -> H.HolTerm:
     t = r.hol.get(node)
     if t is not None:
         return t
-    if isinstance(node, str):
-        if node == "bot":
-            t = H.BOT
-        elif node == "imp":
-            t = H.IMP
-        elif node in r.hsig.constants:
-            t = H.Const(str(node), r.hsig.constants[node])
-        elif (a := parse_atom_text(node)) is not None:
-            t = H.Var(H.AtomVar(_declared(r.sig, a, node)))
-        elif node.startswith("X{"):
-            t = H.Var(parse_hol_var(r, node))
+    # one try and no helper, so a nesting level costs one frame; a child's
+    # error reaches it already turned into a ParseError
+    try:
+        if isinstance(node, str):
+            if node == "bot":
+                t = H.BOT
+            elif node == "imp":
+                t = H.IMP
+            elif node in r.hsig.constants:
+                t = H.Const(str(node), r.hsig.constants[node])
+            elif (a := parse_atom_text(node)) is not None:
+                t = H.Var(H.AtomVar(_declared(r.sig, a, node)))
+            elif node.startswith("X{"):
+                t = H.Var(parse_hol_var(r, node))
+            else:
+                _err(node, f"unrecognized term {str(node)!r}")
         else:
-            _err(node, f"unrecognized term {str(node)!r}")
-    else:
-        head = _head(r, node)
-        if head == "lam":
-            v, body = _args(r, node, 2, "lam")
-            t = H.Lam(parse_hol_var(r, v), parse_hol(r, body))
-        elif head == "app":
-            if len(r.rows[node]) < 3:
-                _err(node, "app takes at least two arguments")
-            parts = [parse_hol(r, x) for x in r.rows[node][1:]]
-            t = H.apps(parts[0], *parts[1:])
-        elif head == "tup":
-            t = H.HTup(tuple(parse_hol(r, x) for x in r.rows[node][1:]))
-        elif head == "imp":
-            p, q = _args(r, node, 2, "imp")
-            t = H.imp(parse_hol(r, p), parse_hol(r, q))
-        elif head in ("all", "forall"):
-            v, body = _args(r, node, 2, head)
-            t = H.forall(parse_hol_var(r, v), parse_hol(r, body))
-        elif head == "plain":
-            t = H.Var(parse_hol_var(r, node))
-        elif head == "const":
-            name, ty = _args(r, node, 2, "const")
-            if not isinstance(name, str):
-                _err(node, "constant names are symbols")
-            t = H.Const(str(name), parse_type(r, ty))
-            try:
+            head = _head(r, node)
+            if head == "lam":
+                v, body = _args(r, node, 2, "lam")
+                t = H.Lam(parse_hol_var(r, v), parse_hol(r, body))
+            elif head == "app":
+                if len(r.rows[node]) < 3:
+                    _err(node, "app takes at least two arguments")
+                parts = [parse_hol(r, x) for x in r.rows[node][1:]]
+                t = H.apps(parts[0], *parts[1:])
+            elif head == "tup":
+                t = H.HTup(tuple(parse_hol(r, x) for x in r.rows[node][1:]))
+            elif head == "imp":
+                p, q = _args(r, node, 2, "imp")
+                t = H.imp(parse_hol(r, p), parse_hol(r, q))
+            elif head in ("all", "forall"):
+                v, body = _args(r, node, 2, head)
+                t = H.forall(parse_hol_var(r, v), parse_hol(r, body))
+            elif head == "plain":
+                t = H.Var(parse_hol_var(r, node))
+            elif head == "const":
+                name, ty = _args(r, node, 2, "const")
+                if not isinstance(name, str):
+                    _err(node, "constant names are symbols")
+                t = H.Const(str(name), parse_type(r, ty))
                 r.hsig.check_const(t)
-            except H.HolTypeError as e:
-                _err(node, str(e))
-        else:
-            _err(node, f"unrecognized term form {head!r}")
+            else:
+                _err(node, f"unrecognized term form {head!r}")
+    except H.HolTypeError as e:   # this row's term, or its constant, is ill-typed
+        _err(node, str(e) if e.term is None else f"{e} in {_text(r, node)}")
     r.hol[node] = t
     return t
 

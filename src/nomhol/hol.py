@@ -1,6 +1,8 @@
-"""Simply-typed higher-order logic: types, terms, typing, capture-avoiding
+"""Simply-typed higher-order logic: types, terms, capture-avoiding
 substitution, beta-normalization, and alpha-beta equality.
 
+A term carries its type, computed when it is built from its parts' types,
+so an ill-typed term cannot be built: `App` raises `HolTypeError`.
 Constants carry their own types, so typing needs no signature; the reader
 checks each written constant against one (`HolSignature.check_const`).  The
 quantifier constant is generated on demand per domain type.  Equality
@@ -12,7 +14,7 @@ the reader writes them; terms print through `frontend.render`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .atoms import Atom, fresh_atoms
@@ -127,42 +129,79 @@ HolVar = Union[AtomVar, UnkVar, PlainVar]
 
 
 def var_type(v: HolVar) -> HolType:
-    match v:
-        case AtomVar(a):
-            return name_sort_type(a.sort)
-        case UnkVar(unk, ctx):
-            ty = sort_to_type(unk.sort)
-            for a in reversed(ctx):
-                ty = ArrowT(name_sort_type(a.sort), ty)
-            return ty
-        case PlainVar(ty, _):
-            return ty
-    raise TypeError(f"not a variable: {type(v).__name__}")
+    # by class, not `match`, which costs more: every Var and Lam built calls it
+    tv = type(v)
+    if tv is AtomVar:
+        return name_sort_type(v.atom.sort)
+    if tv is PlainVar:
+        return v.type
+    if tv is UnkVar:
+        ty = sort_to_type(v.unknown.sort)
+        for a in reversed(v.ctx):
+            ty = ArrowT(name_sort_type(a.sort), ty)
+        return ty
+    raise TypeError(f"not a variable: {tv.__name__}")
 
 
 # ---------------------------------------------------------------------------
 # terms
 
+class HolTypeError(Exception):
+    """A term that does not typecheck; `term` is the offending subterm, or
+    None where the error concerns no one term (a constant's declaration)."""
+
+    def __init__(self, message: str, term: Optional[HolTerm] = None):
+        super().__init__(message)
+        self.term = term
+
+
+# Each term but a constant computes its `type` slot in `__post_init__`, from
+# its parts' slots; the slot takes no part in equality, hashing, matching or
+# printing.
+_set = object.__setattr__
+
+
 @dataclass(frozen=True, slots=True)
 class Var:
     var: HolVar
+    type: HolType = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set(self, "type", var_type(self.var))
 
 
 @dataclass(frozen=True, slots=True)
 class Lam:
     var: HolVar
     body: "HolTerm"
+    type: HolType = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set(self, "type", ArrowT(var_type(self.var), self.body.type))
 
 
 @dataclass(frozen=True, slots=True)
 class App:
     fn: "HolTerm"
     arg: "HolTerm"
+    type: HolType = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fty, aty = self.fn.type, self.arg.type
+        if type(fty) is not ArrowT:
+            raise HolTypeError(f"applying a non-function of type {fty!r}", self)
+        if fty.arg != aty:
+            raise HolTypeError(f"application expects {fty.arg!r}, got {aty!r}", self)
+        _set(self, "type", fty.res)
 
 
 @dataclass(frozen=True, slots=True)
 class HTup:
     items: tuple
+    type: HolType = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set(self, "type", TupleT(tuple(r.type for r in self.items)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,36 +273,6 @@ class HolSignature:
 
 
 BASE_SIGNATURE = HolSignature({"bot": O, "imp": IMP.type})
-
-
-class HolTypeError(Exception):
-    """A term that does not typecheck; `term` is the offending subterm, or
-    None where the error concerns no one term (a constant's declaration)."""
-
-    def __init__(self, message: str, term: Optional[HolTerm] = None):
-        super().__init__(message)
-        self.term = term
-
-
-def hol_type_of(t: HolTerm) -> HolType:
-    match t:
-        case Var(v):
-            return var_type(v)
-        case Lam(v, body):
-            return ArrowT(var_type(v), hol_type_of(body))
-        case App(fn, arg):
-            fty, aty = hol_type_of(fn), hol_type_of(arg)
-            match fty:
-                case ArrowT(want, res):
-                    if want != aty:
-                        raise HolTypeError(f"application expects {want!r}, got {aty!r}", t)
-                    return res
-            raise HolTypeError(f"applying a non-function of type {fty!r}", t)
-        case HTup(items):
-            return TupleT(tuple(hol_type_of(r) for r in items))
-        case Const(_, ty):
-            return ty
-    raise HolTypeError(f"not a term: {type(t).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +366,7 @@ def _whnf(t: HolTerm) -> HolTerm:
 
 
 def beta_normalize(t: HolTerm) -> HolTerm:
-    hol_type_of(t)  # simply-typed, hence strongly normalizing
-    return _nf(t)
+    return _nf(t)  # typed when built, hence strongly normalizing
 
 
 def _nf(t: HolTerm) -> HolTerm:
@@ -408,11 +416,9 @@ def _debruijn(t: HolTerm, env: dict, level: int):
 
 
 def normal_key(t: HolTerm) -> tuple:
-    """(alphabeta_key(t), beta-normal form of t), typechecking t and
-    normalising it once."""
-    ty = hol_type_of(t)
+    """(alphabeta_key(t), beta-normal form of t), normalising t once."""
     nf = _nf(t)
-    return (ty, _debruijn(nf, {}, 0)), nf
+    return (t.type, _debruijn(nf, {}, 0)), nf
 
 
 def alphabeta_key(t: HolTerm) -> tuple:

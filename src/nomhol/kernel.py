@@ -6,7 +6,9 @@ impr, alll and allr.  `check_pnl` and `check_hol` each build a small record
 (`_Logic`) of what differs: the canonical formula key (`pnl.alpha_key`,
 `hol.alphabeta_key`), well-formedness, the axiom test, viewing a formula as
 false, an implication or a quantifier, checking and instantiating a
-witness, and eigenvariable occurrence.
+witness, and eigenvariable occurrence.  A higher-order term carries its
+type from when it was built, so the higher-order calculus reads each
+formula's and witness's type and typechecks nothing.
 
 Proof objects carry every rule parameter (principal indices, permutations,
 quantifier witnesses), so checking is search-free.  A sequent keeps its
@@ -234,26 +236,15 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
 
 
 def check_hol(node: Node) -> Verdict:
-    @by_object
-    def norm(phi):
-        """(key, normal form), or (None, the typing error)."""
-        try:
-            return H.normal_key(phi)
-        except H.HolTypeError as e:
-            return None, e
-    # An untypable formula is keyed by itself, so it matches no typed
-    # formula: a premise holding one is rejected at its own path.
-    key, side = _interned(lambda p: norm(p)[0] or p)
+    norm = by_object(H.normal_key)  # formula -> (key, normal form)
+    key, side = _interned(lambda p: norm(p)[0])
 
     def check_formula(phi):
-        k, got = norm(phi)
-        if k is None:
-            raise _Reject(f"untypable formula: {got}")
-        if k[0] != H.O:
-            raise _Reject(f"formula is not a proposition: it has type {k[0]!r}")
+        if phi.type != H.O:
+            raise _Reject(f"formula is not a proposition: it has type {phi.type!r}")
 
     def axiom(perm, phi, psi):
-        # on the keys already at hand: both formulas are typed propositions
+        # on the keys already at hand: both formulas are propositions
         if not H.alphabeta_eq(phi, psi, key=lambda p: norm(p)[0]):
             raise _Reject("axiom formulas not alpha-beta-equal")
 
@@ -264,11 +255,8 @@ def check_hol(node: Node) -> Verdict:
         return None
 
     def instance(v, body, t):
-        try:
-            if H.hol_type_of(t) != H.var_type(v):
-                raise _Reject("witness has the wrong type")
-        except H.HolTypeError as e:
-            raise _Reject(f"untypable witness: {e}")
+        if t.type != H.var_type(v):
+            raise _Reject("witness has the wrong type")
         return H.App(H.Lam(v, body), t)
 
     return _check(_Logic(

@@ -860,12 +860,7 @@ class HolEvaluator:
         raise SemanticsError(f"uninterpreted constant {c.name}")
 
     def _all_image(self, items) -> bool:
-        try:
-            return all(
-                H.type_to_sort(self.model.sig, H.hol_type_of(r)) is not None
-                for r in items)
-        except H.HolTypeError:
-            return False
+        return all(H.type_to_sort(self.model.sig, r.type) is not None for r in items)
 
     # -- the compiler ---------------------------------------------------------
     #
@@ -904,7 +899,7 @@ class HolEvaluator:
             f, a = self._compile(fn, scope), self._compile(arg, scope)
             return lambda env, locs: fn_apply(f(env, locs), a(env, locs))
         if tt is H.Lam:
-            return self._lam(t.var, t.body, scope)
+            return self._lam(t, scope)
         if tt is H.HTup:
             items = [self._compile(r, scope) for r in t.items]
             image = self._all_image(t.items)
@@ -936,13 +931,9 @@ class HolEvaluator:
             return _BOOLS[forall(x.sort, window, holds)]
         return quantified
 
-    def _lam(self, v, body, scope: tuple) -> Callable:
-        vt = H.var_type(v)
-        try:
-            whole = H.ArrowT(vt, H.hol_type_of(body))
-            image = isinstance(H.type_to_sort(self.model.sig, whole), AbsSort)
-        except H.HolTypeError:
-            image = False
+    def _lam(self, t, scope: tuple) -> Callable:
+        v, body = t.var, t.body
+        image = isinstance(H.type_to_sort(self.model.sig, t.type), AbsSort)
         free = H.fv(body)
         others = [self._reader(w, scope) for w in free - {v}]
         run = self._compile(body, scope + (v,))

@@ -27,12 +27,6 @@ class TranslationEnv:
     target: H.HolSignature
     formers: Mapping[str, H.Const]   # each term- and proposition-former's constant
 
-    def term_const(self, f: str) -> H.Const:
-        return self.formers[f]
-
-    def pred_const(self, p: str) -> H.Const:
-        return self.formers[p]
-
 
 def translate_signature(sig: P.PnlSignature) -> TranslationEnv:
     """The translation environment; each former's constant is built here,
@@ -53,7 +47,7 @@ def translate(env: TranslationEnv, ctx: CaptureContext, x) -> H.HolTerm:
         case P.Tup(items):
             return H.HTup(tuple(translate(env, ctx, r) for r in items))
         case P.Former(f, arg):
-            return H.App(env.term_const(f), translate(env, ctx, arg))
+            return H.App(env.formers[f], translate(env, ctx, arg))
         case P.AbsT(a, body):
             return H.Lam(H.AtomVar(a), translate(env, ctx, body))
         case P.Sus(pi, unk):
@@ -65,7 +59,7 @@ def translate(env: TranslationEnv, ctx: CaptureContext, x) -> H.HolTerm:
         case P.Imp(p, q):
             return H.imp(translate(env, ctx, p), translate(env, ctx, q))
         case P.Pred(p, arg):
-            return H.App(env.pred_const(p), translate(env, ctx, arg))
+            return H.App(env.formers[p], translate(env, ctx, arg))
         case P.All(unk, body):
             v = H.UnkVar(unk, restrict_context(ctx, unk.pmss))
             return H.forall(v, translate(env, ctx, body))

@@ -8,7 +8,9 @@ alpha-beta equality through both normal forms, and equality of suspended
 renamings by searching all support bijections.  Tests hold the key-based
 versions in `nomhol.pnl`, `nomhol.hol`, `nomhol.kernel` and
 `nomhol.semantics` to these.  `dedup` says what a sequent side that repeats
-a formula means: the side without the copies.  `nf` rebuilds every node of
+a formula means: the side without the copies.  `hol_type_of` types a term
+by walking it whole, the reference for the `type` each `nomhol.hol` term
+computes when it is built.  `nf` rebuilds every node of
 a beta-normal form, the reference for `hol._nf`, which keeps each subterm
 that is already normal; `render_derivation` prints every formula
 occurrence, the reference for `frontend.render_derivation`, which prints
@@ -39,8 +41,8 @@ from typing import Iterator, List, Mapping
 from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
                           set_subset)
 from nomhol.frontend import render
-from nomhol.hol import (App, Const, HTup, HolTypeError, Lam, Var, hol_type_of,
-                        hol_subst_parallel, var_type)
+from nomhol.hol import (App, ArrowT, Const, HTup, HolTerm, HolType, HolTypeError,
+                        Lam, TupleT, Var, hol_subst_parallel, var_type)
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Perm2, PnlSignature, Pred, Sus, Tup,
                         TupleSort, free_atoms, free_unknowns, alpha_key,
@@ -122,6 +124,27 @@ def _alpha(t, u, env_t: dict, env_u: dict, level: int) -> bool:
         case (Const(n1, ty1), Const(n2, ty2)):
             return n1 == n2 and ty1 == ty2
     return False
+
+
+def hol_type_of(t: HolTerm) -> HolType:
+    match t:
+        case Var(v):
+            return var_type(v)
+        case Lam(v, body):
+            return ArrowT(var_type(v), hol_type_of(body))
+        case App(fn, arg):
+            fty, aty = hol_type_of(fn), hol_type_of(arg)
+            match fty:
+                case ArrowT(want, res):
+                    if want != aty:
+                        raise HolTypeError(f"application expects {want!r}, got {aty!r}", t)
+                    return res
+            raise HolTypeError(f"applying a non-function of type {fty!r}", t)
+        case HTup(items):
+            return TupleT(tuple(hol_type_of(r) for r in items))
+        case Const(_, ty):
+            return ty
+    raise HolTypeError(f"not a term: {type(t).__name__}")
 
 
 def hol_alpha_eq(t, u) -> bool:
@@ -554,7 +577,7 @@ class HolEvaluator:
     def _all_image(self, items):
         try:
             return all(
-                H.type_to_sort(self.model.sig, H.hol_type_of(r)) is not None
+                H.type_to_sort(self.model.sig, hol_type_of(r)) is not None
                 for r in items)
         except H.HolTypeError:
             return False
@@ -562,7 +585,7 @@ class HolEvaluator:
     def _eval_lam(self, v, body, env):
         vt = H.var_type(v)
         try:
-            whole = H.ArrowT(vt, H.hol_type_of(body))
+            whole = H.ArrowT(vt, hol_type_of(body))
             image = isinstance(H.type_to_sort(self.model.sig, whole), AbsSort)
         except H.HolTypeError:
             image = False

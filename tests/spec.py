@@ -50,7 +50,7 @@ from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
 from nomhol.capture import CaptureContext, restrict_context
 from nomhol.hol import (App, AtomVar, Const, HTup, HolTerm, HolTypeError,
                         HolVar, Lam, UnkVar, Var, apps, hol_subst_parallel,
-                        hol_type_of, lams, var_type)
+                        lams, var_type)
 from nomhol.kernel import Sequent
 from nomhol.pnl import (AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         PnlSignature, PnlSubst, PnlProp, Pred, SignatureError,
@@ -143,7 +143,7 @@ def apply_reindex(ctx_from: CaptureContext, ctx_to: CaptureContext,
 # substitution and permutation of higher-order terms
 
 def hol_subst(t: HolTerm, v: HolVar, u: HolTerm) -> HolTerm:
-    if hol_type_of(u) != var_type(v):
+    if u.type != var_type(v):
         raise HolTypeError(f"substituting {u!r} of wrong type for {v!r}")
     return hol_subst_parallel(t, {v: u})
 

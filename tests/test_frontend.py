@@ -670,7 +670,8 @@ def _at(text, needle, nth=0):
 @pytest.mark.parametrize("kind,good,bad,message", [
     ("deriv-pnl", "(pred P (var nu@0))", "(pred Q (var nu@0))",
      "undeclared proposition-former Q"),
-    ("deriv-hol", "(app g_P nu@0)", "(app g_P)", "app takes at least two arguments"),
+    ("deriv-hol", "(app g_P (app g_var nu@0))", "(app g_P)",
+     "app takes at least two arguments"),
 ])
 def test_shared_formula_errors_keep_their_positions(kind, good, bad, message):
     """An ill-formed formula written twice fails at its first copy; one
@@ -689,7 +690,7 @@ def test_shared_formula_errors_keep_their_positions(kind, good, bad, message):
 
 def _towers(n):
     """A PNL and a HOL formula with n nested lam/abs binders."""
-    t, h = "(var nu@0)", "nu@0"
+    t, h = "(var nu@0)", "(app g_var nu@0)"
     for i in range(n, 0, -1):
         t = f"(lam (abs nu@{i} (app (tup (var nu@{i // 2}) {t}))))"
         h = f"(app g_lam (lam nu@{i} {h}))"
@@ -823,7 +824,7 @@ def _printable_rows():
          "(const k (-> (tupt o mu_nu (tupt)) o))"),
         ("hol", H.IMP, "(const imp (-> o (-> o o)))"),
         ("hol", H.BOT, "bot"),
-        ("hol", H.imp(H.BOT, x0), "(imp bot nu@0)"),
+        ("hol", H.imp(H.BOT, p0), "(imp bot (plain o 0))"),
         ("hol", H.App(H.IMP, H.BOT), "(app (const imp (-> o (-> o o))) bot)"),
         ("hol", H.HTup((x0, H.HTup(()))), "(tup nu@0 (tup))"),
         ("deriv-pnl", K.Node("ax", K.Sequent((P.Bot(),), (P.Bot(),)), (), Perm.swap(a0, a1),
@@ -1054,6 +1055,26 @@ def test_cli_check_hol_reads_constants_against_the_signature(capsys, tmp_path):
         assert (out.out, out.err) == ("", f"error: 3:31: {message}\n"), const
 
 
+def test_cli_check_hol_locates_ill_typed_formulas_and_witnesses(capsys, tmp_path):
+    """An ill-typed formula or witness is an error at the list that builds
+    it, exit 2, not a rejected derivation."""
+    f = tmp_path / "d.sexp"
+    f.write_text("(rule ax (concl (seq (left (app g_P bot)) (right (app g_P bot))))"
+                 " (li 0) (ri 0))")
+    assert cli("check", "--logic", "hol", str(f)) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "", "error: 1:28: application expects mu_iota, got o in (app g_P bot)\n")
+    text = ("(rule alll (concl (seq (left (all (plain mu_iota 0) (app g_P (plain mu_iota 0))))"
+            "\n  (right bot))) (li 0) (witness (app g_var bot)))")
+    f.write_text(text)
+    assert cli("check", "--logic", "hol", str(f)) == 2
+    out = capsys.readouterr()
+    line, col = _at(text, "(app g_var bot)")
+    assert (out.out, out.err) == (
+        "", f"error: {line}:{col}: application expects mu_nu, got o in (app g_var bot)\n")
+
+
 def test_cli_nominal_commands_reject_ill_sorted_input(capsys, tmp_path):
     """Every command that reads a nominal term or proposition sort-checks
     it: `var` takes a name, not a pair of names."""
@@ -1154,28 +1175,28 @@ def test_cli_type_error_prints_the_permission_set(capsys, tmp_path):
     assert cli("normalize", str(f)) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: application expects mu_nu, got mu_iota in "
+    assert out.err == ("error: 1:1: application expects mu_nu, got mu_iota in "
                        "(app g_var X{iota;perm(+{nu@0}-{nu@-1});0}_[])\n")
 
 
 def test_cli_messages_quote_terms_that_read_back(capsys, tmp_path):
-    """A type error quotes the offending subterm as a document writes it,
-    so the quoted text reads back to that subterm; the kernel quotes only
-    a formula's type."""
-    from nomhol import hol as H
+    """A type error is located at the list that builds the ill-typed term
+    and quotes it as a document writes it, so the quoted text, read back,
+    raises the same error at its start; the kernel quotes only a formula's
+    type."""
     f = tmp_path / "t.sexp"
-    for text, message in (
-            ("(app g_P bot)", "application expects mu_iota, got o in (app g_P bot)"),
-            ("(lam nu@0 (imp (app g_P nu@0) bot))",
+    for text, where, message in (
+            ("(app g_P bot)", (1, 1), "application expects mu_iota, got o in (app g_P bot)"),
+            ("(lam nu@0 (imp (app g_P nu@0) bot))", (1, 16),
              "application expects mu_iota, got mu_nu in (app g_P nu@0)")):
         f.write_text(text)
         assert cli("normalize", str(f)) == 2
         out = capsys.readouterr()
-        assert (out.out, out.err) == ("", f"error: {message}\n")
-        with pytest.raises(H.HolTypeError) as e:
-            H.hol_type_of(F.parse_document(text, "hol", SIG))
+        assert (out.out, out.err) == ("", "error: {}:{}: {}\n".format(*where, message))
         quoted = message.split(" in ", 1)[1]
-        assert F.parse_document(quoted, "hol", SIG) == e.value.term
+        with pytest.raises(F.ParseError) as e:
+            F.parse_document(quoted, "hol", SIG)
+        assert (e.value.message, e.value.line, e.value.col) == (message, 1, 1)
     f.write_text("(rule ax (concl (seq (left (app g_var nu@0)) (right (app g_var nu@0))))"
                  " (li 0) (ri 0))")
     assert cli("check", "--logic", "hol", str(f)) == 1

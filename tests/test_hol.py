@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from nomhol.hol import (App, ArrowT, AtomVar, BASE_SIGNATURE, BOT, BaseT,
                         Const, HTup, HolTypeError, IMP, Lam, O, PlainVar,
                         TupleT, UnkVar, Var, alphabeta_eq, alphabeta_key, apps,
                         beta_normalize, forall, forall_const, fv,
-                        hol_subst_parallel, hol_type_of, imp, lams, name_sort_type,
+                        hol_subst_parallel, imp, lams, name_sort_type,
                         sort_to_type, type_to_sort, var_type)
 from nomhol.pnl import AbsSort, BaseSort, NameSort, TupleSort, Unknown
 
@@ -53,21 +54,21 @@ def test_unkvar_type_is_curried():
 # --- typing --------------------------------------------------------------------
 
 def test_type_of_bot():
-    assert hol_type_of(BOT) == O
+    assert BOT.type == O
 
 
 def test_type_of_lambda_application():
     t = Lam(a(0), App(Var(F), Var(a(0))))
-    assert hol_type_of(t) == ArrowT(MU_NU, MU_IOTA)
+    assert t.type == ArrowT(MU_NU, MU_IOTA)
 
 
 def test_type_of_tuple():
-    assert hol_type_of(HTup((BOT, BOT))) == TupleT((O, O))
+    assert HTup((BOT, BOT)).type == TupleT((O, O))
 
 
 def test_ill_typed_application():
-    with pytest.raises(HolTypeError):
-        hol_type_of(App(BOT, BOT))
+    with pytest.raises(HolTypeError, match="^applying a non-function of type o$"):
+        App(BOT, BOT)
 
 
 def test_unknown_constant_rejected():
@@ -242,8 +243,8 @@ def test_subject_reduction_randomized():
     for _ in range(300):
         ty = rng.choice([MU_IOTA, O, ArrowT(MU_NU, MU_IOTA), TupleT((O, MU_NU))])
         t = rand_hol(rng, 4, ty)
-        assert hol_type_of(t) == ty
-        assert hol_type_of(beta_normalize(t)) == ty
+        assert t.type == ty
+        assert beta_normalize(t).type == ty
 
 
 def test_confluence_at_desk_scale():
@@ -346,7 +347,7 @@ def hol_pairs_st(draw):
 @given(hol_pairs_st())
 def test_alphabeta_key_matches_pairwise_oracle(pair):
     t, u = pair
-    if hol_type_of(t) != hol_type_of(u):
+    if t.type != u.type:
         assert alphabeta_key(t) != alphabeta_key(u)
         for eq in (alphabeta_eq, oracles.alphabeta_eq):
             with pytest.raises(HolTypeError):
@@ -367,3 +368,31 @@ def test_normal_form_keeps_what_is_already_normal(t):
     assert H._nf(n) is n
     if n == t:
         assert n is t
+
+
+def unchecked_app(fn, arg):
+    """An application built without typing it, for the oracle to type."""
+    t = object.__new__(App)
+    object.__setattr__(t, "fn", fn)
+    object.__setattr__(t, "arg", arg)
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TYPES).flatmap(hol_st),
+       st.sampled_from([MU_NU, *TYPES]).flatmap(hol_st))
+def test_built_terms_carry_the_oracles_type(f, u):
+    """A built term's type, and its normal form's, are the ones the
+    whole-term walk gives; App(f, u) builds exactly when the walk types f
+    as an arrow from u's type, and otherwise raises the walk's message."""
+    for t in (f, u):
+        n = beta_normalize(t)
+        assert t.type == oracles.hol_type_of(t) == n.type == oracles.hol_type_of(n)
+    try:
+        want = oracles.hol_type_of(unchecked_app(f, u))
+    except HolTypeError as e:
+        with pytest.raises(HolTypeError, match=f"^{re.escape(str(e))}$") as got:
+            App(f, u)
+        assert got.value.term == unchecked_app(f, u)
+    else:
+        assert App(f, u).type == want

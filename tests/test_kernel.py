@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -113,10 +114,10 @@ def test_weakening_stability():
 
 # --- higher-order kernel -----------------------------------------------------
 
-GP = ENV.pred_const("P")
+GP = ENV.formers["P"]
 
 
-GVAR = ENV.term_const("var")
+GVAR = ENV.formers["var"]
 
 
 def hP(t):
@@ -172,12 +173,6 @@ def test_h_membership_up_to_beta():
     assert check_hol(d)
 
 
-def test_untypable_formula_rejected():
-    d = Node("ax", Sequent((App(BOT, BOT),), (App(BOT, BOT),)), li=0, ri=0)
-    v = check_hol(d)
-    assert not v and "untypable" in v.message
-
-
 def test_atomic_probe():
     yes = sequent([hP(ha(0))], [hP(ha(0))])
     no = sequent([hP(ha(0))], [hP(ha(1))])
@@ -190,7 +185,8 @@ def test_atomic_probe():
 #
 # Every row is written once in nominal syntax; the higher-order kernel sees
 # its translation at the empty context.  A message given as a dict differs by
-# logic; None means that logic accepts the derivation.
+# logic; None means that logic accepts the derivation, and a HolTypeError
+# that the row's translation is ill-typed, so it cannot be built.
 
 LOGICS = {
     "pnl-restricted": (lambda d: check_pnl(SIG, d, RESTRICTED), lambda x: x),
@@ -252,7 +248,7 @@ REJECTIONS = [
                  witness=Former("var", var(0))), (),
      {"pnl-restricted": "ill-sorted witness: var expects nu, got iota",
       "pnl-full": "ill-sorted witness: var expects nu, got iota",
-      "hol": "untypable witness: application expects mu_nu, got mu_iota"}),
+      "hol": H.HolTypeError("application expects mu_nu, got mu_iota")}),
     # X0 permits nu@0..nu@2; the translation carries no permission sets
     ("alll-witness-permission",
      lambda n: n("alll", [UNIV], [P(var(3))], _ax(n, [P(var(3))], [P(var(3))]),
@@ -273,16 +269,18 @@ REJECTIONS = [
     ("ill-sorted-formula", lambda n: _ax(n, [P(AtomT(atom(0)))], [p]), (),
      {"pnl-restricted": "ill-sorted formula: P expects iota, got nu",
       "pnl-full": "ill-sorted formula: P expects iota, got nu",
-      "hol": "untypable formula: application expects mu_iota, got mu_nu"}),
+      "hol": H.HolTypeError("application expects mu_iota, got mu_nu")}),
     ("term-as-formula", lambda n: _ax(n, [var(0)], [p]), (),
      {"pnl-restricted": "ill-sorted formula: not a proposition",
       "pnl-full": "ill-sorted formula: not a proposition",
       "hol": "formula is not a proposition: it has type mu_iota"}),
-    # P(nu@0) is ill-sorted, and its translation untypable, alone on a side
+    # P(nu@0) is ill-sorted, and its translation ill-typed, alone on a side
     # of the premise: a formula that fails matches no formula of its parent
     ("ill-sorted-premise-formula",
      lambda n: n("impr", [], [Imp(p, q)], _ax(n, [p], [P(AtomT(atom(0)))]), ri=0),
-     (0,), "premise does not match impr"),
+     (0,), {"pnl-restricted": "premise does not match impr",
+            "pnl-full": "premise does not match impr",
+            "hol": H.HolTypeError("application expects mu_iota, got mu_nu")}),
     ("unknown-rule", lambda n: n("cut", [p], [p]), (), "unknown rule cut"),
     ("premise-count", lambda n: n("impr", [], [Imp(p, p)], ri=0), (),
      "impr expects 1 premises, got 0"),
@@ -315,6 +313,10 @@ def row_derivation(logic, build):
 def test_rejection_table(logic, build, path, message):
     if isinstance(message, dict):
         message = message[logic]
+    if isinstance(message, H.HolTypeError):
+        with pytest.raises(H.HolTypeError, match=f"^{re.escape(str(message))}$"):
+            row_derivation(logic, build)
+        return
     v = LOGICS[logic][0](row_derivation(logic, build))
     if message is None:
         assert v.ok, v
@@ -425,7 +427,9 @@ def test_copies_never_change_a_verdict(logic):
     else:
         ds.append(full_only_derivation())
     ds += [row_derivation(logic, row[1]) for row in REJECTIONS
-           if row[0] not in ("left-index", "right-index")]
+           if row[0] not in ("left-index", "right-index")
+           and not (isinstance(row[3], dict)
+                    and isinstance(row[3][logic], H.HolTypeError))]
     for d in ds:
         want = check(d)
         for _ in range(4):
@@ -485,8 +489,8 @@ def test_cli_keys_each_formula_object_at_most_once(monkeypatch, tmp_path):
 
 def test_check_hol_types_and_normalizes_each_formula_once(monkeypatch):
     """The translated impr chain holds one object per distinct formula (40
-    hypotheses and 40 right-hand sides in 861 occurrences); check_hol types
-    and normalises each object once."""
+    hypotheses and 40 right-hand sides in 861 occurrences); check_hol
+    normalises each object once, and types none: each carries its type."""
     tree = translate_derivation(ENV, impr_chain(40)).tree
     formulas, stack = {}, [tree]
     while stack:
@@ -494,16 +498,14 @@ def test_check_hol_types_and_normalizes_each_formula_once(monkeypatch):
         formulas.update((id(p), p) for p in n.concl.left + n.concl.right)
         stack.extend(n.children)
     calls = Counter()
-    for name in ("hol_type_of", "_nf"):
-        def spy(t, *args, real=getattr(H, name), name=name):
-            if id(t) in formulas:
-                calls[name, id(t)] += 1
-            return real(t, *args)
-        monkeypatch.setattr(H, name, spy)
+    def spy(t, real=H._nf):
+        if id(t) in formulas:
+            calls[id(t)] += 1
+        return real(t)
+    monkeypatch.setattr(H, "_nf", spy)
     assert check_hol(tree)
     assert len(formulas) == 80
-    assert Counter(name for name, _ in calls) == {"hol_type_of": len(formulas),
-                                                  "_nf": len(formulas)}
+    assert len(calls) == len(formulas)
     assert set(calls.values()) == {1}
 
 
@@ -519,7 +521,7 @@ def binder_tower(n, names, swap):
 
 def redex_tower(m):
     """m nested beta-redexes: (lam v_i. g_app (v_i, g_var a_i)) R_(i-1)."""
-    gapp, iota = ENV.term_const("app"), H.name_sort_type("iota")
+    gapp, iota = ENV.formers["app"], H.name_sort_type("iota")
     t = nf = ha(0)
     for i in range(1, m + 1):
         v = Var(PlainVar(iota, i))

@@ -6,7 +6,7 @@ from nomhol.atoms import Atom, Perm
 from nomhol.capture import canonical_context, capture_check, capture_infer
 from nomhol.hol import (App, ArrowT, AtomVar, Const, HTup, Lam, O, UnkVar,
                         Var, alphabeta_eq, apps, beta_normalize, forall, fv,
-                        hol_type_of, lams, name_sort_type, sort_to_type)
+                        lams, name_sort_type, sort_to_type)
 from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, PnlSubst,
                         Pred, Sus, Tup, Unknown, alpha_eq, free_atoms,
                         perm_act, perm2_act, sort_of, subst_apply, subst_one)
@@ -28,10 +28,10 @@ MU_IOTA = name_sort_type("iota")
 
 
 def test_signature_constants():
-    assert ENV.term_const("var").type == ArrowT(MU_NU, MU_IOTA)
-    assert ENV.term_const("app").type.arg.items == (MU_IOTA, MU_IOTA)
-    assert ENV.term_const("lam").type == ArrowT(ArrowT(MU_NU, MU_IOTA), MU_IOTA)
-    assert ENV.pred_const("P").type == ArrowT(MU_IOTA, O)
+    assert ENV.formers["var"].type == ArrowT(MU_NU, MU_IOTA)
+    assert ENV.formers["app"].type.arg.items == (MU_IOTA, MU_IOTA)
+    assert ENV.formers["lam"].type == ArrowT(ArrowT(MU_NU, MU_IOTA), MU_IOTA)
+    assert ENV.formers["P"].type == ArrowT(MU_IOTA, O)
     assert "bot" in ENV.target.constants and "imp" in ENV.target.constants
 
 
@@ -74,23 +74,25 @@ def test_displayed_translations_wide_unknown():
 
 
 def _equal_prop(unk):
-    return All(unk, Pred("equal", Tup((AbsT(a(0), Sus.of(unk)),
-                                       AbsT(a(1), Sus(SWAP, unk))))))
+    """As in displayed_narrow.sexp and displayed_wide.sexp."""
+    return All(unk, Pred("equal", Tup((Former("lam", AbsT(a(0), Sus.of(unk))),
+                                       Former("lam", AbsT(a(1), Sus(SWAP, unk)))))))
 
 
 def test_displayed_quantified_translations():
+    g_lam = ENV.formers["lam"]
     got = translate(ENV, D, _equal_prop(XH))
     want = forall(UnkVar(XH, (a(0),)),
-                  App(ENV.pred_const("equal"),
-                      HTup((Lam(AtomVar(a(0)), App(XV, av(0))),
-                            Lam(AtomVar(a(1)), App(XV, av(1)))))))
+                  App(ENV.formers["equal"],
+                      HTup((App(g_lam, Lam(AtomVar(a(0)), App(XV, av(0)))),
+                            App(g_lam, Lam(AtomVar(a(1)), App(XV, av(1))))))))
     assert hol_alpha_eq(got, want)
 
     got = translate(ENV, D, _equal_prop(Y))
     want = forall(UnkVar(Y, (a(0), a(1))),
-                  App(ENV.pred_const("equal"),
-                      HTup((Lam(AtomVar(a(0)), apps(YV, av(0), av(1))),
-                            Lam(AtomVar(a(1)), apps(YV, av(1), av(0)))))))
+                  App(ENV.formers["equal"],
+                      HTup((App(g_lam, Lam(AtomVar(a(0)), apps(YV, av(0), av(1)))),
+                            App(g_lam, Lam(AtomVar(a(1)), apps(YV, av(1), av(0))))))))
     assert hol_alpha_eq(got, want)
 
 
@@ -198,9 +200,9 @@ def test_typability():
         t = translate(ENV, d, x)
         check_constants(t)
         if isinstance(x, (Bot, Imp, Pred, All)):
-            assert hol_type_of(t) == O
+            assert t.type == O
         else:
-            assert hol_type_of(t) == sort_to_type(sort_of(SIG, x))
+            assert t.type == sort_to_type(sort_of(SIG, x))
 
 
 def test_injectivity_on_captured_pairs():
