@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 = success/accepted/equal, 1 = rejected/unequal, 2 = usage,
-parse, or type error.  ``--json`` switches every subcommand to a single
+parse, sort or type error.  ``--json`` switches every subcommand to a single
 machine-readable verdict object on stdout.  The environment variable
 ``NOMHOL_DEPTH`` supplies the default quantifier bound.  Messages quote
-syntax as a document writes it: a type error is located at the list that
-builds the ill-typed term, and ends with that list.
+syntax as a document writes it: a sort or type error is located at the list
+that builds the ill-sorted or ill-typed term, and ends with that list.
 """
 
 from __future__ import annotations
@@ -56,17 +56,6 @@ def _load_sig(args) -> P.PnlSignature:
     if args.sig is None:
         return corpus.SIG
     return F.parse_document(_read(args.sig), "sig")
-
-
-def _load_pnl(path: str, sig):
-    """A nominal term or proposition, sort-checked: no command gives a
-    verdict on an ill-sorted input, whose translation would not typecheck."""
-    x = F.parse_document(_read(path), "pnl", sig)
-    if isinstance(x, P.PnlProp):
-        P.check_prop(sig, x)
-    else:
-        P.sort_of(sig, x)
-    return x
 
 
 def _depth_value(raw: str) -> int:
@@ -139,7 +128,7 @@ def _cmd_translate(args) -> int:
                    "derivation": text}
         return _emit(args, payload,
                      f"; context {F.render_context(out.ctx_full)}\n{text}")
-    x = _load_pnl(args.file, sig)
+    x = F.parse_document(_read(args.file), "pnl", sig)
     ctx = _given_context(args, sig)
     if ctx is None:  # the least context, which capture-checks by construction
         ctx, captured = canonical_context(capture_infer(x)), True
@@ -156,7 +145,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_infer_d(args) -> int:
     sig = _load_sig(args)
-    x = _load_pnl(args.file, sig)
+    x = F.parse_document(_read(args.file), "pnl", sig)
     ctx = canonical_context(capture_infer(x))
     return _emit(args, {"ok": True, "context": F.render_context(ctx)},
                  F.render_context(ctx))
@@ -169,8 +158,8 @@ def _cmd_alpha(args) -> int:
         u = F.parse_document(_read(args.file2), "hol", sig)
         same = H.alphabeta_eq(t, u)
     else:
-        t = _load_pnl(args.file, sig)
-        u = _load_pnl(args.file2, sig)
+        t = F.parse_document(_read(args.file), "pnl", sig)
+        u = F.parse_document(_read(args.file2), "pnl", sig)
         same = P.alpha_eq(t, u)
     return _emit(args, {"ok": same},
                  "alpha-equal" if same else "not alpha-equal")
@@ -187,7 +176,7 @@ def _cmd_eval(args) -> int:
     sig = _load_sig(args)
     model = _load_model(args, sig)
     val = _load_valuation(args, sig)
-    x = _load_pnl(args.file, sig)
+    x = F.parse_document(_read(args.file), "pnl", sig)
     depth = _depth(args)
     if isinstance(x, P.PnlProp):
         v, exact = eval_pnl_prop(model, val, x, depth)
@@ -202,7 +191,7 @@ def _cmd_square(args) -> int:
     env = translate_signature(sig)
     model = _load_model(args, sig)
     val = _load_valuation(args, sig)
-    x = _load_pnl(args.file, sig)
+    x = F.parse_document(_read(args.file), "pnl", sig)
     v = square_check(env, model, _given_context(args, sig), val, x, _depth(args))
     payload = {"ok": v.ok, "exact": v.exact, "kind": v.kind,
                "message": v.message}

@@ -51,9 +51,9 @@ every copy is the same object.  A model's own signature starts a fresh
 reading.  `render_derivation` prints each formula object once.
 
 The reader checks a document against its signature once, with located
-errors: atoms, sorts, formers, each `(const NAME TYPE)`, and each valuation
-value's sort and permission set.  Each HOL row is typed as it is read, since
-a term is typed when it is built: an ill-typed one is an error at its row.
+errors: atoms, sorts, formers, predicates, each `(const NAME TYPE)`, and
+each valuation value's sort and permission set.  Each row is sorted or
+typed as it is read: an ill-sorted or ill-typed one is an error at its row.
 An error in the reading without locations raises `_Unlocated` in `_err`;
 `parse_document` reads the text again with `sexpr.parse_all`, which gives
 each list written its own located row, and parses it again, which raises
@@ -85,12 +85,12 @@ class _Unlocated(Exception):
 
 class Reading:
     """What every parser of a node takes: the table (see `sexpr`), the
-    signatures, and a memo for each category, keyed by the node."""
-    __slots__ = ("rows", "sig", "hsig", "term", "prop", "hol")
+    signatures, a memo for each category keyed by the node, and the sorts read."""
+    __slots__ = ("rows", "sig", "hsig", "term", "prop", "hol", "sort")
 
     def __init__(self, rows: list, sig=None, hsig=None):
         self.rows, self.sig, self.hsig = rows, sig, hsig
-        self.term, self.prop, self.hol = {}, {}, {}
+        self.term, self.prop, self.hol, self.sort = {}, {}, {}, {}
 
 
 def _err(node, message: str):
@@ -364,7 +364,7 @@ def parse_term(r: Reading, node) -> P.PnlTerm:
             t = P.Former(head, parse_term(r, arg))
         else:
             _err(node, f"unrecognized term form {head!r}")
-    r.term[node] = t
+    r.term[node] = _sorted(r, node, P.sort_of, t)
     return t
 
 
@@ -388,8 +388,17 @@ def parse_prop(r: Reading, node) -> P.PnlProp:
         phi = P.All(parse_unknown(r, unk), parse_prop(r, body))
     else:
         _err(node, f"unrecognized proposition {_text(r, node)}")
-    r.prop[node] = phi
+    r.prop[node] = _sorted(r, node, P.check_prop, phi)
     return phi
+
+
+def _sorted(r: Reading, node, check, x):
+    """x, read from node, once `check` has sorted it in one step and recorded it."""
+    try:
+        r.sort[id(x)] = x, check(r.sig, x, r.sort)
+    except P.SortError as e:
+        _err(node, f"{e} in {_text(r, node)}")
+    return x
 
 
 def parse_pnl(r: Reading, node):
@@ -712,6 +721,8 @@ def parse_model(r: Reading, node) -> HerbrandModel:
             if len(items) < 2 or not isinstance(items[1], str):
                 _err(sec, "predicate interpretations name their predicate")
             name = str(items[1])
+            if name not in r.sig.prop_formers:
+                _err(sec, f"undeclared proposition-former {name}")
             _once(seen, sec, f"(pred {name} ...)")
             clauses, default, support, parts = [], 0, frozenset(), set()
             for part in items[2:]:
@@ -722,7 +733,8 @@ def parse_model(r: Reading, node) -> HerbrandModel:
                     pat, v = _args(r, part, 2, "clause")
                     if not isinstance(v, str) or v not in ("0", "1"):
                         _err(part, "clause values are 0 or 1")
-                    clauses.append((parse_term(r, pat), int(v)))
+                    phi = _sorted(r, pat, P.check_prop, P.Pred(name, parse_term(r, pat)))
+                    clauses.append((phi.arg, int(v)))   # the pattern, P's argument
                 elif phead == "default":
                     (v,) = _args(r, part, 1, "default")
                     if not isinstance(v, str) or v not in ("0", "1"):
@@ -737,10 +749,7 @@ def parse_model(r: Reading, node) -> HerbrandModel:
             _err(sec, f"unrecognized model section {head!r}")
     if r.sig is None:
         _err(node, "a model needs a signature")
-    try:
-        return HerbrandModel(r.sig, preds)
-    except Exception as e:
-        _err(node, str(e))
+    return HerbrandModel(r.sig, preds)
 
 
 def render_model(model: HerbrandModel) -> str:
@@ -775,15 +784,10 @@ def parse_valuation(r: Reading, node) -> Valuation:
         unk, term = _args(r, sec, 2, "assign")
         x = parse_unknown(r, unk)
         _once(seen, sec, f"(assign {x!r} ...)")
-        assignments[x] = _ground(parse_term(r, term), term, "assign")
-        nodes.append((x, term))
-    for x, term in nodes:   # after every entry, so a repeat is reported first
-        t = assignments[x]
-        try:
-            sort = P.sort_of(r.sig, t)
-        except P.SortError as e:
-            _err(term, str(e))
-        if sort != x.sort:
+        assignments[x] = t = _ground(parse_term(r, term), term, "assign")
+        nodes.append((x, t, term))
+    for x, t, term in nodes:   # after every entry, so a repeat is reported first
+        if P.sort_of(r.sig, t, r.sort) != x.sort:   # sorted when read
             _err(term, f"valuation value for {x!r} has the wrong sort")
         if not set_subset(P.free_atoms(t), x.pmss):
             _err(term, f"valuation value for {x!r} escapes its permission set")

@@ -182,47 +182,52 @@ class SortError(Exception):
         self.subterm = subterm
 
 
-def sort_of(sig: PnlSignature, t: PnlTerm) -> PnlSort:
+def sort_of(sig: PnlSignature, t: PnlTerm, known: Optional[dict] = None) -> PnlSort:
+    """The sort of t, or SortError; one step if `known` holds t's parts.  It
+    maps id(u) to (u, u's sort), or (u, True) for a proposition u."""
+    if known and (hit := known.get(id(t))):
+        return hit[1]
     match t:
+        case AtomT(a) | AbsT(a, _) if a.sort not in sig.name_sorts:
+            raise SortError(f"undeclared name sort {a.sort}", t)
         case AtomT(a):
-            if a.sort not in sig.name_sorts:
-                raise SortError(f"undeclared name sort {a.sort}", t)
             return NameSort(a.sort)
         case Tup(items):
-            return TupleSort(tuple(sort_of(sig, r) for r in items))
+            return TupleSort(tuple(sort_of(sig, r, known) for r in items))
         case Former(f, arg):
             if f not in sig.term_formers:
                 raise SortError(f"unknown term-former {f}", t)
             want, res = sig.term_formers[f]
-            got = sort_of(sig, arg)
+            got = sort_of(sig, arg, known)
             if got != want:
                 raise SortError(f"{f} expects {want!r}, got {got!r}", t)
             return BaseSort(res)
         case AbsT(a, body):
-            if a.sort not in sig.name_sorts:
-                raise SortError(f"undeclared name sort {a.sort}", t)
-            return AbsSort(a.sort, sort_of(sig, body))
+            return AbsSort(a.sort, sort_of(sig, body, known))
         case Sus(_, x):
             sig._check_sort(x.sort, "unknown")
             return x.sort
     raise SortError(f"not a term: {type(t).__name__}", t)
 
 
-def check_prop(sig: PnlSignature, phi: PnlProp) -> bool:
+def check_prop(sig: PnlSignature, phi: PnlProp, known: Optional[dict] = None) -> bool:
+    """True, or SortError if phi is ill-sorted; `known` is as for `sort_of`."""
+    if known and id(phi) in known:
+        return True
     match phi:
         case Bot():
             return True
         case Imp(a, b):
-            return check_prop(sig, a) and check_prop(sig, b)
+            return check_prop(sig, a, known) and check_prop(sig, b, known)
         case Pred(p, arg):
             if p not in sig.prop_formers:
                 raise SortError(f"unknown proposition-former {p}", phi)
-            got = sort_of(sig, arg)
+            got = sort_of(sig, arg, known)
             if got != sig.prop_formers[p]:
                 raise SortError(f"{p} expects {sig.prop_formers[p]!r}, got {got!r}", phi)
             return True
         case All(_, body):
-            return check_prop(sig, body)
+            return check_prop(sig, body, known)
     raise SortError("not a proposition", phi)
 
 

@@ -76,11 +76,13 @@ class Row(_Located, int):
 # is the longest and never ends inside a comment.
 _SKIP = re.compile(r"[ \t\r\n]* (?:;[^\n]* [ \t\r\n]*)*", re.VERBOSE)
 # A token, a parenthesis, a symbol or a stray brace, and the blanks and
-# comments after it up to the next token.
-_FAST = re.compile(r"""
+# comments after it up to the next token.  A symbol is read a run at a
+# time: runs of symbol characters N, and brace groups G two deep at most.
+_N, _G = r"[^ \t\r\n();{}]", r"\{(?:[^{}] | \{[^{}]*\})*\}"
+_FAST = re.compile(rf"""
     ( [()]
-    | (?:[^ \t\r\n();{}] | \{(?:[^{}] | \{[^{}]*\})*\})+  # a symbol
-    | [{}] )                                            # a stray brace
+    | {_N}+ (?:{_G} {_N}*)* | (?:{_G} {_N}*)+   # a symbol
+    | [{{}}] )                                   # a stray brace
 """ + _SKIP.pattern, re.VERBOSE)
 
 

@@ -10,9 +10,10 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from nomhol import frontend as F, sexpr
+from nomhol import frontend as F, pnl as P, sexpr
+from nomhol.atoms import Atom
 from nomhol.cli import run_cli
 from nomhol.corpus import SIG
 from nomhol.hol import alphabeta_eq
@@ -180,7 +181,7 @@ def test_a_model_signature_reads_later_clauses_anew():
     an error at the second copy."""
     pat = "(app (tup (var nu@0) (var nu@0)))"
     text = (f"(model (pred P (clause {pat} 1))\n"
-            "  (sig (name-sorts nu) (base-sorts iota) (term var nu iota) (pred P iota))\n"
+            "  (sig (name-sorts nu) (base-sorts iota) (term var nu iota) (pred Q iota))\n"
             f"  (pred Q (clause {pat} 1)))")
     with pytest.raises(F.ParseError) as e:
         F.parse_document(text, "model", SIG)
@@ -392,6 +393,8 @@ def _reading(parse, text):
 @given(_WELL_FORMED | _MALFORMED)
 @example("(a X{b{c{d}}})")
 @example("nu@0\x0cnu@1 ; end")
+@example("a{b}c{d{e}}f")                # runs of symbol characters and groups,
+@example("({x}y z{}{}w)")                # either first
 def test_pattern_reader_agrees_with_character_loop(text):
     assert _reading(parse_all, text) == _reading(oracles._parse_chars, text)
 
@@ -801,8 +804,9 @@ def _printable_rows():
                           "pair": (P.TupleSort((iota, nu)), "iota")}, {"P": iota})
     return [
         ("term", P.AtomT(a0), "nu@0"),
-        ("term", P.Former("lam", P.AbsT(a1, P.Tup((P.AtomT(a1), P.Sus.of(unk))))),
-         f"(lam (abs nu@1 (tup nu@1 {u})))"),
+        ("term", P.Former("lam", P.AbsT(a1, P.Former("app", P.Tup((
+            P.Former("var", P.AtomT(a1)), P.Sus.of(unk)))))),
+         f"(lam (abs nu@1 (app (tup (var nu@1) {u}))))"),
         ("term", P.Sus(Perm.from_cycles([(a0, a2, a1)]), unk), f"(sus ((nu@0 nu@2 nu@1)) {u})"),
         ("term", P.Tup(()), "(tup)"),
         ("term", P.Tup((P.Sus.of(compound),)), "(tup X{[nu]<iota,nu>;perm(+{nu@0}-{});0})"),
@@ -1076,18 +1080,51 @@ def test_cli_check_hol_locates_ill_typed_formulas_and_witnesses(capsys, tmp_path
 
 
 def test_cli_nominal_commands_reject_ill_sorted_input(capsys, tmp_path):
-    """Every command that reads a nominal term or proposition sort-checks
-    it: `var` takes a name, not a pair of names."""
-    for text in ("(var (tup nu@0 nu@1))", "(pred P (var (tup nu@0 nu@1)))"):
-        f = tmp_path / "x.sexp"
+    """Every command that reads a nominal document sorts each list as it
+    reads it: a list that builds an ill-sorted term or proposition is an
+    error there, exit 2, wherever the document is read (`var` takes a name,
+    not a pair of names; `P` a term, not a name).  A well-sorted witness of
+    the wrong sort is the kernel's to reject."""
+    model, val = p("model_basic.sexp"), p("valuation_basic.sexp")
+    f, g = tmp_path / "x.sexp", tmp_path / "y.sexp"
+    var = "var expects nu, got <nu,nu> in (var (tup nu@0 nu@1))"
+    for text, where in (("(var (tup nu@0 nu@1))", "1:1"),
+                        ("(pred P (var (tup nu@0 nu@1)))", "1:9")):
         f.write_text(text)
-        for argv in (["translate", str(f)],
-                     ["square", "--model", p("model_basic.sexp"), str(f)],
-                     ["eval", "--model", p("model_basic.sexp"), str(f)],
+        for argv in (["translate", str(f)], ["square", "--model", model, str(f)],
+                     ["eval", "--model", model, str(f)],
                      ["infer-d", str(f)], ["alpha", str(f), str(f)]):
             assert cli(*argv) == 2, (argv, text)
             out = capsys.readouterr()
-            assert (out.out, out.err) == ("", "error: var expects nu, got <nu,nu>\n")
+            assert (out.out, out.err) == ("", f"error: {where}: {var}\n"), argv
+    all_p = "(all X{iota;perm(+{}-{});0} (pred P X{iota;perm(+{}-{});0}))"
+    botl = "(rule botl (concl (seq (left bot) (right))) (li 0))"
+    for text, message in (
+            ("(rule ax (concl (seq (left (pred P nu@0)) (right (pred P nu@0)))) (li 0) (ri 0))",
+             "1:28: P expects iota, got nu in (pred P nu@0)"),
+            (f"(rule alll (concl (seq (left {all_p})\n  (right bot))) (li 0)"
+             f" (witness (var (tup nu@0 nu@0))) {botl})",
+             "2:33: var expects nu, got <nu,nu> in (var (tup nu@0 nu@0))")):
+        f.write_text(text)
+        for argv in (["check", "--logic", "pnl-full"], ["check", "--logic", "pnl-restricted"],
+                     ["translate", "--derivation"]):
+            assert cli(*argv, str(f)) == 2, (argv, text)
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", f"error: {message}\n"), argv
+    f.write_text(f"(rule alll (concl (seq (left {all_p}) (right bot))) (li 0)"
+                 f" (witness (tup nu@0 nu@0)) {botl})")
+    assert cli("check", "--logic", "pnl-full", str(f)) == 1
+    assert capsys.readouterr().out == "rejected at root: witness has the wrong sort\n"
+    f.write_text("(valuation\n  (assign X{iota;perm(+{}-{});0} (app (tup (var nu@0) nu@1))))")
+    g.write_text("(model\n  (pred P (clause (tup (var nu@0) (var nu@1)) 1) (default 0)))")
+    for argv, message in (
+            (["eval", "--model", model, "--valuation", str(f)],
+             "2:34: app expects <iota,iota>, got <iota,nu> in (app (tup (var nu@0) nu@1))"),
+            (["square", "--model", str(g), "--valuation", val],
+             "2:19: P expects iota, got <iota,iota> in (tup (var nu@0) (var nu@1))")):
+        assert cli(*argv, p("prop_basic.sexp")) == 2, argv
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n"), argv
 
 
 # Binder nesting that each command must answer at the default recursion
@@ -1203,6 +1240,84 @@ def test_cli_messages_quote_terms_that_read_back(capsys, tmp_path):
     out = capsys.readouterr()
     assert (out.out, out.err) == (
         "rejected at root: formula is not a proposition: it has type mu_iota\n", "")
+
+
+def _children(x) -> tuple:
+    """The terms and propositions that x, one of either, is built from."""
+    if isinstance(x, (P.Tup, P.Imp)):
+        return x.items if isinstance(x, P.Tup) else (x.left, x.right)
+    if isinstance(x, (P.Former, P.Pred)):
+        return (x.arg,)
+    return (x.body,) if isinstance(x, (P.AbsT, P.All)) else ()
+
+
+def _replaced(x, path: tuple, new):
+    """x with its subterm or subproposition at the path of child indices
+    replaced by new."""
+    if not path:
+        return new
+    kids = list(_children(x))
+    kids[path[0]] = _replaced(kids[path[0]], path[1:], new)
+    if isinstance(x, (P.Tup, P.Imp)):
+        return P.Tup(tuple(kids)) if isinstance(x, P.Tup) else P.Imp(*kids)
+    field = "body" if isinstance(x, (P.AbsT, P.All)) else "arg"
+    return dataclasses.replace(x, **{field: kids[0]})
+
+
+def _subterms(x, path=()):
+    yield path, x
+    for i, kid in enumerate(_children(x)):
+        yield from _subterms(kid, path + (i,))
+
+
+_HERE = P.AtomT(Atom("nu", 77))   # a placeholder the generators never write
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.integers(0, 10 ** 6),
+       st.booleans())
+def test_reader_sorts_match_a_fresh_walk(rng, is_prop, pick, as_former):
+    """A generated term or proposition, printed and read back: each row's
+    memoised sort is a fresh `pnl.sort_of` walk's (True for a proposition).
+    An ill-sorting mutation, a wrong-sort atom or a tuple given to a former
+    or predicate, or a term where a proposition is expected, is an error at
+    the mutated list, and the list quoted, read back, raises the same
+    message at 1:1."""
+    x = rand_prop(rng) if is_prop else rand_term(rng)
+    rows, root = parse_one(F.render(x))
+    r = F.Reading(rows, SIG)
+    assert F.parse_pnl(r, root) == x
+    for t in r.term.values():
+        assert r.sort[id(t)] == (t, P.sort_of(SIG, t))
+    for phi in r.prop.values():
+        assert r.sort[id(phi)] == (phi, True) and P.check_prop(SIG, phi)
+    formers = [(path, y) for path, y in _subterms(x) if isinstance(y, (P.Former, P.Pred))]
+    props = [(path, y) for path, y in _subterms(x) if path and isinstance(y, P.PnlProp)]
+    assume(formers or props)
+    if formers and as_former or not props:
+        path, y = formers[pick % len(formers)]
+        want = (SIG.term_formers[y.name][0] if isinstance(y, P.Former)
+                else SIG.prop_formers[y.name])
+        wrong = P.Tup((P.AtomT(Atom("nu", 0)),) * 2) if want == P.NameSort("nu") \
+            else P.AtomT(Atom("nu", 0))
+        bad = dataclasses.replace(y, arg=wrong)
+        with pytest.raises(P.SortError) as e:
+            P.check_prop(SIG, bad) if isinstance(y, P.Pred) else P.sort_of(SIG, bad)
+        message = f"{e.value} in {F.render(bad)}"
+    else:
+        path, y = props[pick % len(props)]
+        bad = P.Former("var", P.AtomT(Atom("nu", 0)))
+        message = "unrecognized proposition (var nu@0)"
+    marked = F.render(_replaced(x, path, _HERE))
+    at = marked.index("nu@77")
+    text = marked.replace("nu@77", F.render(bad))
+    with pytest.raises(F.ParseError) as e:
+        F.parse_document(text, "pnl", SIG)
+    assert (e.value.message, e.value.line, e.value.col) == (message, 1, at + 1), text
+    kind = "prop" if isinstance(y, P.PnlProp) else "term"
+    with pytest.raises(F.ParseError) as e:
+        F.parse_document(F.render(bad), kind, SIG)
+    assert (e.value.message, e.value.line, e.value.col) == (message, 1, 1)
 
 
 # field syntax (name=...), a term's class name, or an arrow type written infix

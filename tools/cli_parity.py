@@ -15,7 +15,8 @@ half: every corpus file under the same commands after each of a fixed set
 of corruptions (`CORRUPTIONS`), so it covers the located reader errors,
 the reader's per-symbol scan of deeply nested brace groups, and frontend
 errors, which are located by reading the text a second time, a constant
-written at a type the signature does not give it among them.
+written at a type the signature does not give it and a former given a term
+of the wrong sort among them.
 Run it in two checkouts: the same lines mean the CLI printed the same
 bytes.  It uses the `nomhol` beside it, not an installed one, and writes
 only to temporary directories.
@@ -110,6 +111,17 @@ def _const_type(text: str):
     return text[:m.start()] + f"(const {m.group()} o)" + text[m.end():] if m else None
 
 
+# a variable term (var ATOM), its atom as group 1
+_VAR_ATOM = re.compile(r"\(var ([^\s(){}]+)\)")
+
+
+def _wrong_sort(text: str):
+    """The text's first (var ATOM) as (var (tup ATOM ATOM)): a former given
+    a term of the wrong sort, which the reader finds as it sorts the list."""
+    bad, n = _VAR_ATOM.subn(r"(var (tup \1 \1))", text, count=1)
+    return bad if n else None
+
+
 # name -> the corrupted text, or None where the corruption does not apply
 CORRUPTIONS = {
     "drop-last-close": lambda t: t[:t.rindex(")")] + t[t.rindex(")") + 1:],
@@ -120,6 +132,7 @@ CORRUPTIONS = {
     "deep-braces": _deep_braces,
     "bad-last-index": _bad_last_index,
     "const-type": _const_type,
+    "wrong-sort": _wrong_sort,
 }
 
 
