@@ -393,9 +393,10 @@ def parse_prop(r: Reading, node) -> P.PnlProp:
 
 
 def _sorted(r: Reading, node, check, x):
-    """x, read from node, once `check` has sorted it in one step and recorded it."""
+    """x, read from node, once `check` has sorted it in one step over the
+    memo `r.sort` and recorded it there."""
     try:
-        r.sort[id(x)] = x, check(r.sig, x, r.sort)
+        check(r.sig, x, r.sort)
     except P.SortError as e:
         _err(node, f"{e} in {_text(r, node)}")
     return x
@@ -546,9 +547,6 @@ def render(x) -> str:
               | H.AtomVar() | H.UnkVar() | H.PlainVar()):
             return repr(x)
     raise TypeError(f"cannot render {type(x).__name__}")
-
-
-render_term = render_hol = render  # names benchmarks/tracing.py wraps
 
 
 # ---------------------------------------------------------------------------

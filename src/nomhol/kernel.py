@@ -199,11 +199,11 @@ def _interned(canonical: Callable) -> tuple:
 
 def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
     key, side = _interned(P.alpha_key)
+    sorts: dict = {}  # this check's sort memo: one step per distinct object
 
-    @by_object
     def check_formula(phi):
         try:
-            P.check_prop(sig, phi)
+            P.check_prop(sig, phi, sorts)
         except P.SortError as e:
             raise _Reject(f"ill-sorted formula: {e}")
 
@@ -218,7 +218,7 @@ def check_pnl(sig: P.PnlSignature, node: Node, mode: str) -> Verdict:
 
     def instance(x, body, r):
         try:
-            if P.sort_of(sig, r) != x.sort:
+            if P.sort_of(sig, r, sorts) != x.sort:
                 raise _Reject("witness has the wrong sort")
         except P.SortError as e:
             raise _Reject(f"ill-sorted witness: {e}")

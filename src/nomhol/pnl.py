@@ -183,17 +183,18 @@ class SortError(Exception):
 
 
 def sort_of(sig: PnlSignature, t: PnlTerm, known: Optional[dict] = None) -> PnlSort:
-    """The sort of t, or SortError; one step if `known` holds t's parts.  It
-    maps id(u) to (u, u's sort), or (u, True) for a proposition u."""
-    if known and (hit := known.get(id(t))):
+    """The sort of t, or SortError.  `known` is a memo that maps id(u) to
+    (u, u's sort), or (u, True) for a proposition u: a term in it costs one
+    step, and every term sorted here is recorded in it."""
+    if known is not None and (hit := known.get(id(t))):
         return hit[1]
     match t:
         case AtomT(a) | AbsT(a, _) if a.sort not in sig.name_sorts:
             raise SortError(f"undeclared name sort {a.sort}", t)
         case AtomT(a):
-            return NameSort(a.sort)
+            s = NameSort(a.sort)
         case Tup(items):
-            return TupleSort(tuple(sort_of(sig, r, known) for r in items))
+            s = TupleSort(tuple(sort_of(sig, r, known) for r in items))
         case Former(f, arg):
             if f not in sig.term_formers:
                 raise SortError(f"unknown term-former {f}", t)
@@ -201,34 +202,42 @@ def sort_of(sig: PnlSignature, t: PnlTerm, known: Optional[dict] = None) -> PnlS
             got = sort_of(sig, arg, known)
             if got != want:
                 raise SortError(f"{f} expects {want!r}, got {got!r}", t)
-            return BaseSort(res)
+            s = BaseSort(res)
         case AbsT(a, body):
-            return AbsSort(a.sort, sort_of(sig, body, known))
+            s = AbsSort(a.sort, sort_of(sig, body, known))
         case Sus(_, x):
             sig._check_sort(x.sort, "unknown")
-            return x.sort
-    raise SortError(f"not a term: {type(t).__name__}", t)
+            s = x.sort
+        case _:
+            raise SortError(f"not a term: {type(t).__name__}", t)
+    if known is not None:
+        known[id(t)] = t, s
+    return s
 
 
 def check_prop(sig: PnlSignature, phi: PnlProp, known: Optional[dict] = None) -> bool:
     """True, or SortError if phi is ill-sorted; `known` is as for `sort_of`."""
-    if known and id(phi) in known:
+    if known is not None and id(phi) in known:
         return True
     match phi:
         case Bot():
-            return True
+            pass
         case Imp(a, b):
-            return check_prop(sig, a, known) and check_prop(sig, b, known)
+            check_prop(sig, a, known)
+            check_prop(sig, b, known)
         case Pred(p, arg):
             if p not in sig.prop_formers:
                 raise SortError(f"unknown proposition-former {p}", phi)
             got = sort_of(sig, arg, known)
             if got != sig.prop_formers[p]:
                 raise SortError(f"{p} expects {sig.prop_formers[p]!r}, got {got!r}", phi)
-            return True
         case All(_, body):
-            return check_prop(sig, body, known)
-    raise SortError("not a proposition", phi)
+            check_prop(sig, body, known)
+        case _:
+            raise SortError("not a proposition", phi)
+    if known is not None:
+        known[id(phi)] = phi, True
+    return True
 
 
 # ---------------------------------------------------------------------------

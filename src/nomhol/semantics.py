@@ -14,9 +14,11 @@ compiles its input once into closures and then runs them for every
 quantifier candidate: clause tables become matchers that try their clauses
 in order, quantified unknowns become slots, lambda bodies read their bound
 variables by position, and each (sort, window, depth) pool of candidates,
-one term per alpha-class, is drawn once per call and replayed.  A matcher
-keeps nothing about a candidate: it walks the candidate's free atoms
-whenever it tests a permission set.
+one term per alpha-class, is drawn once per call and replayed.  A bounded
+quantifier over an unknown tries one candidate of each orbit of the
+permutations its body cannot see (`_View`).  A matcher keeps nothing about
+a candidate: it walks the candidate's free atoms whenever it tests a
+permission set.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import hol as H
 from . import pnl as P
 from .pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                   NameSort, PnlSignature, Pred, Sus, TupleSort, Tup, Unknown,
-                  alpha_eq, alpha_key, perm_act, sort_of)
+                  alpha_eq, alpha_key, free_unknowns, perm_act, sort_of)
 from .translate import TranslationEnv, translate
 
 
@@ -549,9 +551,11 @@ def enumerate_ground(sig: PnlSignature, sort, atoms, depth: int):
     depends only on the free atoms of t, so no term is keyed.  Each body t
     yields [f]t for the fresh atom f, which stands for every binder not
     free in t, and [a]t for each window atom a free in t that no window
-    atom before it is missing from.  Dropping the other members is sound in any model, equivariant or
-    not: the matchers compare up to alpha (`_pattern_test`), so alpha-equal
-    candidates get one value."""
+    atom before it is missing from.  Dropping the other members is sound
+    in any model, equivariant or not: the matchers compare up to alpha
+    (`_pattern_test`), so alpha-equal candidates get one value.  `_Pools`
+    draws every quantifier's pool from here, and may keep one term of each
+    orbit of it (`_canonical`)."""
     return _ground(sig, list(atoms), sort, depth)
 
 
@@ -634,19 +638,26 @@ class _Pools:
     each holding one term per alpha-class (`enumerate_ground`).  A
     quantifier that tries one member of a class has tried them all, in any
     model: the matchers compare candidates up to alpha, so alpha-equal
-    candidates get one value, and no equivariance is assumed.  `exact`
-    drops to False once a quantifier is evaluated by bounded enumeration.
-    Nothing here refers back to the evaluation's closures, so the pools are
-    freed as soon as the evaluation is."""
+    candidates get one value, and no equivariance is assumed.  A quantifier
+    that passes the classes of the window atoms its body cannot tell apart
+    (`_View`) tries one candidate of each orbit, from a list recorded per
+    pool and per classes.  `exact` drops to False once a quantifier is
+    evaluated by bounded enumeration.  Nothing here refers back to the
+    evaluation's closures, so the pools are freed as soon as the evaluation
+    is."""
 
     def __init__(self, sig: PnlSignature, depth: int):
         self.sig, self.depth = sig, depth
         self.table: dict = {}
         self.exact = True
 
-    def forall(self, sort, window: tuple, holds: Callable) -> int:
+    def forall(self, sort, window: tuple, holds: Callable,
+               classes: Optional[Callable] = None) -> int:
         """1 if holds(t) is 1 for every candidate t of the sort over the
-        window, else 0; stops at the first counterexample."""
+        window, else 0; stops at the first counterexample.  With `classes`,
+        which gives the classes of the window's atoms (`_classes`), the
+        candidates are one term of each orbit (`_canonical`), the pool's
+        first term among them, so classes() is called only once it holds."""
         self.exact = False
         if self.depth <= 0:
             raise EnumerationError("a quantifier requires a positive depth bound")
@@ -655,7 +666,171 @@ class _Pools:
         if pool is None:
             sig = self.sig
             pool = self.table[key] = _Pool(lambda: enumerate_ground(sig, *key))
-        return int(all(map(holds, pool)))
+        if classes is None:
+            return int(all(map(holds, pool)))
+        walk = iter(pool)
+        t = next(walk, _DONE)
+        if t is _DONE or not holds(t):
+            return int(t is _DONE)
+        got = classes()
+        if got is not None:
+            orbits = self.table.get((key, got))
+            if orbits is None:
+                orbits = self.table[key, got] = _Pool(
+                    lambda: _canonical(pool, window, got))
+            walk = iter(orbits)
+            if next(walk, None) is not t:   # the pool's first term is kept, first
+                walk = iter(orbits)
+        return int(all(map(holds, walk)))
+
+
+def _canonical(pool, window: tuple, classes: tuple):
+    """One term of each orbit of the pool under the permutations that move
+    window atoms only within their classes: the terms in which each class's
+    atoms first occur free in the class's window order.  A permutation that
+    relabels a term's class atoms so, in the order they first occur, carries
+    it into its orbit's one such term, since the order in which a term's
+    free atoms first occur is the same for every term alpha-equal to it; and
+    one that carries such a term to another fixes their free atoms.  So each
+    orbit keeps exactly its terms alpha-equal to that one, which is one term
+    of a pool with one term per alpha-class.  Nothing is keyed or kept: a
+    term is tested by one walk, which stops at the first atom out of order."""
+    rank: dict = {}   # class atom -> (its class, its place among the class's atoms)
+    size = [0] * (1 + max(c for c in classes if c is not None))
+    for a, c in zip(window, classes):
+        if c is not None:
+            rank[a] = c, size[c]
+            size[c] += 1
+    for t in pool:
+        if _in_class_order(t, rank, len(size)):
+            yield t
+
+
+def _in_class_order(t, rank: dict, n: int) -> bool:
+    """Whether the atoms of `rank` first occur free in t in their places'
+    order within each of the n classes.  An explicit stack, so nesting costs
+    no stack frames."""
+    nxt = [0] * n      # class -> the place of the next of its atoms to occur
+    state = dict(rank)   # class atom -> its rank until it occurs free, 0 after or while bound
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        tx = type(x)
+        if tx is AtomT:
+            st = state.get(x.atom)
+            if st:
+                c, place = st
+                if place != nxt[c]:
+                    return False
+                nxt[c] = place + 1
+                state[x.atom] = 0
+        elif tx is Former:
+            stack.append(x.arg)
+        elif tx is Tup:
+            stack.extend(reversed(x.items))
+        elif tx is AbsT:
+            a = x.atom
+            st = state.get(a)
+            if st is not None:
+                stack.append((a, st))   # at the end of a's scope: its state outside
+                state[a] = 0
+            stack.append(x.body)
+        else:
+            state[x[0]] = x[1]
+    return True
+
+
+# ---------------------------------------------------------------------------
+# what an evaluation can tell apart
+
+def _written(xs) -> tuple:
+    """(atoms, quantified, suspended) of the nominal syntax in xs: every
+    atom written, free, bound or in a suspension's permutation; the unknowns
+    its ∀s bind; the unknowns it suspends."""
+    atoms: set = set()
+    quantified: set = set()
+    suspended: set = set()
+    stack = list(xs)
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is AtomT:
+            atoms.add(x.atom)
+        elif t is Former or t is Pred:
+            stack.append(x.arg)
+        elif t is Tup:
+            stack.extend(x.items)
+        elif t is AbsT:
+            atoms.add(x.atom)
+            stack.append(x.body)
+        elif t is Sus:
+            atoms.update(x.perm.nontriv)
+            suspended.add(x.unknown)
+        elif t is Imp:
+            stack += x.left, x.right
+        elif t is All:
+            quantified.add(x.unknown)
+            stack.append(x.body)
+    return atoms, quantified, suspended
+
+
+class _View:
+    """What the quantifier candidates of one evaluation can be told apart
+    by.  Evaluation is equivariant: its value does not change under a
+    permutation that fixes every atom it can see and maps every window and
+    permission set in play onto itself, so candidates in one orbit of such
+    permutations agree.  The atoms it can see are `fixed`: those written in
+    the input, in the model's clause patterns (binders and suspension
+    permutations included) and `extra_support`, and in the valuation's
+    values; at run time, also the supports of the values already placed
+    around a quantifier.  In play are the quantified unknowns' windows and
+    permission sets, the pattern unknowns' permission sets, and the extra
+    windows the input names.  `see()` gives (atoms, quantified unknowns,
+    extra windows) of the input and valuation; it is called when a
+    quantifier first needs its labels."""
+
+    def __init__(self, model: HerbrandModel, see: Callable):
+        self.model, self.see = model, see
+        self.known: dict = {}   # window -> its labels
+
+    def labels(self, window: tuple) -> tuple:
+        """Each window atom's class label, None for a fixed atom: two atoms
+        that are not fixed are interchangeable when their labels are equal,
+        that is, they have one sort and lie in the same windows and
+        permission sets in play."""
+        got = self.known.get(window)
+        if got is None:
+            if not self.known:
+                self._look()
+            got = self.known[window] = tuple(
+                None if a in self.fixed else
+                (a.sort, *(a in w for w in self.windows), *(a in p for p in self.sets))
+                for a in window)
+        return got
+
+    def _look(self):
+        atoms, quantified, windows = self.see()
+        model = self.model
+        patterns = [p for spec in model.preds.values() for p, _ in spec.clauses]
+        seen, _, suspended = _written(patterns)
+        for spec in model.preds.values():
+            seen |= spec.extra_support
+        names = model.sig.name_sorts
+        self.fixed = frozenset(seen | atoms)
+        self.windows = tuple({frozenset(w) for w in windows} | {
+            frozenset(pmss_window(x.pmss, names)) for x in quantified})
+        self.sets = tuple({x.pmss for x in (*quantified, *suspended)})
+
+
+def _classes(window: tuple, labels: tuple, seen) -> Optional[tuple]:
+    """The classes of interchangeable window atoms once the atoms `seen` are
+    fixed too: each atom's class, numbered by first occurrence, or None
+    where it is fixed; None when no class has two atoms, so that no
+    permutation merges two candidates."""
+    ids: dict = {}
+    out = tuple(None if label is None or a in seen else ids.setdefault(label, len(ids))
+                for a, label in zip(window, labels))
+    return out if len(ids) < len(out) - out.count(None) else None
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +857,25 @@ class _PnlCompiler:
         self.slots: list = []
         self.values: dict = {}  # unknown -> its value under val
         self.specs: dict = {}   # proposition-former -> compiled clause table
+        self.view: Optional[_View] = None
+
+    def value(self, phi) -> int:
+        """phi's value, 0 or 1: phi compiled once, under the view of its
+        quantifiers, then run."""
+        self.view = _View(self.model, lambda: self._see(phi))
+        return self.prop(phi, {})()
+
+    def _see(self, phi) -> tuple:
+        """What `_View` fixes and puts in play for phi: the atoms of phi and
+        of its free unknowns' values, and its quantified unknowns."""
+        atoms, quantified, _ = _written((phi,))
+        for x in free_unknowns(phi):
+            try:
+                value = self.values[x] = self.val.get(self.model.sig, x)
+            except SemanticsError:
+                continue  # raised where the evaluation reaches it
+            atoms |= _written((value,))[0]
+        return atoms, quantified, ()
 
     def term(self, r, env: dict) -> tuple:
         """(t, None) when r's value t is the same for every candidate, else
@@ -748,15 +942,20 @@ class _PnlCompiler:
             x, slots = phi.unknown, self.slots
             k = len(slots)
             slots.append(None)
+            outer = tuple(env.values())  # the slots of the enclosing ∀s
             body = self.prop(phi.body, {**env, x: k})
             sort = x.sort
             window = tuple(pmss_window(x.pmss, self.model.sig.name_sorts))
-            forall = self.pools.forall
+            view, forall = self.view, self.pools.forall
 
             def holds(cand) -> int:
                 slots[k] = cand
                 return body()
-            return lambda: forall(sort, window, holds)
+
+            def classes() -> Optional[tuple]:
+                seen = frozenset().union(*(supp(slots[j]) for j in outer))
+                return _classes(window, view.labels(window), seen)
+            return lambda: forall(sort, window, holds, classes)
         return _raiser(TypeError(f"not a proposition: {phi!r}"))
 
 
@@ -770,8 +969,7 @@ def eval_pnl_prop(model: HerbrandModel, val: Valuation, phi, depth: int = 0):
     phi is compiled once, then run; its quantifiers draw their candidates
     from pools that belong to this call."""
     pools = _Pools(model.sig, depth)
-    value = _PnlCompiler(model, val, pools).prop(phi, {})()
-    return value, pools.exact
+    return _PnlCompiler(model, val, pools).value(phi), pools.exact
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +1009,7 @@ class HolEvaluator:
         self.model = model
         self._pools = _Pools(model.sig, depth)
         self._consts: dict = {}  # Const -> its value
+        self._view: Optional[_View] = None   # the view of the term being compiled
 
     @property
     def exact(self) -> bool:
@@ -870,7 +1069,39 @@ class HolEvaluator:
     # variable is read by its position, found once at compile time.
 
     def eval(self, t, env: Callable) -> SemVal:
+        self._view = _View(self.model, lambda: self._see(t, env))
         return self._compile(t, ())(env, ())
+
+    def _see(self, t, env: Callable) -> tuple:
+        """What `_View` fixes and puts in play for t under env: the atoms
+        written in t and in the values env gives t's free variables, t's
+        quantified unknowns, and the window of the quantifier constant."""
+        atoms, quantified, stack = set(), set(), [t]
+        while stack:
+            u = stack.pop()
+            tu = type(u)
+            if tu is H.Var or tu is H.Lam:
+                v = u.var
+                tv = type(v)
+                if tv is H.AtomVar:
+                    atoms.add(v.atom)
+                elif tv is H.UnkVar:
+                    atoms.update(v.ctx)
+                    if tu is H.Lam:
+                        quantified.add(v.unknown)
+                if tu is H.Lam:
+                    stack.append(u.body)
+            elif tu is H.App:
+                stack += u.fn, u.arg
+            elif tu is H.HTup:
+                stack.extend(u.items)
+        for v in H.fv(t):
+            try:
+                value = env(v)
+            except SemanticsError:
+                continue  # raised where the evaluation reaches it
+            atoms |= _value_atoms(value)
+        return atoms, quantified, [default_window(self.model.sig)]
 
     def _reader(self, v, scope: tuple) -> Callable:
         """Reads variable v at a node inside the binders `scope`."""
@@ -921,14 +1152,18 @@ class HolEvaluator:
         atoms are permitted for the unknown."""
         x, ctx = v.unknown, v.ctx
         window = tuple(pmss_window(x.pmss, self.model.sig.name_sorts))
+        view, forall = self._view, self._pools.forall
         run = self._compile(body, scope + (v,))
-        forall = self._pools.forall
 
         def quantified(env, locs) -> SemVal:
             def holds(t) -> int:
                 cand = RenV(RenElem(_ID, abstract_atoms(ctx, t)))
                 return as_bool(run(env, (*locs, cand)))
-            return _BOOLS[forall(x.sort, window, holds)]
+
+            def classes() -> Optional[tuple]:
+                seen = frozenset().union(*map(supp_sem, locs))
+                return _classes(window, view.labels(window), seen)
+            return _BOOLS[forall(x.sort, window, holds, classes)]
         return quantified
 
     def _lam(self, t, scope: tuple) -> Callable:
@@ -968,6 +1203,20 @@ _ID = Renaming.identity()
 _BOOLS = (BoolV(0), BoolV(1))
 
 
+def _value_atoms(v) -> set:
+    """Every atom a value's representative is written with."""
+    t = type(v)
+    if t is AtomV:
+        return {v.atom}
+    if t is RenV:
+        return _written((v.elem.val,))[0] | v.elem.rho.nontriv
+    if t is TupV:
+        return set().union(*map(_value_atoms, v.items))
+    if t is FnV:
+        return set(v.support)
+    return set()
+
+
 def _forall_generic(sig: PnlSignature, pools: _Pools, domain) -> FnV:
     """The quantifier constant over a domain type: over o it tries both
     truth values, over an image type it draws candidates from the pools."""
@@ -989,13 +1238,6 @@ def _imp(x: SemVal) -> SemVal:
     """The curried implication constant."""
     bx = as_bool(x)
     return FnV(lambda y: _BOOLS[max(1 - bx, as_bool(y))])
-
-
-def eval_hol(model: HerbrandModel, env: Callable, t, depth: int = 0):
-    """Returns (value, exact)."""
-    ev = HolEvaluator(model, depth)
-    out = ev.eval(t, env)
-    return out, ev.exact
 
 
 # ---------------------------------------------------------------------------
@@ -1027,12 +1269,14 @@ def square_check(tenv: TranslationEnv, model: HerbrandModel,
         if not capture_check(ctx, x):
             raise SemanticsError("the context does not capture-check the input")
     t = translate(tenv, ctx, x)
-    hv, exact_h = eval_hol(model, lift_valuation(val, model.sig), t, depth)
+    ev = HolEvaluator(model, depth)
+    hv = ev.eval(t, lift_valuation(val, model.sig))
     if isinstance(x, P.PnlProp):
-        rv, exact_p = eval_pnl_prop(model, val, x, depth)
+        # as eval_pnl_prop, over the pools the translation's quantifiers drew
+        rv = _PnlCompiler(model, val, ev._pools).value(x)
         lv = as_bool(hv)
         ok = lv == rv
-        return SquareVerdict(ok, exact_p and exact_h, "prop", lv, rv,
+        return SquareVerdict(ok, ev.exact, "prop", lv, rv,
                              "" if ok else "boolean values differ")
     rhs = RenElem(Renaming.identity(), eval_pnl_term(model, val, x))
     ok = ren_eq(as_ren(hv), rhs)

@@ -35,7 +35,9 @@ acceptance test (`tests/test_acceptance.py`) that checks it.
   what `eval` and `square` run.
 - Valuations and substitutions as maps (`updated`, `extend`, `subst_map`,
   `subst_validate`), in which the substitution lemma and the relevance
-  lemmas of 9 are stated.
+  lemmas of 9 are stated, and the value of a higher-order term under one
+  (`eval_hol`), which `square_check` computes beside the direct value over
+  the same candidate pools.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ from nomhol.pnl import (AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         PnlSignature, PnlSubst, PnlProp, Pred, SignatureError,
                         SortError, Sus, Tup, TupleSort, Unknown, free_atoms,
                         free_unknowns, perm_act, sort_of, subst_apply)
-from nomhol.semantics import (AtomV, BoolV, FnV, HerbrandModel, PredSpec,
-                              RenV, SemanticsError, SemVal, TupV, Valuation,
-                              _pattern_test, as_ren, mk_ren, ren_eq, supp,
-                              supp_sem)
+from nomhol.semantics import (AtomV, BoolV, FnV, HerbrandModel, HolEvaluator,
+                              PredSpec, RenV, SemanticsError, SemVal, TupV,
+                              Valuation, _pattern_test, as_ren, mk_ren, ren_eq,
+                              supp, supp_sem)
 from nomhol.translate import TranslationError, _nodes
 
 
@@ -283,6 +285,12 @@ class HolValuation:
         if v in self.mapping:
             return self.mapping[v]
         return self.base(v)
+
+
+def eval_hol(model: HerbrandModel, env: Callable, t, depth: int = 0):
+    """(value, exact) of t under env, by a `HolEvaluator` of its own."""
+    ev = HolEvaluator(model, depth)
+    return ev.eval(t, env), ev.exact
 
 
 def updated(val: Valuation, x: Unknown, t) -> Valuation:

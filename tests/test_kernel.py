@@ -58,6 +58,31 @@ def test_corpus_accepted_in_both_modes():
         assert check_pnl(SIG, d, FULL), name
 
 
+def test_check_pnl_sorts_each_object_once(monkeypatch):
+    # A read derivation shares each distinct formula and term among its
+    # sequents and witnesses.  The check sorts each object once, over a memo
+    # of its own: every object is sorted anew, whatever the reader recorded.
+    derivations = restricted_derivations()
+    sorted_ = Counter()   # id -> times sorted, not looked up
+    calls, total = [0], 0
+    for name in ("sort_of", "check_prop"):
+        fn = getattr(PNL, name)
+
+        def counted(sig, x, known=None, fn=fn):
+            calls[0] += 1
+            if known is None or id(x) not in known:
+                sorted_[id(x)] += 1
+            return fn(sig, x, known)
+        monkeypatch.setattr(PNL, name, counted)
+    for name, d in derivations:
+        for mode in (RESTRICTED, FULL):
+            sorted_.clear()
+            assert check_pnl(SIG, d, mode), name
+            assert sorted_ and max(sorted_.values()) == 1, name
+            total += sum(sorted_.values())
+    assert calls[0] > total   # the shared objects are looked up
+
+
 def test_corpus_covers_all_rules():
     rules = set()
 

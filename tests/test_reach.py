@@ -22,8 +22,6 @@ NEVER_RUN = {
     "corpus.beta_axioms", "corpus.alpha_pair",
     "corpus.restricted_derivations", "corpus.full_only_derivation",
     "__init__.__version__",
-    # aliases of `render` that the benchmark's tracer wraps
-    "frontend.render_term", "frontend.render_hol",
 }
 
 

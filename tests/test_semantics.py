@@ -1,5 +1,7 @@
 import gc
+import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,16 +23,17 @@ from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV,
                               Valuation, abstract_atoms, as_atom, as_bool,
                               as_ren, canonical_ground, canonicalize,
                               compile_spec, default_window, enumerate_ground,
-                              eval_hol, eval_pnl_prop, eval_pnl_term, fn_apply,
+                              eval_pnl_prop, eval_pnl_term, fn_apply,
                               lift_valuation, merge_ren_tuple, mk_ren,
                               pmss_window, ren_eq, square_check, supp, supp_sem)
 from nomhol.translate import translate, translate_derivation, translate_signature
 
 import oracles
 from gen import (IOTA, NSORT, NU, PMSS_ALL, PMSS_DOWN, PMSS_HALF, SIG, WINDOW,
-                 X0, X1, rand_ground_term, rand_perm, rand_prop, rand_term)
-from spec import (HolValuation, compile_pattern, convert_model, extend,
-                  freshening_pair, ground_renaming_action, ren_act_sem,
+                 X0, X1, X2, away, models, rand_ground_term, rand_perm,
+                 rand_prop, rand_term, renamed, with_unknowns)
+from spec import (HolValuation, compile_pattern, convert_model, eval_hol,
+                  extend, freshening_pair, ground_renaming_action, ren_act_sem,
                   rename_valuation, sem_eq, updated)
 
 ENV = translate_signature(SIG)
@@ -1234,9 +1237,11 @@ def test_depth_four_refutation_draws_few_candidates(monkeypatch):
     assert eval_pnl_prop(model, Valuation(), phi, 4) == (0, False)
     assert len(drawn) == 1
     drawn.clear()
+    # both sides of the square draw from one pool, the direct value
+    # replaying the candidate its translation drew
     v = square_check(ENV, model, None, Valuation(), phi, 4)
     assert v.ok and not v.exact and v.lhs == 0
-    assert len(drawn) == 2
+    assert len(drawn) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1404,6 +1409,219 @@ def test_pools_past_the_limit_are_drawn_anew(monkeypatch):
             env = lift_valuation(val, SIG)
             assert eval_hol(model, env, t, depth) == \
                 oracles.eval_hol(model, env, t, depth), (phi, depth)
+
+
+# ---------------------------------------------------------------------------
+# one candidate per orbit
+
+
+def _rand_orbit_prop(rng, quantifiers: int):
+    """A proposition with one to `quantifiers` nested ∀ over X0, X1 and X2,
+    some under an implication, most over an unknown their body mentions,
+    so that the others are free in it."""
+    if not quantifiers:
+        if rng.random() < 0.5:
+            return with_unknowns(rng, rand_prop(rng, 2, quantifiers=False))
+        # a predicate of suspensions, which relates the unknowns
+        sus = lambda: Sus(rand_perm(rng), rng.choice([X0, X1, X2]))
+        phi = Pred("equal", Tup((sus(), sus()))) if rng.random() < 0.7 else Pred("P", sus())
+        return Imp(phi, Bot()) if rng.random() < 0.3 else phi
+    body = _rand_orbit_prop(rng, quantifiers - 1 if rng.random() < 0.6 else 0)
+    free = sorted(free_unknowns(body), key=repr)
+    phi = All(rng.choice(free if free and rng.random() < 0.8 else [X0, X1, X2]), body)
+    kind = rng.random()
+    if kind < 0.3:
+        return Imp(phi, Bot())
+    if kind < 0.5:
+        return Imp(with_unknowns(rng, rand_prop(rng, 2, quantifiers=False)), phi)
+    return phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(models, st.integers(0, 2**32 - 1))
+def test_orbit_reduction_agrees_with_full_enumeration_on_random_models(model, seed):
+    # one or two nested ∀ over X0, X1 and X2, whose windows and permission
+    # sets differ, at depth 1, or one at depth 2; X2 is unassigned
+    rng = random.Random(seed)
+    phi = renamed(away(rng), _rand_orbit_prop(rng, 2))
+    depth = 1 if _nesting(phi) > 1 else rng.choice([1, 2])
+    val = rand_val(rng)
+    assert eval_pnl_prop(model, val, phi, depth) == \
+        oracles.eval_pnl_prop(model, val, phi, depth), (phi, depth)
+    ctx = d_for(phi)
+    if capture_check(ctx, phi):
+        t, env = translate(ENV, ctx, phi), lift_valuation(val, SIG)
+        assert eval_hol(model, env, t, depth) == \
+            oracles.eval_hol(model, env, t, depth), (phi, depth)
+
+
+def count_candidates(monkeypatch, full: bool = False) -> Counter:
+    """Counts the candidates each quantifier tries, by nesting level: at
+    level 1, the pairs under one enclosing candidate.  With `full`, every
+    quantifier tries every alpha-class."""
+    tried, level = Counter(), [0]
+    forall = semantics._Pools.forall
+
+    def counted(self, sort, window, holds, classes=None):
+        def inner(t):
+            tried[level[0]] += 1
+            level[0] += 1
+            try:
+                return holds(t)
+            finally:
+                level[0] -= 1
+        return forall(self, sort, window, inner, None if full else classes)
+    monkeypatch.setattr(semantics._Pools, "forall", counted)
+    return tried
+
+
+def orbits_of(terms, classes) -> list:
+    """Each term's orbit under the permutations that move atoms only within
+    one of the classes, as the set of its images' alpha_keys, found by
+    applying every such permutation."""
+    perms = [Perm.identity()]
+    for cls in classes:
+        perms = [p.compose(Perm(dict(zip(cls, image))))
+                 for p in perms for image in itertools.permutations(cls)]
+    return [frozenset(alpha_key(perm_act(p, t)) for p in perms) for t in terms]
+
+
+def orbit_count(terms, classes) -> int:
+    return len(set(orbits_of(terms, classes)))
+
+
+@pytest.mark.parametrize("classes", [(0, 0, 0, 0, 0), (0, None, 0, 1, 1),
+                                     (None, 0, 1, 0, None), (0, 1, 0, 1, 0)])
+def test_canonical_terms_are_one_per_orbit(classes):
+    window = tuple(default_window(SIG))
+    groups = [[a for a, c in zip(window, classes) if c == k]
+              for k in set(classes) - {None}]
+    pairs = TupleSort((IOTA, IOTA))
+    for sort, depth in [(s, d) for s in SIG_SORTS for d in (1, 2) if (s, d) != (pairs, 2)]:
+        pool = list(enumerate_ground(SIG, sort, window, depth))
+        kept = list(semantics._canonical(pool, window, classes))
+        # the pool's first term among them, in pool order, one per orbit
+        rest = iter(pool)
+        assert kept[0] is pool[0] and all(any(t is u for u in rest) for t in kept)
+        assert len(set(orbits_of(kept, groups))) == len(kept) == \
+            orbit_count(pool, groups), (sort, depth)
+    # a pool with every alpha-variant keeps every variant of each term kept
+    eager = oracles.enumerate_ground(SIG, IOTA, window, 2)
+    kept = list(semantics._canonical(eager, window, classes))
+    assert {alpha_key(t) for t in kept} == \
+        {alpha_key(t) for t in semantics._canonical(enumerate_ground(SIG, IOTA, window, 2),
+                                                    window, classes)}
+
+
+Y1 = Unknown(IOTA, PMSS_HALF, 11)   # X1's window: nu@0, nu@-1, nu@-2
+HALF = [a(0), a(-1), a(-2)]
+
+
+def _valid_props(model):
+    """The square workload's valid propositions: one and two ∀ over X1's
+    permission set."""
+    x, y = Sus.of(X1), Sus.of(Y1)
+    eq = lambda s, t: Pred("equal", Tup((s, t)))
+    one = Imp(Pred("P", x), Pred("P", x))
+    return All(X1, one), All(X1, All(Y1, Imp(eq(x, y), eq(y, x) if model is M_NONEQ
+                                              else eq(x, y))))
+
+
+def test_valid_quantifiers_try_one_candidate_per_orbit(monkeypatch):
+    # the interchangeable atoms: all three on isvar and neg; on noneq, whose
+    # clause names nu@0, the other two
+    counts = [(5, 62, 51), (10, 155, 136), (5, 62, 51)]
+    for model, (n1, n2, pairs), free in zip(MODELS, counts, [[HALF], [HALF[1:]], [HALF]]):
+        one, two = _valid_props(model)
+        for depth, want in [(2, n1), (3, n2)]:
+            assert want == orbit_count(enumerate_ground(SIG, IOTA, HALF, depth), free)
+        t1, t2 = (translate(ENV, d_for(phi), phi) for phi in (one, two))
+        for full in (False, True):
+            tried = count_candidates(monkeypatch, full)
+            for phi, t, depth, level, want in [(one, t1, 2, 0, (n1, 16)),
+                                               (one, t1, 3, 0, (n2, 284)),
+                                               (two, t2, 2, 1, (pairs, 256))]:
+                assert eval_pnl_prop(model, Valuation(), phi, depth) == (1, False)
+                assert tried[level] == want[full], (model, phi, depth, full)
+                tried.clear()
+                assert eval_hol(model, HolValuation(), t, depth) == (BoolV(1), False)
+                assert tried[level] == want[full], (model, t, depth, full)
+                tried.clear()
+            monkeypatch.undo()
+
+
+SPLIT_N = Unknown(NSORT, WIDE.minus_finite([a(-2)]), 93)
+LAMS_APART = Tup((Former("lam", AbsT(a(-1), Sus.of(X1))), Former("lam", AbsT(a(-2), Sus.of(X1)))))
+EQ_X0 = Pred("equal", Tup((Sus.of(X1), Sus.of(X0))))
+P_X1 = Pred("P", Sus.of(X1))
+
+
+@pytest.mark.parametrize("model, val, refuted, valid, free", [
+    # a pattern unknown's permission set separates nu@-1 from nu@-2
+    (HerbrandModel(SIG, {"P": PredSpec(((Former("var", Sus.of(SPLIT_N)), 1),), 0),
+                         "equal": EQ_SPEC}),
+     Valuation(), P_X1, Imp(P_X1, P_X1), [[a(0), a(-1)]]),
+    # nu@-1 is written only in a pattern's suspension: P holds where it is
+    # not free
+    (HerbrandModel(SIG, {"P": PredSpec(((Sus(Perm.swap(a(-1), a(3)), X1), 1),), 0),
+                         "equal": EQ_SPEC}),
+     Valuation(), P_X1, Imp(P_X1, P_X1), [[a(0), a(-2)]]),
+    # binders of the proposition lie in the quantified unknown's set
+    (M_ISVAR, Valuation(), Pred("equal", LAMS_APART),
+     Imp(Bot(), Pred("equal", LAMS_APART)), []),
+    # the value of a free unknown: X1 is never it
+    (M_ISVAR, Valuation({X0: var(-1)}), Imp(EQ_X0, Bot()), Imp(EQ_X0, EQ_X0),
+     [[a(0), a(-2)]]),
+    # a declared extra support
+    (HerbrandModel(SIG, {"P": PredSpec(ISVAR_SPEC.clauses, 0, frozenset({a(-1)})),
+                         "equal": EQ_SPEC}),
+     Valuation(), None, Imp(P_X1, P_X1), [[a(0), a(-2)]]),
+])
+def test_atoms_the_evaluation_sees_split_the_orbits(monkeypatch, model, val, refuted, valid, free):
+    # each refuted proposition holds of the first candidate of every orbit
+    # that merges the atoms split apart, so a merge would read 1
+    for body, depth, value in [(refuted, 1, 0), (valid, 2, 1)]:
+        if body is None:
+            continue
+        phi = All(X1, body)
+        ctx = d_for(phi)
+        t, env = translate(ENV, ctx, phi), lift_valuation(val, SIG)
+        tried = count_candidates(monkeypatch)
+        got = eval_pnl_prop(model, val, phi, depth)
+        assert got == oracles.eval_pnl_prop(model, val, phi, depth) == (value, False)
+        pnl_tried = tried[0]
+        tried.clear()
+        got = eval_hol(model, env, t, depth)
+        assert got == oracles.eval_hol(model, env, t, depth) == (_BOOL[value], False)
+        assert tried[0] == pnl_tried
+        if value:   # exhausted: one candidate per orbit of what is not split
+            assert pnl_tried == orbit_count(enumerate_ground(SIG, IOTA, HALF, depth), free)
+        monkeypatch.undo()
+
+
+def test_the_windows_in_play_split_the_orbits():
+    # X2 ranges over nu@0, nu@-1, nu@-3 and X1 over nu@0, nu@-1, nu@-2, so
+    # var(nu@-3) has no equal among X1's candidates: merged with var(nu@-1),
+    # whose equal is one, it would leave the proposition true
+    some_equal = Imp(All(X1, Imp(Pred("equal", Tup((Sus.of(X2), Sus.of(X1)))), Bot())), Bot())
+    phi = All(X2, some_equal)
+    t = translate(ENV, d_for(phi), phi)
+    assert eval_pnl_prop(M_ISVAR, Valuation(), phi, 1) == \
+        oracles.eval_pnl_prop(M_ISVAR, Valuation(), phi, 1) == (0, False)
+    assert eval_hol(M_ISVAR, HolValuation(), t, 1) == \
+        oracles.eval_hol(M_ISVAR, HolValuation(), t, 1) == (BoolV(0), False)
+    # the quantifier constant ranges over default_window, nu@-2..nu@2: no
+    # term of it equals var(nu@7)
+    z = H.UnkVar(Unknown(IOTA, permission_set(plus=frozenset({a(0), a(7)})), 7), ())
+    w = H.PlainVar(H.sort_to_type(IOTA), 0)
+    g_eq = ENV.formers["equal"]
+    unequal = H.imp(H.App(g_eq, H.HTup((H.Var(w), H.Var(z)))), H.BOT)
+    t = H.forall(z, H.imp(H.forall(w, unequal), H.BOT))
+    assert eval_hol(M_ISVAR, HolValuation(), t, 1) == \
+        oracles.eval_hol(M_ISVAR, HolValuation(), t, 1) == (BoolV(0), False)
+
+
+_BOOL = (BoolV(0), BoolV(1))
 
 
 # ---------------------------------------------------------------------------
