@@ -1,5 +1,7 @@
 """Simply-typed higher-order logic: types, terms, capture-avoiding
-substitution, beta-normalization, and alpha-beta equality.
+substitution, beta-normalization, and alpha-beta equality.  A beta step
+builds only the path to each occurrence of its variable (`_subst`), and the
+term walks dispatch on the node's exact class, which costs less than `match`.
 
 A term carries its type, computed when it is built from its parts' types,
 so an ill-typed term cannot be built: `App` raises `HolTypeError`.
@@ -279,18 +281,18 @@ BASE_SIGNATURE = HolSignature({"bot": O, "imp": IMP.type})
 # free variables
 
 def fv(t: HolTerm) -> frozenset:
-    match t:
-        case Var(v):
-            return frozenset([v])
-        case Lam(v, body):
-            return fv(body) - {v}
-        case App(fn, arg):
-            return fv(fn) | fv(arg)
-        case HTup(items):
-            return frozenset().union(*map(fv, items)) if items else frozenset()
-        case Const(_, _):
-            return frozenset()
-    raise TypeError(f"not a term: {type(t).__name__}")
+    c = type(t)
+    if c is App:
+        return fv(t.fn) | fv(t.arg)
+    if c is Var:
+        return frozenset((t.var,))
+    if c is Lam:
+        return fv(t.body) - {t.var}
+    if c is HTup:
+        return frozenset().union(*map(fv, t.items))
+    if c is Const:
+        return frozenset()
+    raise TypeError(f"not a term: {c.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +316,38 @@ def _fresh_var_like(v: HolVar, avoid: frozenset) -> HolVar:
     raise TypeError(f"not a variable: {type(v).__name__}")
 
 
-def hol_subst_parallel(t: HolTerm, mapping: Mapping[HolVar, HolTerm]) -> HolTerm:
-    mapping = {v: u for v, u in mapping.items() if u != Var(v)}
-    return _subst(t, mapping) if mapping else t
-
-
-def _subst(t: HolTerm, mapping: dict) -> HolTerm:
-    match t:
-        case Var(v):
-            return mapping.get(v, t)
-        case Const(_, _):
+def _subst(t: HolTerm, m: dict) -> HolTerm:
+    """t with each variable of `m` replaced by its image at once, renaming a
+    binder that would capture; a subterm where none is free comes back itself."""
+    c = type(t)
+    if c is App:
+        fn, arg = _subst(t.fn, m), _subst(t.arg, m)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if c is Var:
+        return m.get(t.var, t)
+    if c is Lam:
+        w, body = t.var, t.body
+        inner = m if w not in m else {x: y for x, y in m.items() if x != w}
+        new = _subst(body, inner) if inner else body
+        if new is body:
             return t
-        case App(fn, arg):
-            return App(_subst(fn, mapping), _subst(arg, mapping))
-        case HTup(items):
-            return HTup(tuple(_subst(r, mapping) for r in items))
-        case Lam(v, body):
-            inner = {w: u for w, u in mapping.items() if w != v}
-            inner = {w: u for w, u in inner.items() if w in fv(body)}
-            if not inner:
-                return t
-            danger = frozenset().union(*(fv(u) for u in inner.values()))
-            if v in danger:
-                avoid = danger | fv(body) | frozenset(inner)
-                v2 = _fresh_var_like(v, avoid)
-                inner[v] = Var(v2)
-                return Lam(v2, _subst(body, inner))
-            return Lam(v, _subst(body, inner))
-    raise TypeError(f"not a term: {type(t).__name__}")
+        if w not in frozenset().union(*map(fv, inner.values())):
+            return Lam(w, new)
+        # only the images of variables free in the body can be captured
+        free = fv(body)
+        inner = {x: y for x, y in inner.items() if x in free}
+        near = frozenset().union(*map(fv, inner.values()))
+        if w not in near:
+            return Lam(w, new)
+        w2 = _fresh_var_like(w, near | free | frozenset(inner))
+        inner[w] = Var(w2)
+        return Lam(w2, _subst(body, inner))
+    if c is HTup:
+        new = tuple([_subst(r, m) for r in t.items])
+        return t if all(map(operator.is_, new, t.items)) else HTup(new)
+    if c is Const:
+        return t
+    raise TypeError(f"not a term: {c.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +358,12 @@ def _subst(t: HolTerm, mapping: dict) -> HolTerm:
 # subterms stay shared with the terms they were shared with.
 
 def _whnf(t: HolTerm) -> HolTerm:
-    while True:
-        match t:
-            case App(fn, arg):
-                head = _whnf(fn)
-                match head:
-                    case Lam(v, body):
-                        t = hol_subst_parallel(body, {v: arg})
-                    case _:
-                        return t if head is fn else App(head, arg)
-            case _:
-                return t
+    while type(t) is App:
+        head = _whnf(t.fn)
+        if type(head) is not Lam:
+            return t if head is t.fn else App(head, t.arg)
+        t = _subst(head.body, {head.var: t.arg})
+    return t
 
 
 def beta_normalize(t: HolTerm) -> HolTerm:
@@ -371,19 +372,19 @@ def beta_normalize(t: HolTerm) -> HolTerm:
 
 def _nf(t: HolTerm) -> HolTerm:
     t = _whnf(t)
-    match t:
-        case Var(_) | Const(_, _):
-            return t
-        case Lam(v, body):
-            nb = _nf(body)
-            return t if nb is body else Lam(v, nb)
-        case App(fn, arg):
-            nfn, narg = _nf(fn), _nf(arg)
-            return t if nfn is fn and narg is arg else App(nfn, narg)
-        case HTup(items):
-            new = tuple(_nf(r) for r in items)
-            return t if all(map(operator.is_, new, items)) else HTup(new)
-    raise TypeError(f"not a term: {type(t).__name__}")
+    c = type(t)
+    if c is App:
+        fn, arg = _nf(t.fn), _nf(t.arg)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if c is Lam:
+        body = _nf(t.body)
+        return t if body is t.body else Lam(t.var, body)
+    if c is HTup:
+        new = tuple(map(_nf, t.items))
+        return t if all(map(operator.is_, new, t.items)) else HTup(new)
+    if c is Var or c is Const:
+        return t
+    raise TypeError(f"not a term: {c.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +392,26 @@ def _nf(t: HolTerm) -> HolTerm:
 
 def _debruijn(t: HolTerm, env: dict, level: int):
     """t with every bound variable replaced by the level of its binder."""
-    match t:
-        case Var(v):
-            return env.get(v, v)
-        case Lam(v, body):
-            outer = env.get(v)
-            env[v] = level
-            k = ("lam", var_type(v), _debruijn(body, env, level + 1))
-            if outer is None:
-                del env[v]
-            else:
-                env[v] = outer
-            return k
-        case App(fn, arg):
-            return ("app", _debruijn(fn, env, level), _debruijn(arg, env, level))
-        case HTup(items):
-            out = ["tup"]
-            for r in items:
-                out.append(_debruijn(r, env, level))
-            return tuple(out)
-        case Const(_, _):
-            return t
-    raise TypeError(f"not a term: {type(t).__name__}")
+    c = type(t)
+    if c is App:
+        return ("app", _debruijn(t.fn, env, level), _debruijn(t.arg, env, level))
+    if c is Var:
+        bound = env.get(t.var)   # None where no binder is in scope
+        return t.var if bound is None else bound
+    if c is Lam:
+        v = t.var
+        outer, env[v] = env.get(v), level
+        k = ("lam", var_type(v), _debruijn(t.body, env, level + 1))
+        env[v] = outer
+        return k
+    if c is HTup:
+        out = ["tup"]
+        for r in t.items:
+            out.append(_debruijn(r, env, level))
+        return tuple(out)
+    if c is Const:
+        return t
+    raise TypeError(f"not a term: {c.__name__}")
 
 
 def normal_key(t: HolTerm) -> tuple:

@@ -182,19 +182,49 @@ def rand_pattern(rng: random.Random, sort, unknowns=(X0, X1, X2)):
     return with_unknowns(rng, rand_term(rng, rng.randrange(1, 4), sort), unknowns)
 
 
+def planted_P(rng: random.Random) -> tuple:
+    """(clauses, default) for P that tell one window atom a from the window
+    atoms it would otherwise be interchangeable with, which a proposition
+    that names no atom leaves free: a pattern that names a free, as a
+    binder or in a suspension's permutation, or one whose unknown's
+    permission set (X2's) splits the window.  The value v is random, and
+    the terms the clauses tell apart get v and 1 - v."""
+    a, v = rng.choice(WINDOW), rng.randrange(2)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ((Former("var", AtomT(a)), v),), 1 - v
+    if kind == 1:   # lam([c] var(a)), c not a, meets the second clause
+        return ((Former("lam", AbsT(a, Sus.of(X0))), v),
+                (Former("lam", AbsT(atom(5), Sus.of(X0))), 1 - v)), v
+    if kind == 2:
+        return ((Sus(Perm.swap(a, atom(5)), X0), v),), 1 - v
+    return ((Sus.of(X2), v),), 1 - v
+
+
+EQUALITY = ((Tup((Sus.of(X0), Sus.of(X0))), 1),)
+
+
 def rand_model(rng: random.Random) -> HerbrandModel:
     """A model of SIG: each proposition-former gets 0-4 clauses
     (`rand_pattern`, over one to three of X0, X1 and X2), a random value
     each, and a random default, all `renamed` by one `away` permutation;
-    about a third of them declare an extra support."""
+    about a third of them declare an extra support.  Most P tables are
+    `planted_P` instead, and half the equal tables are equality on the
+    window, so that which of two window atoms a candidate holds decides a
+    quantifier's value."""
     preds, pi = {}, away(rng)
     unknowns = rng.sample([X0, X1, X2], rng.randrange(1, 4))
     for name, sort in sorted(SIG.prop_formers.items()):
         clauses = tuple((renamed(pi, rand_pattern(rng, sort, unknowns)), rng.randrange(2))
                         for _ in range(rng.randrange(5)))
+        default = rng.randrange(2)
+        if name == "P" and rng.random() < 0.7:
+            clauses, default = planted_P(rng)
+        if name == "equal" and rng.random() < 0.5:
+            clauses, default = EQUALITY, 0
         extra = frozenset(rng.sample([*WINDOW, atom(-3)], rng.randrange(1, 3))) \
             if rng.random() < 0.35 else frozenset()
-        preds[name] = PredSpec(clauses, rng.randrange(2), extra)
+        preds[name] = PredSpec(clauses, default, extra)
     return HerbrandModel(SIG, preds)
 
 

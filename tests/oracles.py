@@ -12,7 +12,9 @@ a formula means: the side without the copies.  `hol_type_of` types a term
 by walking it whole, the reference for the `type` each `nomhol.hol` term
 computes when it is built.  `nf` rebuilds every node of
 a beta-normal form, the reference for `hol._nf`, which keeps each subterm
-that is already normal; `render_derivation` prints every formula
+that is already normal; `hol_subst_parallel` rebuilds every node of a
+substitution, the reference for `hol._subst`, which keeps each subterm it
+does not change; `render_derivation` prints every formula
 occurrence, the reference for `frontend.render_derivation`, which prints
 each formula object once.
 
@@ -42,7 +44,7 @@ from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
                           set_subset)
 from nomhol.frontend import render
 from nomhol.hol import (App, ArrowT, Const, HTup, HolTerm, HolType, HolTypeError,
-                        Lam, TupleT, Var, hol_subst_parallel, var_type)
+                        Lam, TupleT, Var, var_type)
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Perm2, PnlSignature, Pred, Sus, Tup,
                         TupleSort, free_atoms, free_unknowns, alpha_key,
@@ -150,6 +152,41 @@ def hol_type_of(t: HolTerm) -> HolType:
 def hol_alpha_eq(t, u) -> bool:
     """Alpha-equivalence of typed-lambda terms."""
     return _alpha(t, u, {}, {}, 0)
+
+
+def hol_subst_parallel(t: HolTerm, mapping: Mapping) -> HolTerm:
+    """t with each variable of `mapping` replaced by its image at once,
+    every node on the way rebuilt; a binder that would capture a free
+    variable of an image is renamed by `hol._fresh_var_like`.  The
+    reference for `hol._subst`, which keeps each subterm it does not
+    change."""
+    mapping = {v: u for v, u in mapping.items() if u != Var(v)}
+    return _subst(t, mapping) if mapping else t
+
+
+def _subst(t, mapping: dict):
+    match t:
+        case Var(v):
+            return mapping.get(v, t)
+        case Const(_, _):
+            return t
+        case App(fn, arg):
+            return App(_subst(fn, mapping), _subst(arg, mapping))
+        case HTup(items):
+            return HTup(tuple(_subst(r, mapping) for r in items))
+        case Lam(v, body):
+            inner = {w: u for w, u in mapping.items() if w != v}
+            inner = {w: u for w, u in inner.items() if w in H.fv(body)}
+            if not inner:
+                return t
+            danger = frozenset().union(*(H.fv(u) for u in inner.values()))
+            if v in danger:
+                avoid = danger | H.fv(body) | frozenset(inner)
+                v2 = H._fresh_var_like(v, avoid)
+                inner[v] = Var(v2)
+                return Lam(v2, _subst(body, inner))
+            return Lam(v, _subst(body, inner))
+    raise TypeError(f"not a term: {type(t).__name__}")
 
 
 def whnf(t):
@@ -597,7 +634,7 @@ class HolEvaluator:
             if a in others:
                 avoid = others | {w.atom for w in H.fv(body) if isinstance(w, H.AtomVar)}
                 c = fresh_atoms([a.sort], avoid)[0]
-                body = H.hol_subst_parallel(body, {v: H.Var(H.AtomVar(c))})
+                body = hol_subst_parallel(body, {v: H.Var(H.AtomVar(c))})
                 a = c
             inner = extend(env, H.AtomVar(a), AtomV(a))
             e = as_ren(self.eval(body, inner))

@@ -51,8 +51,7 @@ from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
                           set_subset)
 from nomhol.capture import CaptureContext, restrict_context
 from nomhol.hol import (App, AtomVar, Const, HTup, HolTerm, HolTypeError,
-                        HolVar, Lam, UnkVar, Var, apps, hol_subst_parallel,
-                        lams, var_type)
+                        HolVar, Lam, UnkVar, Var, apps, lams, var_type)
 from nomhol.kernel import Sequent
 from nomhol.pnl import (AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         PnlSignature, PnlSubst, PnlProp, Pred, SignatureError,
@@ -147,7 +146,7 @@ def apply_reindex(ctx_from: CaptureContext, ctx_to: CaptureContext,
 def hol_subst(t: HolTerm, v: HolVar, u: HolTerm) -> HolTerm:
     if u.type != var_type(v):
         raise HolTypeError(f"substituting {u!r} of wrong type for {v!r}")
-    return hol_subst_parallel(t, {v: u})
+    return H._subst(t, {v: u})
 
 
 def hol_perm_act(pi: Perm, t: HolTerm) -> HolTerm:

@@ -4,13 +4,13 @@ import random
 from nomhol.atoms import Atom, Perm
 from nomhol.capture import (canonical_context, capture_check, capture_cover,
                             capture_infer, make_context, restrict_context)
-from nomhol.hol import (AtomVar, Lam, UnkVar, Var, alphabeta_eq, apps,
-                        hol_subst_parallel)
+from nomhol.hol import AtomVar, Lam, UnkVar, Var, alphabeta_eq, apps
 from nomhol.pnl import AbsT, All, AtomT, Bot, Former, Imp, Pred, Sus, Tup
 from nomhol.translate import translate, translate_signature
 
 from gen import (IOTA, NU, PMSS_ALL, PMSS_HALF, SIG, WINDOW, X0, X1,
                  rand_perm, rand_prop, rand_term)
+from oracles import hol_subst_parallel
 from spec import apply_reindex, reindex_subst
 
 

@@ -7,18 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from nomhol import hol as H
 from nomhol.atoms import Atom, Perm
+from nomhol.cli import run_cli
 from nomhol.hol import (App, ArrowT, AtomVar, BASE_SIGNATURE, BOT, BaseT,
                         Const, HTup, HolTypeError, IMP, Lam, O, PlainVar,
                         TupleT, UnkVar, Var, alphabeta_eq, alphabeta_key, apps,
-                        beta_normalize, forall, forall_const, fv,
-                        hol_subst_parallel, imp, lams, name_sort_type,
+                        beta_normalize, forall, forall_const, fv, imp,
+                        lams, name_sort_type,
                         sort_to_type, type_to_sort, var_type)
 from nomhol.pnl import AbsSort, BaseSort, NameSort, TupleSort, Unknown
 
 from gen import IOTA, NSORT, NU, PMSS_ALL, SIG, X0
 from spec import hol_perm_act, hol_subst
 import oracles
-from oracles import hol_alpha_eq
+from oracles import hol_alpha_eq, hol_subst_parallel
 
 
 def a(i):
@@ -105,14 +106,14 @@ def test_subst_identity():
 
 
 def test_substitution_leaves_no_cycle_to_collect():
-    # a substituting call that renames a binder and walks a tuple must leave
+    # a beta step that renames a binder and walks a tuple must leave
     # nothing for the cycle collector
     X = PlainVar(MU_NU, 3)
     t = Lam(a(0), HTup((App(Var(F), Var(X)), Var(a(0)))))
     gc.collect()
     gc.disable()
     try:
-        got = hol_subst_parallel(t, {X: Var(a(0))})
+        got = H._subst(t, {X: Var(a(0))})
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -123,6 +124,42 @@ def test_substitution_leaves_no_cycle_to_collect():
 def test_subst_type_mismatch():
     with pytest.raises(HolTypeError):
         hol_subst(Var(a(0)), a(0), BOT)
+
+
+def test_a_beta_step_builds_only_the_path_to_its_variable(monkeypatch):
+    """Contracting a redex keeps each subterm of its body that does not
+    mention the variable, and builds a new node only on the way to each
+    occurrence: here the tuple and the two applications above X."""
+    X = PlainVar(O, 0)
+    kept = HTup((Lam(a(0), imp(BOT, BOT)), App(Var(F), Var(a(1)))))
+    redex = App(Lam(X, HTup((kept, imp(Var(X), BOT)))), imp(BOT, BOT))
+    built = []
+    for cls in (App, Lam, HTup):
+        def spy(self, real=cls.__post_init__):
+            built.append(type(self).__name__)
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    got = H._whnf(redex)
+    assert sorted(built) == ["App", "App", "HTup"]
+    assert got.items[0] is kept
+    assert got == HTup((kept, imp(imp(BOT, BOT), BOT)))
+
+
+@pytest.mark.parametrize("text, normal", [
+    ("(app (lam (plain o 0) (lam (plain o 1) (plain o 0))) (plain o 1))",
+     "(lam (plain o 2) (plain o 1))"),
+    ("(app (lam nu@0 (lam nu@1 nu@0)) nu@1)", "(lam nu@2 nu@1)"),
+    ("(app (lam (plain mu_iota 0) (lam X{iota;perm(+{}-{});1} (plain mu_iota 0)))"
+     " X{iota;perm(+{}-{});1})",
+     "(lam X{iota;perm(+{}-{});0}_[] X{iota;perm(+{}-{});1}_[])"),
+])
+def test_normalize_prints_the_binder_a_capture_renames(text, normal, tmp_path, capsys):
+    """The name a beta step gives a binder that would capture, one redex
+    per variable kind, as `nomhol normalize` prints it."""
+    f = tmp_path / "redex.sexp"
+    f.write_text(text)
+    assert run_cli(["normalize", str(f)]) == 0
+    assert capsys.readouterr().out == normal + "\n"
 
 
 # --- normalization ---------------------------------------------------------------
@@ -368,6 +405,23 @@ def test_normal_form_keeps_what_is_already_normal(t):
     assert H._nf(n) is n
     if n == t:
         assert n is t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_beta_step_is_the_parallel_substitution(data):
+    """The library's beta step gives what the rebuilding parallel
+    substitution gives, binder names included, and gives t itself where
+    the variable is not free in t."""
+    t = data.draw(st.sampled_from(TYPES).flatmap(hol_st))
+    ty = data.draw(st.sampled_from([MU_NU, O, ArrowT(MU_NU, MU_IOTA)]))
+    v = a(data.draw(small)) if ty == MU_NU and data.draw(st.booleans()) else \
+        PlainVar(ty, data.draw(small))
+    u = data.draw(hol_st(ty, 3))
+    got = H._subst(t, {v: u})
+    assert got == hol_subst_parallel(t, {v: u})
+    if v not in fv(t):
+        assert got is t
 
 
 def unchecked_app(fn, arg):

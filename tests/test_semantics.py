@@ -1437,22 +1437,45 @@ def _rand_orbit_prop(rng, quantifiers: int):
     return phi
 
 
+def _neg(phi):
+    return Imp(phi, Bot())
+
+
+def _p(x):
+    return Pred("P", Sus.of(x))
+
+
+# Propositions that name no atom, each at its depth.  On the tables that
+# `gen.rand_model` plants, each turns on two window atoms that only one of
+# these tells apart: the model's clauses (∀ and ∃ of P), an enclosing
+# candidate (∃X2 such that P, or not P, holds of every other X1), or X1's
+# window (every X2 has an equal X1: not nu@-3).
+PLANTED_PROPS = [(All(X2, _neg(All(X1, _neg(Pred("equal", Tup((Sus.of(X2), Sus.of(X1)))))))), 1)]
+for _q in (_p, lambda x: _neg(_p(x))):
+    PLANTED_PROPS += [
+        (All(X0, _q(X0)), 2), (All(X1, _q(X1)), 1),
+        (_neg(All(X2, _neg(All(X1, Imp(_neg(Pred("equal", Tup((Sus.of(X2), Sus.of(X1))))),
+                                       _q(X1)))))), 1)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(models, st.integers(0, 2**32 - 1))
 def test_orbit_reduction_agrees_with_full_enumeration_on_random_models(model, seed):
     # one or two nested ∀ over X0, X1 and X2, whose windows and permission
-    # sets differ, at depth 1, or one at depth 2; X2 is unassigned
+    # sets differ, at depth 1, or one at depth 2; X2 is unassigned; then
+    # the planted propositions
     rng = random.Random(seed)
     phi = renamed(away(rng), _rand_orbit_prop(rng, 2))
     depth = 1 if _nesting(phi) > 1 else rng.choice([1, 2])
     val = rand_val(rng)
-    assert eval_pnl_prop(model, val, phi, depth) == \
-        oracles.eval_pnl_prop(model, val, phi, depth), (phi, depth)
-    ctx = d_for(phi)
-    if capture_check(ctx, phi):
-        t, env = translate(ENV, ctx, phi), lift_valuation(val, SIG)
-        assert eval_hol(model, env, t, depth) == \
-            oracles.eval_hol(model, env, t, depth), (phi, depth)
+    for phi, depth in [(phi, depth), *PLANTED_PROPS]:
+        assert eval_pnl_prop(model, val, phi, depth) == \
+            oracles.eval_pnl_prop(model, val, phi, depth), (phi, depth)
+        ctx = d_for(phi)
+        if capture_check(ctx, phi):
+            t, env = translate(ENV, ctx, phi), lift_valuation(val, SIG)
+            assert eval_hol(model, env, t, depth) == \
+                oracles.eval_hol(model, env, t, depth), (phi, depth)
 
 
 def count_candidates(monkeypatch, full: bool = False) -> Counter:

@@ -16,7 +16,9 @@ of corruptions (`CORRUPTIONS`), so it covers the located reader errors,
 the reader's per-symbol scan of deeply nested brace groups, and frontend
 errors, which are located by reading the text a second time, a constant
 written at a type the signature does not give it and a former given a term
-of the wrong sort among them.
+of the wrong sort among them.  A third line does the same for a fixed set
+of typed-lambda redexes whose step must rename a binder (`CAPTURE_REDEXES`),
+under `normalize` and `alpha --hol`; no workload or corpus file renames one.
 Run it in two checkouts: the same lines mean the CLI printed the same
 bytes.  It uses the `nomhol` beside it, not an installed one, and writes
 only to temporary directories.
@@ -149,6 +151,40 @@ def malformed_group() -> tuple:
     return files, corpus_calls(list(files))
 
 
+# typed-lambda redexes whose beta step renames a binder: over a plain, an
+# atom and an unknown variable, through nested binders, and past a binder
+# that shadows the substituted variable
+CAPTURE_REDEXES = (
+    "(app (lam (plain o 0) (lam (plain o 1) (plain o 0))) (plain o 1))",
+    "(app (lam nu@0 (lam nu@1 nu@0)) nu@1)",
+    "(app (lam (plain mu_iota 0) (lam X{iota;perm(+{}-{});1} (plain mu_iota 0)))"
+    " X{iota;perm(+{}-{});1})",
+    "(app (lam (plain o 0) (lam (plain o 1) (lam (plain o 2) (imp (plain o 0)"
+    " (imp (plain o 1) (plain o 2)))))) (imp (plain o 1) (plain o 2)))",
+    "(app (lam nu@0 (lam nu@1 (lam nu@2 (tup nu@0 nu@1 nu@2)))) nu@1)",
+    "(app (lam X{iota;perm(+{}-{});0} (lam X{iota;perm(+{}-{});1} (lam X{iota;perm(+{}-{});2}"
+    " (tup X{iota;perm(+{}-{});0} X{iota;perm(+{}-{});1})))) X{iota;perm(+{}-{});1})",
+    "(lam (plain o 1) (app (lam (plain o 0) (lam (plain o 1) (plain o 0))) (plain o 1)))",
+    "(app (lam (plain (-> o o) 0) (lam (plain o 0) (app (plain (-> o o) 0) (plain o 0))))"
+    " (lam (plain o 1) (plain o 0)))",
+    "(app (lam (plain o 0) (tup (plain o 0) (lam (plain o 0) (plain o 0)))) bot)",
+    "(app (lam nu@0 (lam nu@1 (tup nu@0 (lam nu@0 nu@1)))) nu@1)",
+)
+
+
+def capture_group() -> tuple:
+    """(files, calls): each capture redex under `normalize`, and under
+    `alpha --hol` against itself read a second time, with and without
+    `--json`."""
+    files = {f"capture-{i}.sexp": text for i, text in enumerate(CAPTURE_REDEXES)}
+    calls = []
+    for f in files:
+        for cmd, args in ((["normalize"], [f]), (["alpha", "--hol"], [f, f])):
+            for json_flag in ([], ["--json"]):
+                calls.append(Call(cmd[0], cmd + json_flag + args, 0, {}))
+    return files, calls
+
+
 def run(call: Call) -> tuple:
     """(argv, status, stdout, stderr) of one call in the current directory."""
     if call.needs and not Path(call.needs).exists():
@@ -200,6 +236,8 @@ def main(argv) -> int:
     print(f"{count} calls sha256 {digest}")
     count, digest = fingerprint([malformed_group()])
     print(f"{count} malformed calls sha256 {digest}")
+    count, digest = fingerprint([capture_group()])
+    print(f"{count} capture calls sha256 {digest}")
     return 0
 
 
