@@ -316,34 +316,33 @@ def _fresh_var_like(v: HolVar, avoid: frozenset) -> HolVar:
     raise TypeError(f"not a variable: {type(v).__name__}")
 
 
-def _subst(t: HolTerm, m: dict) -> HolTerm:
-    """t with each variable of `m` replaced by its image at once, renaming a
-    binder that would capture; a subterm where none is free comes back itself."""
+def _subst(t: HolTerm, m: dict, near: list) -> HolTerm:
+    """t with each variable of `m` replaced by its image at once; a subterm
+    where none is free comes back itself.  A binder that would capture is
+    renamed, decided before the one walk of its body from `near`: one slot,
+    shared under one map, for (a superset of) the images' free variables."""
     c = type(t)
     if c is App:
-        fn, arg = _subst(t.fn, m), _subst(t.arg, m)
+        fn, arg = _subst(t.fn, m, near), _subst(t.arg, m, near)
         return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if c is Var:
         return m.get(t.var, t)
     if c is Lam:
         w, body = t.var, t.body
-        inner = m if w not in m else {x: y for x, y in m.items() if x != w}
-        new = _subst(body, inner) if inner else body
-        if new is body:
-            return t
-        if w not in frozenset().union(*map(fv, inner.values())):
-            return Lam(w, new)
-        # only the images of variables free in the body can be captured
-        free = fv(body)
-        inner = {x: y for x, y in inner.items() if x in free}
-        near = frozenset().union(*map(fv, inner.values()))
-        if w not in near:
-            return Lam(w, new)
-        w2 = _fresh_var_like(w, near | free | frozenset(inner))
-        inner[w] = Var(w2)
-        return Lam(w2, _subst(body, inner))
+        if near[0] is None:  # filled on the first binder, for the whole map
+            near[0] = frozenset().union(*map(fv, m.values()))
+        m = {x: y for x, y in m.items() if x != w} if w in m else m
+        if m and w in near[0]:
+            free = fv(body)  # only images of variables free here can capture
+            m = {x: y for x, y in m.items() if x in free}
+            near = [frozenset().union(*map(fv, m.values()))]
+            if w in near[0]:
+                w2 = _fresh_var_like(w, near[0] | free | frozenset(m))
+                return Lam(w2, _subst(body, {**m, w: Var(w2)}, [near[0] | {w2}]))
+        new = _subst(body, m, near) if m else body
+        return t if new is body else Lam(w, new)
     if c is HTup:
-        new = tuple([_subst(r, m) for r in t.items])
+        new = tuple([_subst(r, m, near) for r in t.items])
         return t if all(map(operator.is_, new, t.items)) else HTup(new)
     if c is Const:
         return t
@@ -362,7 +361,7 @@ def _whnf(t: HolTerm) -> HolTerm:
         head = _whnf(t.fn)
         if type(head) is not Lam:
             return t if head is t.fn else App(head, t.arg)
-        t = _subst(head.body, {head.var: t.arg})
+        t = _subst(head.body, {head.var: t.arg}, [None])
     return t
 
 

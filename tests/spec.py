@@ -146,7 +146,7 @@ def apply_reindex(ctx_from: CaptureContext, ctx_to: CaptureContext,
 def hol_subst(t: HolTerm, v: HolVar, u: HolTerm) -> HolTerm:
     if u.type != var_type(v):
         raise HolTypeError(f"substituting {u!r} of wrong type for {v!r}")
-    return H._subst(t, {v: u})
+    return H._subst(t, {v: u}, [None])
 
 
 def hol_perm_act(pi: Perm, t: HolTerm) -> HolTerm:

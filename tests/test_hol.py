@@ -113,7 +113,7 @@ def test_substitution_leaves_no_cycle_to_collect():
     gc.collect()
     gc.disable()
     try:
-        got = H._subst(t, {X: Var(a(0))})
+        got = H._subst(t, {X: Var(a(0))}, [None])
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -143,6 +143,39 @@ def test_a_beta_step_builds_only_the_path_to_its_variable(monkeypatch):
     assert sorted(built) == ["App", "App", "HTup"]
     assert got.items[0] is kept
     assert got == HTup((kept, imp(imp(BOT, BOT), BOT)))
+
+
+def capture_chains(n):
+    """Two redexes whose every one of n nested binders captures: binders
+    that shadow one name, and distinct binders all free in the argument."""
+    x, y = PlainVar(O, 0), PlainVar(O, 1)
+    shadowing = Var(x)
+    for _ in range(n):
+        shadowing = Lam(y, shadowing)
+    ys = [PlainVar(O, i) for i in range(1, n + 1)]
+    distinct, arg = Var(x), BOT
+    for v in reversed(ys):
+        distinct, arg = Lam(v, distinct), imp(Var(v), arg)
+    return [(Lam(x, shadowing), Var(y)), (Lam(x, distinct), arg)]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["shadowing", "distinct"])
+def test_renaming_binders_walks_each_body_once(which, monkeypatch):
+    """A chain of n binders that each capture costs a number of
+    substitution calls linear in n: each binder's body is walked once."""
+    n, calls = 30, [0]
+
+    def counting(*args, real=H._subst):
+        calls[0] += 1
+        if calls[0] > 4 * n:
+            raise AssertionError(f"more than {4 * n} substitution calls")
+        return real(*args)
+    fn, arg = capture_chains(n)[which]
+    want = hol_subst_parallel(fn.body, {fn.var: arg})
+    monkeypatch.setattr(H, "_subst", counting)
+    got = H._whnf(App(fn, arg))
+    assert calls[0] == n + 1
+    assert got == want
 
 
 @pytest.mark.parametrize("text, normal", [
@@ -418,7 +451,7 @@ def test_beta_step_is_the_parallel_substitution(data):
     v = a(data.draw(small)) if ty == MU_NU and data.draw(st.booleans()) else \
         PlainVar(ty, data.draw(small))
     u = data.draw(hol_st(ty, 3))
-    got = H._subst(t, {v: u})
+    got = H._subst(t, {v: u}, [None])
     assert got == hol_subst_parallel(t, {v: u})
     if v not in fv(t):
         assert got is t

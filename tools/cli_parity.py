@@ -169,6 +169,13 @@ CAPTURE_REDEXES = (
     " (lam (plain o 1) (plain o 0)))",
     "(app (lam (plain o 0) (tup (plain o 0) (lam (plain o 0) (plain o 0)))) bot)",
     "(app (lam nu@0 (lam nu@1 (tup nu@0 (lam nu@0 nu@1)))) nu@1)",
+    # 40 nested binders that each capture: shadowing ones, and distinct ones
+    # all free in the argument
+    "(app (lam (plain o 0) " + "(lam (plain o 1) " * 40 + "(plain o 0)" + ")" * 40
+    + ") (plain o 1))",
+    "(app (lam (plain o 0) " + "".join(f"(lam (plain o {i}) " for i in range(1, 41))
+    + "(plain o 0)" + ")" * 40 + ") " + "".join(f"(imp (plain o {i}) " for i in range(1, 41))
+    + "bot" + ")" * 41,
 )
 
 
