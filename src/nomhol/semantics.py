@@ -11,12 +11,13 @@ The module provides evaluators for both syntaxes and a checker for the
 commuting square relating a nominal term/proposition's direct value to the
 value of its translation under the lifted valuation.  Each evaluation call
 compiles its input once into closures and then runs them for every
-quantifier candidate: clause tables become matchers that try their clauses
-in order, quantified unknowns become slots, lambda bodies read their bound
-variables by position, and each (sort, window, depth) pool of candidates,
-one term per alpha-class, is drawn once per call and replayed.  A bounded
-quantifier over an unknown tries one candidate of each orbit of the
-permutations its body cannot see (`_View`).  A matcher keeps nothing about
+quantifier candidate: quantified unknowns become slots, lambda bodies read
+their bound variables by position, and each (sort, window, depth) pool of
+candidates, one term per alpha-class, is drawn once per call and replayed.
+A bounded quantifier over an unknown tries one candidate of each orbit of
+the permutations its body cannot see (`_View`).  Each clause table
+(`PredSpec`) owns its matcher and its support, each worked out once, when
+first asked.  A matcher tries the clauses in order and keeps nothing about
 a candidate: it walks the candidate's free atoms whenever it tests a
 permission set.
 """
@@ -24,6 +25,7 @@ permission set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Mapping, Optional, Union
 
@@ -291,23 +293,6 @@ def fn_apply(f: SemVal, a: SemVal) -> SemVal:
 # ---------------------------------------------------------------------------
 # predicate specifications and models
 
-def pattern_atoms(p) -> frozenset:
-    """The concrete atoms a pattern examines (binders excluded, pattern
-    variables contribute nothing)."""
-    match p:
-        case AtomT(a):
-            return frozenset([a])
-        case Tup(items):
-            return frozenset().union(*map(pattern_atoms, items)) if items else frozenset()
-        case Former(_, arg):
-            return pattern_atoms(arg)
-        case AbsT(a, body):
-            return pattern_atoms(body) - {a}
-        case Sus(_, _):
-            return frozenset()
-    raise TypeError(f"not a pattern: {p!r}")
-
-
 def _pattern_test(p, slots: list, index: dict) -> Callable:
     """The pattern p compiled into a test term -> bool, for first-order
     matching up to alpha.  The first occurrence of a pattern variable in
@@ -368,23 +353,10 @@ def _pattern_test(p, slots: list, index: dict) -> Callable:
     return lambda x: False
 
 
-def compile_spec(spec: "PredSpec") -> Callable:
-    """The clause table compiled once: apply(term) is the value of the first
-    clause whose pattern matches, else the default."""
-    clauses = [(_pattern_test(p, [], {}), v) for p, v in spec.clauses]
-    default = spec.default
-
-    def apply(x) -> int:
-        for test, v in clauses:
-            if test(x):
-                return v
-        return default
-    return apply
-
-
 @dataclass(frozen=True)
 class PredSpec:
-    """An ordered pattern table interpreting one proposition-former."""
+    """An ordered pattern table for one proposition-former; it owns its
+    matcher and what it can tell atoms apart by."""
 
     clauses: tuple  # of (pattern, 0|1)
     default: int
@@ -397,11 +369,34 @@ class PredSpec:
             if v not in (0, 1):
                 raise ValueError("clause value must be 0 or 1")
 
+    @cached_property
+    def matcher(self) -> Callable:
+        """The table compiled, when first asked: matcher(term) is the value
+        of the first clause whose pattern matches, else the default.  Its
+        pattern variables bind slots every call shares: one thread at once."""
+        clauses = [(_pattern_test(p, [], {}), v) for p, v in self.clauses]
+        default = self.default
+
+        def apply(x) -> int:
+            for test, v in clauses:
+                if test(x):
+                    return v
+            return default
+        return apply
+
+    @cached_property
+    def tells_apart(self) -> tuple:
+        """(atoms, sets), worked out when first asked: every atom the
+        patterns write, binders and suspension permutations included, with
+        `extra_support`, and the pattern unknowns' permission sets."""
+        atoms, _, suspended = _written(p for p, _ in self.clauses)
+        return (frozenset(atoms).union(self.extra_support),
+                frozenset(x.pmss for x in suspended))
+
     def declared_support(self) -> frozenset:
-        out = frozenset(self.extra_support)
-        for p, _ in self.clauses:
-            out |= pattern_atoms(p)
-        return out
+        """A support: a permutation that fixes these atoms and maps each
+        pattern unknown's permission set onto itself keeps every value."""
+        return self.tells_apart[0]
 
 
 @dataclass(frozen=True)
@@ -780,12 +775,12 @@ class _View:
     permutation that fixes every atom it can see and maps every window and
     permission set in play onto itself, so candidates in one orbit of such
     permutations agree.  The atoms it can see are `fixed`: those written in
-    the input, in the model's clause patterns (binders and suspension
-    permutations included) and `extra_support`, and in the valuation's
-    values; at run time, also the supports of the values already placed
+    the input and in the valuation's values, and each clause table's
+    support; at run time, also the supports of the values already placed
     around a quantifier.  In play are the quantified unknowns' windows and
     permission sets, the pattern unknowns' permission sets, and the extra
-    windows the input names.  `see()` gives (atoms, quantified unknowns,
+    windows the input names.  A table's part is its `PredSpec.tells_apart`,
+    worked out once per table.  `see()` gives (atoms, quantified unknowns,
     extra windows) of the input and valuation; it is called when a
     quantifier first needs its labels."""
 
@@ -810,16 +805,12 @@ class _View:
 
     def _look(self):
         atoms, quantified, windows = self.see()
-        model = self.model
-        patterns = [p for spec in model.preds.values() for p, _ in spec.clauses]
-        seen, _, suspended = _written(patterns)
-        for spec in model.preds.values():
-            seen |= spec.extra_support
-        names = model.sig.name_sorts
-        self.fixed = frozenset(seen | atoms)
+        tables = [spec.tells_apart for spec in self.model.preds.values()]
+        names = self.model.sig.name_sorts
+        self.fixed = frozenset(atoms).union(*(seen for seen, _ in tables))
         self.windows = tuple({frozenset(w) for w in windows} | {
             frozenset(pmss_window(x.pmss, names)) for x in quantified})
-        self.sets = tuple({x.pmss for x in (*quantified, *suspended)})
+        self.sets = tuple({x.pmss for x in quantified}.union(*(s for _, s in tables)))
 
 
 def _classes(window: tuple, labels: tuple, seen) -> Optional[tuple]:
@@ -848,15 +839,14 @@ class _PnlCompiler:
     """Compiles a nominal term or proposition once for one evaluation.  Each
     ∀ owns a slot that it fills with one candidate after another; a
     suspension of a quantified unknown reads its slot; every subterm without
-    one is built once, at compile time, and a proposition-former's clause
-    table is compiled once."""
+    one is built once, at compile time; a proposition-former runs the
+    matcher its `PredSpec` owns."""
 
     def __init__(self, model: HerbrandModel, val: Valuation,
                  pools: Optional[_Pools]):
         self.model, self.val, self.pools = model, val, pools
         self.slots: list = []
         self.values: dict = {}  # unknown -> its value under val
-        self.specs: dict = {}   # proposition-former -> compiled clause table
         self.view: Optional[_View] = None
 
     def value(self, phi) -> int:
@@ -926,13 +916,10 @@ class _PnlCompiler:
                 return max(1 - vp, right())
             return imp
         if t is Pred:
-            apply = self.specs.get(phi.name)
-            if apply is None:
-                try:
-                    spec = self.model.spec(phi.name)
-                except SemanticsError as e:
-                    return _raiser(e)
-                apply = self.specs[phi.name] = compile_spec(spec)
+            try:
+                apply = self.model.spec(phi.name).matcher
+            except SemanticsError as e:
+                return _raiser(e)
             arg, build = self.term(phi.arg, env)
             if build is None:
                 value = apply(arg)
@@ -1050,8 +1037,7 @@ class HolEvaluator:
                 return FnV(former)
             if base in self.model.sig.prop_formers:
                 spec = self.model.spec(base)
-                support = spec.declared_support()
-                apply = compile_spec(spec)
+                support, apply = spec.declared_support(), spec.matcher
 
                 def pred(a: SemVal) -> SemVal:
                     return _BOOLS[apply(_strip_for(as_ren(a), support).val)]

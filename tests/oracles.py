@@ -21,7 +21,7 @@ each formula object once.
 The eager, memoised ground-term enumerator is the reference for the lazy one
 in `nomhol.semantics`: the same terms in the same order, built as lists.
 The tree-walking evaluators are the references for the compiled ones:
-`match_pattern` for `spec.compile_pattern` and `semantics.compile_spec`,
+`match_pattern` for `spec.compile_pattern` and `semantics.PredSpec.matcher`,
 `eval_pnl_term`/`eval_pnl_prop` for the nominal evaluator, and
 `HolEvaluator`/`eval_hol` for the higher-order one.  They walk the syntax
 at every candidate, draw every quantifier's candidates from the eager

@@ -22,7 +22,7 @@ from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV,
                               TupV, UnboundVariableError,
                               Valuation, abstract_atoms, as_atom, as_bool,
                               as_ren, canonical_ground, canonicalize,
-                              compile_spec, default_window, enumerate_ground,
+                              default_window, enumerate_ground,
                               eval_pnl_prop, eval_pnl_term, fn_apply,
                               lift_valuation, merge_ren_tuple, mk_ren,
                               pmss_window, ren_eq, square_check, supp, supp_sem)
@@ -550,16 +550,45 @@ def test_pred_spec_validation():
 
 def test_pred_spec_first_match_and_support():
     spec = PredSpec(((var(0), 1), (Sus.of(W1), 0)), 1)
-    assert compile_spec(spec)(var(0)) == 1
-    assert compile_spec(spec)(var(1)) == 0
+    assert spec.matcher(var(0)) == 1
+    assert spec.matcher(var(1)) == 0
     assert spec.declared_support() == frozenset([a(0)])
     assert ISVAR_SPEC.declared_support() == frozenset()
+    # a binder and a suspension's permutation tell their atoms apart too
+    lam = lambda b, x: Former("lam", AbsT(a(b), x))
+    spec = PredSpec(((lam(1, Sus.of(X0)), 1), (Sus(Perm.swap(a(2), a(5)), X0), 0)), 1)
+    assert spec.declared_support() == frozenset([a(1), a(2), a(5)])
+    assert (spec.matcher(lam(1, var(0))), spec.matcher(lam(0, var(1)))) == (1, 0)
+    assert (spec.matcher(var(2)), spec.matcher(var(0))) == (1, 0)
+
+
+SWAP_ATOMS = [a(i) for i in range(-3, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(models, st.integers(0, 2**32 - 1))
+def test_tables_keep_their_values_outside_their_declared_support(model, seed):
+    # swapping two atoms outside declared_support() that each pattern
+    # unknown's permission set holds both or neither of keeps a table's
+    # value: the HOL pred constant's support is a support
+    rng = random.Random(seed)
+    for name, spec in sorted(model.preds.items()):
+        support = spec.declared_support()
+        sets = {u.pmss for p, _ in spec.clauses for u in free_unknowns(p)}
+        pairs = [(b, c) for i, b in enumerate(SWAP_ATOMS) for c in SWAP_ATOMS[i + 1:]
+                 if b not in support and c not in support
+                 and all((b in s) == (c in s) for s in sets)]
+        for _ in range(5 if pairs else 0):
+            b, c = rng.choice(pairs)
+            x = rand_ground_term(rng, rng.randrange(1, 4), SIG.prop_formers[name])
+            assert oracles.spec_apply(spec, x) == \
+                oracles.spec_apply(spec, perm_act(Perm.swap(b, c), x)), (name, b, c, x)
 
 
 def test_pred_spec_matching_is_alpha_aware():
     islam = PredSpec(((Former("lam", AbsT(a(0), Sus.of(W1))), 1),), 0)
-    assert compile_spec(islam)(Former("lam", AbsT(a(3), var(3)))) == 1
-    assert compile_spec(islam)(var(0)) == 0
+    assert islam.matcher(Former("lam", AbsT(a(3), var(3)))) == 1
+    assert islam.matcher(var(0)) == 0
 
 
 def test_valuation_defaults_are_canonical_and_permitted():
@@ -821,9 +850,9 @@ def test_lifted_predicates_constant_across_representatives():
             x = Tup((rand_ground_term(rng, 2), rand_ground_term(rng, 2)))
             g, _ = eval_hol(M_ISVAR, HolValuation(), ENV.formers["equal"])
         got = as_bool(fn_apply(g, ren_act_sem(rho, RenV(RenElem(ID, x)))))
-        assert got == compile_spec(spec)(x), (rho, x)
+        assert got == spec.matcher(x), (rho, x)
         # in particular a true instance stays true under every renaming
-        if compile_spec(spec)(x) == 1:
+        if spec.matcher(x) == 1:
             assert got == 1
 
 
@@ -1042,6 +1071,25 @@ def test_square_bounded_quantified_propositions():
         assert v.ok and not v.exact, phi
 
 
+@settings(max_examples=150, deadline=None)
+@given(models, st.integers(0, 2**32 - 1))
+def test_square_commutes_on_random_models(model, seed):
+    # a quantifier-free proposition, a one-∀ proposition at depth 1 and a
+    # term, half of them `renamed` away from the windows; a term's
+    # translation under a capturing context leaves no suspended renaming
+    # once canonical
+    rng = random.Random(seed)
+    val = rand_val(rng)
+    for x, depth in ((rand_prop(rng, quantifiers=False), 0),
+                     (_rand_quantified(rng, nested=False), 1), (rand_term(rng), 0)):
+        x = renamed(away(rng), x) if rng.random() < 0.5 else x
+        ctx = d_for(x)
+        if capture_check(ctx, x):
+            v = square_check(ENV, model, ctx, val, x, depth)
+            assert v.ok, (x, ctx)
+            assert v.kind == "prop" or as_ren(v.lhs).rho.is_identity, (x, v.lhs)
+
+
 def test_translated_derivations_evaluate_valid():
     rng = random.Random(555)
     for name, d in restricted_derivations():
@@ -1163,7 +1211,7 @@ def test_alpha_equal_candidates_get_one_value(i, j, same, k, seed):
     cases = [(spec, (x, x2) if name == "P" else (Tup((x, y)), Tup((x2, y2))))
              for model in MODELS for name, spec in model.preds.items()]
     for spec, (arg, arg2) in cases + [(islam, (lam, rename_binders(rng, lam)))]:
-        apply = compile_spec(spec)
+        apply = spec.matcher
         assert apply(arg) == apply(arg2), (spec, arg, arg2)
     val = Valuation({X0: x, Y0: y, X1: z})
     val2 = Valuation({X0: x2, Y0: y2, X1: z2})
@@ -1274,7 +1322,7 @@ def test_compiled_matcher_agrees_with_the_oracle(case):
     assert compile_pattern(pattern)(term) == want
     # the same verdict from the compiled one-clause table
     spec = PredSpec(((pattern, 1),), 0)
-    assert compile_spec(spec)(term) == oracles.spec_apply(spec, term) == \
+    assert spec.matcher(term) == oracles.spec_apply(spec, term) == \
         int(want is not None)
 
 
@@ -1312,7 +1360,7 @@ def test_compiled_clause_tables_agree_with_the_oracle():
             x = rand_ground_term(rng, rng.randrange(1, 4))
             if clauses and rng.random() < 0.5:
                 x = oracles.eval_pnl_term(M_ISVAR, rand_val(rng), rng.choice(clauses)[0])
-            got = compile_spec(spec)(x)
+            got = spec.matcher(x)
             assert got == oracles.spec_apply(spec, x), (clauses, x)
             matched += any(oracles.match_pattern(p, x) is not None for p, _ in clauses)
     assert matched > 100
@@ -1391,6 +1439,31 @@ def test_pools_and_supports_are_built_once_per_evaluation(monkeypatch):
         assert len(pools) == len(set(pools)) == 1
         assert len(supports) == len(set(map(id, supports))) == 1
         supports.clear()
+
+
+def test_square_compiles_and_walks_each_clause_pattern_once(monkeypatch):
+    # fresh tables, since a table keeps what it has worked out; each side's
+    # ∀ asks for its view, and the HOL side applies the pred constants
+    model = HerbrandModel(SIG, {name: PredSpec(spec.clauses, spec.default)
+                                for name, spec in M_ISVAR.preds.items()})
+    patterns = [p for spec in model.preds.values() for p, _ in spec.clauses]
+    compiled, walked = [], []
+    test, written = semantics._pattern_test, semantics._written
+
+    def counted_written(xs):
+        xs = list(xs)
+        walked.extend(x for x in xs if any(x is p for p in patterns))
+        return written(xs)
+
+    monkeypatch.setattr(semantics, "_pattern_test",
+                        lambda p, *rest: compiled.append(p) or test(p, *rest))
+    monkeypatch.setattr(semantics, "_written", counted_written)
+    phi = All(X0, Imp(Pred("P", Sus.of(X0)), Pred("equal", Tup((Sus.of(X0), Sus.of(X0))))))
+    verdict = square_check(ENV, model, None, Valuation(), phi, 2)
+    assert verdict.ok and verdict.lhs == verdict.rhs == 1
+    # one call per pattern node: var(X) and (X, X)
+    assert len(compiled) == 5 and all(any(p is q for q in compiled) for p in patterns)
+    assert len(walked) == len(patterns) == len(set(map(id, walked)))
 
 
 def test_pools_past_the_limit_are_drawn_anew(monkeypatch):
@@ -1675,7 +1748,7 @@ def test_convert_model_agrees_with_direct_evaluation():
         assert m.preds["Q"].extra_support >= supp(z)
         for _ in range(60):
             r = rand_ground_term(rng)
-            assert compile_spec(m.spec("Q"))(r) == compile_spec(PAIR_SPEC)(Tup((z, r))), (z, r)
+            assert m.spec("Q").matcher(r) == PAIR_SPEC.matcher(Tup((z, r))), (z, r)
 
 
 def test_convert_model_default_only_and_pruning():
@@ -1683,7 +1756,7 @@ def test_convert_model_default_only_and_pruning():
     assert m.spec("Q").clauses == () and m.spec("Q").default == 1
     only = PredSpec(((Tup((var(5), Sus.of(W1))), 1),), 0)
     m = convert_model(HerbrandModel(SIG2, {"Q": only}), var(0))
-    assert m.spec("Q").clauses == () and compile_spec(m.spec("Q"))(var(5)) == 0
+    assert m.spec("Q").clauses == () and m.spec("Q").matcher(var(5)) == 0
 
 
 def test_convert_model_sort_mismatch():

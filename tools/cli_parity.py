@@ -19,6 +19,10 @@ written at a type the signature does not give it and a former given a term
 of the wrong sort among them.  A third line does the same for a fixed set
 of typed-lambda redexes whose step must rename a binder (`CAPTURE_REDEXES`),
 under `normalize` and `alpha --hol`; no workload or corpus file renames one.
+A fourth line does the same for `eval` and `square`, at depths 0, 1 and 2,
+of a few propositions (`PATTERN_PROPS`) over a model whose clause patterns
+bind atoms and suspend unknowns under permutations and which declares a
+`(support ...)` (`PATTERN_MODEL`); no workload or corpus model has one.
 Run it in two checkouts: the same lines mean the CLI printed the same
 bytes.  It uses the `nomhol` beside it, not an installed one, and writes
 only to temporary directories.
@@ -192,6 +196,45 @@ def capture_group() -> tuple:
     return files, calls
 
 
+X0 = "X{iota;perm(+{nu@0,nu@1,nu@2}-{});0}"
+X1 = "X{iota;perm(+{nu@0}-{});1}"
+# a binder clause with a bound atom, one with a vacuous binder, a
+# suspension-permutation clause, an extra support, and a binder in `equal`
+PATTERN_MODEL = f"""(model
+  (pred P
+    (clause (lam (abs nu@0 (var nu@0))) 1)
+    (clause (lam (abs nu@1 {X0})) 0)
+    (clause (sus ((nu@2 nu@5)) {X0}) 1)
+    (default 0)
+    (support nu@3))
+  (pred equal
+    (clause (tup {X1} (lam (abs nu@2 {X1}))) 1)
+    (default 0)))
+"""
+# binders matched up to alpha, a free unknown, and refutable and valid ∀s
+PATTERN_PROPS = (
+    "(pred P (lam (abs nu@3 (var nu@3))))",
+    "(pred P (lam (abs nu@0 (var nu@1))))",
+    f"(imp (pred P (var nu@5)) (pred P (sus ((nu@0 nu@1)) {X0})))",
+    f"(all {X0} (pred P {X0}))",
+    f"(all {X0} (imp (pred P (lam (abs nu@2 {X0}))) (pred equal (tup {X0} {X0}))))",
+    f"(all {X1} (imp (pred equal (tup {X1} (lam (abs nu@4 {X1}))))"
+    f" (pred equal (tup {X1} (lam (abs nu@3 {X1}))))))",
+)
+
+
+def pattern_group() -> tuple:
+    """(files, calls): each pattern proposition under `eval` and `square`
+    over the pattern model at depths 0, 1 and 2, with and without
+    `--json`."""
+    props = {f"pattern-{i}.sexp": text for i, text in enumerate(PATTERN_PROPS)}
+    calls = [Call(cmd, [cmd, "--model", "pattern-model.sexp", "--depth", depth,
+                        *json_flag, f], 0, {})
+             for f in props for cmd in ("eval", "square") for depth in "012"
+             for json_flag in ([], ["--json"])]
+    return {**props, "pattern-model.sexp": PATTERN_MODEL}, calls
+
+
 def run(call: Call) -> tuple:
     """(argv, status, stdout, stderr) of one call in the current directory."""
     if call.needs and not Path(call.needs).exists():
@@ -245,6 +288,8 @@ def main(argv) -> int:
     print(f"{count} malformed calls sha256 {digest}")
     count, digest = fingerprint([capture_group()])
     print(f"{count} capture calls sha256 {digest}")
+    count, digest = fingerprint([pattern_group()])
+    print(f"{count} pattern calls sha256 {digest}")
     return 0
 
 
