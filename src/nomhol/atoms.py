@@ -1,7 +1,8 @@
 """Atoms, finite and co-infinite atom sets, permutations and renamings.
 
-Atoms are pure values (name-sort, integer index); negative indices form the
-downward half of the atom universe, non-negative indices the upward half.
+An atom is the pair (name-sort, integer index), a tuple that compares,
+hashes and orders as that pair; negative indices form the downward half of
+the atom universe, non-negative indices the upward half.
 A permission set (downward half ∪ plus) \\ minus is the co-infinite atom set
 with excluded = minus and included = plus; `permission_set` builds one.
 Each value prints as the reader writes it (see `frontend`); a finite atom
@@ -11,11 +12,10 @@ set, which no document writes, prints as {nu@0,nu@1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     sort: str
     index: int
 

@@ -47,8 +47,10 @@ locations (`sexpr.parse_one`) into a table that holds each distinct list
 once, as a row.  Every parser of a node takes the `Reading`: the table, the
 signatures, and a memo for the call in each category, so `parse_term`,
 `parse_prop` and `parse_hol` parse each node, a symbol or a row, once, and
-every copy is the same object.  A model's own signature starts a fresh
-reading.  `render_derivation` prints each formula object once.
+every copy is the same object, and each unknown token is read once,
+through the term memo, wherever it is written.  A model's own signature
+starts a fresh reading.  `render_derivation` prints each formula object
+once.
 
 The reader checks a document against its signature once, with located
 errors: atoms, sorts, formers, predicates, each `(const NAME TYPE)`, and
@@ -134,7 +136,10 @@ def _args(r: Reading, node, n: int, what: str) -> tuple:
 INT_RE = re.compile(r"-?[0-9]+$")
 _NAT_RE = re.compile(r"[0-9]+$")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")   # a sort, as an atom carries it
-_ATOM_RE = re.compile(rf"^({_NAME_RE.pattern})@(-?[0-9]+)$")
+_ATOM_IN_RE = re.compile(rf"({_NAME_RE.pattern})@(-?[0-9]+)")
+_ATOM_RE = re.compile(rf"^{_ATOM_IN_RE.pattern}$")
+# A comma-separated list whose parts are empty or match _ATOM_RE.
+_ATOMS_RE = re.compile(r"(?:{0})?(?:,(?:{0})?)*".format(rf"{_NAME_RE.pattern}@-?[0-9]+\n?"))
 
 
 def parse_atom_text(text: str) -> Optional[Atom]:
@@ -168,6 +173,9 @@ _PMSS_RE = re.compile(r"^perm\(\+\{([^{}]*)\}-\{([^{}]*)\}\)$")
 
 
 def _atom_list_text(sig: P.PnlSignature, text: str, where) -> tuple:
+    found = _ATOM_IN_RE.findall(text) if _ATOMS_RE.fullmatch(text) else None
+    if found is not None and {s for s, _ in found} <= sig.name_sorts:
+        return tuple(Atom(s, int(i)) for s, i in found)   # else the loop finds the error
     out = []
     for part in filter(None, text.split(",")):
         a = parse_atom_text(part)
@@ -295,6 +303,16 @@ def parse_sort_node(r: Reading, node) -> P.PnlSort:
 # unknowns
 
 def _split_top(text: str, sep: str, where) -> list:
+    """text cut at each `sep` outside brackets.  Where each piece of
+    text.split(sep) balances its brackets, every `sep` lies outside them."""
+    parts = text.split(sep)
+    if all(sum(map(p.count, "{(<[")) == sum(map(p.count, "})>]")) for p in parts):
+        return parts
+    return _walk_top(text, sep, where)
+
+
+def _walk_top(text: str, sep: str, where) -> list:
+    """`_split_top` a character at a time, which also finds an unbalanced bracket."""
     parts, depth, start = [], 0, 0
     for i, c in enumerate(text):
         if c in "{(<[":
@@ -326,6 +344,8 @@ def parse_unknown_text(sig: P.PnlSignature, text: str, where) -> P.Unknown:
 def parse_unknown(r: Reading, node) -> P.Unknown:
     if not isinstance(node, str):
         _err(node, "expected an unknown")
+    if node.startswith("X{"):   # read once, in the term memo
+        return parse_term(r, node).unknown
     return parse_unknown_text(r.sig, str(node), node)
 
 

@@ -192,7 +192,7 @@ class App:
         fty, aty = self.fn.type, self.arg.type
         if type(fty) is not ArrowT:
             raise HolTypeError(f"applying a non-function of type {fty!r}", self)
-        if fty.arg != aty:
+        if fty.arg is not aty and fty.arg != aty:
             raise HolTypeError(f"application expects {fty.arg!r}, got {aty!r}", self)
         _set(self, "type", fty.res)
 

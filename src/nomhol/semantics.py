@@ -134,7 +134,7 @@ def ren_key(e: RenElem) -> tuple:
     their first occurrence.  The key is alpha_key(e.val) with each free atom
     written as (its sort, the index of its first occurrence), followed by
     its image under e.rho, in the same order."""
-    first: dict = {}  # free atom -> (sort, index); no other token is a tuple
+    first: dict = {}  # free atom -> (sort, index); no other shape token is a tuple
     shape = []
     for tok in alpha_key(e.val):
         if type(tok) is Atom:
@@ -254,23 +254,38 @@ def as_ren(v: SemVal) -> RenElem:
     raise SemanticsError(f"value has no suspension form: {v!r}")
 
 
-def _relabel(e: RenElem, moved, avoid) -> RenElem:
+def _relabel(e: RenElem, moved, avoid, sets=()) -> RenElem:
     """An equivalent representative in which the renaming-domain atoms
-    `moved` are swapped with the least fresh atoms outside `avoid`, which
-    must contain the support of e.val and e.rho.nontriv."""
-    fresh = fresh_atoms([a.sort for a in moved], CofinAtomSet.finite(avoid))
+    `moved` are swapped with distinct fresh atoms outside `avoid`, which
+    must contain the support of e.val and e.rho.nontriv.  Each is the first,
+    in the order 0, 1, ..., -1, -2, ..., that lies in exactly the same
+    permission sets of `sets` as the atom it replaces, or the least
+    non-negative one where no fresh atom does."""
+    taken = set(avoid)
+    far = len(moved) + 1 + max(
+        (abs(b.index) for b in taken.union(*(s.boundary for s in sets))), default=0)
+    fresh = []
+    for a in moved:   # past index far - 1, every fresh atom is in all sets or none
+        free = [c for i in (*range(far), *range(-1, -far, -1))
+                if (c := Atom(a.sort, i)) not in taken]
+        c = next((c for c in free if all((c in s) == (a in s) for s in sets)), free[0])
+        taken.add(c)
+        fresh.append(c)
     pi = Perm({**dict(zip(moved, fresh)), **dict(zip(fresh, moved))})
     rho = Renaming({pi(a): t for a, t in e.rho.moves().items()})
     return RenElem(rho, perm_act(pi, e.val))
 
 
-def _strip_for(e: RenElem, away: frozenset) -> RenElem:
-    """An equivalent representative whose renaming domain avoids `away`."""
+def _strip_for(e: RenElem, away: frozenset, sets=()) -> RenElem:
+    """An equivalent representative whose renaming domain avoids `away`: each
+    domain atom in `away` gives way to one in the same permission sets of
+    `sets`, so a table that tells atoms apart by `away` and `sets` reads the
+    same value whatever else `away` holds."""
     e = canonicalize(e)
     bad = sorted(e.rho.dom & away)
     if not bad:
         return e
-    return _relabel(e, bad, supp(e.val) | e.rho.nontriv | away)
+    return _relabel(e, bad, supp(e.val) | e.rho.nontriv | away, sets)
 
 
 def fn_apply(f: SemVal, a: SemVal) -> SemVal:
@@ -1037,10 +1052,11 @@ class HolEvaluator:
                 return FnV(former)
             if base in self.model.sig.prop_formers:
                 spec = self.model.spec(base)
-                support, apply = spec.declared_support(), spec.matcher
+                support, sets = spec.declared_support(), spec.tells_apart[1]
+                apply = spec.matcher
 
                 def pred(a: SemVal) -> SemVal:
-                    return _BOOLS[apply(_strip_for(as_ren(a), support).val)]
+                    return _BOOLS[apply(_strip_for(as_ren(a), support, sets).val)]
                 return FnV(pred, support)
         raise SemanticsError(f"uninterpreted constant {c.name}")
 

@@ -32,7 +32,14 @@ reference for `semantics.fn_apply`, which freshens only a renamed binder.
 of `sexpr.parse_one`: no two of its rows print the same.  `_parse_chars`
 reads a text one character at a time, the reference for `sexpr.parse_all`:
 the same table of one row per list written, the same located nodes, and
-the same located errors.
+the same located errors.  `parse_unknown_text` and `parse_hol_unknown_var`
+split an unknown token's fields, and a HOL variable's context suffix, by a
+walk over its characters that tracks bracket depth (`_split_top`), and
+read each atom of a permission set or context on its own
+(`_atom_list_text`): the reference for `frontend.parse_unknown_text` and
+`frontend.parse_hol_var`, which cut a well-formed token with `str.split`
+and read each atom list with one `findall`, checked by one `fullmatch`.
+Both give the same value, or raise the same message.
 """
 
 from __future__ import annotations
@@ -41,14 +48,15 @@ import itertools
 from typing import Iterator, List, Mapping
 
 from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
-                          set_subset)
+                          permission_set, set_subset)
+from nomhol import frontend as F
 from nomhol.frontend import render
 from nomhol.hol import (App, ArrowT, Const, HTup, HolTerm, HolType, HolTypeError,
                         Lam, TupleT, Var, var_type)
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
                         NameSort, Perm2, PnlSignature, Pred, Sus, Tup,
-                        TupleSort, free_atoms, free_unknowns, alpha_key,
-                        perm2_act, perm_act)
+                        TupleSort, Unknown, free_atoms, free_unknowns,
+                        alpha_key, perm2_act, perm_act)
 from nomhol import hol as H
 from nomhol import semantics as S
 from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV, RenElem,
@@ -558,10 +566,10 @@ class HolEvaluator:
                 return FnV(former)
             if base in self.model.sig.prop_formers:
                 spec = self.model.spec(base)
-                support = spec.declared_support()
+                support, sets = spec.tells_apart
 
                 def pred(a):
-                    return BoolV(spec_apply(spec, S._strip_for(as_ren(a), support).val))
+                    return BoolV(spec_apply(spec, S._strip_for(as_ren(a), support, sets).val))
                 return FnV(pred, support)
         raise SemanticsError(f"uninterpreted constant {c.name}")
 
@@ -651,3 +659,69 @@ def eval_hol(model, env, t, depth: int = 0):
     ev = HolEvaluator(model, depth)
     out = ev.eval(t, env)
     return out, ev.exact
+
+
+# ---------------------------------------------------------------------------
+# reading unknown tokens a character at a time
+
+def _split_top(text: str, sep: str, where) -> list:
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(text):
+        if c in "{(<[":
+            depth += 1
+        elif c in "})>]":
+            depth -= 1
+        elif c == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    if depth != 0:
+        F._err(where, f"unbalanced brackets in {text!r}")
+    return parts
+
+
+def _atom_list_text(sig: PnlSignature, text: str, where) -> tuple:
+    out = []
+    for part in filter(None, text.split(",")):
+        a = F.parse_atom_text(part)
+        if a is None:
+            F._err(where, f"bad atom {part!r} in permission set")
+        out.append(F._declared(sig, a, where))
+    return tuple(out)
+
+
+def _parse_pmss_text(sig: PnlSignature, text: str, where) -> CofinAtomSet:
+    m = F._PMSS_RE.match(text)
+    if not m:
+        F._err(where, f"expected perm(+{{..}}-{{..}}), got {text!r}")
+    try:
+        return permission_set(plus=_atom_list_text(sig, m.group(1), where),
+                              minus=_atom_list_text(sig, m.group(2), where))
+    except ValueError as e:
+        F._err(where, str(e))
+
+
+def parse_unknown_text(sig: PnlSignature, text: str, where) -> Unknown:
+    if not (text.startswith("X{") and text.endswith("}")):
+        F._err(where, f"expected an unknown like X{{iota;perm(+{{}}-{{}});0}}, got {text!r}")
+    parts = _split_top(text[2:-1], ";", where)
+    if len(parts) != 3:
+        F._err(where, f"an unknown has three ';'-separated fields, got {text!r}")
+    sort = F.parse_sort_text(sig, parts[0], where)
+    pmss = _parse_pmss_text(sig, parts[1], where)
+    if not F.INT_RE.match(parts[2]):
+        F._err(where, f"bad unknown index {parts[2]!r}")
+    return Unknown(sort, pmss, int(parts[2]))
+
+
+def parse_hol_unknown_var(sig: PnlSignature, text: str, where) -> H.UnkVar:
+    """An X{..}_[ctx] symbol, as `frontend.parse_hol_var` reads one."""
+    parts = _split_top(text, "_", where)
+    ctx = parts[1] if len(parts) == 2 else "[]"
+    if len(parts) > 2 or not (ctx.startswith("[") and ctx.endswith("]")):
+        F._err(where, f"bad context suffix in {text!r}")
+    unk = parse_unknown_text(sig, parts[0], where)
+    try:
+        return H.UnkVar(unk, _atom_list_text(sig, ctx[1:-1], where))
+    except ValueError as e:
+        F._err(where, str(e))

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, permission_set,
                           fresh_atoms, perm_image_set, set_subset)
+from nomhol.frontend import parse_atom_text
 
 from spec import freshening_pair
 
@@ -30,6 +31,21 @@ def cofin_st():
 
 perm_st = st.permutations(list(range(-3, 4))).map(
     lambda xs: Perm({a(i): a(j) for i, j in zip(range(-3, 4), xs)}))
+
+
+# --- atoms are pairs ------------------------------------------------------
+
+def test_atoms_are_sort_index_pairs():
+    atoms = [Atom("nu", 2), Atom("mu", 5), a(-1), a(0), Atom("mu", -3)]
+    assert sorted(atoms) == [Atom("mu", -3), Atom("mu", 5), a(-1), a(0), a(2)]
+    for x in atoms:
+        assert parse_atom_text(repr(x)) == x
+        assert hash(x) == hash((x.sort, x.index))
+        match x:
+            case Atom(s, i):
+                assert (s, i) == (x.sort, x.index)
+    # iteration order of an atom set is the pair set's, as it was
+    assert list({*atoms}) == [Atom(*p) for p in {(x.sort, x.index) for x in atoms}]
 
 
 # --- fresh allocation ----------------------------------------------------

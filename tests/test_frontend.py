@@ -420,6 +420,159 @@ def test_documents_take_the_pattern_path(monkeypatch):
     assert slow == ["X{b{c{d}}})"]
 
 
+# --- unknown tokens: str.split and the character walk ------------------------
+
+# Unknown tokens, mostly well-formed, and some with one fault: unbalanced
+# or undeclared sorts, a bad atom or one on the wrong side of a permission
+# set, a missing or a fourth field, a stray character.  Among the
+# well-formed: nested sorts, empty comma parts, fields that end in a newline
+# (which '$' accepts).
+_SORTS = st.sampled_from(["iota", "nu", "[nu]iota", "[nu]<iota,nu>", "<>",
+                          "<iota,<nu,[nu]iota>>", " iota ", "iota\n"])
+_BAD_SORTS = st.sampled_from(["mu", "[mu]iota", "<iota", "[nu", "[nu]", "iota>",
+                              ">a_b<", "a_b", "(iota)", "(iota", "iota)", "<iota;nu>",
+                              "<iota,,nu>", "", "[nu]<iota_nu>"])
+_BAD_ATOMS = st.sampled_from(["nu@", "@1", "nu@\u0663", "nu@-", "nu@+1", "nu@1 ",
+                              "nu@0<", "nu@0>", "nu@0[", "nu@0;nu@1", "nu@0\n\n",
+                              "nu@0_", "{}", "mu@0", "_x@1", "nu@-1", "nu@1"])
+_BAD_PMSS = st.sampled_from(["perm(+{})", "perm(-{}+{})", "perm(+{}-{}", "perm+{}-{}",
+                             "perm(+{nu@0}-{nu@-1}) "])
+_BAD_INDICES = st.sampled_from(["\u0663", "", "a", "1\n\n", "<", "1_0", "+1"])
+
+
+def _atoms(indices):
+    return st.lists(st.one_of(st.just(""), st.builds(
+        "nu@{}{}".format, indices, st.sampled_from(["", "", "", "\n"]))), max_size=6)
+
+
+@st.composite
+def _unknown_tokens(draw):
+    plus, minus = draw(_atoms(st.integers(0, 12))), draw(_atoms(st.integers(-5, -1)))
+    fields = [draw(_SORTS), None, draw(st.sampled_from(["0", "7", "-3", "12", "1\n"]))]
+    fault = draw(st.integers(0, 15))
+    if fault == 0:
+        fields[0] = draw(_BAD_SORTS)
+    elif fault == 1:
+        side = draw(st.sampled_from([plus, minus]))
+        side.insert(draw(st.integers(0, len(side))), draw(_BAD_ATOMS))
+    fields[1] = "perm(+{%s}-{%s})" % (",".join(plus), ",".join(minus)) + \
+        draw(st.sampled_from(["", "", "", "\n"]))
+    if fault == 2:
+        fields[1] = draw(_BAD_PMSS)
+    elif fault == 3:
+        fields[2] = draw(_BAD_INDICES)
+    elif fault == 4:
+        del fields[draw(st.integers(0, 2))]
+    elif fault == 5:
+        fields.append(draw(st.sampled_from(["", "0", "iota"])))   # a fourth field
+    text = "X{" + ";".join(fields) + "}"
+    if fault == 6:
+        text = draw(st.sampled_from(["Y", "", "X{"])) + text[2:]
+    elif fault == 7:
+        text = text[:-1]
+    elif fault == 8:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("{}()<>[];,_\n@-")) + text[at:]
+    return text
+
+
+_CONTEXTS = st.one_of(
+    st.just(""), st.lists(st.integers(-5, 2), unique=True, max_size=3).map(
+        lambda ix: "_[" + ",".join(f"nu@{i}" for i in ix) + "]"),
+    st.sampled_from(["_", "_[nu@0,nu@0]", "_[nu@9]", "_[nu@0]_[nu@1]", "_nu@0",
+                     "_[<]", "_[nu@0", "[nu@0]", "_[nu@0]x", "_[{}]", "_[nu@0,,]"]))
+
+
+def _outcome(read, text):
+    """The value read, or the message of the error raised, at a located symbol."""
+    try:
+        return read(SIG, text, Sym(text, 0, text))
+    except F.ParseError as e:
+        return "error", e.message
+
+
+def _read_hol_var(sig, text, where):
+    return F.parse_hol_var(F.Reading([], sig), where)
+
+
+_WELL = "X{[nu]<iota,nu>;perm(+{nu@0,,nu@1}-{nu@-2\n});-3\n}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(_unknown_tokens())
+@example(_WELL)
+@example("X{iota;perm(+{nu@0}-{nu@1});0}")      # an upward atom in the minus part
+@example("X{iota;perm(+{nu@-1}-{});0}")         # a negative atom in the plus part
+@example("X{iota;perm(+{}-{});0;0}")            # a fourth field
+@example("X{<iota;perm(+{}-{});0}")             # an unbalanced '<'
+@example("X{[nu;perm(+{}-{});0}")               # an unbalanced '['
+@example("X{iota;perm(+{nu@0<}-{});0}")         # a bracket inside the set
+@example("X{iota;perm(+{}-{});\u0663}")         # a non-ASCII digit
+@example("X{iota;perm(+{mu@0}-{});0}")          # an undeclared name sort
+def test_unknown_tokens_read_as_the_character_walk_reads_them(text):
+    assert _outcome(F.parse_unknown_text, text) == \
+        _outcome(oracles.parse_unknown_text, text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_unknown_tokens(), _CONTEXTS)
+@example(_WELL, "_[nu@0,nu@1]")
+@example("X{iota;perm(+{nu@0,nu@1}-{});0}", "_[nu@1,nu@0]")
+@example("X{iota;perm(+{nu@0}-{});0}", "_[nu@1]")     # outside the set
+@example("X{>a_b<;perm(+{}-{});0}", "_[nu@0]")       # a '_' at depth 0 in the sort
+@example("X{a_b;perm(+{}-{});0}", "")
+def test_hol_unknown_variables_read_as_the_character_walk_reads_them(token, ctx):
+    text = token + ctx
+    assume(text.startswith("X{"))   # parse_hol_var reads other symbols otherwise
+    assert _outcome(_read_hol_var, text) == \
+        _outcome(oracles.parse_hol_unknown_var, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text("ab;_,{}()<>[]", max_size=14), st.sampled_from(";_,"))
+def test_top_level_split_agrees_with_the_character_walk(text, sep):
+    assert _outcome(lambda sig, t, where: F._split_top(t, sep, where), text) == \
+        _outcome(lambda sig, t, where: oracles._split_top(t, sep, where), text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(["nu@0", "nu@-2", "nu@12", "nu@3\n", "", "mu@1"]),
+                          st.text("nu@-01;<_\n\u0663 ", max_size=6)), max_size=5).map(",".join))
+@example("nu@0;nu@1")
+@example("nu@0<nu@1")
+def test_atom_lists_read_as_the_part_loop_reads_them(text):
+    assert _outcome(lambda sig, t, where: F._atom_list_text(sig, t, where), text) == \
+        _outcome(lambda sig, t, where: oracles._atom_list_text(sig, t, where), text)
+
+
+def test_well_formed_unknowns_split_without_the_character_walk(monkeypatch):
+    """A well-formed unknown token, or HOL variable, is split by str.split:
+    no field holds its separator inside brackets."""
+    walked = []
+    walk = F._walk_top
+    monkeypatch.setattr(F, "_walk_top",
+                        lambda text, sep, where: walked.append(text) or walk(text, sep, where))
+    unk = F.parse_unknown_text(SIG, _WELL, _WELL)
+    var = _read_hol_var(SIG, None, _WELL + "_[nu@1,nu@0]")
+    assert (repr(unk), repr(var)) == (
+        "X{[nu]<iota,nu>;perm(+{nu@0,nu@1}-{nu@-2});-3}",
+        "X{[nu]<iota,nu>;perm(+{nu@0,nu@1}-{nu@-2});-3}_[nu@1,nu@0]")
+    assert walked == []
+
+
+def test_an_unknown_written_twice_is_read_once(monkeypatch):
+    """An unknown that a document writes under `all` and again in a `sus`
+    is read once, through the reading's term memo."""
+    x = "X{iota;perm(+{nu@0,nu@1}-{});4}"
+    read = Counter()
+    real = F.parse_unknown_text
+    monkeypatch.setattr(F, "parse_unknown_text",
+                        lambda sig, text, where: read.update([text]) or real(sig, text, where))
+    phi = F.parse_document(f"(all {x} (pred P (sus ((nu@0 nu@1)) {x})))", "prop", SIG)
+    assert read == {x: 1}
+    assert phi.unknown is phi.body.arg.unknown
+
+
 # --- structural ids ----------------------------------------------------------
 
 _GAPS = st.sampled_from([" ", "\n", "\t ", " ; note (x\n", "\n;;)\n  "])

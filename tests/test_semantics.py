@@ -585,6 +585,19 @@ def test_tables_keep_their_values_outside_their_declared_support(model, seed):
                 oracles.spec_apply(spec, perm_act(Perm.swap(b, c), x)), (name, b, c, x)
 
 
+@pytest.mark.parametrize("declared", [frozenset(), frozenset([a(-1)])])
+def test_pred_value_keeps_when_the_table_declares_more_support(declared):
+    # [nu@-1:=nu@0]·P(app(var nu@-1, var nu@0)): the table reads 1 on the
+    # term as written, both atoms in X2's set.  Declaring nu@-1 as support
+    # moves it out of the renaming's domain, to a fresh atom that must lie
+    # in X2's set as nu@-1 does (not nu@1, nor nu@-2, which X2 excludes).
+    spec = PredSpec(((Sus.of(X2), 1),), 0, declared)
+    pred = semantics.HolEvaluator(HerbrandModel(SIG, {"P": spec}))._const_value(
+        ENV.formers["P"])
+    elem = RenElem(Renaming.atomic(a(-1), a(0)), app(var(-1), var(0)))
+    assert as_bool(fn_apply(pred, RenV(elem))) == 1
+
+
 def test_pred_spec_matching_is_alpha_aware():
     islam = PredSpec(((Former("lam", AbsT(a(0), Sus.of(W1))), 1),), 0)
     assert islam.matcher(Former("lam", AbsT(a(3), var(3)))) == 1

@@ -16,9 +16,12 @@ of corruptions (`CORRUPTIONS`), so it covers the located reader errors,
 the reader's per-symbol scan of deeply nested brace groups, and frontend
 errors, which are located by reading the text a second time, a constant
 written at a type the signature does not give it and a former given a term
-of the wrong sort among them.  A third line does the same for a fixed set
-of typed-lambda redexes whose step must rename a binder (`CAPTURE_REDEXES`),
-under `normalize` and `alpha --hol`; no workload or corpus file renames one.
+of the wrong sort among them, and errors inside an unknown token: a bad
+atom, or a plus atom with a negative index, in its permission set, a
+fourth ';' field, and an unbalanced '<' in its sort.  A third line does
+the same for a fixed set of typed-lambda redexes whose step must rename a
+binder (`CAPTURE_REDEXES`), under `normalize` and `alpha --hol`; no
+workload or corpus file renames one.
 A fourth line does the same for `eval` and `square`, at depths 0, 1 and 2,
 of a few propositions (`PATTERN_PROPS`) over a model whose clause patterns
 bind atoms and suspend unknowns under permutations and which declares a
@@ -128,6 +131,18 @@ def _wrong_sort(text: str):
     return bad if n else None
 
 
+# an unknown token X{SORT;PERMSET;INDEX}, its text before the closing brace as group 1
+_UNKNOWN = re.compile(r"(X\{[^{}]*(?:\{[^{}]*\}[^{}]*)*)\}")
+
+
+def _in_first(pattern: str, repl: str):
+    """The corruption that writes `repl` for the text's first `pattern`."""
+    def corrupt(text: str):
+        bad, n = re.subn(pattern, repl, text, count=1)
+        return bad if n else None
+    return corrupt
+
+
 # name -> the corrupted text, or None where the corruption does not apply
 CORRUPTIONS = {
     "drop-last-close": lambda t: t[:t.rindex(")")] + t[t.rindex(")") + 1:],
@@ -139,6 +154,10 @@ CORRUPTIONS = {
     "bad-last-index": _bad_last_index,
     "const-type": _const_type,
     "wrong-sort": _wrong_sort,
+    "set-bad-atom": _in_first(re.escape("perm(+{"), "perm(+{nu@x,"),
+    "set-negative-plus": _in_first(re.escape("perm(+{"), "perm(+{nu@-4,"),
+    "unknown-fourth-field": _in_first(_UNKNOWN.pattern, r"\1;0}"),
+    "sort-open-angle": _in_first(re.escape("X{"), "X{<"),
 }
 
 
