@@ -16,18 +16,24 @@ list is an object of its own.
 list its row, an `int`.  Its table is a hash-consing table (Filliâtre and
 Conchon, "Type-safe modular hash-consing", 2006): the keys, in order, of the
 dict that interns each list's children, so two lists share a row exactly
-when they print the same.  Each match of `_FAST` is one token (a
-parenthesis, a symbol whose brace groups nest at most two deep, or a stray
-brace) with the blanks and comments after it.  Text that is not one form,
-or holds a stray brace, it reads again with `parse_all`.
+when they print the same.  It cuts the text into tokens with `str`
+methods, which run in C: `_CUT_OUT` finds the brace groups (two deep at
+most), the comments, the stray braces and the characters that `str.split`
+cuts at and the reader does not (form feed, NBSP, ...), and `str.split`
+cuts the text between them, with a blank put on each side of every
+parenthesis.  A group or such a character joins the symbols on either side
+of it.  Text that is not one form, or holds a stray brace, it reads again
+with `parse_all`.
 
 `parse_all` reads with locations and raises every located error itself.  It
-gives each list written its own row.  A symbol is a `Sym`, a `str` with its
-offset ``pos`` in the text ``src``, and a list a `Row`, an `int` with both;
-``line`` and ``col`` are computed from them when asked, in practice only
-when an error is raised.  A stray brace sends the one symbol holding it to
-`_symbol_end`, which reads it a character at a time, with groups nested to
-any depth, or raises the brace's error.
+gives each list written its own row.  Each match of `_FAST` is one token (a
+parenthesis, a symbol whose brace groups nest at most two deep, or a stray
+brace) with the blanks and comments after it.  A symbol is a `Sym`, a `str`
+with its offset ``pos`` in the text ``src``, and a list a `Row`, an `int`
+with both; ``line`` and ``col`` are computed from them when asked, in
+practice only when an error is raised.  A stray brace sends the one symbol
+holding it to `_symbol_end`, which reads it a character at a time, with
+groups nested to any depth, or raises the brace's error.
 """
 
 from __future__ import annotations
@@ -84,6 +90,15 @@ _FAST = re.compile(rf"""
     | {_N}+ (?:{_G} {_N}*)* | (?:{_G} {_N}*)+   # a symbol
     | [{{}}] )                                   # a stray brace
 """ + _SKIP.pattern, re.VERBOSE)
+# What `parse_one` cuts out before `str.split` cuts the rest: a brace group
+# two deep at most, a comment, a stray brace, or one of the characters that
+# `str.split` cuts at and the reader does not.  It starts with one class, so
+# that the search skips the text between matches in C.
+_CUT_OUT = re.compile(r"""
+    [;{}\x0b\x0c\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]
+    (?: (?<=;) [^\n]*                                # a comment
+      | (?<=\{) (?:[^{}] | \{[^{}]*\})* \} )?        # the rest of a group
+""", re.VERBOSE)
 
 
 def _error(message: str, text: str, pos: int) -> SexprError:
@@ -157,26 +172,45 @@ def parse_one(text: str) -> tuple:
     """The table and the root of the one form in the text, read without
     locations: one row for each distinct list.  Text that is not one form,
     or holds a stray brace, is read again by `parse_all`."""
-    stack: List[list] = []   # the enclosing lists' children
-    items: list = []         # the open list's children; the forms at top level
-    sids: dict = {}          # a distinct list's children -> its row
-    for tok in _FAST.findall(text, _SKIP.match(text).end()):
-        if tok == "(":
-            stack.append(items)
-            items = []
-        elif tok == ")":
-            if not stack:
-                break
-            sid = sids.setdefault(tuple(items), len(sids))
-            items = stack.pop()
-            items.append(sid)
-        elif tok == "{" or tok == "}":
+    tokens: list = []
+    glued = False   # the last token is a symbol that the text at `at` continues
+    at, src = 0, text + ";"   # a comment at the end: the last match ends the text
+    for m in _CUT_OUT.finditer(src):
+        cut, piece = m.start(), m[0]
+        if at < cut:
+            run = src[at:cut].replace("(", " ( ").replace(")", " ) ").split()
+            if glued and src[at] not in " \t\r\n()":
+                run[0] = tokens.pop() + run[0]
+            tokens += run
+            glued = src[cut - 1] not in " \t\r\n()"
+        if piece == "{" or piece == "}":
             break
-        else:
-            items.append(tok)
+        if piece[0] != ";":   # a comment runs to a newline, which ends a symbol
+            if glued:
+                tokens[-1] += piece
+            else:
+                tokens.append(piece)
+                glued = True
+        at = m.end()
     else:
-        if not stack and len(items) == 1:
-            return list(sids), items[0]
+        stack: List[list] = []   # the enclosing lists' children
+        items: list = []         # the open list's children; the forms at top level
+        sids: dict = {}          # a distinct list's children -> its row
+        for tok in tokens:
+            if tok == "(":
+                stack.append(items)
+                items = []
+            elif tok == ")":
+                if not stack:
+                    break
+                sid = sids.setdefault(tuple(items), len(sids))
+                items = stack.pop()
+                items.append(sid)
+            else:
+                items.append(tok)
+        else:
+            if not stack and len(items) == 1:
+                return list(sids), items[0]
     rows, forms = parse_all(text)
     if len(forms) != 1:
         raise SexprError("expected exactly one form", forms[1].line, forms[1].col)

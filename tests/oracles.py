@@ -29,7 +29,11 @@ enumerator, and keep nothing between candidates.  `fn_apply` freshens an
 abstraction element's binder at every application that could clash, the
 reference for `semantics.fn_apply`, which freshens only a renamed binder.
 `flat` prints a reader node through its table, the reference for the table
-of `sexpr.parse_one`: no two of its rows print the same.  `_parse_chars`
+of `sexpr.parse_one`: no two of its rows print the same.  `parse_one`
+reads a text one `sexpr._FAST` match at a time, one token with the blanks
+and comments after it, the reference for `sexpr.parse_one`, which cuts
+the text between brace groups and comments with `str.split`: the same
+table and root, or the same located error.  `_parse_chars`
 reads a text one character at a time, the reference for `sexpr.parse_all`:
 the same table of one row per list written, the same located nodes, and
 the same located errors.  `parse_unknown_text` and `parse_hol_unknown_var`
@@ -64,7 +68,8 @@ from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV, RenElem,
                               abstract_atoms, as_atom, as_bool, as_ren,
                               default_window, merge_ren_tuple, mk_ren,
                               pmss_window, supp, supp_sem)
-from nomhol.sexpr import Row, Sym, _error
+from nomhol import sexpr
+from nomhol.sexpr import Row, SexprError, Sym, _error
 
 from spec import extend, updated
 
@@ -376,6 +381,37 @@ def flat(rows: list, node) -> str:
     if isinstance(node, str):
         return str(node)
     return "(" + " ".join(flat(rows, x) for x in rows[node]) + ")"
+
+
+def parse_one(text: str) -> tuple:
+    """`sexpr.parse_one`, one `sexpr._FAST` match per token: the table and
+    the root of the one form in the text, one row for each distinct list.
+    Text that is not one form, or holds a stray brace, is read again by
+    `sexpr.parse_all`."""
+    stack: List[list] = []   # the enclosing lists' children
+    items: list = []         # the open list's children; the forms at top level
+    sids: dict = {}          # a distinct list's children -> its row
+    for tok in sexpr._FAST.findall(text, sexpr._SKIP.match(text).end()):
+        if tok == "(":
+            stack.append(items)
+            items = []
+        elif tok == ")":
+            if not stack:
+                break
+            sid = sids.setdefault(tuple(items), len(sids))
+            items = stack.pop()
+            items.append(sid)
+        elif tok == "{" or tok == "}":
+            break
+        else:
+            items.append(tok)
+    else:
+        if not stack and len(items) == 1:
+            return list(sids), items[0]
+    rows, forms = sexpr.parse_all(text)
+    if len(forms) != 1:
+        raise SexprError("expected exactly one form", forms[1].line, forms[1].col)
+    return rows, forms[0]
 
 
 def _tokens(text: str) -> Iterator[tuple]:

@@ -575,9 +575,21 @@ def test_an_unknown_written_twice_is_read_once(monkeypatch):
 
 # --- structural ids ----------------------------------------------------------
 
-_GAPS = st.sampled_from([" ", "\n", "\t ", " ; note (x\n", "\n;;)\n  "])
-_SYMS = st.sampled_from(["a", "b", "nu@0", "nu@1", "bot", "imp"]) | st.builds(
-    "X{{{}}}".format, st.sampled_from(["iota;0", "a b", "(x)", "{y}", "p\nq", "a;b"]))
+# The characters that `str.split` cuts at and the reader does not: every
+# Unicode space but the four blanks.
+_SPACES = ("\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200b)))
+           + "\u2028\u2029\u202f\u205f\u3000")
+# Gaps with CRLF line ends and comments glued to the symbol before them.
+_GAPS = st.sampled_from([" ", "\n", "\t ", " ; note (x\n", "\n;;)\n  ", "\r\n", ";c\r\n",
+                         ";{x}\n"])
+# Symbols with one of those characters inside, inside a brace group and
+# next to one, and symbols that begin with a group or hold two adjacent
+# ones.  A group three deep, which parse_one leaves to parse_all, is in
+# _ODD_SYMS: `test_sid_is_the_printed_form` needs parse_one's own table.
+_SYMS = st.sampled_from(["a", "b", "nu@0", "nu@1", "bot", "imp", "{x}a", "X{a}{b}", "{}{y}"]) \
+    | st.builds("X{{{}}}".format, st.sampled_from(["iota;0", "a b", "(x)", "{y}", "p\nq", "a;b"])) \
+    | st.builds(str.format, st.sampled_from(["a{}b", "X{{a{}b}}", "{}X{{a}}", "X{{a}}{}", "{}",
+                                             "X{{{{{}}}}}"]), st.sampled_from(_SPACES))
 
 
 def _form(children):
@@ -625,12 +637,31 @@ def _read_or_error(parse, text):
         return e
 
 
+# Texts that str.split alone would cut into other tokens than the reader
+# reads, one for each kind of piece that _CUT_OUT cuts out.
+_CUT_EXAMPLES = (
+    "(a\xa0b X{a\u3000b} \x0cX{a} X{a}\x85 \u2028)",   # spaces in and next to symbols and groups
+    "(a\x1cb)\r\n; end\r\n",                          # CRLF, a separator character
+    "(a;c\nb;c (d);c\n)",                             # comments glued to symbols
+    "({x}a {x}{y} {}\x0b{})",                          # symbols that begin with a group
+    "(X{a}{b} X{a}b{c})",                             # adjacent groups
+    "(a X{b{c{d}}}\xa0e)",                            # a group three deep
+)
+
+
+def _cut_examples(test):
+    for text in reversed(_CUT_EXAMPLES):
+        test = example(text)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(_WELL_FORMED | _MALFORMED | _TEXTS)
 @example("(a X{b{c{d}}})")
 @example("; nu@0")
 @example("(a) ; b")
 @example("(a) ;)\n")
+@_cut_examples
 def test_parse_one_agrees_with_parse_all(text):
     """parse_one reads one form as parse_all does: the same tree, expanded
     through each table, with no locations.  It reads the text again with
@@ -655,6 +686,77 @@ def test_parse_one_agrees_with_parse_all(text):
             ("expected exactly one form", forms[1][1].line, forms[1][1].col)
     else:
         assert _reading(lambda t: (fast[0], [fast[1]]), text) == _reading(lambda t: forms, text)
+
+
+def _reading_or_error(parse, text):
+    try:
+        return parse(text)
+    except SexprError as e:
+        return e.message, e.line, e.col
+
+
+@settings(max_examples=400, deadline=None)
+@given(_WELL_FORMED | _MALFORMED | _TEXTS)
+@_cut_examples
+def test_parse_one_reads_as_the_token_pattern_reads(text):
+    """parse_one, which cuts the text with str.split between brace groups
+    and comments, gives the oracle's table and root, one _FAST match per
+    token, or the same located error."""
+    assert _reading_or_error(parse_one, text) == _reading_or_error(oracles.parse_one, text)
+
+
+def test_documents_are_cut_without_the_token_pattern(monkeypatch):
+    """parse_one reads every document of the three benchmark workloads at
+    seed 7, and every corpus file, without a match of _FAST: neither its
+    token-at-a-time `findall` nor `parse_all`."""
+    class Unmatched:
+        def findall(self, *args):
+            raise AssertionError("_FAST.findall")
+
+        finditer = findall
+
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+    texts = [f.read_text() for f in corpus_files()]
+    for name in ("proof", "square", "syntax"):
+        texts += workloads.build(name, 7).files.values()
+    monkeypatch.setattr(sexpr, "_FAST", Unmatched())
+    for text in texts:
+        parse_one(text)
+    assert len(texts) > 900
+
+
+def test_the_cut_out_class_is_the_spaces_that_are_not_blanks():
+    """The characters that _CUT_OUT cuts out alone, but for the braces and
+    ';', are those str.split cuts at and the reader keeps in symbols."""
+    spaces = {c for c in map(chr, range(0x110000)) if c.isspace()} - set(" \t\r\n")
+    cut = {c for c in map(chr, range(0x110000)) if sexpr._CUT_OUT.fullmatch(c)}
+    assert cut - set("{};") == spaces == set(_SPACES)
+    assert len(spaces) == 25
+
+
+def test_benchmark_sized_documents_round_trip(monkeypatch):
+    """The largest rungs of the benchmark workloads, the top binder tower,
+    the top redex tower and a 24-hypothesis derivation, read, print and
+    read back equal."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+    rng = random.Random(7)
+    binders = max(workloads.BINDER_RUNGS)
+    redexes = max(workloads.REDEX_RUNGS) + 4 * max(workloads.SHIFTS)
+    docs = [("term", workloads.binder_tower(rng, binders)[0]),
+            ("hol", workloads.redex_tower(rng, redexes)[0]),
+            ("deriv-pnl", workloads.proof_doc(rng, 24, "intact")[0])]
+    assert (binders, redexes) == (130, 218)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)   # == on the tower terms takes frames per level
+    try:
+        for kind, text in docs:
+            value = F.parse_document(text, kind, SIG)
+            back = F.KINDS[kind][1](value)
+            assert F.parse_document(back, kind, SIG) == value, kind
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def _pass_documents(monkeypatch, tmp_path) -> tuple:
@@ -1484,7 +1586,7 @@ def test_no_message_prints_dataclass_text(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     monkeypatch.syspath_prepend(str(TOOLS))
     import cli_parity
-    files, calls = cli_parity.malformed_group()
+    files, calls = cli_parity.rewritten_group(cli_parity.CORRUPTIONS)
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         Path(name).write_text(text, encoding="utf-8")

@@ -26,6 +26,11 @@ A fourth line does the same for `eval` and `square`, at depths 0, 1 and 2,
 of a few propositions (`PATTERN_PROPS`) over a model whose clause patterns
 bind atoms and suspend unknowns under permutations and which declares a
 `(support ...)` (`PATTERN_MODEL`); no workload or corpus model has one.
+A fifth line does the same for every corpus file written four other ways
+(`REWRITES`), under the same commands: with CRLF line ends, with tabs for
+blanks, with a `;` comment glued after each symbol, and with a no-break
+space inside its last symbol, which the reader keeps in the symbol and
+the frontend refuses with a located error.
 Run it in two checkouts: the same lines mean the CLI printed the same
 bytes.  It uses the `nomhol` beside it, not an installed one, and writes
 only to temporary directories.
@@ -161,16 +166,42 @@ CORRUPTIONS = {
 }
 
 
-def malformed_group() -> tuple:
-    """(files, calls): each corpus file after each corruption, under every
-    command."""
+# a comment, or a symbol: runs of symbol characters and brace groups two deep
+_COMMENT_OR_SYMBOL = re.compile(r";[^\n]*|(?:[^ \t\r\n();{}]|\{[^{}]*(?:\{[^{}]*\}[^{}]*)*\})+")
+
+
+def _glued_comments(text: str) -> str:
+    """The text with a comment glued after each symbol."""
+    return _COMMENT_OR_SYMBOL.sub(lambda m: m[0] if m[0][0] == ";" else m[0] + ";c\n", text)
+
+
+def _nbsp_in_last_symbol(text: str) -> str:
+    """The text with a no-break space after the first character of its last
+    symbol."""
+    at = [m for m in _COMMENT_OR_SYMBOL.finditer(text) if m[0][0] != ";"][-1].start() + 1
+    return text[:at] + "\xa0" + text[at:]
+
+
+# name -> the text written another way: the corpus holds no blank inside a
+# brace group, so every rewrite but the last reads as the text does
+REWRITES = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "tabs": lambda t: t.replace(" ", "\t"),
+    "glued-comments": _glued_comments,
+    "nbsp-in-symbol": _nbsp_in_last_symbol,
+}
+
+
+def rewritten_group(rewrites: dict) -> tuple:
+    """(files, calls): each corpus file after each of the rewrites (name ->
+    the new text, or None where it does not apply), under every command."""
     files = {}
     for f in sorted(CORPUS.glob("*.sexp")):
         text = f.read_text(encoding="utf-8")
-        for name, corrupt in CORRUPTIONS.items():
-            bad = corrupt(text)
-            if bad is not None:
-                files[f"{f.stem}.{name}.sexp"] = bad
+        for name, rewrite in rewrites.items():
+            new = rewrite(text)
+            if new is not None:
+                files[f"{f.stem}.{name}.sexp"] = new
     return files, corpus_calls(list(files))
 
 
@@ -303,12 +334,14 @@ def main(argv) -> int:
     groups.append(({}, corpus_calls(files, COMMANDS + DEPTH_TWO)))
     count, digest = fingerprint(groups)
     print(f"{count} calls sha256 {digest}")
-    count, digest = fingerprint([malformed_group()])
+    count, digest = fingerprint([rewritten_group(CORRUPTIONS)])
     print(f"{count} malformed calls sha256 {digest}")
     count, digest = fingerprint([capture_group()])
     print(f"{count} capture calls sha256 {digest}")
     count, digest = fingerprint([pattern_group()])
     print(f"{count} pattern calls sha256 {digest}")
+    count, digest = fingerprint([rewritten_group(REWRITES)])
+    print(f"{count} rewritten calls sha256 {digest}")
     return 0
 
 
