@@ -3,8 +3,9 @@ substitution, beta-normalization, and alpha-beta equality.  A beta step
 builds only the path to each occurrence of its variable (`_subst`), and the
 term walks dispatch on the node's exact class, which costs less than `match`.
 
-A term carries its type, computed when it is built from its parts' types,
-so an ill-typed term cannot be built: `App` raises `HolTypeError`.
+A variable carries its type, and so does a term, computed when it is built
+from its parts' types, so an ill-typed term cannot be built: `App` raises
+`HolTypeError`.
 Constants carry their own types, so typing needs no signature; the reader
 checks each written constant against one (`HolSignature.check_const`).  The
 quantifier constant is generated on demand per domain type.  Equality
@@ -93,10 +94,21 @@ def type_to_sort(sig: PnlSignature, ty: HolType) -> Optional[PnlSort]:
 
 # ---------------------------------------------------------------------------
 # variables
+#
+# An atom or unknown variable, and every term but a constant, computes its
+# `type` slot in `__post_init__`; the slot takes no part in equality,
+# hashing, matching or printing.  A plain variable is written with its type.
+
+_set = object.__setattr__
+
 
 @dataclass(frozen=True, slots=True)
 class AtomVar:
     atom: Atom
+    type: HolType = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set(self, "type", name_sort_type(self.atom.sort))
 
     def __repr__(self):
         return repr(self.atom)
@@ -106,6 +118,7 @@ class AtomVar:
 class UnkVar:
     unknown: Unknown
     ctx: tuple  # the context already restricted to pmss(unknown), in order
+    type: HolType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.ctx)) != len(self.ctx):
@@ -113,6 +126,10 @@ class UnkVar:
         for a in self.ctx:
             if a not in self.unknown.pmss:
                 raise ValueError(f"context atom {a} outside the permission set")
+        ty = sort_to_type(self.unknown.sort)
+        for a in reversed(self.ctx):
+            ty = ArrowT(name_sort_type(a.sort), ty)
+        _set(self, "type", ty)
 
     def __repr__(self):
         return f"{self.unknown!r}_[{','.join(map(repr, self.ctx))}]"
@@ -130,21 +147,6 @@ class PlainVar:
 HolVar = Union[AtomVar, UnkVar, PlainVar]
 
 
-def var_type(v: HolVar) -> HolType:
-    # by class, not `match`, which costs more: every Var and Lam built calls it
-    tv = type(v)
-    if tv is AtomVar:
-        return name_sort_type(v.atom.sort)
-    if tv is PlainVar:
-        return v.type
-    if tv is UnkVar:
-        ty = sort_to_type(v.unknown.sort)
-        for a in reversed(v.ctx):
-            ty = ArrowT(name_sort_type(a.sort), ty)
-        return ty
-    raise TypeError(f"not a variable: {tv.__name__}")
-
-
 # ---------------------------------------------------------------------------
 # terms
 
@@ -157,19 +159,13 @@ class HolTypeError(Exception):
         self.term = term
 
 
-# Each term but a constant computes its `type` slot in `__post_init__`, from
-# its parts' slots; the slot takes no part in equality, hashing, matching or
-# printing.
-_set = object.__setattr__
-
-
 @dataclass(frozen=True, slots=True)
 class Var:
     var: HolVar
     type: HolType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _set(self, "type", var_type(self.var))
+        _set(self, "type", self.var.type)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,7 +175,7 @@ class Lam:
     type: HolType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _set(self, "type", ArrowT(var_type(self.var), self.body.type))
+        _set(self, "type", ArrowT(self.var.type, self.body.type))
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,7 +224,7 @@ def forall_const(domain: HolType) -> Const:
 
 
 def forall(v: HolVar, body: HolTerm) -> HolTerm:
-    return App(forall_const(var_type(v)), Lam(v, body))
+    return App(forall_const(v.type), Lam(v, body))
 
 
 def forall_parts(t: HolTerm) -> Optional[tuple]:
@@ -400,7 +396,7 @@ def _debruijn(t: HolTerm, env: dict, level: int):
     if c is Lam:
         v = t.var
         outer, env[v] = env.get(v), level
-        k = ("lam", var_type(v), _debruijn(t.body, env, level + 1))
+        k = ("lam", v.type, _debruijn(t.body, env, level + 1))
         env[v] = outer
         return k
     if c is HTup:

@@ -255,7 +255,7 @@ def check_hol(node: Node) -> Verdict:
         return None
 
     def instance(v, body, t):
-        if t.type != H.var_type(v):
+        if t.type != v.type:
             raise _Reject("witness has the wrong type")
         return H.App(H.Lam(v, body), t)
 

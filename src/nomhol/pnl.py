@@ -1,14 +1,19 @@
 """Permissive-nominal terms and propositions.
 
 Terms carry permutation-suspended unknowns; equality used everywhere
-downstream is the decidable alpha-equivalence implemented here.  Sorts (in
-the compact form of unknown tokens), unknowns, atom terms and `Bot` print as
+downstream is the decidable alpha-equivalence implemented here.  A
+quantifier instance (`subst_one`) is one substitution walk (`_subst`) that
+builds only the path to each occurrence of its unknown and dispatches on
+the node's exact class, as `hol._subst` does: it captures atoms by design,
+and renames a quantifier whose unknown would capture.  Sorts (in the
+compact form of unknown tokens), unknowns, atom terms and `Bot` print as
 the reader writes them; other terms and propositions print through
 `frontend.render`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Union
@@ -268,51 +273,6 @@ def perm_act(pi: Perm, x):
     raise TypeError(f"not PNL syntax: {type(x).__name__}")
 
 
-class Perm2:
-    """Sort- and permission-set-preserving bijection on unknowns."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, moves: Mapping[Unknown, Unknown]):
-        cleaned = {x: y for x, y in moves.items() if x != y}
-        for x, y in cleaned.items():
-            if x.sort != y.sort or x.pmss != y.pmss:
-                raise ValueError(f"level-2 move of {x!r} to {y!r} changes sort or permission set")
-        if set(cleaned.values()) != set(cleaned):
-            raise ValueError("level-2 permutation must be a bijection")
-        self._map = cleaned
-
-    @staticmethod
-    def swap(x: Unknown, y: Unknown) -> "Perm2":
-        return Perm2({x: y, y: x}) if x != y else Perm2({})
-
-    def __call__(self, x: Unknown) -> Unknown:
-        return self._map.get(x, x)
-
-
-def perm2_act(big_pi: Perm2, x):
-    match x:
-        case AtomT(_):
-            return x
-        case Tup(items):
-            return Tup(tuple(perm2_act(big_pi, r) for r in items))
-        case Former(f, arg):
-            return Former(f, perm2_act(big_pi, arg))
-        case AbsT(a, body):
-            return AbsT(a, perm2_act(big_pi, body))
-        case Sus(pi, unk):
-            return Sus(pi, big_pi(unk))
-        case Bot():
-            return x
-        case Imp(a, b):
-            return Imp(perm2_act(big_pi, a), perm2_act(big_pi, b))
-        case Pred(p, arg):
-            return Pred(p, perm2_act(big_pi, arg))
-        case All(unk, body):
-            return All(big_pi(unk), perm2_act(big_pi, body))
-    raise TypeError(f"not PNL syntax: {type(x).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # free atoms / free unknowns
 
@@ -454,24 +414,6 @@ def alpha_eq(x, y) -> bool:
 # ---------------------------------------------------------------------------
 # level-2 substitution
 
-class PnlSubst:
-    """Finite map from unknowns to terms (identity elsewhere)."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, moves: Mapping[Unknown, PnlTerm]):
-        self._map = {x: t for x, t in moves.items() if not alpha_eq(t, Sus.of(x))}
-
-    def __call__(self, x: Unknown) -> PnlTerm:
-        return self._map.get(x, Sus.of(x))
-
-    @property
-    def nontriv(self) -> frozenset:
-        produced = frozenset().union(
-            *(free_unknowns(t) for t in self._map.values())) if self._map else frozenset()
-        return frozenset(self._map) | produced
-
-
 def fresh_unknown_like(x: Unknown, avoid: Iterable[Unknown]) -> Unknown:
     taken = {u.index for u in avoid if u.sort == x.sort and u.pmss == x.pmss}
     i = 0
@@ -480,31 +422,48 @@ def fresh_unknown_like(x: Unknown, avoid: Iterable[Unknown]) -> Unknown:
     return Unknown(x.sort, x.pmss, i)
 
 
-def subst_apply(theta: PnlSubst, x):
-    match x:
-        case AtomT(_) | Bot():
-            return x
-        case Tup(items):
-            return Tup(tuple(subst_apply(theta, r) for r in items))
-        case Former(f, arg):
-            return Former(f, subst_apply(theta, arg))
-        case AbsT(a, body):
-            return AbsT(a, subst_apply(theta, body))  # capturing, by design
-        case Sus(pi, unk):
-            return perm_act(pi, theta(unk))
-        case Imp(a, b):
-            return Imp(subst_apply(theta, a), subst_apply(theta, b))
-        case Pred(p, arg):
-            return Pred(p, subst_apply(theta, arg))
-        case All(unk, body):
-            if unk in theta.nontriv:
-                fresh = fresh_unknown_like(unk, theta.nontriv | free_unknowns(body))
-                body = perm2_act(Perm2.swap(fresh, unk), body)
-                unk = fresh
-            return All(unk, subst_apply(theta, body))
-    raise TypeError(f"not PNL syntax: {type(x).__name__}")
+def _subst(x, m: dict, near: list):
+    """x with each unknown of `m` replaced by its image at once; a subterm
+    where none is free comes back itself.  Atoms are captured by design: an
+    abstraction's atom may bind free atoms of an image.  A quantifier whose
+    unknown would capture is renamed, decided before the one walk of its
+    body from `near`: one slot, shared under one map, for (a superset of)
+    the images' free unknowns."""
+    c = type(x)
+    if c is Former or c is Pred:
+        arg = _subst(x.arg, m, near)
+        return x if arg is x.arg else c(x.name, arg)
+    if c is Sus:
+        t = m.get(x.unknown)
+        return x if t is None else perm_act(x.perm, t)
+    if c is Tup:
+        new = tuple([_subst(r, m, near) for r in x.items])
+        return x if all(map(operator.is_, new, x.items)) else Tup(new)
+    if c is AbsT:
+        body = _subst(x.body, m, near)
+        return x if body is x.body else AbsT(x.atom, body)
+    if c is Imp:
+        a, b = _subst(x.left, m, near), _subst(x.right, m, near)
+        return x if a is x.left and b is x.right else Imp(a, b)
+    if c is All:
+        w, body = x.unknown, x.body
+        if near[0] is None:  # filled on the first quantifier, for the whole map
+            near[0] = frozenset().union(*map(free_unknowns, m.values()))
+        m = {u: t for u, t in m.items() if u != w} if w in m else m
+        if m and w in near[0]:
+            free = free_unknowns(body)  # only images of unknowns free here can capture
+            m = {u: t for u, t in m.items() if u in free}
+            near = [frozenset().union(*map(free_unknowns, m.values()))]
+            if w in near[0]:
+                w2 = fresh_unknown_like(w, near[0] | free | frozenset(m))
+                return All(w2, _subst(body, {**m, w: Sus.of(w2)}, [near[0] | {w2}]))
+        new = _subst(body, m, near) if m else body
+        return x if new is body else All(w, new)
+    if c is AtomT or c is Bot:
+        return x
+    raise TypeError(f"not PNL syntax: {c.__name__}")
 
 
 def subst_one(x, unk: Unknown, t: PnlTerm):
     """x[unk := t]."""
-    return subst_apply(PnlSubst({unk: t}), x)
+    return _subst(x, {unk: t}, [None])

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from nomhol.atoms import Atom, CofinAtomSet, Perm, permission_set
 from nomhol.pnl import (AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
-                        NameSort, Pred, PnlSignature, PnlSubst, Sus, Tup,
-                        TupleSort, AbsSort, Unknown, perm_act, subst_apply)
+                        NameSort, Pred, PnlSignature, Sus, Tup,
+                        TupleSort, AbsSort, Unknown, perm_act)
 from nomhol.semantics import HerbrandModel, PredSpec
+from spec import PnlSubst, subst_apply
 
 NU = "nu"
 IOTA = BaseSort("iota")

@@ -3,14 +3,16 @@ operations that nomhol decides by canonical keys.
 
 Each compares two objects directly, without computing a key: nominal
 alpha-equivalence by swapping binders (Urban, Pitts and Gabbay's suspension
-clause for unknowns), typed-lambda alpha-equivalence by binder levels, and
-alpha-beta equality through both normal forms, and equality of suspended
+clause for unknowns, and `spec.perm2_act` for a quantifier's unknown),
+typed-lambda alpha-equivalence by binder levels, and alpha-beta equality
+through both normal forms, and equality of suspended
 renamings by searching all support bijections.  Tests hold the key-based
 versions in `nomhol.pnl`, `nomhol.hol`, `nomhol.kernel` and
 `nomhol.semantics` to these.  `dedup` says what a sequent side that repeats
-a formula means: the side without the copies.  `hol_type_of` types a term
-by walking it whole, the reference for the `type` each `nomhol.hol` term
-computes when it is built.  `nf` rebuilds every node of
+a formula means: the side without the copies.  `var_type` builds a
+variable's type from its parts, and `hol_type_of` types a term by walking
+it whole: the references for the `type` each `nomhol.hol` variable and
+term computes when it is built.  `nf` rebuilds every node of
 a beta-normal form, the reference for `hol._nf`, which keeps each subterm
 that is already normal; `hol_subst_parallel` rebuilds every node of a
 substitution, the reference for `hol._subst`, which keeps each subterm it
@@ -55,12 +57,13 @@ from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
                           permission_set, set_subset)
 from nomhol import frontend as F
 from nomhol.frontend import render
-from nomhol.hol import (App, ArrowT, Const, HTup, HolTerm, HolType, HolTypeError,
-                        Lam, TupleT, Var, var_type)
+from nomhol.hol import (App, ArrowT, AtomVar, Const, HTup, HolTerm, HolType,
+                        HolTypeError, HolVar, Lam, PlainVar, TupleT, UnkVar, Var,
+                        name_sort_type, sort_to_type)
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
-                        NameSort, Perm2, PnlSignature, Pred, Sus, Tup,
+                        NameSort, PnlSignature, Pred, Sus, Tup,
                         TupleSort, Unknown, free_atoms, free_unknowns,
-                        alpha_key, perm2_act, perm_act)
+                        alpha_key, perm_act)
 from nomhol import hol as H
 from nomhol import semantics as S
 from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV, RenElem,
@@ -71,7 +74,7 @@ from nomhol.semantics import (AtomV, BoolV, EnumerationError, FnV, RenElem,
 from nomhol import sexpr
 from nomhol.sexpr import Row, SexprError, Sym, _error
 
-from spec import extend, updated
+from spec import Perm2, extend, perm2_act, updated
 
 
 def _perms_agree_on_pmss(p1: Perm, p2: Perm, pmss) -> bool:
@@ -139,6 +142,22 @@ def _alpha(t, u, env_t: dict, env_u: dict, level: int) -> bool:
         case (Const(n1, ty1), Const(n2, ty2)):
             return n1 == n2 and ty1 == ty2
     return False
+
+
+def var_type(v: HolVar) -> HolType:
+    """The type of v, built from its parts: the reference for the `type`
+    each `nomhol.hol` variable computes when it is built."""
+    match v:
+        case AtomVar(a):
+            return name_sort_type(a.sort)
+        case PlainVar(ty, _):
+            return ty
+        case UnkVar(unk, ctx):
+            ty = sort_to_type(unk.sort)
+            for a in reversed(ctx):
+                ty = ArrowT(name_sort_type(a.sort), ty)
+            return ty
+    raise TypeError(f"not a variable: {type(v).__name__}")
 
 
 def hol_type_of(t: HolTerm) -> HolType:
@@ -664,7 +683,7 @@ class HolEvaluator:
             return False
 
     def _eval_lam(self, v, body, env):
-        vt = H.var_type(v)
+        vt = var_type(v)
         try:
             whole = H.ArrowT(vt, hol_type_of(body))
             image = isinstance(H.type_to_sort(self.model.sig, whole), AbsSort)

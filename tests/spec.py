@@ -33,6 +33,13 @@ acceptance test (`tests/test_acceptance.py`) that checks it.
   library's own matcher, `semantics._pattern_test`, so
   `test_semantics.py::test_compiled_matcher_agrees_with_the_oracle` tests
   what `eval` and `square` run.
+- Level-2 permutation and parallel substitution (`Perm2`, `perm2_act`,
+  `PnlSubst`, `subst_apply`): a map from unknowns to terms applied at once,
+  every node rebuilt, and a quantifier whose unknown could capture renamed
+  by swapping it with a fresh one.  The reference for `pnl.subst_one`, one
+  walk that keeps each subterm it does not change (checked by
+  `test_pnl.py::test_instance_agrees_with_the_parallel_reference`);
+  `convert_model` instantiates a clause through it.  10.
 - Valuations and substitutions as maps (`updated`, `extend`, `subst_map`,
   `subst_validate`), in which the substitution lemma and the relevance
   lemmas of 9 are stated, and the value of a higher-order term under one
@@ -51,12 +58,13 @@ from nomhol.atoms import (Atom, CofinAtomSet, Perm, Renaming, fresh_atoms,
                           set_subset)
 from nomhol.capture import CaptureContext, restrict_context
 from nomhol.hol import (App, AtomVar, Const, HTup, HolTerm, HolTypeError,
-                        HolVar, Lam, UnkVar, Var, apps, lams, var_type)
+                        HolVar, Lam, UnkVar, Var, apps, lams)
 from nomhol.kernel import Sequent
 from nomhol.pnl import (AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
-                        PnlSignature, PnlSubst, PnlProp, Pred, SignatureError,
-                        SortError, Sus, Tup, TupleSort, Unknown, free_atoms,
-                        free_unknowns, perm_act, sort_of, subst_apply)
+                        PnlSignature, PnlProp, PnlTerm, Pred, SignatureError,
+                        SortError, Sus, Tup, TupleSort, Unknown, alpha_eq,
+                        free_atoms, free_unknowns, fresh_unknown_like,
+                        perm_act, sort_of)
 from nomhol.semantics import (AtomV, BoolV, FnV, HerbrandModel, HolEvaluator,
                               PredSpec, RenV, SemanticsError, SemVal, TupV,
                               Valuation, _pattern_test, as_ren, mk_ren, ren_eq,
@@ -129,7 +137,7 @@ def apply_reindex(ctx_from: CaptureContext, ctx_to: CaptureContext,
                          apply_reindex(ctx_from, ctx_to, body))
         case H.App(H.Const("forall", _), H.Lam(_, _) as lam):
             new_lam = apply_reindex(ctx_from, ctx_to, lam)
-            return H.App(H.forall_const(H.var_type(new_lam.var)), new_lam)
+            return H.App(H.forall_const(new_lam.var.type), new_lam)
         case H.App(fn, arg):
             return H.App(apply_reindex(ctx_from, ctx_to, fn),
                          apply_reindex(ctx_from, ctx_to, arg))
@@ -144,7 +152,7 @@ def apply_reindex(ctx_from: CaptureContext, ctx_to: CaptureContext,
 # substitution and permutation of higher-order terms
 
 def hol_subst(t: HolTerm, v: HolVar, u: HolTerm) -> HolTerm:
-    if u.type != var_type(v):
+    if u.type != v.type:
         raise HolTypeError(f"substituting {u!r} of wrong type for {v!r}")
     return H._subst(t, {v: u}, [None])
 
@@ -265,6 +273,97 @@ def rename_valuation(rho: Renaming, parent: Callable) -> HolValuation:
         return got
 
     return HolValuation({}, base)
+
+
+# ---------------------------------------------------------------------------
+# level-2 permutation and parallel substitution
+
+class Perm2:
+    """Sort- and permission-set-preserving bijection on unknowns."""
+
+    __slots__ = ("_map",)
+
+    def __init__(self, moves: Mapping[Unknown, Unknown]):
+        cleaned = {x: y for x, y in moves.items() if x != y}
+        for x, y in cleaned.items():
+            if x.sort != y.sort or x.pmss != y.pmss:
+                raise ValueError(f"level-2 move of {x!r} to {y!r} changes sort or permission set")
+        if set(cleaned.values()) != set(cleaned):
+            raise ValueError("level-2 permutation must be a bijection")
+        self._map = cleaned
+
+    @staticmethod
+    def swap(x: Unknown, y: Unknown) -> "Perm2":
+        return Perm2({x: y, y: x}) if x != y else Perm2({})
+
+    def __call__(self, x: Unknown) -> Unknown:
+        return self._map.get(x, x)
+
+
+def perm2_act(big_pi: Perm2, x):
+    match x:
+        case AtomT(_):
+            return x
+        case Tup(items):
+            return Tup(tuple(perm2_act(big_pi, r) for r in items))
+        case Former(f, arg):
+            return Former(f, perm2_act(big_pi, arg))
+        case AbsT(a, body):
+            return AbsT(a, perm2_act(big_pi, body))
+        case Sus(pi, unk):
+            return Sus(pi, big_pi(unk))
+        case Bot():
+            return x
+        case Imp(a, b):
+            return Imp(perm2_act(big_pi, a), perm2_act(big_pi, b))
+        case Pred(p, arg):
+            return Pred(p, perm2_act(big_pi, arg))
+        case All(unk, body):
+            return All(big_pi(unk), perm2_act(big_pi, body))
+    raise TypeError(f"not PNL syntax: {type(x).__name__}")
+
+
+class PnlSubst:
+    """Finite map from unknowns to terms (identity elsewhere)."""
+
+    __slots__ = ("_map",)
+
+    def __init__(self, moves: Mapping[Unknown, PnlTerm]):
+        self._map = {x: t for x, t in moves.items() if not alpha_eq(t, Sus.of(x))}
+
+    def __call__(self, x: Unknown) -> PnlTerm:
+        return self._map.get(x, Sus.of(x))
+
+    @property
+    def nontriv(self) -> frozenset:
+        produced = frozenset().union(
+            *(free_unknowns(t) for t in self._map.values())) if self._map else frozenset()
+        return frozenset(self._map) | produced
+
+
+def subst_apply(theta: PnlSubst, x):
+    match x:
+        case AtomT(_) | Bot():
+            return x
+        case Tup(items):
+            return Tup(tuple(subst_apply(theta, r) for r in items))
+        case Former(f, arg):
+            return Former(f, subst_apply(theta, arg))
+        case AbsT(a, body):
+            return AbsT(a, subst_apply(theta, body))  # capturing, by design
+        case Sus(pi, unk):
+            return perm_act(pi, theta(unk))
+        case Imp(a, b):
+            return Imp(subst_apply(theta, a), subst_apply(theta, b))
+        case Pred(p, arg):
+            return Pred(p, subst_apply(theta, arg))
+        case All(unk, body):
+            if unk in theta.nontriv:
+                fresh = fresh_unknown_like(unk, theta.nontriv | free_unknowns(body))
+                body = perm2_act(Perm2.swap(fresh, unk), body)
+                unk = fresh
+            return All(unk, subst_apply(theta, body))
+    raise TypeError(f"not PNL syntax: {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +549,7 @@ def convert_model(model_pi: HerbrandModel, z) -> HerbrandModel:
                     binds = compile_pattern(pz)(z)
                     if binds is None:
                         continue
-                    clauses.append((subst_apply(P.PnlSubst(binds), pr), v))
+                    clauses.append((subst_apply(PnlSubst(binds), pr), v))
                 case _:
                     raise SemanticsError(f"{p}: clause pattern is not a pair")
         extra = spec.extra_support | supp(z)

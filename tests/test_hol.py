@@ -13,13 +13,13 @@ from nomhol.hol import (App, ArrowT, AtomVar, BASE_SIGNATURE, BOT, BaseT,
                         TupleT, UnkVar, Var, alphabeta_eq, alphabeta_key, apps,
                         beta_normalize, forall, forall_const, fv, imp,
                         lams, name_sort_type,
-                        sort_to_type, type_to_sort, var_type)
+                        sort_to_type, type_to_sort)
 from nomhol.pnl import AbsSort, BaseSort, NameSort, TupleSort, Unknown
 
-from gen import IOTA, NSORT, NU, PMSS_ALL, SIG, X0
+from gen import IOTA, NSORT, NU, PMSS_ALL, SIG, X0, X1
 from spec import hol_perm_act, hol_subst
 import oracles
-from oracles import hol_alpha_eq, hol_subst_parallel
+from oracles import hol_alpha_eq, hol_subst_parallel, var_type
 
 
 def a(i):
@@ -49,7 +49,19 @@ def test_non_image_types():
 
 def test_unkvar_type_is_curried():
     v = UnkVar(X0, (Atom(NU, 0), Atom(NU, 1)))
-    assert var_type(v) == ArrowT(MU_NU, ArrowT(MU_NU, MU_IOTA))
+    assert v.type == var_type(v) == ArrowT(MU_NU, ArrowT(MU_NU, MU_IOTA))
+
+
+def test_variables_carry_the_references_type():
+    """Each variable computes its type when it is built, and an unknown
+    variable refuses a bad context as before, a repeated atom first."""
+    for v in (AtomVar(Atom(NU, 3)), PlainVar(ArrowT(O, O), 2), UnkVar(X0, ()),
+              UnkVar(X1, (Atom(NU, 0), Atom(NU, -1)))):
+        assert v.type == var_type(v)
+    with pytest.raises(ValueError, match="^context atoms must be distinct$"):
+        UnkVar(X1, (Atom(NU, 1), Atom(NU, 1)))
+    with pytest.raises(ValueError, match="^context atom nu@1 outside the permission set$"):
+        UnkVar(X1, (Atom(NU, 0), Atom(NU, 1)))
 
 
 # --- typing --------------------------------------------------------------------

@@ -16,13 +16,13 @@ from nomhol.hol import (App, AtomVar, BOT, Const, Lam, O, PlainVar, UnkVar,
                         Var, apps, forall, imp)
 from nomhol.kernel import (FULL, Node, RESTRICTED, Sequent, _interned, check_hol,
                            check_pnl)
-from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, Pred, Sus,
-                        Tup, Unknown, alpha_key, perm2_act, perm_act)
+from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Pred, Sus,
+                        Tup, Unknown, alpha_key, perm_act)
 from nomhol.translate import translate, translate_derivation, translate_signature
 
 import oracles
 from gen import PMSS_ALL, X0, atom, rand_perm, rand_prop, var
-from spec import hol_atomic_derivable
+from spec import Perm2, hol_atomic_derivable, perm2_act
 
 ENV = translate_signature(SIG)
 

@@ -3,17 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nomhol import pnl as P
 from nomhol.atoms import Atom, CofinAtomSet, Perm, perm_image_set, permission_set, set_subset
 from nomhol.pnl import (AbsSort, AbsT, All, AtomT, BaseSort, Bot, Former, Imp,
-                        NameSort, Perm2, PnlSubst, Pred, SortError, Sus, Tup,
+                        NameSort, Pred, SortError, Sus, Tup,
                         TupleSort, Unknown, alpha_eq, alpha_key, check_prop,
-                        free_atoms, free_unknowns, perm2_act, perm_act,
-                        sort_of, subst_apply, subst_one)
+                        free_atoms, free_unknowns, perm_act,
+                        sort_of, subst_one)
 
 import oracles
 from gen import (IOTA, NSORT, NU, PMSS_ALL, PMSS_HALF, SIG, WINDOW, X0, X1,
                  rand_perm, rand_prop, rand_term)
-from spec import pi_translate, subst_map, subst_validate
+from spec import (Perm2, PnlSubst, perm2_act, pi_translate, subst_apply, subst_map,
+                  subst_validate)
 
 
 def a(i):
@@ -178,16 +180,18 @@ perms_st = st.lists(st.sampled_from(ATOMS), unique=True, max_size=5).map(
 
 
 @st.composite
-def terms_st(draw, depth=8):
+def terms_st(draw, depth=8, unknowns=UNKNOWNS):
+    """A term whose suspensions suspend `unknowns`."""
     kind = draw(st.sampled_from(("var", "sus", "app", "lam", "lam") if depth else ("var", "sus")))
     match kind:
         case "var":
             return Former("var", AtomT(draw(st.sampled_from(ATOMS))))
         case "sus":
-            return Sus(draw(perms_st), draw(st.sampled_from(UNKNOWNS)))
+            return Sus(draw(perms_st), draw(st.sampled_from(unknowns)))
         case "app":
-            return Former("app", Tup((draw(terms_st(depth - 1)), draw(terms_st(depth - 1)))))
-    return Former("lam", AbsT(draw(st.sampled_from(ATOMS)), draw(terms_st(depth - 1))))
+            return Former("app", Tup((draw(terms_st(depth - 1, unknowns)),
+                                      draw(terms_st(depth - 1, unknowns)))))
+    return Former("lam", AbsT(draw(st.sampled_from(ATOMS)), draw(terms_st(depth - 1, unknowns))))
 
 
 @st.composite
@@ -324,15 +328,103 @@ def test_subst_applies_suspension():
     assert subst_one(t, X0, var(0)) == var(1)
 
 
+def test_instance_keeps_what_it_does_not_touch():
+    """An instance returns each subterm in which its unknown is not free as
+    that same object, and the whole input where it is nowhere free."""
+    left = Pred("equal", Tup((Sus.of(X1), var(0))))
+    kept = var(1)
+    phi = Imp(left, All(X1, Pred("P", Former("app", Tup((Sus.of(X0), kept))))))
+    assert subst_one(phi, UNKNOWNS[2], var(2)) is phi
+    got = subst_one(phi, X0, var(2))
+    assert got.left is left
+    assert got.right.body.arg.arg.items[1] is kept
+    assert got == Imp(left, All(X1, Pred("P", Former("app", Tup((var(2), kept))))))
+
+
+def capture_chains(n):
+    """Two (formula, witness) pairs over X0 whose every one of n nested
+    quantifiers captures: quantifiers that shadow one unknown, and distinct
+    ones all suspended in the witness."""
+    ys = [Unknown(IOTA, PMSS_ALL, i) for i in range(1, n + 1)]
+    shadowing, distinct, witness = Pred("P", Sus.of(X0)), Pred("P", Sus.of(X0)), Sus.of(ys[0])
+    for y in reversed(ys):
+        shadowing, distinct = All(ys[0], shadowing), All(y, distinct)
+    for y in ys[1:]:
+        witness = Former("app", Tup((Sus.of(y), witness)))
+    return [(shadowing, Sus.of(ys[0])), (distinct, witness)]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["shadowing", "distinct"])
+def test_renaming_quantifiers_walks_each_body_once(which, monkeypatch):
+    """A chain of n quantifiers that each capture costs one substitution
+    call per node: each quantifier's body is walked once."""
+    n, calls = 30, [0]
+
+    def counting(*args, real=P._subst):
+        calls[0] += 1
+        if calls[0] > 4 * n:
+            raise AssertionError(f"more than {4 * n} substitution calls")
+        return real(*args)
+    phi, t = capture_chains(n)[which]
+    want = subst_apply(PnlSubst({X0: t}), phi)
+    monkeypatch.setattr(P, "_subst", counting)
+    got = subst_one(phi, X0, t)
+    assert calls[0] == n + 2
+    assert alpha_eq(got, want)
+    assert X0 not in free_unknowns(got)
+
+
+def quantified(phi) -> tuple:
+    """(the unknowns that phi's quantifiers bind, the unknowns free in the
+    body of one of its quantifiers other than the one it binds)."""
+    match phi:
+        case All(u, body):
+            bound, under = quantified(body)
+            return bound | {u}, under | (free_unknowns(body) - {u})
+        case Imp(p, q):
+            (b1, u1), (b2, u2) = quantified(p), quantified(q)
+            return b1 | b2, u1 | u2
+    return set(), set()
+
+
+def by_index(unknowns):
+    return sorted(unknowns, key=lambda u: u.index)
+
+
+@st.composite
+def capturing_st(draw):
+    """(x, u, t) with u free in x, under a quantifier where it can be, and t
+    suspending only unknowns that x quantifies, so that an instance often
+    renames a quantifier."""
+    x = draw(props_st())
+    bound, under = quantified(x)
+    free = free_unknowns(x)
+    u = draw(st.sampled_from(by_index(free & under) or by_index(free) or UNKNOWNS))
+    suspended = by_index(bound) or UNKNOWNS
+    t = draw(st.one_of(st.builds(Sus, perms_st, st.sampled_from(suspended)),
+                       terms_st(3, suspended)))
+    return x, u, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(capturing_st())
+def test_instance_agrees_with_the_parallel_reference(case):
+    x, u, t = case
+    got = subst_one(x, u, t)
+    assert alpha_eq(got, subst_apply(PnlSubst({u: t}), x))
+    if u not in free_unknowns(x):
+        assert got is x
+
+
 def test_subst_empty_identity():
     t = rand_term(random.Random(0))
     assert subst_apply(PnlSubst({}), t) == t
 
 
 def test_subst_freshens_forall_binder():
-    # X0 is in nontriv(theta) so the binder must move out of the way
+    # X0 is free in the witness, so the binder must move out of the way
     phi = All(X0, Pred("equal", Tup((Sus.of(X0), Sus.of(X1)))))
-    got = subst_apply(PnlSubst({X1: Sus.of(X0)}), phi)
+    got = subst_one(phi, X1, Sus.of(X0))
     assert isinstance(got, All)
     assert got.unknown != X0
     assert alpha_eq(got.body, Pred("equal", Tup((Sus.of(got.unknown), Sus.of(X0)))))

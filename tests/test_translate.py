@@ -7,15 +7,15 @@ from nomhol.capture import canonical_context, capture_check, capture_infer
 from nomhol.hol import (App, ArrowT, AtomVar, Const, HTup, Lam, O, UnkVar,
                         Var, alphabeta_eq, apps, beta_normalize, forall, fv,
                         lams, name_sort_type, sort_to_type)
-from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp, Perm2, PnlSubst,
+from nomhol.pnl import (AbsT, All, AtomT, Bot, Former, Imp,
                         Pred, Sus, Tup, Unknown, alpha_eq, free_atoms,
-                        perm_act, perm2_act, sort_of, subst_apply, subst_one)
+                        perm_act, sort_of, subst_one)
 from nomhol.translate import translate, translate_signature
 
 from gen import (IOTA, NU, PMSS_ALL, PMSS_HALF, SIG, WINDOW, X0, X1,
                  rand_perm, rand_prop, rand_term)
 from oracles import hol_alpha_eq
-from spec import hol_perm_act, hol_subst
+from spec import Perm2, hol_perm_act, hol_subst, perm2_act
 
 
 def a(i):

@@ -31,6 +31,13 @@ A fifth line does the same for every corpus file written four other ways
 blanks, with a `;` comment glued after each symbol, and with a no-break
 space inside its last symbol, which the reader keeps in the symbol and
 the frontend refuses with a located error.
+A sixth line does the same for a few derivations whose `alll` witness
+suspends an unknown that the instantiated body quantifies, so the instance
+must rename a quantifier (`INSTANCE_DERIVATIONS`), under `check` in both
+nominal logics and `translate --derivation` (its output then checked
+under `check --logic hol`); one of them holds at the `alll` premise the
+instance that a capturing substitution would give, and must be rejected.
+No workload or corpus derivation renames one.
 Run it in two checkouts: the same lines mean the CLI printed the same
 bytes.  It uses the `nomhol` beside it, not an installed one, and writes
 only to temporary directories.
@@ -285,6 +292,53 @@ def pattern_group() -> tuple:
     return {**props, "pattern-model.sexp": PATTERN_MODEL}, calls
 
 
+def _unknown(i: int) -> str:
+    return "X{iota;perm(+{nu@0,nu@1,nu@2}-{});%d}" % i
+
+
+def _instance_derivation(left: str, right: str, witness: str, premise: str) -> str:
+    """An `alll` on `left` at `witness`, whose premise, with `premise` on
+    the left, is an axiom against `right`."""
+    return (f"(rule alll\n  (concl (seq (left {left}) (right {right})))\n  (li 0)\n"
+            f"  (witness {witness})\n  (rule ax\n    (concl (seq (left {premise})"
+            f" (right {right})))\n    (li 0)\n    (ri 0)))\n")
+
+
+U0, U1, U5, U6, U7 = map(_unknown, (0, 1, 5, 6, 7))
+_PAIR = "(pred P (app (tup {} {})))"
+_PERMUTED = (f"(all {U5} (imp (pred P (sus ((nu@0 nu@2 nu@1)) {U1}))"
+             f" (pred equal (tup (lam (abs nu@0 {U5})) (sus ((nu@0 nu@1)) {U1})))))")
+# name -> a derivation whose one instance renames a quantifier: one that the
+# witness suspends, one shadowed by another of the same unknown, one under a
+# suspension's permutation and an abstraction, and the first again with the
+# capturing instance at its premise and on its right
+INSTANCE_DERIVATIONS = {
+    "distinct": _instance_derivation(
+        f"(all {U0} (all {U1} {_PAIR.format(U0, U1)}))",
+        f"(all {U5} {_PAIR.format(U1, U5)})", U1, f"(all {U7} {_PAIR.format(U1, U7)})"),
+    "shadowing": _instance_derivation(
+        f"(all {U0} (all {U1} (all {U1} {_PAIR.format(U0, U1)})))",
+        f"(all {U5} (all {U6} {_PAIR.format(U1, U6)}))", U1,
+        f"(all {U5} (all {U6} {_PAIR.format(U1, U6)}))"),
+    "permuted": _instance_derivation(
+        f"(all {U0} (all {U1} (imp (pred P (sus ((nu@1 nu@2)) {U0}))"
+        f" (pred equal (tup (lam (abs nu@0 {U1})) {U0})))))",
+        _PERMUTED, f"(sus ((nu@0 nu@1)) {U1})", _PERMUTED),
+    "captured": _instance_derivation(
+        f"(all {U0} (all {U1} {_PAIR.format(U0, U1)}))",
+        f"(all {U1} {_PAIR.format(U1, U1)})", U1, f"(all {U1} {_PAIR.format(U1, U1)})"),
+}
+INSTANCE_COMMANDS = (["check", "--logic", "pnl-full"], ["check", "--logic", "pnl-restricted"],
+                     ["translate", "--derivation"])
+
+
+def instance_group() -> tuple:
+    """(files, calls): each instance derivation under the instance
+    commands, with and without `--json`."""
+    files = {f"instance-{name}.sexp": text for name, text in INSTANCE_DERIVATIONS.items()}
+    return files, corpus_calls(list(files), INSTANCE_COMMANDS)
+
+
 def run(call: Call) -> tuple:
     """(argv, status, stdout, stderr) of one call in the current directory."""
     if call.needs and not Path(call.needs).exists():
@@ -342,6 +396,8 @@ def main(argv) -> int:
     print(f"{count} pattern calls sha256 {digest}")
     count, digest = fingerprint([rewritten_group(REWRITES)])
     print(f"{count} rewritten calls sha256 {digest}")
+    count, digest = fingerprint([instance_group()])
+    print(f"{count} instance calls sha256 {digest}")
     return 0
 
 
